@@ -19,9 +19,12 @@ from .errors import (  # noqa: F401
 )
 from .pipeline import IterationTrace, RunConfig, run_iteration, run_razor  # noqa: F401
 from .surface import (  # noqa: F401
+    ClassLedger,
+    SurfaceSpace,
     class_alignment_objective,
+    compute_embeddings,
     positional_encoding,
-    shortcut_score,
+    shortcut_scores,
     surface_embedding,
     tfidf_score,
 )

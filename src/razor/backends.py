@@ -16,6 +16,7 @@ import os
 import re
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from random import Random
@@ -36,20 +37,22 @@ MOCK_VERDICTS = ("confirm", "flip", "garbled")
 
 @dataclass
 class CallLog:
-    """Append-only record of backend traffic, safe to share across workers."""
+    """Append-only record of backend traffic, safe to share across workers.
+    ``entries`` keeps every (role, doc id) in call order; per-role counts are
+    kept as calls are appended, so counting costs the same at any length."""
 
     entries: list[tuple[str, str]] = field(default_factory=list)
+    _counts: Counter = field(default_factory=Counter, repr=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def append(self, role: str, doc_id: str) -> None:
         with self._lock:
             self.entries.append((role, doc_id))
+            self._counts[role] += 1
 
     def count(self, role: Optional[str] = None) -> int:
         with self._lock:
-            if role is None:
-                return len(self.entries)
-            return sum(1 for r, _ in self.entries if r == role)
+            return len(self.entries) if role is None else self._counts[role]
 
     def doc_ids(self, role: str) -> set[str]:
         with self._lock:

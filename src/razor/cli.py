@@ -21,9 +21,9 @@ from .backends import HttpBackend, MockBackend
 from .corpus import SCHEMAS, TokenizerConfig, load_dataset, parse_label_names, save_dataset
 from .errors import BackendError, ConfigError, DataError, RazorError
 from .evalkit import BiasSpec, emit_report, generate_biased_corpus
-from .pipeline import Checkpoint, IterationTrace, RunConfig, run_razor
+from .pipeline import Checkpoint, IterationTrace, RunConfig, run_razor, write_trace_file
 from .rewriter import GeneratorConfig
-from .surface import class_alignment_objective, compute_embeddings, corpus_stats, shortcut_scores
+from .surface import ClassLedger, class_alignment_objective, compute_embeddings, shortcut_scores
 
 log = logging.getLogger("razor")
 
@@ -134,10 +134,10 @@ def _load_labels(arg):
 
 def cmd_analyze(args) -> int:
     dataset = load_dataset(args.input, args.schema, _load_labels(args.labels))
-    stats = corpus_stats(dataset)
-    embeddings = compute_embeddings(dataset, stats, args.lam)
-    scores = shortcut_scores(dataset, embeddings)
-    objective = class_alignment_objective(dataset, embeddings)
+    space = compute_embeddings(dataset, lam=args.lam)
+    ledger = ClassLedger(space)
+    scores = shortcut_scores(space, ledger)
+    objective = class_alignment_objective(ledger)
     ranked = sorted(scores, key=lambda doc_id: (-scores[doc_id], doc_id))
     by_id = {doc.id: doc for doc in dataset}
     rows = [
@@ -151,11 +151,9 @@ def cmd_analyze(args) -> int:
                 fh.write(json.dumps(row, ensure_ascii=False) + "\n")
     if args.embeddings_out:
         with open(args.embeddings_out, "w", encoding="utf-8") as fh:
-            for doc in dataset:
-                emb = embeddings.get(doc.id)
-                if emb is None:
-                    continue
-                fh.write(json.dumps({"id": doc.id, "vector": emb.vector.tolist()}) + "\n")
+            for doc_id, embedded, vector in zip(space.ids, space.embedded, space.vectors):
+                if embedded:
+                    fh.write(json.dumps({"id": doc_id, "vector": vector.tolist()}) + "\n")
     if args.top is not None:
         for row in rows[: args.top]:
             print(json.dumps(row, ensure_ascii=False))
@@ -243,16 +241,7 @@ def cmd_run(args) -> int:
     )
     report.write_csv(csv_path)
     if checkpoint is None:
-        with open(f"{args.out}.trace.json", "w", encoding="utf-8") as fh:
-            json.dump(
-                {
-                    "stop_reason": result.stop_reason,
-                    "iterations": [t.to_dict() for t in result.traces],
-                },
-                fh,
-                indent=2,
-            )
-            fh.write("\n")
+        write_trace_file(f"{args.out}.trace.json", result.traces, result.stop_reason)
     summary = {
         "stop_reason": result.stop_reason,
         "iterations": len(result.traces),

@@ -25,10 +25,6 @@ class DegenerateDocumentError(RazorError):
     """Document too short to embed (fewer than 2 tokens)."""
 
 
-class ZeroEmbeddingError(RazorError):
-    """Document maps to the zero vector; its cosine scores are undefined."""
-
-
 class StaleStatsError(RazorError):
     """Corpus statistics predate the document they are applied to."""
 

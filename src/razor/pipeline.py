@@ -30,7 +30,7 @@ from .corpus import (
     replace_text,
     save_dataset,
 )
-from .errors import BackendError, ConfigError
+from .errors import BackendError, ConfigError, DataError
 from .rewriter import (
     GeneratorConfig,
     PromptTemplate,
@@ -41,12 +41,14 @@ from .rewriter import (
 )
 from .surface import (
     DEFAULT_LAMBDA,
+    ClassLedger,
+    SurfaceSpace,
     class_alignment_objective,
-    class_unit_sums,
     compute_embeddings,
     corpus_stats,
     shortcut_scores,
     surface_embedding,
+    unit_vector,
 )
 
 log = logging.getLogger("razor")
@@ -58,9 +60,10 @@ STOP_MAX_ITERATIONS = "max-iterations"
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Loop parameters. ``k`` is either an absolute document count (int) or a
-    fraction of the dataset (float in (0, 1]); the default rewrites 10% of
-    the documents per iteration."""
+    """Loop parameters. ``k`` is either an absolute document count or a
+    fraction of the dataset (a float strictly between 0 and 1); an integral
+    value is always a count, so ``k=1.0`` selects one document. The default
+    rewrites 10% of the documents per iteration."""
 
     k: float = 0.1
     lam: int = DEFAULT_LAMBDA
@@ -73,8 +76,10 @@ class RunConfig:
 
     def __post_init__(self):
         if isinstance(self.k, float) and not self.k.is_integer():
-            if not (0.0 < self.k <= 1.0):
-                raise ConfigError(f"fractional k must be in (0, 1], got {self.k}")
+            if not (0.0 < self.k < 1.0):
+                raise ConfigError(
+                    f"fractional k must be in (0, 1) (an integral k is a count), got {self.k}"
+                )
         elif int(self.k) < 1:
             raise ConfigError(f"k must be positive, got {self.k}")
         if self.epsilon <= 0:
@@ -121,7 +126,10 @@ class RewriteJournal:
     """Per-iteration record of generated candidates, keyed by document id.
 
     Flushed after each document completes, so an aborted run can resume
-    without re-querying the backend for documents already processed.
+    without re-querying the backend for documents already processed. A
+    malformed final line is a record torn by the abort: loading drops it with
+    a warning (and cuts it from the file, so later records start on a line of
+    their own). A malformed line anywhere else is a DataError.
     """
 
     def __init__(self, path: Optional[Path] = None):
@@ -129,13 +137,24 @@ class RewriteJournal:
         self._entries: dict[str, list[dict]] = {}
         self._lock = threading.Lock()
         if path is not None and path.exists():
-            with open(path, "r", encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
+            self._load(path)
+
+    def _load(self, path: Path) -> None:
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        torn = bool(lines) and not lines[-1].endswith("\n")
+        for lineno, line in enumerate(lines, start=1):
+            try:
+                if line.strip():
                     row = json.loads(line)
                     self._entries[row["doc_id"]] = row["candidates"]
+            except (ValueError, KeyError, TypeError) as exc:
+                if lineno < len(lines):
+                    raise DataError(f"{path}: line {lineno}: malformed journal record ({exc})") from None
+                log.warning("%s: dropping torn final line %d (%s)", path, lineno, exc)
+                lines.pop()
+                torn = True
+        if torn:
+            path.write_text("".join(line.rstrip("\n") + "\n" for line in lines), encoding="utf-8")
 
     def __contains__(self, doc_id: str) -> bool:
         return doc_id in self._entries
@@ -152,11 +171,11 @@ class RewriteJournal:
                     fh.flush()
 
 
-def rank_and_select(dataset: Dataset, embeddings, k: int) -> list[str]:
+def rank_and_select(space: SurfaceSpace, ledger: ClassLedger, k: int) -> list[str]:
     """Ids of the k highest-scoring documents, score-descending with ascending
     id as the tie-break. Selects every scoreable document (with a warning)
     when fewer than k exist."""
-    scores = shortcut_scores(dataset, embeddings)
+    scores = shortcut_scores(space, ledger)
     ranked = sorted(scores, key=lambda doc_id: (-scores[doc_id], doc_id))
     if len(ranked) < k:
         log.warning("only %d scoreable documents for k=%d; selecting all", len(ranked), k)
@@ -222,10 +241,11 @@ def run_iteration(
     start = time.monotonic()
     journal = journal if journal is not None else RewriteJournal()
     stats = corpus_stats(dataset, generation_stamp=iteration)
-    embeddings = compute_embeddings(dataset, stats, config.lam)
-    objective_before = class_alignment_objective(dataset, embeddings)
+    space = compute_embeddings(dataset, stats, config.lam)
+    ledger = ClassLedger(space)
+    objective_before = class_alignment_objective(ledger)
     k = resolve_k(config.k, len(dataset))
-    selected = rank_and_select(dataset, embeddings, k)
+    selected = rank_and_select(space, ledger, k)
 
     calls_before = {"generate": backend.calls.count("generate"), "verify": backend.calls.count("verify")}
 
@@ -252,56 +272,34 @@ def run_iteration(
         )
         return dataset, trace
 
-    # Commit replacements one at a time against a live per-class unit-vector
-    # ledger: each strict improvement raises the pair objective, so the whole
-    # iteration is monotone even when both sides of a class pair are rewritten.
-    sums, counts = class_unit_sums(dataset, embeddings)
-    docs = {doc.id: doc for doc in dataset}
+    # Commit replacements one at a time against the live class ledger: each
+    # strict improvement raises the pair objective, so the whole iteration is
+    # monotone even when both sides of a class pair are rewritten.
+    row = {doc_id: i for i, doc_id in enumerate(space.ids)}
     replaced: dict[str, LabeledDocument] = {}
     replaced_ids: list[str] = []
     kept_ids: list[str] = []
     for doc_id in selected:
-        doc = docs[doc_id]
-        opposite_sum = None
-        opposite_count = 0
-        for label, vec in sums.items():
-            if label == doc.label:
-                continue
-            opposite_sum = vec.copy() if opposite_sum is None else opposite_sum + vec
-            opposite_count += counts[label]
-        if opposite_sum is None or opposite_count == 0:
-            kept_ids.append(doc_id)
-            continue
+        i = row[doc_id]
+        doc = dataset.documents[i]
         accepted = [
             RewriteCandidate(c["text"], True)
             for c in candidate_map.get(doc_id, [])
             if c["verified"]
         ]
         decision = select_replacement(
-            doc,
-            accepted,
-            stats,
-            opposite_sum,
-            opposite_count,
-            embeddings[doc_id],
-            config.lam,
-            config.tokenizer,
+            doc, accepted, stats, ledger, space.units[i], config.lam, config.tokenizer
         )
         if not decision.replaced:
             kept_ids.append(doc_id)
             continue
         new_doc = replace_text(doc, decision.candidate.text, config.tokenizer)
-        new_emb = surface_embedding(new_doc, stats, config.lam, unseen_df=1)
-        sums[doc.label] = sums[doc.label] - embeddings[doc_id].unit + new_emb.unit
-        embeddings[doc_id] = new_emb
+        new_unit = unit_vector(surface_embedding(new_doc, stats, config.lam, unseen_df=1))
+        ledger.swap(doc.label, space.units[i], new_unit)
         replaced[doc_id] = new_doc
         replaced_ids.append(doc_id)
 
-    labels = sorted(sums)
-    objective_after = 0.0
-    for i, a in enumerate(labels):
-        for b in labels[i + 1 :]:
-            objective_after += float(sums[a] @ sums[b])
+    objective_after = class_alignment_objective(ledger)
 
     new_dataset = dataset.with_documents(
         replaced.get(doc.id, doc) for doc in dataset
@@ -324,6 +322,19 @@ class RunResult:
     dataset: Dataset
     traces: list[IterationTrace]
     stop_reason: str
+
+
+def write_trace_file(
+    path: str | Path, traces: list[IterationTrace], stop_reason: Optional[str]
+) -> None:
+    """Write the iteration traces and stop reason as the run's trace JSON."""
+    payload = {
+        "stop_reason": stop_reason,
+        "iterations": [t.to_dict() for t in traces],
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
 
 
 class Checkpoint:
@@ -349,13 +360,7 @@ class Checkpoint:
         save_dataset(dataset, self.snapshot_path(iteration))
 
     def write_traces(self, traces: list[IterationTrace], stop_reason: Optional[str]) -> None:
-        payload = {
-            "stop_reason": stop_reason,
-            "iterations": [t.to_dict() for t in traces],
-        }
-        with open(self.trace_path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        write_trace_file(self.trace_path, traces, stop_reason)
 
     def completed_iterations(self) -> int:
         last = -1
@@ -371,7 +376,9 @@ class Checkpoint:
     ) -> tuple[Dataset, list[IterationTrace], Optional[str], int]:
         """Resume point: (current dataset, completed traces, stop reason, last
         completed iteration). Falls back to the given input dataset when the
-        directory holds no snapshots."""
+        directory holds no snapshots. Raises DataError when the last snapshot's
+        ids or labels, in order, differ from the input's: it belongs to
+        another input, or it was cut short."""
         last = self.completed_iterations()
         traces: list[IterationTrace] = []
         stop_reason = None
@@ -386,11 +393,14 @@ class Checkpoint:
             ]
         if last < 0:
             return dataset, [], None, -1
-        current = load_dataset(
-            self.snapshot_path(last),
-            dataset.schema,
-            dataset.label_names,
-        )
+        path = self.snapshot_path(last)
+        current = load_dataset(path, dataset.schema, dataset.label_names)
+        if [(d.id, d.label) for d in current] != [(d.id, d.label) for d in dataset]:
+            raise DataError(
+                f"{path}: snapshot does not match the input ({len(current)} vs "
+                f"{len(dataset)} documents, or different ids or labels); "
+                "use a fresh checkpoint directory"
+            )
         return current, traces, stop_reason, last
 
 

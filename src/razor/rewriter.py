@@ -11,26 +11,14 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional
 
 import numpy as np
 
-from .corpus import (
-    DEFAULT_TOKENIZER,
-    Dataset,
-    LabeledDocument,
-    TokenizerConfig,
-    replace_text,
-)
+from .corpus import DEFAULT_TOKENIZER, LabeledDocument, TokenizerConfig, replace_text
 from .errors import ConfigError, DataError
-from .surface import (
-    CorpusStats,
-    SurfaceEmbedding,
-    opposite_unit_mean_context,
-    score_against,
-    surface_embedding,
-)
+from .surface import ClassLedger, CorpusStats, score_against, surface_embedding, unit_vector
 
 log = logging.getLogger("razor")
 
@@ -240,18 +228,19 @@ def select_replacement(
     doc: LabeledDocument,
     accepted: list[RewriteCandidate],
     stats: CorpusStats,
-    opposite_sum: np.ndarray,
-    opposite_count: int,
-    doc_embedding: SurfaceEmbedding,
+    ledger: ClassLedger,
+    doc_unit: np.ndarray,
     lam: int,
     tokenizer: TokenizerConfig = DEFAULT_TOKENIZER,
 ) -> ReplacementDecision:
-    """Pick the verified candidate with the lowest shortcut score, replacing
-    the original only on strict improvement. Ties go to the lexicographically
+    """Pick the verified candidate with the lowest shortcut score against the
+    ledger's current opposite-class sum, replacing the original (unit vector
+    ``doc_unit``) only on strict improvement. Ties go to the lexicographically
     smallest text. Unscoreable candidates (too short, zero embedding) are
     skipped and keep score None.
     """
-    original_score = score_against(doc_embedding, opposite_sum, opposite_count)
+    opposite_sum, opposite_count = ledger.opposite(doc.label)
+    original_score = score_against(doc_unit, opposite_sum, opposite_count)
     best: Optional[RewriteCandidate] = None
     for cand in sorted(accepted, key=lambda c: c.text):
         if not cand.verified:
@@ -263,29 +252,12 @@ def select_replacement(
         if len(trial.tokens) < 2:
             continue
         # unseen_df=1: a candidate's new tokens would have df >= 1 once inserted
-        emb = surface_embedding(trial, stats, lam, unseen_df=1)
-        if emb.is_zero:
+        unit = unit_vector(surface_embedding(trial, stats, lam, unseen_df=1))
+        if unit is None:
             continue
-        cand.score = score_against(emb, opposite_sum, opposite_count)
+        cand.score = score_against(unit, opposite_sum, opposite_count)
         if best is None or cand.score < best.score:
             best = cand
     if best is not None and best.score < original_score:
         return ReplacementDecision(True, best, original_score)
     return ReplacementDecision(False, None, original_score)
-
-
-def select_replacement_in(
-    doc: LabeledDocument,
-    accepted: list[RewriteCandidate],
-    stats: CorpusStats,
-    dataset: Dataset,
-    embeddings: Mapping[str, SurfaceEmbedding],
-    lam: int,
-    tokenizer: TokenizerConfig = DEFAULT_TOKENIZER,
-) -> ReplacementDecision:
-    """Convenience wrapper computing the opposite-class context from a full
-    embedding map instead of a running ledger."""
-    opposite_sum, n = opposite_unit_mean_context(doc, dataset, embeddings)
-    return select_replacement(
-        doc, accepted, stats, opposite_sum, n, embeddings[doc.id], lam, tokenizer
-    )

@@ -5,6 +5,12 @@ A document's surface embedding is the significance-weighted sum of the
 sinusoidal encodings of its token positions, divided by (token count - 1).
 Documents with fewer than 2 tokens, or whose weights are all zero, are
 excluded from scoring rather than patched.
+
+A snapshot's embeddings are one :class:`SurfaceSpace` (a row per document),
+and its per-class unit-vector sums one :class:`ClassLedger`. Both cosine sums
+the paper defines reduce to dots with those class sums: a document's
+shortcut score (:func:`score_against`) and the cross-class objective
+(:func:`class_alignment_objective`).
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
@@ -20,10 +26,8 @@ from .corpus import Dataset, LabeledDocument
 from .errors import (
     ConfigError,
     DegenerateDocumentError,
-    NoContrastError,
     ObjectiveUndefinedError,
     StaleStatsError,
-    ZeroEmbeddingError,
 )
 
 DEFAULT_LAMBDA = 64
@@ -65,12 +69,16 @@ def tfidf_score(token: str, doc: LabeledDocument, stats: CorpusStats) -> float:
     return (n / len(doc.tokens)) * math.log(stats.doc_count / df)
 
 
+def _check_width(lam: int) -> None:
+    if lam <= 0 or lam % 2 != 0:
+        raise ConfigError(f"encoding width must be a positive even integer, got {lam}")
+
+
 def positional_encoding(pos: int, lam: int = DEFAULT_LAMBDA) -> np.ndarray:
     """Sinusoidal encoding of one position: component k is
     sin(pos / 10000^(2k/lam)) for even k and cos of the same angle for odd k.
     """
-    if lam <= 0 or lam % 2 != 0:
-        raise ConfigError(f"encoding width must be a positive even integer, got {lam}")
+    _check_width(lam)
     if pos < 0:
         raise ConfigError(f"position must be non-negative, got {pos}")
     return _encoding_matrix(pos + 1, lam)[pos].copy()
@@ -85,24 +93,19 @@ def _encoding_matrix(n_positions: int, lam: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class SurfaceEmbedding:
-    """A document's vector in the surface space plus its unit-normalized form.
-
-    ``is_zero`` flags the all-zero embedding, whose direction (and therefore
-    every cosine involving it) is undefined.
-    """
-
-    vector: np.ndarray
-    unit: np.ndarray
-    is_zero: bool
+_TABLES: dict[int, np.ndarray] = {}
 
 
-def _finish_embedding(vector: np.ndarray) -> SurfaceEmbedding:
-    norm = float(np.linalg.norm(vector))
-    if norm == 0.0:
-        return SurfaceEmbedding(vector, np.zeros_like(vector), True)
-    return SurfaceEmbedding(vector, vector / norm, False)
+def _encoding_table(n_positions: int, lam: int) -> np.ndarray:
+    """The encoding of at least ``n_positions`` positions, cached per width and
+    regrown (doubling) when a longer document arrives. Its rows are the same
+    as a fresh ``_encoding_matrix``'s, since each entry is computed alone, so
+    sharing the cache across callers and threads changes no result."""
+    table = _TABLES.get(lam)
+    if table is None or len(table) < n_positions:
+        grown = n_positions if table is None else max(n_positions, 2 * len(table))
+        table = _TABLES[lam] = _encoding_matrix(grown, lam)
+    return table
 
 
 def _doc_weights(
@@ -127,7 +130,7 @@ def surface_embedding(
     stats: CorpusStats,
     lam: int = DEFAULT_LAMBDA,
     unseen_df: Optional[int] = None,
-) -> SurfaceEmbedding:
+) -> np.ndarray:
     """Embed one document: sum of weight(token_j) * encoding(j) over 0-based
     positions j, divided by (token count - 1).
 
@@ -136,158 +139,136 @@ def surface_embedding(
     instead of raising. Snapshot documents should leave it None so stale
     stats are caught.
     """
-    if lam <= 0 or lam % 2 != 0:
-        raise ConfigError(f"encoding width must be a positive even integer, got {lam}")
+    _check_width(lam)
     m = len(doc.tokens)
     if m < 2:
         raise DegenerateDocumentError(
             f"document {doc.id!r} has {m} token(s); at least 2 are required"
         )
     weights = _doc_weights(doc, stats, unseen_df)
-    vector = (weights @ _encoding_matrix(m, lam)) / (m - 1)
-    return _finish_embedding(vector)
+    return (weights @ _encoding_table(m, lam)[:m]) / (m - 1)
+
+
+def unit_vector(vector: np.ndarray) -> Optional[np.ndarray]:
+    """``vector`` scaled to length 1, or None for the all-zero vector, whose
+    direction (and therefore every cosine involving it) is undefined."""
+    norm = float(np.linalg.norm(vector))
+    return None if norm == 0.0 else vector / norm
+
+
+class SurfaceSpace:
+    """One snapshot's embeddings, row i for the i-th document.
+
+    ``embedded[i]`` is False for a document too short to embed; its rows stay
+    zero. ``units`` holds each row's unit vector and stays zero for the
+    all-zero embedding, so ``scoreable`` is exactly the non-zero unit rows.
+    """
+
+    def __init__(self, ids: Iterable[str], labels: Iterable[int], lam: int):
+        self.ids = list(ids)
+        self.labels = np.asarray(list(labels), dtype=np.int64)
+        n = len(self.ids)
+        self.vectors = np.zeros((n, lam))
+        self.units = np.zeros((n, lam))
+        self.embedded = np.zeros(n, dtype=bool)
+
+    def __len__(self) -> int:
+        """Number of embedded documents."""
+        return int(self.embedded.sum())
+
+    def set_row(self, i: int, vector: np.ndarray) -> None:
+        self.vectors[i] = vector
+        self.embedded[i] = True
+        unit = unit_vector(vector)
+        if unit is not None:
+            self.units[i] = unit
+
+    @property
+    def scoreable(self) -> np.ndarray:
+        return self.units.any(axis=1)
 
 
 def compute_embeddings(
     dataset: Dataset,
     stats: Optional[CorpusStats] = None,
     lam: int = DEFAULT_LAMBDA,
-) -> dict[str, SurfaceEmbedding]:
-    """Embeddings for every embeddable document (>= 2 tokens), keyed by id.
-
-    Documents that are too short are simply absent from the result; callers
-    treat missing ids as unscoreable.
-    """
-    if lam <= 0 or lam % 2 != 0:
-        raise ConfigError(f"encoding width must be a positive even integer, got {lam}")
+) -> SurfaceSpace:
+    """The surface space of ``dataset``; documents too short to embed keep an
+    empty row, and callers treat them as unscoreable."""
+    _check_width(lam)
     if stats is None:
         stats = corpus_stats(dataset)
-    max_len = max((len(d.tokens) for d in dataset), default=0)
-    if max_len == 0:
-        return {}
-    matrix = _encoding_matrix(max_len, lam)
-    out: dict[str, SurfaceEmbedding] = {}
-    for doc in dataset:
-        m = len(doc.tokens)
-        if m < 2:
-            continue
-        weights = _doc_weights(doc, stats)
-        vector = (weights @ matrix[:m]) / (m - 1)
-        out[doc.id] = _finish_embedding(vector)
-    return out
+    space = SurfaceSpace((d.id for d in dataset), (d.label for d in dataset), lam)
+    for i, doc in enumerate(dataset):
+        if len(doc.tokens) >= 2:
+            space.set_row(i, surface_embedding(doc, stats, lam))
+    return space
 
 
-def opposite_set(doc: LabeledDocument, dataset: Dataset) -> frozenset[str]:
-    """Ids of all documents whose label differs from ``doc``'s."""
-    ids = frozenset(d.id for d in dataset if d.label != doc.label)
-    if not ids:
-        raise NoContrastError(
-            f"document {doc.id!r}: no documents with a different label exist"
-        )
-    return ids
+class ClassLedger:
+    """Per-class sums ``sums`` (shape (C, lam)) and ``counts`` of a space's
+    scoreable unit vectors, one row per class present in the space, in
+    ascending label order. Commits update it one row at a time."""
+
+    def __init__(self, space: SurfaceSpace):
+        self.classes = sorted(set(space.labels.tolist()))
+        self._row = {label: c for c, label in enumerate(self.classes)}
+        rows = np.searchsorted(self.classes, space.labels)
+        self.sums = np.zeros((len(self.classes), space.units.shape[1]))
+        # add.at adds in document order, as a running sum does; unscoreable
+        # rows are zero and add nothing
+        np.add.at(self.sums, rows, space.units)
+        self.counts = np.bincount(rows[space.scoreable], minlength=len(self.classes))
+
+    def opposite(self, label: int) -> tuple[np.ndarray, int]:
+        """Sum and count of the unit vectors of every other class."""
+        c = self._row[label]
+        return self.sums.sum(axis=0) - self.sums[c], int(self.counts.sum() - self.counts[c])
+
+    def swap(self, label: int, old_unit: np.ndarray, new_unit: np.ndarray) -> None:
+        """Replace one document's unit vector in its class sum."""
+        row = self.sums[self._row[label]]
+        row -= old_unit
+        row += new_unit
 
 
-def class_unit_sums(
-    dataset: Dataset, embeddings: Mapping[str, SurfaceEmbedding]
-) -> tuple[dict[int, np.ndarray], dict[int, int]]:
-    """Per-class sums and counts of unit vectors, zero embeddings excluded."""
-    sums: dict[int, np.ndarray] = {}
-    counts: dict[int, int] = {label: 0 for label in dataset.label_names}
-    for doc in dataset:
-        emb = embeddings.get(doc.id)
-        if emb is None or emb.is_zero:
-            continue
-        if doc.label in sums:
-            sums[doc.label] += emb.unit
-        else:
-            sums[doc.label] = emb.unit.copy()
-        counts[doc.label] += 1
-    return sums, counts
-
-
-def opposite_unit_mean_context(
-    doc: LabeledDocument, dataset: Dataset, embeddings: Mapping[str, SurfaceEmbedding]
-) -> tuple[np.ndarray, int]:
-    """Sum of opposite-class unit vectors and their count, for scoring ``doc``."""
-    sums, counts = class_unit_sums(dataset, embeddings)
-    total = None
-    n = 0
-    for label, vec in sums.items():
-        if label == doc.label:
-            continue
-        total = vec.copy() if total is None else total + vec
-        n += counts[label]
-    if total is None or n == 0:
-        raise NoContrastError(
-            f"document {doc.id!r}: no scoreable documents with a different label"
-        )
-    return total, n
-
-
-def score_against(embedding: SurfaceEmbedding, opposite_sum: np.ndarray, opposite_count: int) -> float:
-    """Shortcut score of one embedding against a precomputed opposite-class sum:
-    1 - mean cosine, computed as a single dot with the summed unit vectors."""
-    return 1.0 - float(embedding.unit @ opposite_sum) / opposite_count
-
-
-def shortcut_score(
-    doc: LabeledDocument,
-    dataset: Dataset,
-    embeddings: Mapping[str, SurfaceEmbedding],
-) -> float:
-    """1 - mean cosine between ``doc`` and all opposite-label documents.
+def score_against(unit: np.ndarray, opposite_sum: np.ndarray, opposite_count: int) -> float:
+    """Shortcut score of a unit vector: 1 - its mean cosine to the opposite
+    class's documents, as one dot with their summed unit vectors.
 
     Range [0, 2]; high values flag documents whose surface features diverge
-    from the opposite class. Zero-embedding documents are excluded on both
-    sides (their cosines are undefined).
+    from the opposite class.
     """
-    emb = embeddings.get(doc.id)
-    if emb is None or emb.is_zero:
-        raise ZeroEmbeddingError(f"document {doc.id!r} has no usable surface embedding")
-    opposite_sum, n = opposite_unit_mean_context(doc, dataset, embeddings)
-    return score_against(emb, opposite_sum, n)
+    return 1.0 - float(unit @ opposite_sum) / opposite_count
 
 
-def shortcut_scores(
-    dataset: Dataset, embeddings: Mapping[str, SurfaceEmbedding]
-) -> dict[str, float]:
-    """Shortcut scores for every scoreable document, in one pass over classes."""
-    sums, counts = class_unit_sums(dataset, embeddings)
-    if not sums:
-        return {}
-    all_sum = sum(sums.values())
-    all_count = sum(counts.values())
+def shortcut_scores(space: SurfaceSpace, ledger: ClassLedger) -> dict[str, float]:
+    """Shortcut scores of every scoreable document, keyed by id. Zero
+    embeddings are excluded on both sides (their cosines are undefined)."""
+    opposite = {label: ledger.opposite(label) for label in ledger.classes}
+    labels = space.labels.tolist()
     out: dict[str, float] = {}
-    for doc in dataset:
-        emb = embeddings.get(doc.id)
-        if emb is None or emb.is_zero:
-            continue
-        n = all_count - counts[doc.label]
-        if n == 0:
-            continue
-        opposite_sum = all_sum - sums.get(doc.label, 0.0)
-        out[doc.id] = 1.0 - float(emb.unit @ opposite_sum) / n
+    for i in np.flatnonzero(space.scoreable):
+        opposite_sum, n = opposite[labels[i]]
+        if n:
+            out[space.ids[i]] = score_against(space.units[i], opposite_sum, n)
     return out
 
 
-def class_alignment_objective(
-    dataset: Dataset, embeddings: Mapping[str, SurfaceEmbedding]
-) -> float:
+def class_alignment_objective(ledger: ClassLedger) -> float:
     """Summed pairwise cosine similarity between documents of different labels,
     computed as dots of per-class unit-vector sums over unordered class pairs.
 
     This is the pipeline's convergence target; rewriting aims to increase it.
     """
-    sums, counts = class_unit_sums(dataset, embeddings)
-    for label in dataset.label_names:
-        present = any(doc.label == label for doc in dataset)
-        if present and counts.get(label, 0) == 0:
+    for label, count in zip(ledger.classes, ledger.counts):
+        if count == 0:
             raise ObjectiveUndefinedError(
                 f"class {label} has no non-zero surface embeddings; objective undefined"
             )
-    labels = sorted(sums)
+    sums = ledger.sums
     total = 0.0
-    for i, a in enumerate(labels):
-        for b in labels[i + 1 :]:
+    for a in range(len(sums)):
+        for b in range(a + 1, len(sums)):
             total += float(sums[a] @ sums[b])
     return total

@@ -34,11 +34,12 @@ from razor.evalkit import (
 )
 from razor.pipeline import Checkpoint, RewriteJournal, RunConfig, run_razor
 from razor.surface import (
+    ClassLedger,
     class_alignment_objective,
     compute_embeddings,
     corpus_stats,
     positional_encoding,
-    shortcut_score,
+    shortcut_scores,
     tfidf_score,
 )
 
@@ -88,19 +89,20 @@ def test_criterion_1_algebraic_identity():
         started = time.monotonic()
         for _ in range(50):
             ds = random_corpus(rng, int(rng.integers(10, 201)))
-            embeddings = compute_embeddings(ds, lam=64)
+            space = compute_embeddings(ds, lam=64)
+            ledger = ClassLedger(space)
             by_class = {}
             vectors = {}
-            for doc in ds:
-                emb = embeddings.get(doc.id)
-                if emb is not None and not emb.is_zero:
-                    vec = emb.vector.tolist()
+            for i, doc in enumerate(ds):
+                if space.scoreable[i]:
+                    vec = space.vectors[i].tolist()
                     vectors[doc.id] = vec
                     by_class.setdefault(doc.label, []).append(vec)
-            fast = class_alignment_objective(ds, embeddings)
+            fast = class_alignment_objective(ledger)
             naive = naive_objective(by_class)
             assert fast == pytest.approx(naive, rel=1e-9, abs=1e-9)
 
+            scores = shortcut_scores(space, ledger)
             docs = [d for d in ds if d.id in vectors]
             picks = rng.choice(len(docs), size=min(10, len(docs)), replace=False)
             for idx in picks:
@@ -109,8 +111,7 @@ def test_criterion_1_algebraic_identity():
                     vectors[o.id] for o in docs if o.label != doc.label
                 ]
                 expected = naive_shortcut_score(vectors[doc.id], opposite)
-                got = shortcut_score(doc, ds, embeddings)
-                assert got == pytest.approx(expected, rel=1e-9, abs=1e-9)
+                assert scores[doc.id] == pytest.approx(expected, rel=1e-9, abs=1e-9)
         elapsed = time.monotonic() - started
         assert elapsed < 5.0, f"identity checks took {elapsed:.2f}s (budget 5s)"
 

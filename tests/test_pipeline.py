@@ -1,10 +1,11 @@
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from razor.backends import MockBackend
 from razor.corpus import load_dataset, save_dataset
-from razor.errors import BackendError, ConfigError
+from razor.errors import BackendError, ConfigError, DataError
 from razor.evalkit import BiasSpec, generate_biased_corpus
 from razor.pipeline import (
     Checkpoint,
@@ -19,7 +20,7 @@ from razor.pipeline import (
     run_iteration,
     run_razor,
 )
-from razor.surface import compute_embeddings
+from razor.surface import ClassLedger, compute_embeddings, shortcut_scores
 
 from conftest import dataset_from
 
@@ -77,11 +78,10 @@ class TestRankAndSelect:
                 ("d", "the crew cleaned the fence", 1),
             ]
         )
-        embeddings = compute_embeddings(ds, lam=16)
-        from razor.surface import shortcut_scores
-
-        scores = shortcut_scores(ds, embeddings)
-        selected = rank_and_select(ds, embeddings, 2)
+        space = compute_embeddings(ds, lam=16)
+        ledger = ClassLedger(space)
+        scores = shortcut_scores(space, ledger)
+        selected = rank_and_select(space, ledger, 2)
         assert len(selected) == 2
         assert scores[selected[0]] >= scores[selected[1]]
         assert selected[0] == max(scores, key=lambda i: (scores[i], i))
@@ -95,13 +95,12 @@ class TestRankAndSelect:
                 ("q", "another thing happened there", 1),
             ]
         )
-        embeddings = compute_embeddings(ds, lam=16)
-        selected = rank_and_select(ds, embeddings, 2)
+        space = compute_embeddings(ds, lam=16)
+        ledger = ClassLedger(space)
+        selected = rank_and_select(space, ledger, 2)
         # m and k share a score; k precedes m
         assert set(selected[:2]) <= {"k", "m", "q", "z"}
-        from razor.surface import shortcut_scores
-
-        scores = shortcut_scores(ds, embeddings)
+        scores = shortcut_scores(space, ledger)
         assert scores["k"] == pytest.approx(scores["m"])
         if {"k", "m"} <= set(selected):
             assert selected.index("k") < selected.index("m")
@@ -113,9 +112,9 @@ class TestRankAndSelect:
                 ("b", "second text block", 1),
             ]
         )
-        embeddings = compute_embeddings(ds, lam=8)
+        space = compute_embeddings(ds, lam=8)
         with caplog.at_level("WARNING", logger="razor"):
-            selected = rank_and_select(ds, embeddings, 10)
+            selected = rank_and_select(space, ClassLedger(space), 10)
         assert set(selected) == {"a", "b"}
         assert any("scoreable" in rec.message for rec in caplog.records)
 
@@ -173,9 +172,10 @@ class TestRunIteration:
 
     def test_parallel_jobs_match_serial(self):
         dataset, rules = synth(corpus_size=60)
-        serial, _ = run_iteration(dataset, RunConfig(k=6, jobs=1), mock_backend(rules))
-        parallel, _ = run_iteration(dataset, RunConfig(k=6, jobs=4), mock_backend(rules))
+        serial, serial_trace = run_iteration(dataset, RunConfig(k=6, jobs=1), mock_backend(rules))
+        parallel, parallel_trace = run_iteration(dataset, RunConfig(k=6, jobs=4), mock_backend(rules))
         assert serial == parallel
+        assert serial_trace.llm_calls == parallel_trace.llm_calls
 
 
 class TestRunRazor:
@@ -307,6 +307,62 @@ class TestCheckpointResume:
         resumed = run_razor(dataset, full_config, mock_backend(rules), Checkpoint(ckpt_dir))
         assert resumed.dataset == straight.dataset
         assert len(resumed.traces) == len(straight.traces)
+
+    def test_torn_final_journal_line_dropped(self, tmp_path, caplog):
+        dataset, rules = synth(corpus_size=100)
+        config = RunConfig(k=10, max_iterations=10)
+        straight = run_razor(dataset, config, mock_backend(rules))
+
+        ckpt_dir = tmp_path / "ckpt"
+        with pytest.raises(BackendError):
+            run_razor(dataset, config, mock_backend(rules, fail_after_generate_calls=12),
+                      Checkpoint(ckpt_dir))
+        journal_path = Checkpoint(ckpt_dir).journal_path(1)
+        complete = len(RewriteJournal(journal_path)._entries)
+        with open(journal_path, "a", encoding="utf-8") as fh:
+            fh.write('{"doc_id": "torn", "candid')
+
+        with caplog.at_level("WARNING", logger="razor"):
+            journal = RewriteJournal(journal_path)
+        assert len(journal._entries) == complete and "torn" not in journal
+        assert any("torn final line" in rec.message for rec in caplog.records)
+        assert journal_path.read_text().endswith("}\n")
+
+        resumed = run_razor(dataset, config, mock_backend(rules), Checkpoint(ckpt_dir))
+        assert resumed.dataset == straight.dataset
+        # the records written after the repair are whole lines again
+        assert len(RewriteJournal(journal_path)._entries) == len(straight.traces[0].selected_ids)
+
+    def test_malformed_inner_journal_line_is_data_error(self, tmp_path):
+        path = tmp_path / "journal_001.jsonl"
+        path.write_text(
+            '{"doc_id": "a", "candidates": []}\n'
+            'not json\n'
+            '{"doc_id": "b", "candidates": []}\n'
+        )
+        with pytest.raises(DataError, match="line 2"):
+            RewriteJournal(path)
+
+    def test_mismatched_snapshot_rejected(self, tmp_path):
+        dataset, rules = synth(corpus_size=200)
+        config = RunConfig(k=10, epsilon=1e-12, max_iterations=2)
+        checkpoint = Checkpoint(tmp_path / "ckpt")
+        run_razor(dataset, RunConfig(k=10, epsilon=1e-12, max_iterations=1),
+                  mock_backend(rules), checkpoint)
+        snapshot = checkpoint.snapshot_path(1)
+        lines = snapshot.read_text().splitlines(keepends=True)
+        snapshot.write_text("".join(lines[:30]))
+        with pytest.raises(DataError, match="does not match the input"):
+            run_razor(dataset, config, mock_backend(rules), checkpoint)
+
+        # same size, but the input's labels differ from the snapshot's
+        snapshot.write_text("".join(lines))
+        flipped = dataset.with_documents(
+            replace(doc, label=1 - doc.label) if i == 0 else doc
+            for i, doc in enumerate(dataset)
+        )
+        with pytest.raises(DataError, match="does not match the input"):
+            run_razor(flipped, config, mock_backend(rules), checkpoint)
 
 
 class TestIterationTraceSerialization:

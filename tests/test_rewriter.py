@@ -13,10 +13,9 @@ from razor.rewriter import (
     generate_candidates,
     parse_verifier_response,
     select_replacement,
-    select_replacement_in,
     verify_label,
 )
-from razor.surface import compute_embeddings, corpus_stats
+from razor.surface import ClassLedger, compute_embeddings, corpus_stats
 
 from conftest import dataset_from
 
@@ -152,62 +151,59 @@ def scoring_fixture():
         ]
     )
     stats = corpus_stats(ds)
-    embeddings = compute_embeddings(ds, stats, 16)
-    return ds, stats, embeddings
+    space = compute_embeddings(ds, stats, 16)
+    return ds, stats, space
+
+
+def select_for_b1(accepted):
+    """select_replacement for doc b1 of the scoring fixture, against a fresh
+    ledger of the fixture's space."""
+    ds, stats, space = scoring_fixture()
+    i = space.ids.index("b1")
+    return select_replacement(ds.by_id("b1"), accepted, stats, ClassLedger(space), space.units[i], 16)
 
 
 class TestSelectReplacement:
     def test_argmin_strict_improvement(self):
-        ds, stats, embeddings = scoring_fixture()
-        doc = ds.by_id("b1")
         accepted = [
             RewriteCandidate("the crew painted the fence quickly", True),
             RewriteCandidate("zonk zonk the crew painted the fence quickly", True),
         ]
-        decision = select_replacement_in(doc, accepted, stats, ds, embeddings, 16)
+        decision = select_for_b1(accepted)
         assert decision.replaced
         assert decision.candidate.text == "the crew painted the fence quickly"
         assert decision.candidate.score < decision.original_score
 
     def test_keep_original_when_no_candidate_improves(self):
-        ds, stats, embeddings = scoring_fixture()
-        doc = ds.by_id("b1")
         accepted = [RewriteCandidate("zonk zonk zonk the crew painted fences", True)]
-        decision = select_replacement_in(doc, accepted, stats, ds, embeddings, 16)
+        decision = select_for_b1(accepted)
         assert not decision.replaced
 
     def test_empty_accepted_keeps_original(self):
-        ds, stats, embeddings = scoring_fixture()
-        decision = select_replacement_in(ds.by_id("b1"), [], stats, ds, embeddings, 16)
+        decision = select_for_b1([])
         assert not decision.replaced
 
     def test_tie_breaks_lexicographically(self):
-        ds, stats, embeddings = scoring_fixture()
-        doc = ds.by_id("b1")
         # identical token sequences under normalization, so identical scores
         accepted = [
             RewriteCandidate("THE crew painted the fence quickly", True),
             RewriteCandidate("The crew painted the fence quickly", True),
         ]
-        decision = select_replacement_in(doc, accepted, stats, ds, embeddings, 16)
+        decision = select_for_b1(accepted)
         assert decision.replaced
         assert decision.candidate.text == "THE crew painted the fence quickly"
 
     def test_unscoreable_candidates_skipped(self):
-        ds, stats, embeddings = scoring_fixture()
-        doc = ds.by_id("b1")
         short = RewriteCandidate("word", True)
         good = RewriteCandidate("the crew painted the fence quickly", True)
-        decision = select_replacement_in(doc, [short, good], stats, ds, embeddings, 16)
+        decision = select_for_b1([short, good])
         assert decision.replaced
         assert decision.candidate.text == good.text
         assert short.score is None
 
     def test_unverified_candidates_ignored(self):
-        ds, stats, embeddings = scoring_fixture()
-        doc = ds.by_id("b1")
         unverified = RewriteCandidate("the crew painted the fence quickly", False)
-        decision = select_replacement_in(doc, [unverified], stats, ds, embeddings, 16)
+        decision = select_for_b1([unverified])
         assert not decision.replaced
         assert unverified.score is None
 

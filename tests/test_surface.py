@@ -7,22 +7,21 @@ from razor.corpus import Dataset, make_document
 from razor.errors import (
     ConfigError,
     DegenerateDocumentError,
-    NoContrastError,
     ObjectiveUndefinedError,
     StaleStatsError,
-    ZeroEmbeddingError,
 )
 from razor.surface import (
+    ClassLedger,
     CorpusStats,
+    SurfaceSpace,
     class_alignment_objective,
     compute_embeddings,
     corpus_stats,
-    opposite_set,
     positional_encoding,
-    shortcut_score,
     shortcut_scores,
     surface_embedding,
     tfidf_score,
+    unit_vector,
 )
 
 from conftest import dataset_from
@@ -164,24 +163,27 @@ class TestSurfaceEmbedding:
     def test_all_ubiquitous_tokens_zero_marker(self):
         ds = dataset_from([("d1", "a b", 0), ("d2", "a b", 1), ("d3", "b a", 0)])
         stats = corpus_stats(ds)
-        emb = surface_embedding(ds.documents[0], stats, 4)
-        assert emb.is_zero
-        assert np.all(emb.vector == 0.0)
+        vector = surface_embedding(ds.documents[0], stats, 4)
+        assert unit_vector(vector) is None
+        assert np.all(vector == 0.0)
+        space = compute_embeddings(ds, stats, 4)
+        assert space.embedded[0] and not space.scoreable[0]
+        assert np.all(space.units[0] == 0.0)
 
     def test_two_token_document_matches_reference(self):
         # frozen from an independent scalar evaluation of the same corpus
         ds = dataset_from([("d1", "x y", 0), ("d2", "x z w", 1), ("d3", "y q", 0)])
         stats = corpus_stats(ds)
-        emb = surface_embedding(ds.documents[0], stats, 4)
+        vector = surface_embedding(ds.documents[0], stats, 4)
         expected = [
             0.17059356191250866,
             0.40545497156493326,
             2.027325537161946e-05,
             0.405465108108063,
         ]
-        np.testing.assert_allclose(emb.vector, expected, atol=1e-12)
+        np.testing.assert_allclose(vector, expected, atol=1e-12)
         np.testing.assert_allclose(
-            emb.unit,
+            unit_vector(vector),
             [0.28515637910279906, 0.6777399468332874, 3.3887844474237956e-05, 0.6777568906141844],
             atol=1e-12,
         )
@@ -190,23 +192,24 @@ class TestSurfaceEmbedding:
         ds = five_doc_dataset()
         stats = corpus_stats(ds)
         all_tokens = [list(d.tokens) for d in ds]
-        for doc in ds:
-            emb = surface_embedding(doc, stats, 8)
+        space = compute_embeddings(ds, stats, 8)
+        for i, doc in enumerate(ds):
             ref = embed_reference(list(doc.tokens), all_tokens, 8)
-            np.testing.assert_allclose(emb.vector, ref, atol=1e-12)
+            np.testing.assert_allclose(surface_embedding(doc, stats, 8), ref, atol=1e-12)
+            np.testing.assert_allclose(space.vectors[i], ref, atol=1e-12)
 
     def test_unit_norm_within_tolerance(self):
         ds = five_doc_dataset()
-        embeddings = compute_embeddings(ds, lam=16)
-        for emb in embeddings.values():
-            if not emb.is_zero:
-                assert abs(np.linalg.norm(emb.unit) - 1.0) < 1e-9
+        space = compute_embeddings(ds, lam=16)
+        for unit in space.units[space.scoreable]:
+            assert abs(np.linalg.norm(unit) - 1.0) < 1e-9
 
     def test_compute_embeddings_skips_short_docs(self):
         ds = dataset_from([("d1", "word", 0), ("d2", "two words here", 1), ("d3", "more words", 0)])
-        embeddings = compute_embeddings(ds, lam=4)
-        assert "d1" not in embeddings
-        assert set(embeddings) == {"d2", "d3"}
+        space = compute_embeddings(ds, lam=4)
+        assert space.embedded.tolist() == [False, True, True]
+        assert len(space) == 2
+        assert np.all(space.vectors[0] == 0.0)
 
     def test_unseen_df_scores_new_tokens(self):
         ds = dataset_from([("d1", "a b", 0), ("d2", "a c", 1)])
@@ -214,14 +217,18 @@ class TestSurfaceEmbedding:
         novel = make_document("d1", "a brandnew", 0)
         with pytest.raises(StaleStatsError):
             surface_embedding(novel, stats, 4)
-        emb = surface_embedding(novel, stats, 4, unseen_df=1)
-        assert not emb.is_zero
+        assert unit_vector(surface_embedding(novel, stats, 4, unseen_df=1)) is not None
 
 
 class TestOppositeSet:
+    """A document's opposite set, as ``ClassLedger.opposite`` sums it: the
+    unit vectors of every document with a different label."""
+
     def test_binary(self, tiny_binary):
-        ids = opposite_set(tiny_binary.documents[0], tiny_binary)
-        assert ids == {"b1", "b2"}
+        space = compute_embeddings(tiny_binary, lam=8)
+        opposite_sum, n = ClassLedger(space).opposite(0)
+        assert n == 2
+        np.testing.assert_allclose(opposite_sum, space.units[2] + space.units[3], atol=1e-12)
 
     def test_three_class_label_inequality(self):
         ds = dataset_from(
@@ -232,12 +239,19 @@ class TestOppositeSet:
                 ("d", "fourth document text", 1),
             ]
         )
-        ids = opposite_set(ds.by_id("b"), ds)
-        assert ids == {"a", "c"}
+        space = compute_embeddings(ds, lam=8)
+        opposite_sum, n = ClassLedger(space).opposite(ds.by_id("b").label)
+        assert n == 2
+        np.testing.assert_allclose(opposite_sum, space.units[0] + space.units[2], atol=1e-12)
 
     def test_never_contains_self(self, tiny_binary):
-        for doc in tiny_binary:
-            assert doc.id not in opposite_set(doc, tiny_binary)
+        space = compute_embeddings(tiny_binary, lam=8)
+        ledger = ClassLedger(space)
+        for i, doc in enumerate(tiny_binary):
+            others = [j for j, o in enumerate(tiny_binary) if o.label != doc.label]
+            opposite_sum, n = ledger.opposite(doc.label)
+            assert i not in others and n == len(others)
+            np.testing.assert_allclose(opposite_sum, space.units[others].sum(axis=0), atol=1e-12)
 
 
 def random_embedding_dataset(rng, n_docs, lam=8, n_classes=2):
@@ -251,6 +265,25 @@ def random_embedding_dataset(rng, n_docs, lam=8, n_classes=2):
     return ds, compute_embeddings(ds, lam=lam)
 
 
+def space_from(ds, vectors):
+    """A surface space holding the given vectors (id -> list) instead of
+    embeddings of the documents' text."""
+    lam = len(next(iter(vectors.values())))
+    space = SurfaceSpace((d.id for d in ds), (d.label for d in ds), lam)
+    for i, doc in enumerate(ds):
+        if doc.id in vectors:
+            space.set_row(i, np.asarray(vectors[doc.id], dtype=np.float64))
+    return space
+
+
+def scores_of(space):
+    return shortcut_scores(space, ClassLedger(space))
+
+
+def objective_of(space):
+    return class_alignment_objective(ClassLedger(space))
+
+
 class TestShortcutScore:
     def test_identical_embeddings_score_zero(self):
         ds = dataset_from(
@@ -261,78 +294,60 @@ class TestShortcutScore:
                 ("d", "other filler phrase now", 0),
             ]
         )
-        embeddings = compute_embeddings(ds, lam=8)
-        assert shortcut_score(ds.by_id("b"), ds, embeddings) == pytest.approx(
-            shortcut_scores(ds, embeddings)["b"]
-        )
+        scores = scores_of(compute_embeddings(ds, lam=8))
         # a's embedding equals b's and c's (identical text), so gamma(a) == 1 - 1 = 0
-        assert shortcut_score(ds.by_id("a"), ds, embeddings) == pytest.approx(0.0, abs=1e-9)
+        assert scores["a"] == pytest.approx(0.0, abs=1e-9)
 
     def test_opposite_direction_scores_two(self):
         ds = dataset_from([("a", "p q", 0), ("b", "r s", 1)])
-        embeddings = {
-            "a": _unit_embedding([1.0, 0.0]),
-            "b": _unit_embedding([-1.0, 0.0]),
-        }
-        assert shortcut_score(ds.by_id("a"), ds, embeddings) == pytest.approx(2.0, abs=1e-12)
+        space = space_from(ds, {"a": [1.0, 0.0], "b": [-1.0, 0.0]})
+        assert scores_of(space)["a"] == pytest.approx(2.0, abs=1e-12)
 
     def test_matches_naive_double_loop(self):
         rng = np.random.default_rng(11)
-        ds, embeddings = random_embedding_dataset(rng, 4)
-        for doc in ds:
+        ds, space = random_embedding_dataset(rng, 4)
+        scores = scores_of(space)
+        for i, doc in enumerate(ds):
             opposite = [
-                embeddings[o.id].vector.tolist()
-                for o in ds
-                if o.label != doc.label and not embeddings[o.id].is_zero
+                space.vectors[j].tolist()
+                for j, o in enumerate(ds)
+                if o.label != doc.label and space.scoreable[j]
             ]
-            expected = naive_shortcut_score(embeddings[doc.id].vector.tolist(), opposite)
-            assert shortcut_score(doc, ds, embeddings) == pytest.approx(expected, rel=1e-9, abs=1e-9)
+            expected = naive_shortcut_score(space.vectors[i].tolist(), opposite)
+            assert scores[doc.id] == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
     def test_range(self):
         rng = np.random.default_rng(5)
-        ds, embeddings = random_embedding_dataset(rng, 30)
-        for doc_id, score in shortcut_scores(ds, embeddings).items():
+        ds, space = random_embedding_dataset(rng, 30)
+        for doc_id, score in scores_of(space).items():
             assert -1e-9 <= score <= 2.0 + 1e-9
 
     def test_zero_embedding_document_undefined(self):
         # "a" and "b" occur in every document, so doc a's weights all vanish
         ds = dataset_from([("a", "a b", 0), ("b", "a b c d", 1), ("c", "a b e f", 1)])
-        embeddings = compute_embeddings(ds, lam=4)
-        assert embeddings["a"].is_zero
-        with pytest.raises(ZeroEmbeddingError):
-            shortcut_score(ds.by_id("a"), ds, embeddings)
+        space = compute_embeddings(ds, lam=4)
+        assert space.embedded[0] and not space.scoreable[0]
+        assert "a" not in scores_of(space)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(3)
         ds, embeddings = random_embedding_dataset(rng, 10)
-        target = ds.documents[0]
-        scaled = dict(embeddings)
-        scaled[target.id] = _unit_embedding((embeddings[target.id].vector * 37.0).tolist())
-        before = shortcut_score(target, ds, embeddings)
-        after = shortcut_score(target, ds, scaled)
-        assert after == pytest.approx(before, rel=1e-12)
+        scaled = compute_embeddings(ds, lam=8)
+        scaled.set_row(0, embeddings.vectors[0] * 37.0)
+        target = ds.documents[0].id
+        assert scores_of(scaled)[target] == pytest.approx(scores_of(embeddings)[target], rel=1e-12)
 
     def test_ranking_invariant_under_permutation(self):
         rng = np.random.default_rng(13)
         ds, embeddings = random_embedding_dataset(rng, 20)
-        scores = shortcut_scores(ds, embeddings)
+        scores = scores_of(embeddings)
         top = sorted(scores, key=lambda i: (-scores[i], i))[:5]
 
         order = rng.permutation(len(ds.documents))
         shuffled = ds.with_documents(ds.documents[i] for i in order)
-        scores2 = shortcut_scores(shuffled, embeddings)
+        scores2 = scores_of(compute_embeddings(shuffled, lam=8))
         top2 = sorted(scores2, key=lambda i: (-scores2[i], i))[:5]
         assert top == top2
-
-
-def _unit_embedding(vector):
-    from razor.surface import SurfaceEmbedding
-
-    arr = np.asarray(vector, dtype=np.float64)
-    norm = np.linalg.norm(arr)
-    if norm == 0:
-        return SurfaceEmbedding(arr, np.zeros_like(arr), True)
-    return SurfaceEmbedding(arr, arr / norm, False)
 
 
 class TestObjective:
@@ -341,24 +356,23 @@ class TestObjective:
         rows += [(f"b{i}", "aligned words here", 1) for i in range(4)]
         rows += [("c0", "unrelated other filler", 0)]
         ds = dataset_from(rows)
-        embeddings = {doc.id: _unit_embedding([1.0, 2.0, 3.0]) for doc in ds}
-        assert class_alignment_objective(ds, embeddings) == pytest.approx(4 * 4, abs=1e-9)
+        space = space_from(ds, {doc.id: [1.0, 2.0, 3.0] for doc in ds})
+        assert objective_of(space) == pytest.approx(4 * 4, abs=1e-9)
 
     def test_orthogonal_classes_give_zero(self):
         ds = dataset_from([("a", "x y", 0), ("b", "z w", 1)])
-        embeddings = {"a": _unit_embedding([1.0, 0.0]), "b": _unit_embedding([0.0, 1.0])}
-        assert class_alignment_objective(ds, embeddings) == pytest.approx(0.0, abs=1e-12)
+        space = space_from(ds, {"a": [1.0, 0.0], "b": [0.0, 1.0]})
+        assert objective_of(space) == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_naive_double_loop(self):
         rng = np.random.default_rng(23)
-        ds, embeddings = random_embedding_dataset(rng, 100)
+        ds, space = random_embedding_dataset(rng, 100)
         by_class = {}
-        for doc in ds:
-            emb = embeddings.get(doc.id)
-            if emb is not None and not emb.is_zero:
-                by_class.setdefault(doc.label, []).append(emb.vector.tolist())
+        for i, doc in enumerate(ds):
+            if space.scoreable[i]:
+                by_class.setdefault(doc.label, []).append(space.vectors[i].tolist())
         expected = naive_objective(by_class)
-        got = class_alignment_objective(ds, embeddings)
+        got = objective_of(space)
         assert got == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
     def test_three_class_pairs(self):
@@ -369,28 +383,34 @@ class TestObjective:
                 ("c", "third text here", 2),
             ]
         )
-        embeddings = {
-            "a": _unit_embedding([1.0, 0.0]),
-            "b": _unit_embedding([1.0, 0.0]),
-            "c": _unit_embedding([0.0, 1.0]),
-        }
+        space = space_from(ds, {"a": [1.0, 0.0], "b": [1.0, 0.0], "c": [0.0, 1.0]})
         # pairs: (0,1) cos 1, (0,2) cos 0, (1,2) cos 0
-        assert class_alignment_objective(ds, embeddings) == pytest.approx(1.0, abs=1e-12)
+        assert objective_of(space) == pytest.approx(1.0, abs=1e-12)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(31)
         ds, embeddings = random_embedding_dataset(rng, 12)
-        target = ds.documents[3]
-        scaled = dict(embeddings)
-        scaled[target.id] = _unit_embedding((embeddings[target.id].vector * 0.001).tolist())
-        assert class_alignment_objective(ds, scaled) == pytest.approx(
-            class_alignment_objective(ds, embeddings), rel=1e-12
-        )
+        scaled = compute_embeddings(ds, lam=8)
+        scaled.set_row(3, embeddings.vectors[3] * 0.001)
+        assert objective_of(scaled) == pytest.approx(objective_of(embeddings), rel=1e-12)
 
     def test_class_fully_zero_embedded_undefined(self):
         # every class-0 token occurs in every document, so class 0 is all-zero
         ds = dataset_from([("a", "a b", 0), ("b", "a b", 0), ("c", "a b c d e", 1)])
-        embeddings = compute_embeddings(ds, lam=4)
-        assert embeddings["a"].is_zero and embeddings["b"].is_zero
+        space = compute_embeddings(ds, lam=4)
+        assert space.embedded[:2].all() and not space.scoreable[:2].any()
         with pytest.raises(ObjectiveUndefinedError):
-            class_alignment_objective(ds, embeddings)
+            objective_of(space)
+
+    def test_swap_updates_one_class_sum(self):
+        rng = np.random.default_rng(41)
+        ds, space = random_embedding_dataset(rng, 12, n_classes=3)
+        ledger = ClassLedger(space)
+        new_unit = unit_vector(np.arange(1.0, 9.0))
+        ledger.swap(ds.documents[4].label, space.units[4], new_unit)
+        space.set_row(4, new_unit)
+        fresh = ClassLedger(space)
+        np.testing.assert_allclose(ledger.sums, fresh.sums, atol=1e-12)
+        assert class_alignment_objective(ledger) == pytest.approx(
+            class_alignment_objective(fresh), rel=1e-12
+        )
