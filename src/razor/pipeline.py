@@ -23,11 +23,12 @@ from pathlib import Path
 from typing import Optional
 
 from .corpus import (
+    DEFAULT_TOKENIZER,
     Dataset,
     LabeledDocument,
     TokenizerConfig,
     load_dataset,
-    replace_text,
+    replace_text,  # noqa: F401  (see below)
     save_dataset,
 )
 from .errors import BackendError, ConfigError, DataError
@@ -47,9 +48,12 @@ from .surface import (
     compute_embeddings,
     corpus_stats,
     shortcut_scores,
-    surface_embedding,
-    unit_vector,
+    surface_embedding,  # noqa: F401
 )
+
+# replace_text and surface_embedding are not called here (a replacement
+# decision carries the winner's document and unit vector). They are imported
+# because bench/tracer.py wraps both by their names in this module.
 
 log = logging.getLogger("razor")
 
@@ -293,10 +297,8 @@ def run_iteration(
         if not decision.replaced:
             kept_ids.append(doc_id)
             continue
-        new_doc = replace_text(doc, decision.candidate.text, config.tokenizer)
-        new_unit = unit_vector(surface_embedding(new_doc, stats, config.lam, unseen_df=1))
-        ledger.swap(doc.label, space.units[i], new_unit)
-        replaced[doc_id] = new_doc
+        ledger.swap(doc.label, space.units[i], decision.unit)
+        replaced[doc_id] = decision.document
         replaced_ids.append(doc_id)
 
     objective_after = class_alignment_objective(ledger)
@@ -372,13 +374,14 @@ class Checkpoint:
         return last
 
     def load_state(
-        self, dataset: Dataset
+        self, dataset: Dataset, tokenizer: TokenizerConfig = DEFAULT_TOKENIZER
     ) -> tuple[Dataset, list[IterationTrace], Optional[str], int]:
         """Resume point: (current dataset, completed traces, stop reason, last
         completed iteration). Falls back to the given input dataset when the
-        directory holds no snapshots. Raises DataError when the last snapshot's
-        ids or labels, in order, differ from the input's: it belongs to
-        another input, or it was cut short."""
+        directory holds no snapshots. The last snapshot is re-tokenized with
+        ``tokenizer``, which must be the run's. Raises DataError when its ids
+        or labels, in order, differ from the input's: it belongs to another
+        input, or it was cut short."""
         last = self.completed_iterations()
         traces: list[IterationTrace] = []
         stop_reason = None
@@ -394,7 +397,7 @@ class Checkpoint:
         if last < 0:
             return dataset, [], None, -1
         path = self.snapshot_path(last)
-        current = load_dataset(path, dataset.schema, dataset.label_names)
+        current = load_dataset(path, dataset.schema, dataset.label_names, tokenizer)
         if [(d.id, d.label) for d in current] != [(d.id, d.label) for d in dataset]:
             raise DataError(
                 f"{path}: snapshot does not match the input ({len(current)} vs "
@@ -419,7 +422,7 @@ def run_razor(
     traces: list[IterationTrace] = []
     start_iteration = 1
     if checkpoint is not None:
-        dataset, traces, stop_reason, last = checkpoint.load_state(dataset)
+        dataset, traces, stop_reason, last = checkpoint.load_state(dataset, config.tokenizer)
         if stop_reason == STOP_MAX_ITERATIONS and config.max_iterations > last:
             log.info("checkpoint stopped at its iteration cap (%d); continuing", last)
         elif stop_reason is not None:

@@ -219,9 +219,15 @@ def verify_label(
 
 @dataclass(frozen=True)
 class ReplacementDecision:
+    """The outcome for one document. A replacement carries the winning
+    candidate's document and unit vector, so committing it needs no second
+    tokenization or embedding."""
+
     replaced: bool
     candidate: Optional[RewriteCandidate] = None
     original_score: Optional[float] = None
+    document: Optional[LabeledDocument] = None
+    unit: Optional[np.ndarray] = None
 
 
 def select_replacement(
@@ -236,12 +242,12 @@ def select_replacement(
     """Pick the verified candidate with the lowest shortcut score against the
     ledger's current opposite-class sum, replacing the original (unit vector
     ``doc_unit``) only on strict improvement. Ties go to the lexicographically
-    smallest text. Unscoreable candidates (too short, zero embedding) are
-    skipped and keep score None.
+    smallest text. Unscoreable candidates (too short, zero embedding) and
+    candidates with the original's tokens are skipped and keep score None.
     """
     opposite_sum, opposite_count = ledger.opposite(doc.label)
     original_score = score_against(doc_unit, opposite_sum, opposite_count)
-    best: Optional[RewriteCandidate] = None
+    best: Optional[ReplacementDecision] = None
     for cand in sorted(accepted, key=lambda c: c.text):
         if not cand.verified:
             continue
@@ -249,15 +255,16 @@ def select_replacement(
             trial = replace_text(doc, cand.text, tokenizer)
         except DataError:
             continue
-        if len(trial.tokens) < 2:
+        # the original's tokens give the original's embedding: no improvement
+        if len(trial.tokens) < 2 or trial.tokens == doc.tokens:
             continue
         # unseen_df=1: a candidate's new tokens would have df >= 1 once inserted
         unit = unit_vector(surface_embedding(trial, stats, lam, unseen_df=1))
         if unit is None:
             continue
         cand.score = score_against(unit, opposite_sum, opposite_count)
-        if best is None or cand.score < best.score:
-            best = cand
-    if best is not None and best.score < original_score:
-        return ReplacementDecision(True, best, original_score)
+        if best is None or cand.score < best.candidate.score:
+            best = ReplacementDecision(True, cand, original_score, trial, unit)
+    if best is not None and best.candidate.score < original_score:
+        return best
     return ReplacementDecision(False, None, original_score)

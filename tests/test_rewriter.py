@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from razor.backends import MockBackend
-from razor.corpus import make_document
+from razor.corpus import make_document, replace_text
 from razor.errors import BackendError, ConfigError
 from razor.rewriter import (
     GeneratorConfig,
@@ -15,7 +15,13 @@ from razor.rewriter import (
     select_replacement,
     verify_label,
 )
-from razor.surface import ClassLedger, compute_embeddings, corpus_stats
+from razor.surface import (
+    ClassLedger,
+    compute_embeddings,
+    corpus_stats,
+    surface_embedding,
+    unit_vector,
+)
 
 from conftest import dataset_from
 
@@ -200,6 +206,23 @@ class TestSelectReplacement:
         assert decision.replaced
         assert decision.candidate.text == good.text
         assert short.score is None
+
+    def test_replacement_carries_document_and_unit(self):
+        text = "the crew painted the fence quickly"
+        decision = select_for_b1([RewriteCandidate(text, True)])
+        ds, stats, _ = scoring_fixture()
+        expected = replace_text(ds.by_id("b1"), text)
+        assert decision.replaced and decision.document == expected
+        np.testing.assert_array_equal(
+            decision.unit, unit_vector(surface_embedding(expected, stats, 16, unseen_df=1))
+        )
+
+    def test_original_tokens_never_replace(self):
+        # the original's tokens in other case: its own embedding, no improvement
+        same = RewriteCandidate("ZONK the crew painted the fence quickly", True)
+        decision = select_for_b1([same])
+        assert not decision.replaced and decision.document is None
+        assert same.score is None
 
     def test_unverified_candidates_ignored(self):
         unverified = RewriteCandidate("the crew painted the fence quickly", False)

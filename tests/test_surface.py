@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from razor.errors import (
     StaleStatsError,
 )
 from razor.surface import (
+    BLOCK_DOCS,
     ClassLedger,
     CorpusStats,
     SurfaceSpace,
@@ -220,6 +222,89 @@ class TestSurfaceEmbedding:
         assert unit_vector(surface_embedding(novel, stats, 4, unseen_df=1)) is not None
 
 
+def block_corpus(n_docs, seed=0):
+    """``n_docs`` documents of 1 to 40 tokens drawn with repeats from a small
+    vocabulary; every document holds "common", so it is ubiquitous. Document
+    ``BLOCK_DOCS + 5`` (when present) is "common common", all ubiquitous."""
+    rng = np.random.default_rng(seed)
+    vocab = [f"w{i}" for i in range(30)]
+    rows = []
+    for i in range(n_docs):
+        words = ["common"] + [vocab[j] for j in rng.integers(0, len(vocab), size=i % 40)]
+        if i == BLOCK_DOCS + 5:
+            words = ["common", "common"]
+        rng.shuffle(words)
+        rows.append((f"doc{i:04d}", " ".join(words), i % 2))
+    return dataset_from(rows)
+
+
+class TestBlockEmbedding:
+    """compute_embeddings fills the space one block of BLOCK_DOCS documents
+    at a time; every row must still match the per-document definition."""
+
+    def test_rows_match_reference_across_blocks(self):
+        ds = block_corpus(2 * BLOCK_DOCS + 37)
+        stats = corpus_stats(ds)
+        space = compute_embeddings(ds, stats, 8)
+        # sets: the oracle only asks whether a document holds a token
+        all_tokens = [set(d.tokens) for d in ds]
+        assert {len(d.tokens) for d in ds} == set(range(1, 41))
+        for i, doc in enumerate(ds):
+            if len(doc.tokens) < 2:
+                assert not space.embedded[i] and not space.vectors[i].any()
+                continue
+            ref = embed_reference(list(doc.tokens), all_tokens, 8)
+            np.testing.assert_allclose(space.vectors[i], ref, rtol=0, atol=1e-12)
+        ubiquitous = BLOCK_DOCS + 5
+        assert space.embedded[ubiquitous] and not space.vectors[ubiquitous].any()
+        assert not space.scoreable[ubiquitous]
+        assert len(space) == sum(len(d.tokens) >= 2 for d in ds)
+        norms = np.linalg.norm(space.units[space.scoreable], axis=1)
+        np.testing.assert_allclose(norms, 1.0, rtol=0, atol=1e-12)
+
+    def test_candidate_path_matches_rows(self):
+        ds = block_corpus(2 * BLOCK_DOCS + 37)
+        stats = corpus_stats(ds)
+        space = compute_embeddings(ds, stats, 8)
+        for i in (1, BLOCK_DOCS - 1, BLOCK_DOCS, 2 * BLOCK_DOCS + 36):
+            vector = surface_embedding(ds.documents[i], stats, 8, unseen_df=1)
+            np.testing.assert_allclose(vector, space.vectors[i], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(unit_vector(vector), space.units[i], rtol=0, atol=1e-12)
+
+    def test_stale_stats_in_a_later_block(self):
+        rows = [(f"d{i}", f"shared word{i % 7}", i % 2) for i in range(2 * BLOCK_DOCS)]
+        rows.append(("late", "shared lateonly", 1))
+        ds = dataset_from(rows)
+        stats = corpus_stats(ds)
+        stale = CorpusStats(
+            stats.doc_count,
+            {t: df for t, df in stats.doc_frequency.items() if t != "lateonly"},
+            generation_stamp=5,
+        )
+        with pytest.raises(StaleStatsError, match="'lateonly' occurs in document 'late'"):
+            compute_embeddings(ds, stale, 8)
+
+    def test_transient_memory_independent_of_corpus_size(self):
+        def extra_peak(n_docs):
+            ds = block_corpus(n_docs, seed=1)
+            stats = corpus_stats(ds)
+            compute_embeddings(ds, stats, 64)  # grow the cached encoding table first
+            tracemalloc.start()
+            try:
+                space = compute_embeddings(ds, stats, 64)
+                held, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(space) > 0
+            # freed again before returning: the blocks' temporaries
+            return peak - held
+
+        small, large = extra_peak(2 * BLOCK_DOCS), extra_peak(8 * BLOCK_DOCS)
+        # one block's arrays, not the snapshot's: 4x the documents may add at
+        # most a tenth (flat arrays over the snapshot would add megabytes)
+        assert large < 1.1 * small, (small, large)
+
+
 class TestOppositeSet:
     """A document's opposite set, as ``ClassLedger.opposite`` sums it: the
     unit vectors of every document with a different label."""
@@ -272,7 +357,7 @@ def space_from(ds, vectors):
     space = SurfaceSpace((d.id for d in ds), (d.label for d in ds), lam)
     for i, doc in enumerate(ds):
         if doc.id in vectors:
-            space.set_row(i, np.asarray(vectors[doc.id], dtype=np.float64))
+            space.set_rows(i, np.asarray(vectors[doc.id], dtype=np.float64))
     return space
 
 
@@ -333,7 +418,7 @@ class TestShortcutScore:
         rng = np.random.default_rng(3)
         ds, embeddings = random_embedding_dataset(rng, 10)
         scaled = compute_embeddings(ds, lam=8)
-        scaled.set_row(0, embeddings.vectors[0] * 37.0)
+        scaled.set_rows(0, embeddings.vectors[0] * 37.0)
         target = ds.documents[0].id
         assert scores_of(scaled)[target] == pytest.approx(scores_of(embeddings)[target], rel=1e-12)
 
@@ -391,7 +476,7 @@ class TestObjective:
         rng = np.random.default_rng(31)
         ds, embeddings = random_embedding_dataset(rng, 12)
         scaled = compute_embeddings(ds, lam=8)
-        scaled.set_row(3, embeddings.vectors[3] * 0.001)
+        scaled.set_rows(3, embeddings.vectors[3] * 0.001)
         assert objective_of(scaled) == pytest.approx(objective_of(embeddings), rel=1e-12)
 
     def test_class_fully_zero_embedded_undefined(self):
@@ -408,7 +493,7 @@ class TestObjective:
         ledger = ClassLedger(space)
         new_unit = unit_vector(np.arange(1.0, 9.0))
         ledger.swap(ds.documents[4].label, space.units[4], new_unit)
-        space.set_row(4, new_unit)
+        space.set_rows(4, new_unit)
         fresh = ClassLedger(space)
         np.testing.assert_allclose(ledger.sums, fresh.sums, atol=1e-12)
         assert class_alignment_objective(ledger) == pytest.approx(
