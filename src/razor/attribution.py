@@ -54,9 +54,9 @@ def make_record(
 ) -> AttributionRecord:
     try:
         arr = np.asarray(token_attributions, dtype=np.float64)
-    except ValueError:
+    except (TypeError, ValueError):
         raise DataError(
-            f"record {doc_id!r}: attribution vectors have mismatched dimensions"
+            f"record {doc_id!r}: attribution vectors must be numbers sharing one dimension"
         ) from None
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise DataError(
@@ -157,13 +157,11 @@ def load_attribution_records(path: str | Path) -> list[AttributionRecord]:
                 true_label = int(row["true_label"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise DataError(f"{path}: line {lineno}: bad record ({exc})") from None
-            widths = {len(vec) for vec in attributions} if attributions else set()
-            if len(widths) > 1:
-                raise DataError(
-                    f"{path}: line {lineno}: attribution vectors have mixed dimensions {sorted(widths)}"
-                )
+            entries = row.get("subsets", [])
+            if not isinstance(entries, list):
+                raise DataError(f"{path}: line {lineno}: subsets must be a list")
             subsets: dict[frozenset[int], int] = {}
-            for entry in row.get("subsets", []):
+            for entry in entries:
                 try:
                     positions = frozenset(int(p) for p in entry["positions"])
                     subsets[positions] = int(entry["predicted"])

@@ -10,7 +10,6 @@ prove that no document was queried twice).
 
 from __future__ import annotations
 
-import json
 import logging
 import os
 import re
@@ -24,7 +23,7 @@ from typing import Optional
 
 import requests
 
-from .corpus import LabeledDocument
+from .corpus import LabeledDocument, read_json
 from .errors import BackendError, ConfigError
 
 log = logging.getLogger("razor")
@@ -53,10 +52,6 @@ class CallLog:
     def count(self, role: Optional[str] = None) -> int:
         with self._lock:
             return len(self.entries) if role is None else self._counts[role]
-
-    def doc_ids(self, role: str) -> set[str]:
-        with self._lock:
-            return {d for r, d in self.entries if r == role}
 
 
 class HttpBackend:
@@ -163,18 +158,21 @@ class MockBackend:
     ):
         if verdict not in MOCK_VERDICTS:
             raise ConfigError(f"unknown mock verdict policy {verdict!r}; use one of {MOCK_VERDICTS}")
+        if not isinstance(rules, list):
+            raise ConfigError(f"mock generation rules must be a list, got {rules!r}")
         self.rules = []
         for rule in rules:
             try:
                 pattern = re.compile(rule["pattern"])
-            except (KeyError, re.error) as exc:
+            except (KeyError, TypeError, re.error) as exc:
                 raise ConfigError(f"bad mock rule {rule!r}: {exc}") from None
             replacements = rule.get("replacements")
             if replacements is None:
                 replacements = [rule.get("replacement", "")]
+            if not isinstance(replacements, list) or not replacements:
+                raise ConfigError(f"bad mock rule {rule!r}: replacements must be a non-empty list")
             self.rules.append((pattern, [str(r) for r in replacements]))
         self.verdict = verdict
-        self.seed = seed
         self.fail_after_generate_calls = fail_after_generate_calls
         self.calls = CallLog()
         self._rng = Random(seed)
@@ -182,8 +180,7 @@ class MockBackend:
 
     @classmethod
     def from_rules_file(cls, path: str | Path, **overrides) -> "MockBackend":
-        with open(path, "r", encoding="utf-8") as fh:
-            spec = json.load(fh)
+        spec = read_json(path)
         kwargs = dict(
             rules=spec.get("generation", []),
             verdict=spec.get("verdict", "confirm"),

@@ -14,14 +14,15 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import fields
 
 from . import __version__
 from .attribution import attribution_mass, is_shortcut, mass_inequality_holds, load_attribution_records
 from .backends import HttpBackend, MockBackend
-from .corpus import SCHEMAS, TokenizerConfig, load_dataset, parse_label_names, save_dataset
+from .corpus import SCHEMAS, TokenizerConfig, load_dataset, parse_label_names, read_json, save_dataset
 from .errors import BackendError, ConfigError, DataError, RazorError
 from .evalkit import BiasSpec, emit_report, generate_biased_corpus
-from .pipeline import Checkpoint, IterationTrace, RunConfig, run_razor, write_trace_file
+from .pipeline import Checkpoint, RunConfig, read_trace_file, run_razor, write_trace_file
 from .rewriter import GeneratorConfig
 from .surface import ClassLedger, class_alignment_objective, compute_embeddings, shortcut_scores
 
@@ -62,7 +63,6 @@ def _add_run_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--lambda", dest="lam", type=int, default=None, help="encoding width")
     parser.add_argument("--epsilon", type=float, default=None)
     parser.add_argument("--max-iterations", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--jobs", type=int, default=None, help="parallel backend requests")
     parser.add_argument("--temperature", type=float, default=None)
     parser.add_argument("--top-p", type=float, default=None)
@@ -138,11 +138,10 @@ def cmd_analyze(args) -> int:
     ledger = ClassLedger(space)
     scores = shortcut_scores(space, ledger)
     objective = class_alignment_objective(ledger)
-    ranked = sorted(scores, key=lambda doc_id: (-scores[doc_id], doc_id))
     by_id = {doc.id: doc for doc in dataset}
     rows = [
-        {"id": doc_id, "label": by_id[doc_id].label, "score": scores[doc_id]}
-        for doc_id in ranked
+        {"id": doc_id, "label": by_id[doc_id].label, "score": score}
+        for doc_id, score in scores.items()
     ]
 
     if args.out:
@@ -171,42 +170,22 @@ def cmd_analyze(args) -> int:
 
 
 def _build_run_config(args) -> RunConfig:
-    data: dict = {}
-    if args.config:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{args.config}: malformed JSON ({exc.msg})") from None
-    gen = dict(data.pop("generator", {}))
-    tok = dict(data.pop("tokenizer", {}))
-    for key, value in [
-        ("k", args.k),
-        ("lam", args.lam),
-        ("epsilon", args.epsilon),
-        ("max_iterations", args.max_iterations),
-        ("seed", args.seed),
-        ("jobs", args.jobs),
-    ]:
-        if value is not None:
-            data[key] = value
-    for key, value in [
-        ("backend", args.backend),
-        ("model", args.model),
-        ("temperature", args.temperature),
-        ("top_p", args.top_p),
-        ("candidates_per_doc", args.candidates_per_doc),
-        ("max_retries", args.max_retries),
-    ]:
-        if value is not None:
-            gen[key] = value
-    if args.single_pass:
-        data["max_iterations"] = 1
+    """The config file's fields, overridden by every flag given; each flag's
+    dest is the name of its RunConfig or GeneratorConfig field."""
+    data = read_json(args.config) if args.config else {}
     try:
+        gen = dict(data.pop("generator", {}))
+        tok = dict(data.pop("tokenizer", {}))
+        for fields_of, target in ((RunConfig, data), (GeneratorConfig, gen)):
+            for f in fields(fields_of):
+                if (value := getattr(args, f.name, None)) is not None:
+                    target[f.name] = value
+        if args.single_pass:
+            data["max_iterations"] = 1
         return RunConfig(
             generator=GeneratorConfig(**gen), tokenizer=TokenizerConfig(**tok), **data
         )
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad run config: {exc}") from None
 
 
@@ -276,11 +255,7 @@ def cmd_report(args) -> int:
     labels = _load_labels(args.labels)
     before = load_dataset(args.before, args.schema, labels)
     after = load_dataset(args.after, args.schema, labels)
-    traces: list[IterationTrace] = []
-    if args.trace:
-        with open(args.trace, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        traces = [IterationTrace.from_dict(t) for t in payload.get("iterations", [])]
+    traces = read_trace_file(args.trace)[0] if args.trace else []
     terms = [t for t in (args.terms or "").split(",") if t]
     report = emit_report(before, after, traces, terms=terms, sample=args.sample, seed=args.seed)
     if args.out_json:

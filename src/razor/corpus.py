@@ -150,9 +150,6 @@ class Dataset:
                 return doc
         raise KeyError(doc_id)
 
-    def labels(self) -> list[int]:
-        return [d.label for d in self.documents]
-
     def with_documents(self, documents: Iterable[LabeledDocument]) -> "Dataset":
         return Dataset(tuple(documents), self.label_names, self.schema)
 
@@ -175,6 +172,19 @@ def parse_label_names(spec: str) -> dict[int, str]:
             raise DataError(f"empty name for label {label}")
         names[label] = name
     return names
+
+
+def read_json(path: str | Path) -> dict:
+    """The JSON object a file holds. Raises DataError when the file is not
+    JSON or holds anything other than an object."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except ValueError as exc:
+            raise DataError(f"{path}: malformed JSON ({exc})") from None
+    if not isinstance(data, dict):
+        raise DataError(f"{path}: expected a JSON object, got {type(data).__name__}")
+    return data
 
 
 def load_dataset(

@@ -77,15 +77,14 @@ def count_terms(dataset: Dataset, terms: Sequence[str]) -> dict[str, dict]:
     and in total, over the rewritable texts."""
     if not terms:
         raise DataError("terms must be non-empty")
-    wanted = {t.casefold(): t for t in terms}
     out = {t: {"per_class": {label: 0 for label in dataset.label_names}, "total": 0} for t in terms}
     for doc in dataset:
         counts = Counter(tok.casefold() for tok in doc.tokens)
-        for folded, term in wanted.items():
-            n = counts.get(folded, 0)
+        for term, row in out.items():
+            n = counts.get(term.casefold(), 0)
             if n:
-                out[term]["per_class"][doc.label] += n
-                out[term]["total"] += n
+                row["per_class"][doc.label] += n
+                row["total"] += n
     return out
 
 
@@ -254,7 +253,6 @@ def emit_report(
     terms: Sequence[str] = (),
     sample: Optional[int] = None,
     seed: int = 0,
-    max_n: int = 4,
 ) -> BiasReport:
     """Compare two dataset snapshots: term-count and frequency-gap deltas for
     the given terms, BLEU of rewritten texts against their originals
@@ -270,9 +268,10 @@ def emit_report(
         raise DataError(f"after-snapshot ids not present before: {missing[:5]}")
 
     report = BiasReport()
+    counts_before = count_terms(before, terms) if terms else {}
+    counts_after = count_terms(after, terms) if terms else {}
     for term in terms:
-        b = count_terms(before, [term])[term]
-        a = count_terms(after, [term])[term]
+        b, a = counts_before[term], counts_after[term]
         report.term_counts[term] = {
             "before": b,
             "after": a,
@@ -298,7 +297,7 @@ def emit_report(
         pairs = rewritten_pairs
         if sample is not None and sample < len(pairs):
             pairs = random.Random(seed).sample(pairs, sample)
-    report.corpus_bleu = corpus_bleu([p[0] for p in pairs], [p[1] for p in pairs], max_n=max_n)
+    report.corpus_bleu = corpus_bleu([p[0] for p in pairs], [p[1] for p in pairs])
 
     if traces:
         report.objective_trace = [traces[0].objective_before] + [

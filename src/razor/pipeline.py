@@ -28,6 +28,7 @@ from .corpus import (
     LabeledDocument,
     TokenizerConfig,
     load_dataset,
+    read_json,
     replace_text,  # noqa: F401  (see below)
     save_dataset,
 )
@@ -44,6 +45,7 @@ from .surface import (
     DEFAULT_LAMBDA,
     ClassLedger,
     SurfaceSpace,
+    _check_width,
     class_alignment_objective,
     compute_embeddings,
     corpus_stats,
@@ -75,7 +77,6 @@ class RunConfig:
     max_iterations: int = 10
     generator: GeneratorConfig = field(default_factory=GeneratorConfig)
     tokenizer: TokenizerConfig = field(default_factory=TokenizerConfig)
-    seed: int = 0
     jobs: int = 1
 
     def __post_init__(self):
@@ -90,8 +91,7 @@ class RunConfig:
             raise ConfigError(f"epsilon must be > 0, got {self.epsilon}")
         if self.max_iterations < 1:
             raise ConfigError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if self.lam <= 0 or self.lam % 2 != 0:
-            raise ConfigError(f"encoding width must be a positive even integer, got {self.lam}")
+        _check_width(self.lam)
         if self.jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
 
@@ -176,14 +176,12 @@ class RewriteJournal:
 
 
 def rank_and_select(space: SurfaceSpace, ledger: ClassLedger, k: int) -> list[str]:
-    """Ids of the k highest-scoring documents, score-descending with ascending
-    id as the tie-break. Selects every scoreable document (with a warning)
-    when fewer than k exist."""
-    scores = shortcut_scores(space, ledger)
-    ranked = sorted(scores, key=lambda doc_id: (-scores[doc_id], doc_id))
+    """Ids of the k highest-scoring documents, in :func:`shortcut_scores`'
+    ranked order. Selects every scoreable document (with a warning) when
+    fewer than k exist."""
+    ranked = list(shortcut_scores(space, ledger))
     if len(ranked) < k:
         log.warning("only %d scoreable documents for k=%d; selecting all", len(ranked), k)
-        return ranked
     return ranked[:k]
 
 
@@ -251,34 +249,19 @@ def run_iteration(
     k = resolve_k(config.k, len(dataset))
     selected = rank_and_select(space, ledger, k)
 
-    calls_before = {"generate": backend.calls.count("generate"), "verify": backend.calls.count("verify")}
-
-    def call_delta() -> dict[str, int]:
-        return {
-            "generate": backend.calls.count("generate") - calls_before["generate"],
-            "verify": backend.calls.count("verify") - calls_before["verify"],
-        }
-
+    roles = ("generate", "verify")
+    calls_before = [backend.calls.count(role) for role in roles]
+    error = None
     try:
         candidate_map = _gather_candidates(dataset, selected, backend, config, journal, template)
     except BackendError as exc:
         log.error("iteration %d aborted: %s", iteration, exc)
-        trace = IterationTrace(
-            iteration=iteration,
-            objective_before=objective_before,
-            objective_after=objective_before,
-            selected_ids=list(selected),
-            replaced_ids=[],
-            kept_ids=list(selected),
-            llm_calls=call_delta(),
-            wall_time=time.monotonic() - start,
-            error=str(exc),
-        )
-        return dataset, trace
+        error, candidate_map = str(exc), {}
 
     # Commit replacements one at a time against the live class ledger: each
     # strict improvement raises the pair objective, so the whole iteration is
-    # monotone even when both sides of a class pair are rewritten.
+    # monotone even when both sides of a class pair are rewritten. After a
+    # backend failure there are no candidates, so every document is kept.
     row = {doc_id: i for i, doc_id in enumerate(space.ids)}
     replaced: dict[str, LabeledDocument] = {}
     replaced_ids: list[str] = []
@@ -301,22 +284,20 @@ def run_iteration(
         replaced[doc_id] = decision.document
         replaced_ids.append(doc_id)
 
-    objective_after = class_alignment_objective(ledger)
-
-    new_dataset = dataset.with_documents(
-        replaced.get(doc.id, doc) for doc in dataset
-    )
     trace = IterationTrace(
         iteration=iteration,
         objective_before=objective_before,
-        objective_after=objective_after,
+        objective_after=class_alignment_objective(ledger),
         selected_ids=list(selected),
         replaced_ids=replaced_ids,
         kept_ids=kept_ids,
-        llm_calls=call_delta(),
+        llm_calls={
+            role: backend.calls.count(role) - before for role, before in zip(roles, calls_before)
+        },
         wall_time=time.monotonic() - start,
+        error=error,
     )
-    return new_dataset, trace
+    return dataset.with_documents(replaced.get(doc.id, doc) for doc in dataset), trace
 
 
 @dataclass
@@ -337,6 +318,18 @@ def write_trace_file(
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
+
+
+def read_trace_file(path: str | Path) -> tuple[list[IterationTrace], Optional[str]]:
+    """The iteration traces and stop reason a trace JSON holds. Raises
+    DataError when the file is malformed or an iteration record does not have
+    exactly the trace's fields."""
+    payload = read_json(path)
+    try:
+        traces = [IterationTrace.from_dict(t) for t in payload.get("iterations", [])]
+    except TypeError as exc:
+        raise DataError(f"{path}: bad iteration record ({exc})") from None
+    return traces, payload.get("stop_reason")
 
 
 class Checkpoint:
@@ -383,17 +376,8 @@ class Checkpoint:
         or labels, in order, differ from the input's: it belongs to another
         input, or it was cut short."""
         last = self.completed_iterations()
-        traces: list[IterationTrace] = []
-        stop_reason = None
-        if self.trace_path.exists():
-            with open(self.trace_path, "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
-            stop_reason = payload.get("stop_reason")
-            traces = [
-                IterationTrace.from_dict(t)
-                for t in payload.get("iterations", [])
-                if t.get("error") is None and t.get("iteration", 0) <= last
-            ]
+        traces, stop_reason = read_trace_file(self.trace_path) if self.trace_path.exists() else ([], None)
+        traces = [t for t in traces if t.error is None and t.iteration <= last]
         if last < 0:
             return dataset, [], None, -1
         path = self.snapshot_path(last)

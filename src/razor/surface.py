@@ -298,8 +298,9 @@ def score_against(unit: np.ndarray, opposite_sum: np.ndarray, opposite_count: in
 
 
 def shortcut_scores(space: SurfaceSpace, ledger: ClassLedger) -> dict[str, float]:
-    """Shortcut scores of every scoreable document, keyed by id. Zero
-    embeddings are excluded on both sides (their cosines are undefined)."""
+    """Shortcut scores of every scoreable document, keyed by id in ranked
+    order: score descending, ascending id as the tie-break. Zero embeddings
+    are excluded on both sides (their cosines are undefined)."""
     opposite = {label: ledger.opposite(label) for label in ledger.classes}
     labels = space.labels.tolist()
     out: dict[str, float] = {}
@@ -307,7 +308,7 @@ def shortcut_scores(space: SurfaceSpace, ledger: ClassLedger) -> dict[str, float
         opposite_sum, n = opposite[labels[i]]
         if n:
             out[space.ids[i]] = score_against(space.units[i], opposite_sum, n)
-    return out
+    return {doc_id: out[doc_id] for doc_id in sorted(out, key=lambda d: (-out[d], d))}
 
 
 def class_alignment_objective(ledger: ClassLedger) -> float:

@@ -141,7 +141,7 @@ def test_criterion_3_tfidf_oracle():
 def test_criterion_4_monotone_greedy_ascent():
     with criterion(4, "objective never decreases within an iteration or over a run"):
         dataset, _, backend = synth_setup(400, seed=7)
-        config = RunConfig(k=0.1, lam=64, epsilon=1e-4, max_iterations=10, seed=7)
+        config = RunConfig(k=0.1, lam=64, epsilon=1e-4, max_iterations=10)
         result = run_razor(dataset, config, backend)
         assert result.traces
         for trace in result.traces:
@@ -160,7 +160,7 @@ def test_criterion_5_planted_bias_reduction():
         count_before = count_terms(dataset, ["zonk"])["zonk"]["total"]
         assert count_before > 0
 
-        config = RunConfig(k=0.1, lam=64, epsilon=1e-4, max_iterations=10, seed=7)
+        config = RunConfig(k=0.1, lam=64, epsilon=1e-4, max_iterations=10)
         started = time.monotonic()
         result = run_razor(dataset, config, backend)
         elapsed = time.monotonic() - started
@@ -177,7 +177,7 @@ def test_criterion_6_size_and_label_preservation():
     with criterion(6, "document count and label multiset survive every run"):
         for size, seed in ((200, 3), (301, 11)):
             dataset, _, backend = synth_setup(size, seed)
-            config = RunConfig(k=0.1, max_iterations=5, seed=seed)
+            config = RunConfig(k=0.1, max_iterations=5)
             result = run_razor(dataset, config, backend)
             assert len(result.dataset) == len(dataset)
             assert Counter(d.label for d in result.dataset) == Counter(
@@ -228,7 +228,7 @@ def test_criterion_8_bleu_oracle():
 def test_criterion_9_determinism_and_resume(tmp_path):
     with criterion(9, "seeded runs are byte-identical and resume repeats no calls"):
         dataset, rules, _ = synth_setup(300, seed=5)
-        config = RunConfig(k=0.1, max_iterations=10, seed=5)
+        config = RunConfig(k=0.1, max_iterations=10)
 
         def backend(**kw):
             return MockBackend(

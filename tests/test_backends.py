@@ -118,7 +118,7 @@ class TestHttpBackend:
         backend.verify("p", "c", DOC, LABELS, 0.0, 0)
         assert backend.calls.count("generate") == 1
         assert backend.calls.count("verify") == 1
-        assert backend.calls.doc_ids("generate") == {"d1"}
+        assert backend.calls.entries == [("generate", "d1"), ("verify", "d1")]
 
 
 class TestMockBackend:

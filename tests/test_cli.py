@@ -103,7 +103,6 @@ class TestRun:
                 "--report", str(report_path),
                 "--terms", "zonk",
                 "--checkpoint-dir", str(tmp_path / "ckpt"),
-                "--seed", "7",
             ]
         )
         assert code == 0
@@ -373,3 +372,59 @@ class TestUsage:
             main(["--version"])
         assert exc.value.code == 0
         assert "razor" in capsys.readouterr().out
+
+
+RULES = {"generation": [{"pattern": "token0", "replacement": "word"}]}
+BAD_ITERATION = {"iterations": [{"iteration": 1, "bogus": 0}]}
+RUN = ["run", "--input", "{data}", "--rules", "{tmp}/rules.json", "--out", "{tmp}/out.jsonl"]
+REPORT = ["report", "--before", "{data}", "--after", "{data}", "--trace", "{tmp}/trace.json"]
+RESUME = RUN + ["--checkpoint-dir", "{tmp}/ckpt"]
+CHECK = ["check-shortcut", "--attributions", "{tmp}/attr.jsonl"]
+
+
+def attribution(**fields):
+    row = {"doc_id": "d", "attributions": [[1.0], [2.0]], "predicted_full": 1, "true_label": 0}
+    return json.dumps({**row, **fields}) + "\n"
+
+
+# (files to write: raw text, or a value written as JSON; argv; exit code)
+ERROR_CASES = {
+    "config-malformed": ({"config.json": "{"}, RUN + ["--config", "{tmp}/config.json"], 2),
+    "config-not-object": ({"config.json": [1]}, RUN + ["--config", "{tmp}/config.json"], 2),
+    "config-seed-field": ({"config.json": {"seed": 7}}, RUN + ["--config", "{tmp}/config.json"], 1),
+    "config-bad-k": ({"config.json": {"k": "ten"}}, RUN + ["--config", "{tmp}/config.json"], 1),
+    "rules-malformed": ({"rules.json": "{"}, RUN, 2),
+    "rules-not-object": ({"rules.json": ["x"]}, RUN, 2),
+    "rules-generation-not-list": ({"rules.json": {"generation": "x"}}, RUN, 1),
+    "rules-replacements-string": (
+        {"rules.json": {"generation": [{"pattern": "a", "replacements": "ab"}]}}, RUN, 1
+    ),
+    "report-trace-malformed": ({"trace.json": "{"}, REPORT, 2),
+    "report-trace-list": ({"trace.json": []}, REPORT, 2),
+    "report-trace-unknown-key": ({"trace.json": BAD_ITERATION}, REPORT, 2),
+    "resume-trace-malformed": ({"ckpt/trace.json": "{"}, RESUME, 2),
+    "resume-trace-list": ({"ckpt/trace.json": []}, RESUME, 2),
+    "resume-trace-unknown-key": ({"ckpt/trace.json": BAD_ITERATION}, RESUME, 2),
+    "attributions-not-nested": ({"attr.jsonl": attribution(attributions=[1.0, 2.0])}, CHECK, 2),
+    "attributions-not-numbers": ({"attr.jsonl": attribution(attributions=[[{}]])}, CHECK, 2),
+    "subsets-not-list": ({"attr.jsonl": attribution(subsets=5)}, CHECK, 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_CASES))
+def test_bad_file_maps_onto_exit_code(case, single_file, tmp_path, capsys):
+    files, argv, expected = ERROR_CASES[case]
+    files = {"rules.json": RULES, **files}
+    for name, content in files.items():
+        path = tmp_path / name
+        path.parent.mkdir(exist_ok=True)
+        path.write_text(content if isinstance(content, str) else json.dumps(content))
+    argv = [a.format(tmp=tmp_path, data=single_file) for a in argv]
+
+    assert main(argv) == expected
+    err = capsys.readouterr().err
+    lines = err.strip().splitlines()
+    kind = "configuration" if expected == 1 else "data"
+    assert [line for line in lines if line.startswith("razor:")] == [lines[-1]]
+    assert lines[-1].startswith(f"razor: {kind} error:")
+    assert "Traceback" not in err

@@ -235,7 +235,7 @@ class TestRunRazor:
 
     def test_deterministic_under_seeded_mock(self, tmp_path):
         dataset, rules = synth(corpus_size=100)
-        config = RunConfig(k=0.1, seed=3)
+        config = RunConfig(k=0.1)
         r1 = run_razor(dataset, config, mock_backend(rules))
         r2 = run_razor(dataset, config, mock_backend(rules))
         assert r1.dataset == r2.dataset
