@@ -172,6 +172,15 @@ class MockBackend:
             if not isinstance(replacements, list) or not replacements:
                 raise ConfigError(f"bad mock rule {rule!r}: replacements must be a non-empty list")
             self.rules.append((pattern, [str(r) for r in replacements]))
+        if not isinstance(seed, int):
+            raise ConfigError(f"mock seed must be an integer, got {seed!r}")
+        if fail_after_generate_calls is not None and not (
+            isinstance(fail_after_generate_calls, int) and fail_after_generate_calls >= 0
+        ):
+            raise ConfigError(
+                "fail_after_generate_calls must be a non-negative integer, "
+                f"got {fail_after_generate_calls!r}"
+            )
         self.verdict = verdict
         self.fail_after_generate_calls = fail_after_generate_calls
         self.calls = CallLog()
@@ -184,7 +193,7 @@ class MockBackend:
         kwargs = dict(
             rules=spec.get("generation", []),
             verdict=spec.get("verdict", "confirm"),
-            seed=int(spec.get("seed", 0)),
+            seed=spec.get("seed", 0),
             fail_after_generate_calls=spec.get("fail_after_generate_calls"),
         )
         kwargs.update(overrides)

@@ -18,6 +18,7 @@ import logging
 import unicodedata
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from sys import intern
 from typing import Iterable, Mapping, Optional
 
 from .errors import DataError, NoContrastError
@@ -44,6 +45,9 @@ DEFAULT_TOKENIZER = TokenizerConfig()
 
 
 def _strip_punct(token: str) -> str:
+    # a letter or digit is never punctuation: most tokens need no lookup
+    if token[0].isalnum() and token[-1].isalnum():
+        return token
     start, end = 0, len(token)
     while start < end and unicodedata.category(token[start]).startswith("P"):
         start += 1
@@ -57,6 +61,7 @@ def tokenize(text: str, config: TokenizerConfig = DEFAULT_TOKENIZER) -> list[str
 
     Positions are the 0-based indices into the returned list. Empty output
     is legal here; emptiness is rejected at document construction instead.
+    Tokens are interned: every document holding a token shares one string.
     """
     if config.lowercase:
         text = text.lower()
@@ -65,7 +70,7 @@ def tokenize(text: str, config: TokenizerConfig = DEFAULT_TOKENIZER) -> list[str
         if config.strip_punctuation:
             raw = _strip_punct(raw)
         if raw:
-            tokens.append(raw)
+            tokens.append(intern(raw))
     return tokens
 
 
@@ -254,17 +259,27 @@ def load_dataset(
 
 
 def save_dataset(dataset: Dataset, path: str | Path) -> None:
-    """Write a dataset back to JSONL, mirroring its input schema exactly."""
+    """Write a dataset back to JSONL, mirroring its input schema exactly.
+
+    Each line holds the bytes ``json.dumps(row, ensure_ascii=False)`` gives,
+    formatted directly with the string encoder json.dumps uses."""
     text_field, context_field = SCHEMAS[dataset.schema]
+    quote = json.encoder.encode_basestring
+    if context_field is None:
+        line = '{"id": %%s, "%s": %%s, "label": %%d}\n' % text_field
+        rows = ((quote(d.id), quote(d.mutable_text), d.label) for d in dataset.documents)
+    else:
+        # a premise_hypothesis line leads with its context, the premise
+        context_first = dataset.schema == "premise_hypothesis"
+        names = (context_field, text_field) if context_first else (text_field, context_field)
+        line = '{"id": %%s, "%s": %%s, "%s": %%s, "label": %%d}\n' % names
+
+        def fields(doc: LabeledDocument) -> tuple:
+            text = quote(doc.mutable_text)
+            context = "null" if doc.context_text is None else quote(doc.context_text)
+            pair = (context, text) if context_first else (text, context)
+            return (quote(doc.id), *pair, doc.label)
+
+        rows = map(fields, dataset.documents)
     with open(path, "w", encoding="utf-8") as fh:
-        for doc in dataset.documents:
-            row: dict = {"id": doc.id}
-            if context_field and dataset.schema == "premise_hypothesis":
-                row[context_field] = doc.context_text
-                row[text_field] = doc.mutable_text
-            else:
-                row[text_field] = doc.mutable_text
-                if context_field:
-                    row[context_field] = doc.context_text
-            row["label"] = doc.label
-            fh.write(json.dumps(row, ensure_ascii=False) + "\n")
+        fh.writelines(line % row for row in rows)

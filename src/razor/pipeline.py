@@ -37,6 +37,7 @@ from .rewriter import (
     GeneratorConfig,
     PromptTemplate,
     RewriteCandidate,
+    embed_candidates,
     generate_candidates,
     select_replacement,
     verify_label,
@@ -53,9 +54,9 @@ from .surface import (
     surface_embedding,  # noqa: F401
 )
 
-# replace_text and surface_embedding are not called here (a replacement
-# decision carries the winner's document and unit vector). They are imported
-# because bench/tracer.py wraps both by their names in this module.
+# replace_text and surface_embedding are not called here (the rewriter
+# tokenizes and embeds candidates). They are imported because bench/tracer.py
+# wraps both by their names in this module.
 
 log = logging.getLogger("razor")
 
@@ -123,7 +124,38 @@ class IterationTrace:
 
     @classmethod
     def from_dict(cls, data: dict) -> "IterationTrace":
-        return cls(**data)
+        """The trace a record holds. Raises TypeError when the record does not
+        have exactly the trace's fields, each of its type."""
+        trace = cls(**data)
+        for name, check in _TRACE_FIELD_TYPES.items():
+            if not check(getattr(trace, name)):
+                raise TypeError(f"field {name!r} has the wrong type")
+        return trace
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_ids(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+_TRACE_FIELD_TYPES = {
+    "iteration": _is_int,
+    "objective_before": _is_number,
+    "objective_after": _is_number,
+    "selected_ids": _is_ids,
+    "replaced_ids": _is_ids,
+    "kept_ids": _is_ids,
+    "llm_calls": lambda v: isinstance(v, dict) and all(map(_is_int, v.values())),
+    "wall_time": _is_number,
+    "error": lambda v: v is None or isinstance(v, str),
+}
 
 
 class RewriteJournal:
@@ -258,30 +290,38 @@ def run_iteration(
         log.error("iteration %d aborted: %s", iteration, exc)
         error, candidate_map = str(exc), {}
 
-    # Commit replacements one at a time against the live class ledger: each
-    # strict improvement raises the pair objective, so the whole iteration is
-    # monotone even when both sides of a class pair are rewritten. After a
-    # backend failure there are no candidates, so every document is kept.
+    # Every verified candidate is embedded up front against the frozen stats.
+    # Replacements are then committed one at a time against the live class
+    # ledger: each strict improvement raises the pair objective, so the whole
+    # iteration is monotone even when both sides of a class pair are
+    # rewritten. After a backend failure there are no candidates, so every
+    # document is kept.
     row = {doc_id: i for i, doc_id in enumerate(space.ids)}
+    docs = dataset.documents
+    accepted = {
+        doc_id: [
+            RewriteCandidate(c["text"], True) for c in candidate_map.get(doc_id, []) if c["verified"]
+        ]
+        for doc_id in selected
+    }
+    embed_candidates(
+        ((docs[row[doc_id]], cand) for doc_id in selected for cand in accepted[doc_id]),
+        stats,
+        config.lam,
+        config.tokenizer,
+    )
     replaced: dict[str, LabeledDocument] = {}
     replaced_ids: list[str] = []
     kept_ids: list[str] = []
     for doc_id in selected:
         i = row[doc_id]
-        doc = dataset.documents[i]
-        accepted = [
-            RewriteCandidate(c["text"], True)
-            for c in candidate_map.get(doc_id, [])
-            if c["verified"]
-        ]
-        decision = select_replacement(
-            doc, accepted, stats, ledger, space.units[i], config.lam, config.tokenizer
-        )
+        doc = docs[i]
+        decision = select_replacement(doc, accepted[doc_id], ledger, space.units[i])
         if not decision.replaced:
             kept_ids.append(doc_id)
             continue
-        ledger.swap(doc.label, space.units[i], decision.unit)
-        replaced[doc_id] = decision.document
+        ledger.swap(doc.label, space.units[i], decision.candidate.unit)
+        replaced[doc_id] = decision.candidate.document
         replaced_ids.append(doc_id)
 
     trace = IterationTrace(
@@ -323,13 +363,16 @@ def write_trace_file(
 def read_trace_file(path: str | Path) -> tuple[list[IterationTrace], Optional[str]]:
     """The iteration traces and stop reason a trace JSON holds. Raises
     DataError when the file is malformed or an iteration record does not have
-    exactly the trace's fields."""
+    exactly the trace's fields, each of its type."""
     payload = read_json(path)
     try:
         traces = [IterationTrace.from_dict(t) for t in payload.get("iterations", [])]
     except TypeError as exc:
         raise DataError(f"{path}: bad iteration record ({exc})") from None
-    return traces, payload.get("stop_reason")
+    stop_reason = payload.get("stop_reason")
+    if not (stop_reason is None or isinstance(stop_reason, str)):
+        raise DataError(f"{path}: stop_reason must be a string or null, got {stop_reason!r}")
+    return traces, stop_reason
 
 
 class Checkpoint:

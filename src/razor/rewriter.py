@@ -11,14 +11,24 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass
-from typing import Mapping, Optional
+from dataclasses import dataclass, field
+from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
 from .corpus import DEFAULT_TOKENIZER, LabeledDocument, TokenizerConfig, replace_text
 from .errors import ConfigError, DataError
-from .surface import ClassLedger, CorpusStats, score_against, surface_embedding, unit_vector
+from .surface import (
+    ClassLedger,
+    CorpusStats,
+    candidate_units,
+    score_against,
+    surface_embedding,  # noqa: F401  (see below)
+)
+
+# surface_embedding is not called here (candidates are embedded in blocks by
+# candidate_units). It is imported because bench/tracer.py wraps it by its
+# name in this module.
 
 log = logging.getLogger("razor")
 
@@ -104,6 +114,9 @@ class RewriteCandidate:
     text: str
     verified: bool
     score: Optional[float] = None  # set only for verified, scoreable candidates
+    # set by embed_candidates for a verified, scoreable candidate
+    document: Optional[LabeledDocument] = None
+    unit: Optional[np.ndarray] = field(default=None, compare=False)
 
 
 def _render(template: str, bindings: dict[str, str]) -> str:
@@ -217,54 +230,74 @@ def verify_label(
     return parsed == doc.label
 
 
-@dataclass(frozen=True)
-class ReplacementDecision:
-    """The outcome for one document. A replacement carries the winning
-    candidate's document and unit vector, so committing it needs no second
-    tokenization or embedding."""
-
-    replaced: bool
-    candidate: Optional[RewriteCandidate] = None
-    original_score: Optional[float] = None
-    document: Optional[LabeledDocument] = None
-    unit: Optional[np.ndarray] = None
-
-
-def select_replacement(
-    doc: LabeledDocument,
-    accepted: list[RewriteCandidate],
+def embed_candidates(
+    pairs: Iterable[tuple[LabeledDocument, RewriteCandidate]],
     stats: CorpusStats,
-    ledger: ClassLedger,
-    doc_unit: np.ndarray,
     lam: int,
     tokenizer: TokenizerConfig = DEFAULT_TOKENIZER,
-) -> ReplacementDecision:
-    """Pick the verified candidate with the lowest shortcut score against the
-    ledger's current opposite-class sum, replacing the original (unit vector
-    ``doc_unit``) only on strict improvement. Ties go to the lexicographically
-    smallest text. Unscoreable candidates (too short, zero embedding) and
-    candidates with the original's tokens are skipped and keep score None.
-    """
-    opposite_sum, opposite_count = ledger.opposite(doc.label)
-    original_score = score_against(doc_unit, opposite_sum, opposite_count)
-    best: Optional[ReplacementDecision] = None
-    for cand in sorted(accepted, key=lambda c: c.text):
+) -> None:
+    """Give each verified candidate in ``pairs`` (original document,
+    candidate) its rewritten document and unit vector. Every candidate is
+    tokenized once; each distinct token sequence is embedded once, all of
+    them together against the frozen ``stats``, ``BLOCK_DOCS`` at a time, so
+    candidates with the same tokens tie exactly. Candidates that are empty,
+    shorter than 2 tokens, have the original's tokens (so the original's
+    embedding: no improvement) or embed to zero keep both None and are never
+    scored."""
+    rows: dict[tuple[str, ...], int] = {}  # token sequence -> row of units
+    distinct: list[LabeledDocument] = []
+    trials: list[tuple[RewriteCandidate, LabeledDocument]] = []
+    for doc, cand in pairs:
         if not cand.verified:
             continue
         try:
             trial = replace_text(doc, cand.text, tokenizer)
         except DataError:
             continue
-        # the original's tokens give the original's embedding: no improvement
         if len(trial.tokens) < 2 or trial.tokens == doc.tokens:
             continue
-        # unseen_df=1: a candidate's new tokens would have df >= 1 once inserted
-        unit = unit_vector(surface_embedding(trial, stats, lam, unseen_df=1))
-        if unit is None:
+        if trial.tokens not in rows:
+            rows[trial.tokens] = len(distinct)
+            distinct.append(trial)
+        trials.append((cand, trial))
+    units = candidate_units(distinct, stats, lam)
+    for cand, trial in trials:
+        unit = units[rows[trial.tokens]]
+        if unit.any():
+            cand.document, cand.unit = trial, unit
+
+
+@dataclass(frozen=True)
+class ReplacementDecision:
+    """The outcome for one document: the winning candidate, which carries
+    its document and unit vector, when the original is replaced."""
+
+    replaced: bool
+    candidate: Optional[RewriteCandidate] = None
+    original_score: Optional[float] = None
+
+
+def select_replacement(
+    doc: LabeledDocument,
+    candidates: list[RewriteCandidate],
+    ledger: ClassLedger,
+    doc_unit: np.ndarray,
+) -> ReplacementDecision:
+    """Pick the candidate with the lowest shortcut score against the ledger's
+    current opposite-class sum, replacing the original (unit vector
+    ``doc_unit``) only on strict improvement. Ties go to the lexicographically
+    smallest text. Only candidates given a unit by :func:`embed_candidates`
+    are scored; the others keep score None.
+    """
+    opposite_sum, opposite_count = ledger.opposite(doc.label)
+    original_score = score_against(doc_unit, opposite_sum, opposite_count)
+    best: Optional[RewriteCandidate] = None
+    for cand in sorted(candidates, key=lambda c: c.text):
+        if cand.unit is None:
             continue
-        cand.score = score_against(unit, opposite_sum, opposite_count)
-        if best is None or cand.score < best.candidate.score:
-            best = ReplacementDecision(True, cand, original_score, trial, unit)
-    if best is not None and best.candidate.score < original_score:
-        return best
+        cand.score = score_against(cand.unit, opposite_sum, opposite_count)
+        if best is None or cand.score < best.score:
+            best = cand
+    if best is not None and best.score < original_score:
+        return ReplacementDecision(True, best, original_score)
     return ReplacementDecision(False, None, original_score)

@@ -7,8 +7,10 @@ Documents with fewer than 2 tokens, or whose weights are all zero, are
 excluded from scoring rather than patched.
 
 A snapshot's embeddings are one :class:`SurfaceSpace` (a row per document,
-filled a block of documents at a time), and its per-class unit-vector sums
-one :class:`ClassLedger`. Both cosine sums the paper defines reduce to dots
+filled a block of documents at a time from the idf table of its
+:class:`CorpusStats`), and its per-class unit-vector sums one
+:class:`ClassLedger`. Rewrite candidates are embedded in blocks as well
+(:func:`candidate_units`). Both cosine sums the paper defines reduce to dots
 with those class sums: a document's shortcut score (:func:`score_against`)
 and the cross-class objective (:func:`class_alignment_objective`).
 """
@@ -17,8 +19,8 @@ from __future__ import annotations
 
 import math
 import mmap
-from collections import Counter, defaultdict
-from dataclasses import dataclass
+from collections import defaultdict
+from dataclasses import dataclass, field
 from itertools import chain, count
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -44,19 +46,56 @@ BLOCK_DOCS = 256
 class CorpusStats:
     """Document count and per-token document frequencies for one dataset
     snapshot. ``generation_stamp`` records the pipeline iteration that
-    produced the snapshot."""
+    produced the snapshot.
+
+    ``vocab`` numbers the tokens of ``doc_frequency`` in its order, and
+    ``idf[vocab[token]]`` is the token's log(doc_count / df): one table per
+    snapshot, read by every block embedded against it."""
 
     doc_count: int
     doc_frequency: Mapping[str, int]
     generation_stamp: int = 0
+    vocab: dict[str, int] = field(init=False, repr=False, compare=False)
+    idf: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "vocab", {t: i for i, t in enumerate(self.doc_frequency)})
+        idf = [math.log(self.doc_count / df) for df in self.doc_frequency.values()]
+        object.__setattr__(self, "idf", np.array(idf, dtype=np.float64))
 
 
 def corpus_stats(dataset: Dataset, generation_stamp: int = 0) -> CorpusStats:
-    """Document frequencies over the rewritable texts only; context is ignored."""
-    df: Counter[str] = Counter()
-    for doc in dataset:
-        df.update(set(doc.tokens))
-    return CorpusStats(len(dataset), dict(df), generation_stamp)
+    """Document frequencies over the rewritable texts only; context is ignored.
+
+    Tokens are interned once per snapshot. Each block of ``BLOCK_DOCS``
+    documents adds its distinct (document, token) pairs, found with one
+    ``np.unique``, to the df array with one ``np.bincount``."""
+    # ids from a counter, not from the dict's own __len__ (see _block_weights)
+    vocab: defaultdict[str, int] = defaultdict(count().__next__)
+    df = np.zeros(0, dtype=np.int64)
+    docs = dataset.documents
+    for start in range(0, len(docs), BLOCK_DOCS):
+        _, _, keys = _token_keys(docs[start : start + BLOCK_DOCS], vocab)
+        # return_inverse: the argsort the embedding blocks use. A plain
+        # np.unique sorts in place, which loads 1.5 MB more of numpy's code.
+        pairs = np.unique(keys, return_inverse=True)[0]
+        block_df = np.bincount(pairs % len(vocab), minlength=len(vocab))
+        block_df[: len(df)] += df
+        df = block_df
+    return CorpusStats(len(docs), dict(zip(vocab, df.tolist())), generation_stamp)
+
+
+def _token_keys(
+    docs: Sequence[LabeledDocument], vocab: Mapping[str, int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each token's id in ``vocab`` in reading order, each document's length,
+    and one (document, token) key per token, unique to the pair."""
+    token_ids = np.fromiter(
+        map(vocab.__getitem__, chain.from_iterable(d.tokens for d in docs)), dtype=np.int64
+    )
+    lengths = np.array([len(d.tokens) for d in docs], dtype=np.int64)
+    keys = np.repeat(np.arange(len(docs)) * len(vocab), lengths) + token_ids
+    return token_ids, lengths, keys
 
 
 def tfidf_score(token: str, doc: LabeledDocument, stats: CorpusStats) -> float:
@@ -118,27 +157,30 @@ def _block_weights(
     the longest length. Also returns the lengths.
 
     A token's weight is (its count in the document / the document's length)
-    * log(doc_count / df). Tokens are interned once per block; the count of
+    * log(doc_count / df), the idf read from the stats' table. The count of
     each occurrence comes from one ``np.unique`` over (document, token) keys.
     """
-    # ids from a counter, not from the dict's own __len__: that self-reference
-    # would keep each block's vocabulary alive until the cycle collector ran
-    vocab: defaultdict[str, int] = defaultdict(count().__next__)
-    token_ids = np.fromiter(
-        map(vocab.__getitem__, chain.from_iterable(d.tokens for d in docs)), dtype=np.int64
-    )
-    dfs = [stats.doc_frequency.get(token, unseen_df) for token in vocab]
-    if None in dfs:
-        token = next(t for t, df in zip(vocab, dfs) if df is None)
+    idf = stats.idf
+    vocab: Mapping[str, int] = stats.vocab
+    if unseen_df is not None:
+        # tokens outside the snapshot take ids past its table, whose idf is
+        # that of unseen_df. Ids from a counter, not from the dict's own
+        # __len__: that self-reference would keep the copy alive until the
+        # cycle collector ran.
+        vocab = defaultdict(count(len(vocab)).__next__, vocab)
+    try:
+        token_ids, lengths, keys = _token_keys(docs, vocab)
+    except KeyError as exc:
+        token = exc.args[0]
         doc = next(d for d in docs if token in d.tokens)
         raise StaleStatsError(
             f"token {token!r} occurs in document {doc.id!r} but is missing from "
             f"corpus stats (stamp {stats.generation_stamp})"
-        )
-    idf = np.array([math.log(stats.doc_count / df) for df in dfs])
+        ) from None
+    if len(vocab) > len(idf):
+        unseen_idf = math.log(stats.doc_count / unseen_df)
+        idf = np.concatenate([idf, np.full(len(vocab) - len(idf), unseen_idf)])
 
-    lengths = np.array([len(d.tokens) for d in docs], dtype=np.int64)
-    keys = np.repeat(np.arange(len(docs)) * len(vocab), lengths) + token_ids
     _, occurrence, counts = np.unique(keys, return_inverse=True, return_counts=True)
     # a boolean mask fills row by row, in the order the tokens were read
     filled = np.arange(lengths.max()) < lengths[:, None]
@@ -189,11 +231,18 @@ def _unit_rows(vectors: np.ndarray) -> np.ndarray:
     return np.divide(vectors, norms, out=np.zeros_like(vectors), where=norms > 0)
 
 
-def unit_vector(vector: np.ndarray) -> Optional[np.ndarray]:
-    """``vector`` scaled to length 1, or None for the all-zero vector, whose
-    direction (and therefore every cosine involving it) is undefined."""
-    unit = _unit_rows(vector[None])[0]
-    return unit if unit.any() else None
+def candidate_units(
+    docs: Sequence[LabeledDocument], stats: CorpusStats, lam: int = DEFAULT_LAMBDA
+) -> np.ndarray:
+    """Unit embeddings of rewrite candidates (each of at least 2 tokens), one
+    row each, embedded ``BLOCK_DOCS`` at a time; a row stays zero for an
+    all-zero embedding. Tokens absent from ``stats`` take df 1: a candidate's
+    new tokens would have df >= 1 once inserted."""
+    units = np.zeros((len(docs), lam))
+    for start in range(0, len(docs), BLOCK_DOCS):
+        block = docs[start : start + BLOCK_DOCS]
+        units[start : start + len(block)] = _unit_rows(_embed_block(block, stats, lam, unseen_df=1))
+    return units
 
 
 def _mapped_zeros(n: int, lam: int) -> np.ndarray:
@@ -287,28 +336,49 @@ class ClassLedger:
         row += new_unit
 
 
-def score_against(unit: np.ndarray, opposite_sum: np.ndarray, opposite_count: int) -> float:
-    """Shortcut score of a unit vector: 1 - its mean cosine to the opposite
-    class's documents, as one dot with their summed unit vectors.
+def score_against(
+    units: np.ndarray, opposite_sum: np.ndarray, opposite_count: int
+) -> np.ndarray | float:
+    """Shortcut score of a unit vector (or of each row of a matrix of them):
+    1 - its mean cosine to the opposite class's documents, as one dot with
+    their summed unit vectors.
 
     Range [0, 2]; high values flag documents whose surface features diverge
     from the opposite class.
+
+    ``np.vecdot`` takes each row's dot on its own, as ``unit @ opposite_sum``
+    does for one row, so a row scores the same alone or in a matrix. (A
+    matrix-vector ``@`` rounds differently, and OpenBLAS runs it on threads
+    that cost more than they save at this size.)
     """
-    return 1.0 - float(unit @ opposite_sum) / opposite_count
+    return 1.0 - np.vecdot(units, opposite_sum) / opposite_count
 
 
 def shortcut_scores(space: SurfaceSpace, ledger: ClassLedger) -> dict[str, float]:
     """Shortcut scores of every scoreable document, keyed by id in ranked
     order: score descending, ascending id as the tie-break. Zero embeddings
-    are excluded on both sides (their cosines are undefined)."""
-    opposite = {label: ledger.opposite(label) for label in ledger.classes}
-    labels = space.labels.tolist()
-    out: dict[str, float] = {}
-    for i in np.flatnonzero(space.scoreable):
-        opposite_sum, n = opposite[labels[i]]
+    are excluded on both sides (their cosines are undefined).
+
+    Each class's scores come from one pass of :func:`score_against` over all
+    unit rows (one dot per row, no (n, lam) temporary), and the ranking from
+    one sort on (-score, id)."""
+    scores = np.zeros(len(space.ids))
+    scored = np.zeros(len(space.ids), dtype=bool)
+    scoreable = space.scoreable
+    for label in ledger.classes:
+        opposite_sum, n = ledger.opposite(label)
         if n:
-            out[space.ids[i]] = score_against(space.units[i], opposite_sum, n)
-    return {doc_id: out[doc_id] for doc_id in sorted(out, key=lambda d: (-out[d], d))}
+            rows = scoreable & (space.labels == label)
+            scores[rows] = score_against(space.units, opposite_sum, n)[rows]
+            scored |= rows
+    rows = np.flatnonzero(scored)
+    ids = [space.ids[i] for i in rows.tolist()]
+    # the ids' ranks, for a tie-break in Python's string order
+    id_rank = np.empty(len(ids), dtype=np.int64)
+    id_rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    order = np.lexsort((id_rank, -scores[rows])).tolist()
+    ranked = scores[rows].tolist()
+    return {ids[j]: ranked[j] for j in order}
 
 
 def class_alignment_objective(ledger: ClassLedger) -> float:

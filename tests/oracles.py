@@ -19,19 +19,25 @@ def tau_reference(pos: int, lam: int) -> list[float]:
     return [pe_reference(pos, k, lam) for k in range(lam)]
 
 
-def tfidf_reference(token: str, doc_tokens: list[str], all_docs: list[list[str]]) -> float:
+def tfidf_reference(
+    token: str, doc_tokens: list[str], all_docs: list[list[str]], unseen_df=None
+) -> float:
+    """``unseen_df`` is the df of a token that occurs in none of ``all_docs``
+    (a rewrite candidate's new token)."""
     n = doc_tokens.count(token)
     if n == 0:
         return 0.0
-    df = sum(1 for toks in all_docs if token in toks)
+    df = sum(1 for toks in all_docs if token in toks) or unseen_df
     return (n / len(doc_tokens)) * math.log(len(all_docs) / df)
 
 
-def embed_reference(doc_tokens: list[str], all_docs: list[list[str]], lam: int) -> list[float]:
+def embed_reference(
+    doc_tokens: list[str], all_docs: list[list[str]], lam: int, unseen_df=None
+) -> list[float]:
     """Weighted positional sum divided by (token count - 1), scalar loops only."""
     vec = [0.0] * lam
     for j, token in enumerate(doc_tokens):
-        w = tfidf_reference(token, doc_tokens, all_docs)
+        w = tfidf_reference(token, doc_tokens, all_docs, unseen_df)
         for k in range(lam):
             vec[k] += w * pe_reference(j, k, lam)
     return [v / (len(doc_tokens) - 1) for v in vec]

@@ -55,12 +55,12 @@ def test_tracer_installs_and_sees_every_layer():
     assert calls["pipeline.rank > surface.score"] == iterations
     assert calls["pipeline.iteration > pipeline.gather"] == iterations
     assert calls["pipeline.iteration > rewriter.select"] == layers["pipeline.selected"]
-    # a commit reuses the winner's document and unit vector from its selection
+    # every verified candidate is tokenized once, by the iteration itself, and
+    # embedded in blocks (no surface_embedding call); selection only scores
     assert layers["pipeline.replaced"] > 0
-    assert "pipeline.iteration > surface.candidate_embed" not in calls
-    assert "pipeline.iteration > corpus.replace_text" not in calls
-    assert calls["rewriter.select > surface.candidate_embed"] > 0
-    assert calls["rewriter.select > corpus.replace_text"] > 0
+    assert layers["surface.candidate_embed_calls"] == 0
+    assert calls["pipeline.iteration > corpus.replace_text"] == layers["backends.verify_calls"]
+    assert not [key for key in calls if key.startswith("rewriter.select >")]
     assert calls["pipeline.gather > rewriter.generate"] == layers["pipeline.selected"]
     assert calls["rewriter.generate > backends.generate"] == 3 * layers["pipeline.selected"]
     assert calls["rewriter.verify > backends.verify"] == layers["backends.verify_calls"]

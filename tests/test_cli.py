@@ -376,6 +376,21 @@ class TestUsage:
 
 RULES = {"generation": [{"pattern": "token0", "replacement": "word"}]}
 BAD_ITERATION = {"iterations": [{"iteration": 1, "bogus": 0}]}
+STRING_ITERATION = {
+    "iterations": [
+        {
+            "iteration": "1",
+            "objective_before": 1.0,
+            "objective_after": 2.0,
+            "selected_ids": ["a"],
+            "replaced_ids": ["a"],
+            "kept_ids": [],
+            "llm_calls": {"generate": 3, "verify": 3},
+            "wall_time": 0.1,
+            "error": None,
+        }
+    ]
+}
 RUN = ["run", "--input", "{data}", "--rules", "{tmp}/rules.json", "--out", "{tmp}/out.jsonl"]
 REPORT = ["report", "--before", "{data}", "--after", "{data}", "--trace", "{tmp}/trace.json"]
 RESUME = RUN + ["--checkpoint-dir", "{tmp}/ckpt"]
@@ -399,12 +414,18 @@ ERROR_CASES = {
     "rules-replacements-string": (
         {"rules.json": {"generation": [{"pattern": "a", "replacements": "ab"}]}}, RUN, 1
     ),
+    "rules-seed-string": ({"rules.json": {**RULES, "seed": "x"}}, RUN, 1),
+    "rules-fail-after-string": (
+        {"rules.json": {**RULES, "fail_after_generate_calls": "x"}}, RUN, 1
+    ),
     "report-trace-malformed": ({"trace.json": "{"}, REPORT, 2),
     "report-trace-list": ({"trace.json": []}, REPORT, 2),
     "report-trace-unknown-key": ({"trace.json": BAD_ITERATION}, REPORT, 2),
+    "report-trace-field-type": ({"trace.json": STRING_ITERATION}, REPORT, 2),
     "resume-trace-malformed": ({"ckpt/trace.json": "{"}, RESUME, 2),
     "resume-trace-list": ({"ckpt/trace.json": []}, RESUME, 2),
     "resume-trace-unknown-key": ({"ckpt/trace.json": BAD_ITERATION}, RESUME, 2),
+    "resume-trace-field-type": ({"ckpt/trace.json": STRING_ITERATION}, RESUME, 2),
     "attributions-not-nested": ({"attr.jsonl": attribution(attributions=[1.0, 2.0])}, CHECK, 2),
     "attributions-not-numbers": ({"attr.jsonl": attribution(attributions=[[{}]])}, CHECK, 2),
     "subsets-not-list": ({"attr.jsonl": attribution(subsets=5)}, CHECK, 2),

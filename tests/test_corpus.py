@@ -33,6 +33,16 @@ class TestTokenize:
     def test_unicode_punctuation_stripped(self):
         assert tokenize("«quoted» text…") == ["quoted", "text"]
 
+    def test_only_punctuation_at_the_ends_is_stripped(self):
+        text = "$5 (a) x! ¿qué? don't 🙂 +1 e-mail ２０２４ ...x.y..."
+        assert tokenize(text) == [
+            "$5", "a", "x", "qué", "don't", "🙂", "+1", "e-mail", "２０２４", "x.y"
+        ]
+
+    def test_tokens_are_shared_strings(self):
+        first, second = tokenize("shared word"), tokenize("".join(["sha", "red"]) + " other")
+        assert first[0] is second[0]
+
     def test_config_disables_lowercase(self):
         config = TokenizerConfig(lowercase=False)
         assert tokenize("Not A film", config) == ["Not", "A", "film"]
@@ -219,6 +229,35 @@ class TestLoadSave:
             "label": 0,
         }
         assert load_dataset(out, "claim_evidence") == ds
+
+    @pytest.mark.parametrize("schema", ["single", "claim_evidence", "premise_hypothesis"])
+    def test_saved_lines_are_json_dumps_bytes(self, schema, tmp_path):
+        texts = [
+            'she said "no" twice',
+            "back\\slash and C:\\path\\",
+            "tab\there, bell\x07 and escape\x1b chars\nover two lines\r",
+            "line\u2028separator and paragraph\u2029separator",
+            "naïve café — 東京 🙂 déjà vu",
+        ]
+        rows = []
+        for i, text in enumerate(texts):
+            row = {"id": f'id "{i}" \\ ü'}
+            context = f"context {texts[-1 - i]}"
+            fields = {"single": [("text", text)],
+                      "claim_evidence": [("claim", text), ("evidence", context)],
+                      "premise_hypothesis": [("premise", context), ("hypothesis", text)]}
+            row.update(fields[schema])
+            row["label"] = i % 3
+            rows.append(row)
+        path = tmp_path / "in.jsonl"
+        self.write_lines(path, rows)
+        labels = {0: "zero", 1: "one", 2: "two"}
+        ds = load_dataset(path, schema, labels)
+        out = tmp_path / "out.jsonl"
+        save_dataset(ds, out)
+        expected = "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows)
+        assert out.read_bytes() == expected.encode("utf-8")
+        assert load_dataset(out, schema, labels) == ds
 
     def test_save_to_unwritable_path(self, tmp_path):
         ds = dataset_from([("a", "some text", 0), ("b", "other text", 1)])

@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 from dataclasses import replace
 
@@ -20,7 +21,8 @@ from razor.pipeline import (
     run_iteration,
     run_razor,
 )
-from razor.surface import ClassLedger, compute_embeddings, shortcut_scores
+from razor import surface
+from razor.surface import BLOCK_DOCS, ClassLedger, compute_embeddings, shortcut_scores
 
 from conftest import dataset_from
 
@@ -408,3 +410,26 @@ class TestIterationTraceSerialization:
             wall_time=0.25,
         )
         assert IterationTrace.from_dict(trace.to_dict()) == trace
+
+
+def test_iteration_embeds_in_blocks(monkeypatch):
+    """One iteration embeds its snapshot and then all its verified candidates
+    BLOCK_DOCS at a time: an embedding call per document or per candidate
+    would multiply this count."""
+    sizes = []
+    embed_block = surface._embed_block
+
+    def counted(docs, *args, **kwargs):
+        sizes.append(len(docs))
+        return embed_block(docs, *args, **kwargs)
+
+    monkeypatch.setattr(surface, "_embed_block", counted)
+    n_docs, k = 2 * BLOCK_DOCS + 50, BLOCK_DOCS + 30
+    ds = dataset_from([(f"d{i:04d}", f"word{i} shared text", i % 2) for i in range(n_docs)])
+    # one new distinct candidate per document
+    backend = MockBackend([{"pattern": "^", "replacement": "fresh "}])
+    _, trace = run_iteration(ds, RunConfig(k=k), backend)
+    candidates = trace.llm_calls["verify"]
+    assert candidates == k
+    assert len(sizes) == math.ceil(n_docs / BLOCK_DOCS) + math.ceil(candidates / BLOCK_DOCS)
+    assert sum(sizes) == n_docs + candidates

@@ -10,20 +10,22 @@ from razor.rewriter import (
     RewriteCandidate,
     build_prompt,
     build_verify_prompt,
+    embed_candidates,
     generate_candidates,
     parse_verifier_response,
     select_replacement,
     verify_label,
 )
 from razor.surface import (
+    BLOCK_DOCS,
     ClassLedger,
     compute_embeddings,
     corpus_stats,
     surface_embedding,
-    unit_vector,
 )
 
 from conftest import dataset_from
+from oracles import embed_reference
 
 LABELS = {0: "supports", 1: "refutes"}
 
@@ -162,11 +164,13 @@ def scoring_fixture():
 
 
 def select_for_b1(accepted):
-    """select_replacement for doc b1 of the scoring fixture, against a fresh
-    ledger of the fixture's space."""
+    """embed_candidates, then select_replacement for doc b1 of the scoring
+    fixture, against a fresh ledger of the fixture's space."""
     ds, stats, space = scoring_fixture()
+    doc = ds.by_id("b1")
+    embed_candidates([(doc, cand) for cand in accepted], stats, 16)
     i = space.ids.index("b1")
-    return select_replacement(ds.by_id("b1"), accepted, stats, ClassLedger(space), space.units[i], 16)
+    return select_replacement(doc, accepted, ClassLedger(space), space.units[i])
 
 
 class TestSelectReplacement:
@@ -198,37 +202,78 @@ class TestSelectReplacement:
         decision = select_for_b1(accepted)
         assert decision.replaced
         assert decision.candidate.text == "THE crew painted the fence quickly"
+        assert accepted[0].score == accepted[1].score
 
     def test_unscoreable_candidates_skipped(self):
         short = RewriteCandidate("word", True)
+        empty = RewriteCandidate("?!", True)
         good = RewriteCandidate("the crew painted the fence quickly", True)
-        decision = select_for_b1([short, good])
+        decision = select_for_b1([short, empty, good])
         assert decision.replaced
         assert decision.candidate.text == good.text
-        assert short.score is None
+        assert short.score is None and short.unit is None and short.document is None
+        assert empty.score is None and empty.unit is None
 
     def test_replacement_carries_document_and_unit(self):
         text = "the crew painted the fence quickly"
         decision = select_for_b1([RewriteCandidate(text, True)])
         ds, stats, _ = scoring_fixture()
         expected = replace_text(ds.by_id("b1"), text)
-        assert decision.replaced and decision.document == expected
-        np.testing.assert_array_equal(
-            decision.unit, unit_vector(surface_embedding(expected, stats, 16, unseen_df=1))
+        assert decision.replaced and decision.candidate.document == expected
+        vector = surface_embedding(expected, stats, 16, unseen_df=1)
+        np.testing.assert_allclose(
+            decision.candidate.unit, vector / np.linalg.norm(vector), rtol=0, atol=1e-12
         )
 
     def test_original_tokens_never_replace(self):
         # the original's tokens in other case: its own embedding, no improvement
         same = RewriteCandidate("ZONK the crew painted the fence quickly", True)
         decision = select_for_b1([same])
-        assert not decision.replaced and decision.document is None
-        assert same.score is None
+        assert not decision.replaced and decision.candidate is None
+        assert same.score is None and same.unit is None
 
     def test_unverified_candidates_ignored(self):
         unverified = RewriteCandidate("the crew painted the fence quickly", False)
         decision = select_for_b1([unverified])
         assert not decision.replaced
-        assert unverified.score is None
+        assert unverified.score is None and unverified.unit is None
+
+
+class TestEmbedCandidates:
+    """embed_candidates embeds every candidate of an iteration in blocks of
+    BLOCK_DOCS; each unit must match the per-document definition."""
+
+    def test_units_match_reference_across_blocks(self):
+        ds, stats, _ = scoring_fixture()
+        originals = list(ds)
+        rng = np.random.default_rng(3)
+        words = sorted(stats.doc_frequency) + ["unseen", "novel"]
+        pairs = []
+        for j in range(BLOCK_DOCS + 40):
+            text = " ".join(words[w] for w in rng.integers(0, len(words), size=2 + j % 9))
+            pairs.append((originals[j % len(originals)], RewriteCandidate(text, True)))
+        embed_candidates(pairs, stats, 16)
+        all_tokens = [set(d.tokens) for d in ds]
+        embedded = [cand for _, cand in pairs if cand.unit is not None]
+        assert len({cand.document.tokens for cand in embedded}) > BLOCK_DOCS
+        assert any("unseen" in cand.document.tokens for cand in embedded)
+        for cand in embedded:
+            ref = embed_reference(list(cand.document.tokens), all_tokens, 16, unseen_df=1)
+            ref = np.asarray(ref) / np.linalg.norm(ref)
+            np.testing.assert_allclose(cand.unit, ref, rtol=0, atol=1e-12)
+
+    def test_same_tokens_share_one_unit(self):
+        # a block of other candidates in between: the two would otherwise be
+        # embedded in different blocks
+        ds, stats, _ = scoring_fixture()
+        a1, b1 = ds.by_id("a1"), ds.by_id("b1")
+        first = RewriteCandidate("the crew painted a fence", True)
+        second = RewriteCandidate("The crew painted a FENCE.", True)
+        fillers = [RewriteCandidate(f"the crew painted fence {i}", True) for i in range(BLOCK_DOCS)]
+        embed_candidates([(a1, first)] + [(a1, c) for c in fillers] + [(b1, second)], stats, 16)
+        assert first.document.id == "a1" and second.document.id == "b1"
+        assert np.shares_memory(first.unit, second.unit)
+        assert np.array_equal(first.unit, second.unit)
 
 
 class TestGeneratorConfig:

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,14 +17,15 @@ from razor.surface import (
     ClassLedger,
     CorpusStats,
     SurfaceSpace,
+    candidate_units,
     class_alignment_objective,
     compute_embeddings,
     corpus_stats,
     positional_encoding,
+    score_against,
     shortcut_scores,
     surface_embedding,
     tfidf_score,
-    unit_vector,
 )
 
 from conftest import dataset_from
@@ -67,6 +69,14 @@ class TestCorpusStats:
         assert stats.generation_stamp == 4
         for token, df in stats.doc_frequency.items():
             assert 1 <= df <= stats.doc_count
+
+    def test_df_counts_documents_across_blocks(self):
+        ds = block_corpus(2 * BLOCK_DOCS + 37)
+        stats = corpus_stats(ds)
+        expected = Counter(token for doc in ds for token in set(doc.tokens))
+        assert stats.doc_frequency == dict(expected)
+        for token, df in expected.items():
+            assert stats.idf[stats.vocab[token]] == math.log(len(ds) / df)
 
     def test_context_text_excluded(self):
         ds = dataset_from(
@@ -166,7 +176,7 @@ class TestSurfaceEmbedding:
         ds = dataset_from([("d1", "a b", 0), ("d2", "a b", 1), ("d3", "b a", 0)])
         stats = corpus_stats(ds)
         vector = surface_embedding(ds.documents[0], stats, 4)
-        assert unit_vector(vector) is None
+        assert not candidate_units(ds.documents[:1], stats, 4).any()
         assert np.all(vector == 0.0)
         space = compute_embeddings(ds, stats, 4)
         assert space.embedded[0] and not space.scoreable[0]
@@ -185,7 +195,7 @@ class TestSurfaceEmbedding:
         ]
         np.testing.assert_allclose(vector, expected, atol=1e-12)
         np.testing.assert_allclose(
-            unit_vector(vector),
+            candidate_units(ds.documents[:1], stats, 4)[0],
             [0.28515637910279906, 0.6777399468332874, 3.3887844474237956e-05, 0.6777568906141844],
             atol=1e-12,
         )
@@ -219,7 +229,8 @@ class TestSurfaceEmbedding:
         novel = make_document("d1", "a brandnew", 0)
         with pytest.raises(StaleStatsError):
             surface_embedding(novel, stats, 4)
-        assert unit_vector(surface_embedding(novel, stats, 4, unseen_df=1)) is not None
+        assert surface_embedding(novel, stats, 4, unseen_df=1).any()
+        assert candidate_units([novel], stats, 4).any()
 
 
 def block_corpus(n_docs, seed=0):
@@ -266,10 +277,12 @@ class TestBlockEmbedding:
         ds = block_corpus(2 * BLOCK_DOCS + 37)
         stats = corpus_stats(ds)
         space = compute_embeddings(ds, stats, 8)
-        for i in (1, BLOCK_DOCS - 1, BLOCK_DOCS, 2 * BLOCK_DOCS + 36):
+        rows = [1, BLOCK_DOCS - 1, BLOCK_DOCS, 2 * BLOCK_DOCS + 36]
+        units = candidate_units([ds.documents[i] for i in rows], stats, 8)
+        for i, unit in zip(rows, units):
             vector = surface_embedding(ds.documents[i], stats, 8, unseen_df=1)
             np.testing.assert_allclose(vector, space.vectors[i], rtol=0, atol=1e-12)
-            np.testing.assert_allclose(unit_vector(vector), space.units[i], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(unit, space.units[i], rtol=0, atol=1e-12)
 
     def test_stale_stats_in_a_later_block(self):
         rows = [(f"d{i}", f"shared word{i % 7}", i % 2) for i in range(2 * BLOCK_DOCS)]
@@ -370,6 +383,32 @@ def objective_of(space):
 
 
 class TestShortcutScore:
+    def test_matches_per_row_score_against(self):
+        rng = np.random.default_rng(17)
+        ds, space = random_embedding_dataset(rng, 60, n_classes=3)
+        ledger = ClassLedger(space)
+        scores = shortcut_scores(space, ledger)
+        expected = {}
+        for i in np.flatnonzero(space.scoreable):
+            opposite_sum, n = ledger.opposite(int(space.labels[i]))
+            expected[space.ids[i]] = float(score_against(space.units[i], opposite_sum, n))
+        assert scores.keys() == expected.keys()
+        for doc_id, score in scores.items():
+            assert score == pytest.approx(expected[doc_id], rel=0, abs=1e-12)
+        ranked = sorted(expected, key=lambda d: (-scores[d], d))
+        assert list(scores) == ranked
+
+    def test_exact_ties_rank_by_ascending_id(self):
+        # ids out of order in the space; equal vectors tie exactly
+        ids = ["m", "b", "z", "a", "k", "c"]
+        ds = dataset_from([(d, "p q", i % 2) for i, d in enumerate(ids)])
+        vectors = {"m": [1.0, 0.0], "b": [1.0, 0.0], "z": [0.0, 1.0],
+                   "a": [0.0, 1.0], "k": [1.0, 0.0], "c": [0.0, 1.0]}
+        scores = scores_of(space_from(ds, vectors))
+        # class 0 (m, z, k) against 1 (b, a, c): two exact scores, 2/3 and 1/3
+        assert len(set(scores.values())) == 2
+        assert list(scores) == ["a", "c", "k", "m", "b", "z"]
+
     def test_identical_embeddings_score_zero(self):
         ds = dataset_from(
             [
@@ -491,7 +530,7 @@ class TestObjective:
         rng = np.random.default_rng(41)
         ds, space = random_embedding_dataset(rng, 12, n_classes=3)
         ledger = ClassLedger(space)
-        new_unit = unit_vector(np.arange(1.0, 9.0))
+        new_unit = np.arange(1.0, 9.0) / np.linalg.norm(np.arange(1.0, 9.0))
         ledger.swap(ds.documents[4].label, space.units[4], new_unit)
         space.set_rows(4, new_unit)
         fresh = ClassLedger(space)
