@@ -23,7 +23,7 @@ from typing import Optional
 
 import requests
 
-from .corpus import LabeledDocument, read_json
+from .corpus import LabeledDocument, is_json_int, read_json
 from .errors import BackendError, ConfigError
 
 log = logging.getLogger("razor")
@@ -172,10 +172,10 @@ class MockBackend:
             if not isinstance(replacements, list) or not replacements:
                 raise ConfigError(f"bad mock rule {rule!r}: replacements must be a non-empty list")
             self.rules.append((pattern, [str(r) for r in replacements]))
-        if not isinstance(seed, int):
+        if not is_json_int(seed):
             raise ConfigError(f"mock seed must be an integer, got {seed!r}")
         if fail_after_generate_calls is not None and not (
-            isinstance(fail_after_generate_calls, int) and fail_after_generate_calls >= 0
+            is_json_int(fail_after_generate_calls) and fail_after_generate_calls >= 0
         ):
             raise ConfigError(
                 "fail_after_generate_calls must be a non-negative integer, "

@@ -192,6 +192,11 @@ def read_json(path: str | Path) -> dict:
     return data
 
 
+def is_json_int(value) -> bool:
+    """Whether a value read from JSON is an integer (``true`` is not)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_dataset(
     path: str | Path,
     schema: str,

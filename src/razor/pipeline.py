@@ -27,6 +27,7 @@ from .corpus import (
     Dataset,
     LabeledDocument,
     TokenizerConfig,
+    is_json_int,
     load_dataset,
     read_json,
     replace_text,  # noqa: F401  (see below)
@@ -133,10 +134,6 @@ class IterationTrace:
         return trace
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
@@ -146,13 +143,13 @@ def _is_ids(value) -> bool:
 
 
 _TRACE_FIELD_TYPES = {
-    "iteration": _is_int,
+    "iteration": is_json_int,
     "objective_before": _is_number,
     "objective_after": _is_number,
     "selected_ids": _is_ids,
     "replaced_ids": _is_ids,
     "kept_ids": _is_ids,
-    "llm_calls": lambda v: isinstance(v, dict) and all(map(_is_int, v.values())),
+    "llm_calls": lambda v: isinstance(v, dict) and all(map(is_json_int, v.values())),
     "wall_time": _is_number,
     "error": lambda v: v is None or isinstance(v, str),
 }

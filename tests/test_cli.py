@@ -418,6 +418,10 @@ ERROR_CASES = {
     "rules-fail-after-string": (
         {"rules.json": {**RULES, "fail_after_generate_calls": "x"}}, RUN, 1
     ),
+    "rules-seed-bool": ({"rules.json": {**RULES, "seed": True}}, RUN, 1),
+    "rules-fail-after-bool": (
+        {"rules.json": {**RULES, "fail_after_generate_calls": True}}, RUN, 1
+    ),
     "report-trace-malformed": ({"trace.json": "{"}, REPORT, 2),
     "report-trace-list": ({"trace.json": []}, REPORT, 2),
     "report-trace-unknown-key": ({"trace.json": BAD_ITERATION}, REPORT, 2),

@@ -19,6 +19,7 @@ from razor.rewriter import (
 from razor.surface import (
     BLOCK_DOCS,
     ClassLedger,
+    _unit_rows,
     compute_embeddings,
     corpus_stats,
     surface_embedding,
@@ -221,9 +222,7 @@ class TestSelectReplacement:
         expected = replace_text(ds.by_id("b1"), text)
         assert decision.replaced and decision.candidate.document == expected
         vector = surface_embedding(expected, stats, 16, unseen_df=1)
-        np.testing.assert_allclose(
-            decision.candidate.unit, vector / np.linalg.norm(vector), rtol=0, atol=1e-12
-        )
+        np.testing.assert_array_equal(decision.candidate.unit, _unit_rows(vector[None])[0])
 
     def test_original_tokens_never_replace(self):
         # the original's tokens in other case: its own embedding, no improvement
