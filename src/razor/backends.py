@@ -33,6 +33,9 @@ API_KEY_ENV = "RAZOR_API_KEY"
 
 MOCK_VERDICTS = ("confirm", "flip", "garbled")
 
+# client errors a later attempt can get past: request timeout, rate limit
+RETRYABLE_4XX = (408, 429)
+
 
 @dataclass
 class CallLog:
@@ -58,7 +61,8 @@ class HttpBackend:
     """Chat-completion client. POSTs {"model", "messages", "temperature",
     "top_p"} to the configured URL and reads the first choice's message
     content. The endpoint URL comes from RAZOR_API_BASE and the bearer token
-    from RAZOR_API_KEY unless given explicitly."""
+    from RAZOR_API_KEY unless given explicitly. Transport errors, 5xx, 408
+    and 429 are retried; any other 4xx raises BackendError at once."""
 
     def __init__(
         self,
@@ -102,6 +106,13 @@ class HttpBackend:
                 resp = requests.post(
                     self.base_url, json=payload, headers=headers, timeout=self.timeout
                 )
+                if 400 <= resp.status_code < 500 and resp.status_code not in RETRYABLE_4XX:
+                    # the same request would be refused again: bad key, bad
+                    # model, malformed payload
+                    raise BackendError(
+                        f"backend refused the request (HTTP {resp.status_code}): "
+                        f"{resp.text[:200]}"
+                    )
                 resp.raise_for_status()
                 body = resp.json()
                 return str(body["choices"][0]["message"]["content"])

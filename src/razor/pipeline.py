@@ -1,9 +1,10 @@
 """Greedy debiasing loop: score, rank, rewrite the top-k, replace, repeat.
 
 Each iteration freezes corpus statistics and embeddings, selects the k
-highest-scoring documents, generates and verifies rewrite candidates for
-them, and commits replacements one at a time against a live per-class
-unit-vector ledger. Gated on strict per-document improvement, every commit
+highest-scoring documents, generates rewrite candidates for them, verifies
+each document's likely winner, and commits replacements one at a time against
+a live per-class unit-vector ledger, verifying a candidate only when the live
+order reaches it without a verdict. Gated on strict per-document improvement, every commit
 raises the cross-class alignment objective, so the objective measured on the
 iteration's own embeddings never decreases.
 
@@ -15,12 +16,15 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
+
+import numpy as np
 
 from .corpus import (
     DEFAULT_TOKENIZER,
@@ -37,6 +41,7 @@ from .errors import BackendError, ConfigError, DataError
 from .rewriter import (
     GeneratorConfig,
     PromptTemplate,
+    ReplacementDecision,
     RewriteCandidate,
     embed_candidates,
     generate_candidates,
@@ -46,6 +51,7 @@ from .rewriter import (
 from .surface import (
     DEFAULT_LAMBDA,
     ClassLedger,
+    CorpusStats,
     SurfaceSpace,
     _check_width,
     class_alignment_objective,
@@ -156,19 +162,30 @@ _TRACE_FIELD_TYPES = {
 
 
 class RewriteJournal:
-    """Per-iteration record of generated candidates, keyed by document id.
+    """Per-iteration record of the backend's answers: the candidate texts
+    generated for each document, and each verifier verdict, keyed by document
+    id (and candidate text).
 
-    Flushed after each document completes, so an aborted run can resume
-    without re-querying the backend for documents already processed. A
-    malformed final line is a record torn by the abort: loading drops it with
-    a warning (and cuts it from the file, so later records start on a line of
+    A ``{"doc_id", "texts"}`` line holds a document's generated candidates,
+    a ``{"doc_id", "text", "verified"}`` line one verdict. A line of the
+    older ``{"doc_id", "candidates": [{"text", "verified"}]}`` format, written
+    when every candidate was verified as it was generated, replays as both.
+    Each record is flushed as it is written, so an aborted run resumes without
+    asking the backend again for anything already answered.
+
+    The file is opened at the first record and kept open until :meth:`close`
+    (the journal is a context manager). A malformed final line is a record
+    torn by the abort: loading drops it with a warning (and cuts it from the
+    file before any record is appended, so later records start on a line of
     their own). A malformed line anywhere else is a DataError.
     """
 
     def __init__(self, path: Optional[Path] = None):
         self.path = path
-        self._entries: dict[str, list[dict]] = {}
+        self._entries: dict[str, list[str]] = {}
+        self._verdicts: dict[tuple[str, str], bool] = {}
         self._lock = threading.Lock()
+        self._fh = None
         if path is not None and path.exists():
             self._load(path)
 
@@ -178,8 +195,7 @@ class RewriteJournal:
         for lineno, line in enumerate(lines, start=1):
             try:
                 if line.strip():
-                    row = json.loads(line)
-                    self._entries[row["doc_id"]] = row["candidates"]
+                    self._apply(json.loads(line))
             except (ValueError, KeyError, TypeError) as exc:
                 if lineno < len(lines):
                     raise DataError(f"{path}: line {lineno}: malformed journal record ({exc})") from None
@@ -189,19 +205,63 @@ class RewriteJournal:
         if torn:
             path.write_text("".join(line.rstrip("\n") + "\n" for line in lines), encoding="utf-8")
 
+    def _apply(self, row: dict) -> None:
+        """Keep one record. Raises KeyError or TypeError when it is none of
+        the three formats."""
+        doc_id = row["doc_id"]
+        texts = None
+        if "candidates" in row:
+            texts = [c["text"] for c in row["candidates"]]
+            verdicts = [(c["text"], c["verified"]) for c in row["candidates"]]
+        elif "texts" in row:
+            texts, verdicts = row["texts"], []
+        else:
+            verdicts = [(row["text"], row["verified"])]
+        if not (
+            isinstance(doc_id, str)
+            and (texts is None or _is_ids(texts))
+            and all(isinstance(t, str) and isinstance(v, bool) for t, v in verdicts)
+        ):
+            raise TypeError("a field has the wrong type")
+        if texts is not None:
+            self._entries[doc_id] = texts
+        for text, verified in verdicts:
+            self._verdicts[doc_id, text] = verified
+
     def __contains__(self, doc_id: str) -> bool:
         return doc_id in self._entries
 
-    def get(self, doc_id: str) -> list[dict]:
+    def get(self, doc_id: str) -> list[str]:
+        """The candidate texts generated for ``doc_id``."""
         return self._entries[doc_id]
 
-    def record(self, doc_id: str, candidates: list[dict]) -> None:
+    def verdict(self, doc_id: str, text: str) -> Optional[bool]:
+        """The verifier's verdict on candidate ``text`` of ``doc_id``, or None
+        when it was not asked."""
+        return self._verdicts.get((doc_id, text))
+
+    def record(self, row: dict) -> None:
+        """Keep a generate record ``{"doc_id", "texts"}`` or a verify record
+        ``{"doc_id", "text", "verified"}`` and append it to the file."""
         with self._lock:
-            self._entries[doc_id] = candidates
+            self._apply(row)
             if self.path is not None:
-                with open(self.path, "a", encoding="utf-8") as fh:
-                    fh.write(json.dumps({"doc_id": doc_id, "candidates": candidates}) + "\n")
-                    fh.flush()
+                if self._fh is None:
+                    self._fh = open(self.path, "a", encoding="utf-8")
+                self._fh.write(json.dumps(row) + "\n")
+                self._fh.flush()
+
+    def close(self) -> None:
+        with self._lock:
+            if self._fh is not None:
+                self._fh.close()
+                self._fh = None
+
+    def __enter__(self) -> "RewriteJournal":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
 
 def rank_and_select(space: SurfaceSpace, ledger: ClassLedger, k: int) -> list[str]:
@@ -214,48 +274,104 @@ def rank_and_select(space: SurfaceSpace, ledger: ClassLedger, k: int) -> list[st
     return ranked[:k]
 
 
-def _gather_candidates(
+def _map(fn, jobs: int, *iterables) -> list:
+    """``list(map(fn, *iterables))``, on ``jobs`` threads when jobs > 1."""
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, *iterables))
+    return list(map(fn, *iterables))
+
+
+def _verify(
+    cand: RewriteCandidate,
+    doc: LabeledDocument,
     dataset: Dataset,
-    selected: list[str],
     backend,
     config: RunConfig,
     journal: RewriteJournal,
     template: Optional[PromptTemplate],
-) -> dict[str, list[dict]]:
-    """Generate and verify candidates for each selected document, replaying
-    journaled documents without touching the backend."""
-    docs = {doc.id: doc for doc in dataset}
+) -> None:
+    """Ask the verifier about ``cand``, a candidate for ``doc``, and journal
+    the verdict."""
+    cand.verified = verify_label(
+        cand.text, doc, backend, config.generator, dict(dataset.label_names), template, dataset.schema
+    )
+    journal.record({"doc_id": doc.id, "text": cand.text, "verified": cand.verified})
+
+
+def _gather_candidates(
+    dataset: Dataset,
+    rows: list[int],
+    space: SurfaceSpace,
+    ledger: ClassLedger,
+    stats: CorpusStats,
+    backend,
+    config: RunConfig,
+    journal: RewriteJournal,
+    template: Optional[PromptTemplate],
+) -> list[list[RewriteCandidate]]:
+    """The embedded rewrite candidates of the documents at ``rows``, from two
+    passes over the documents, each parallel under ``config.jobs``:
+
+    1. generate every document's candidates (in ``rows`` order when serial),
+       then embed all of them against the frozen ``stats`` in blocks;
+    2. for each document, ask the verifier about its likely winner: the
+       candidate :func:`select_replacement` is pending on against the frozen
+       ``ledger``.
+
+    Journaled answers are replayed instead of asked again. A document with a
+    journaled verdict skips the second pass: its speculative verdict is known,
+    so the commit walk asks the verifier what it still needs."""
+    docs = dataset.documents
     label_names = dict(dataset.label_names)
 
-    def process(doc_id: str) -> tuple[str, list[dict]]:
-        if doc_id in journal:
-            return doc_id, journal.get(doc_id)
-        doc = docs[doc_id]
-        texts = generate_candidates(
-            doc, backend, config.generator, label_names, template, dataset.schema
-        )
-        candidates = [
-            {
-                "text": text,
-                "verified": verify_label(
-                    text, doc, backend, config.generator, label_names, template, dataset.schema
-                ),
-            }
-            for text in texts
-        ]
-        journal.record(doc_id, candidates)
-        return doc_id, candidates
+    def generate(i: int) -> list[RewriteCandidate]:
+        doc = docs[i]
+        if doc.id in journal:
+            texts = journal.get(doc.id)
+        else:
+            texts = generate_candidates(
+                doc, backend, config.generator, label_names, template, dataset.schema
+            )
+            journal.record({"doc_id": doc.id, "texts": texts})
+        return [RewriteCandidate(text, journal.verdict(doc.id, text)) for text in texts]
 
-    results: dict[str, list[dict]] = {}
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            for doc_id, candidates in pool.map(process, selected):
-                results[doc_id] = candidates
-    else:
-        for doc_id in selected:
-            doc_id, candidates = process(doc_id)
-            results[doc_id] = candidates
-    return results
+    candidates = _map(generate, config.jobs, rows)
+    embed_candidates(
+        ((docs[i], cand) for i, cands in zip(rows, candidates) for cand in cands),
+        stats,
+        config.lam,
+        config.tokenizer,
+    )
+
+    def speculate(i: int, cands: list[RewriteCandidate]) -> None:
+        if any(cand.verified is not None for cand in cands):
+            return
+        pending = select_replacement(docs[i], cands, ledger, space.units[i]).pending
+        if pending is not None:
+            _verify(pending, docs[i], dataset, backend, config, journal, template)
+
+    _map(speculate, config.jobs, rows, candidates)
+    return candidates
+
+
+def decide_replacement(
+    doc: LabeledDocument,
+    candidates: list[RewriteCandidate],
+    ledger: ClassLedger,
+    doc_unit: np.ndarray,
+    verify: Callable[[RewriteCandidate], None],
+) -> ReplacementDecision:
+    """:func:`select_replacement` against the live ``ledger``, calling
+    ``verify(candidate)`` (which sets its verdict) on each candidate the
+    decision is pending on, until it is decided. The pending candidates come
+    in (score, text) order, each at most once, and the first verified one
+    wins: the winner of verifying every candidate first."""
+    decision = select_replacement(doc, candidates, ledger, doc_unit)
+    while decision.pending is not None:
+        verify(decision.pending)
+        decision = select_replacement(doc, candidates, ledger, doc_unit)
+    return decision
 
 
 def run_iteration(
@@ -280,54 +396,41 @@ def run_iteration(
 
     roles = ("generate", "verify")
     calls_before = [backend.calls.count(role) for role in roles]
+    row = {doc_id: i for i, doc_id in enumerate(space.ids)}
+    rows = [row[doc_id] for doc_id in selected]
+    docs = dataset.documents
+    replaced: dict[str, LabeledDocument] = {}
     error = None
     try:
-        candidate_map = _gather_candidates(dataset, selected, backend, config, journal, template)
+        candidates = _gather_candidates(
+            dataset, rows, space, ledger, stats, backend, config, journal, template
+        )
+        # Replacements are committed one at a time against the live class
+        # ledger: each strict improvement raises the pair objective, so the
+        # whole iteration is monotone even when both sides of a class pair
+        # are rewritten. A candidate the live order reaches without a verdict
+        # is verified here, serially.
+        for i, cands in zip(rows, candidates):
+            doc = docs[i]
+            decision = decide_replacement(
+                doc, cands, ledger, space.units[i],
+                lambda cand: _verify(cand, doc, dataset, backend, config, journal, template),
+            )
+            if decision.replaced:
+                ledger.swap(doc.label, space.units[i], decision.candidate.unit)
+                replaced[doc.id] = decision.candidate.document
     except BackendError as exc:
+        # every document is kept: the dataset and the objective are unchanged
         log.error("iteration %d aborted: %s", iteration, exc)
-        error, candidate_map = str(exc), {}
-
-    # Every verified candidate is embedded up front against the frozen stats.
-    # Replacements are then committed one at a time against the live class
-    # ledger: each strict improvement raises the pair objective, so the whole
-    # iteration is monotone even when both sides of a class pair are
-    # rewritten. After a backend failure there are no candidates, so every
-    # document is kept.
-    row = {doc_id: i for i, doc_id in enumerate(space.ids)}
-    docs = dataset.documents
-    accepted = {
-        doc_id: [
-            RewriteCandidate(c["text"], True) for c in candidate_map.get(doc_id, []) if c["verified"]
-        ]
-        for doc_id in selected
-    }
-    embed_candidates(
-        ((docs[row[doc_id]], cand) for doc_id in selected for cand in accepted[doc_id]),
-        stats,
-        config.lam,
-        config.tokenizer,
-    )
-    replaced: dict[str, LabeledDocument] = {}
-    replaced_ids: list[str] = []
-    kept_ids: list[str] = []
-    for doc_id in selected:
-        i = row[doc_id]
-        doc = docs[i]
-        decision = select_replacement(doc, accepted[doc_id], ledger, space.units[i])
-        if not decision.replaced:
-            kept_ids.append(doc_id)
-            continue
-        ledger.swap(doc.label, space.units[i], decision.candidate.unit)
-        replaced[doc_id] = decision.candidate.document
-        replaced_ids.append(doc_id)
+        error, replaced = str(exc), {}
 
     trace = IterationTrace(
         iteration=iteration,
         objective_before=objective_before,
-        objective_after=class_alignment_objective(ledger),
+        objective_after=objective_before if error else class_alignment_objective(ledger),
         selected_ids=list(selected),
-        replaced_ids=replaced_ids,
-        kept_ids=kept_ids,
+        replaced_ids=[doc_id for doc_id in selected if doc_id in replaced],
+        kept_ids=[doc_id for doc_id in selected if doc_id not in replaced],
         llm_calls={
             role: backend.calls.count(role) - before for role, before in zip(roles, calls_before)
         },
@@ -372,6 +475,18 @@ def read_trace_file(path: str | Path) -> tuple[list[IterationTrace], Optional[st
     return traces, stop_reason
 
 
+def _write_replacing(path: Path, write) -> None:
+    """Write ``path`` by calling ``write`` on a temporary file beside it
+    (``<name>.tmp``) and moving that over ``path``: a write that fails part-way
+    leaves the previous file, or none, and never a torn one."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 class Checkpoint:
     """Run state on disk: iteration-numbered dataset snapshots, per-iteration
     rewrite journals, and a trace file with the accumulated iteration traces
@@ -392,10 +507,10 @@ class Checkpoint:
         return self.directory / "trace.json"
 
     def write_snapshot(self, dataset: Dataset, iteration: int) -> None:
-        save_dataset(dataset, self.snapshot_path(iteration))
+        _write_replacing(self.snapshot_path(iteration), lambda tmp: save_dataset(dataset, tmp))
 
     def write_traces(self, traces: list[IterationTrace], stop_reason: Optional[str]) -> None:
-        write_trace_file(self.trace_path, traces, stop_reason)
+        _write_replacing(self.trace_path, lambda tmp: write_trace_file(tmp, traces, stop_reason))
 
     def completed_iterations(self) -> int:
         last = -1
@@ -459,10 +574,10 @@ def run_razor(
 
     stop_reason = STOP_MAX_ITERATIONS
     for iteration in range(start_iteration, config.max_iterations + 1):
-        journal = RewriteJournal(checkpoint.journal_path(iteration) if checkpoint else None)
-        dataset_next, trace = run_iteration(
-            dataset, config, backend, iteration, journal, template
-        )
+        with RewriteJournal(checkpoint.journal_path(iteration) if checkpoint else None) as journal:
+            dataset_next, trace = run_iteration(
+                dataset, config, backend, iteration, journal, template
+            )
         traces.append(trace)
         if trace.error is not None:
             if checkpoint is not None:

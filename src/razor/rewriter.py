@@ -1,10 +1,16 @@
 """Candidate generation, label verification, and greedy replacement selection.
 
 The generator produces rewrite candidates for a document; an independent
-verifier session must assign each candidate the document's original label
-before it can be considered. Among verified candidates, the one with the
-lowest shortcut score wins, and only if it strictly improves on the original;
-otherwise the original is kept.
+verifier session must assign a candidate the document's original label
+before it can replace the original. Among verified candidates, the one with
+the lowest shortcut score wins, and only if it strictly improves on the
+original; otherwise the original is kept.
+
+Verification is lazy: a candidate's verdict is None until the verifier is
+asked, and :func:`select_replacement` names the one candidate whose verdict
+would decide the outcome. Walking the strictly-improving candidates in
+(score, text) order and stopping at the first verified one picks the same
+winner as verifying every candidate first, with fewer verifier calls.
 """
 
 from __future__ import annotations
@@ -112,9 +118,9 @@ class GeneratorConfig:
 @dataclass
 class RewriteCandidate:
     text: str
-    verified: bool
-    score: Optional[float] = None  # set only for verified, scoreable candidates
-    # set by embed_candidates for a verified, scoreable candidate
+    verified: Optional[bool] = None  # None until the verifier is asked
+    score: Optional[float] = None  # set only for scoreable candidates not rejected
+    # set by embed_candidates for a scoreable candidate not rejected
     document: Optional[LabeledDocument] = None
     unit: Optional[np.ndarray] = field(default=None, compare=False)
 
@@ -236,11 +242,12 @@ def embed_candidates(
     lam: int,
     tokenizer: TokenizerConfig = DEFAULT_TOKENIZER,
 ) -> None:
-    """Give each verified candidate in ``pairs`` (original document,
-    candidate) its rewritten document and unit vector. Every candidate is
-    tokenized once; each distinct token sequence is embedded once, all of
-    them together against the frozen ``stats``, ``BLOCK_DOCS`` at a time, so
-    candidates with the same tokens tie exactly. Candidates that are empty,
+    """Give each candidate in ``pairs`` (original document, candidate) that
+    the verifier has not rejected its rewritten document and unit vector.
+    Every candidate is tokenized once; each distinct token sequence is
+    embedded once, all of them together against the frozen ``stats``,
+    ``BLOCK_DOCS`` at a time, so candidates with the same tokens tie
+    exactly. Candidates that are empty,
     shorter than 2 tokens, have the original's tokens (so the original's
     embedding: no improvement) or embed to zero keep both None and are never
     scored."""
@@ -248,7 +255,7 @@ def embed_candidates(
     distinct: list[LabeledDocument] = []
     trials: list[tuple[RewriteCandidate, LabeledDocument]] = []
     for doc, cand in pairs:
-        if not cand.verified:
+        if cand.verified is False:
             continue
         try:
             trial = replace_text(doc, cand.text, tokenizer)
@@ -270,11 +277,14 @@ def embed_candidates(
 @dataclass(frozen=True)
 class ReplacementDecision:
     """The outcome for one document: the winning candidate, which carries
-    its document and unit vector, when the original is replaced."""
+    its document and unit vector, when the original is replaced. While the
+    outcome hangs on a verdict not yet known, ``pending`` is the candidate
+    the verifier must be asked about."""
 
     replaced: bool
     candidate: Optional[RewriteCandidate] = None
     original_score: Optional[float] = None
+    pending: Optional[RewriteCandidate] = None
 
 
 def select_replacement(
@@ -283,21 +293,28 @@ def select_replacement(
     ledger: ClassLedger,
     doc_unit: np.ndarray,
 ) -> ReplacementDecision:
-    """Pick the candidate with the lowest shortcut score against the ledger's
-    current opposite-class sum, replacing the original (unit vector
+    """Pick the verified candidate with the lowest shortcut score against the
+    ledger's current opposite-class sum, replacing the original (unit vector
     ``doc_unit``) only on strict improvement. Ties go to the lexicographically
     smallest text. Only candidates given a unit by :func:`embed_candidates`
-    are scored; the others keep score None.
+    and not rejected are scored; the others keep score None.
+
+    Rejected candidates are passed over. When the best remaining candidate
+    strictly improves but has no verdict yet, the decision is pending on it:
+    the caller asks the verifier and selects again. No backend call is made
+    here.
     """
     opposite_sum, opposite_count = ledger.opposite(doc.label)
     original_score = score_against(doc_unit, opposite_sum, opposite_count)
     best: Optional[RewriteCandidate] = None
     for cand in sorted(candidates, key=lambda c: c.text):
-        if cand.unit is None:
+        if cand.unit is None or cand.verified is False:
             continue
         cand.score = score_against(cand.unit, opposite_sum, opposite_count)
         if best is None or cand.score < best.score:
             best = cand
-    if best is not None and best.score < original_score:
-        return ReplacementDecision(True, best, original_score)
-    return ReplacementDecision(False, None, original_score)
+    if best is None or not best.score < original_score:
+        return ReplacementDecision(False, None, original_score)
+    if best.verified is None:
+        return ReplacementDecision(False, None, original_score, pending=best)
+    return ReplacementDecision(True, best, original_score)

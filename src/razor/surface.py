@@ -319,9 +319,11 @@ class ClassLedger:
         self._row = {label: c for c, label in enumerate(self.classes)}
         rows = np.searchsorted(self.classes, space.labels)
         self.sums = np.zeros((len(self.classes), space.units.shape[1]))
-        # add.at adds in document order, as a running sum does; unscoreable
-        # rows are zero and add nothing
-        np.add.at(self.sums, rows, space.units)
+        # a reduce over axis 0 adds a class's rows in document order, as a
+        # running sum does (the bits of np.add.at); unscoreable rows are zero
+        # and add nothing
+        for c in range(len(self.classes)):
+            self.sums[c] = np.add.reduce(space.units, axis=0, where=(rows == c)[:, None])
         self.counts = np.bincount(rows[space.scoreable], minlength=len(self.classes))
 
     def opposite(self, label: int) -> tuple[np.ndarray, int]:

@@ -100,3 +100,16 @@ def bleu_reference(candidates: list[str], references: list[str], max_n: int = 4)
     if stats["cand_len"] < stats["ref_len"]:
         score *= math.exp(1.0 - stats["ref_len"] / stats["cand_len"])
     return 100.0 * score
+
+
+def eager_replacement(candidates, original_score, verdict):
+    """The replacement rule with every candidate verified first. Among the
+    (text, score) pairs, score None for an unscoreable candidate, that
+    ``verdict(text)`` accepts, the lowest score wins, ties to the smallest
+    text, and only when it is strictly below ``original_score``. Returns
+    (winning text or None to keep the original, verifier calls made)."""
+    accepted = [(score, text) for text, score in candidates if verdict(text) and score is not None]
+    if not accepted:
+        return None, len(candidates)
+    score, text = min(accepted)
+    return (text if score < original_score else None), len(candidates)

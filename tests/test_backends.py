@@ -23,7 +23,7 @@ class _Handler(BaseHTTPRequestHandler):
         )
         if self.server.fail_next > 0:
             self.server.fail_next -= 1
-            self.send_response(500)
+            self.send_response(self.server.fail_status)
             self.end_headers()
             return
         payload = {"choices": [{"message": {"role": "assistant", "content": self.server.reply}}]}
@@ -44,6 +44,7 @@ def stub_server():
     server.requests = []
     server.reply = "stub reply"
     server.fail_next = 0
+    server.fail_status = 500
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     yield server
@@ -83,6 +84,22 @@ class TestHttpBackend:
         backend = backend_for(stub_server)
         with pytest.raises(BackendError):
             backend.generate("prompt", DOC, 0.7, 0.9, max_retries=2)
+        assert len(stub_server.requests) == 3
+
+    def test_non_retryable_client_error_fails_fast(self, stub_server):
+        stub_server.fail_next = 10
+        stub_server.fail_status = 401
+        backend = backend_for(stub_server)
+        with pytest.raises(BackendError, match="HTTP 401"):
+            backend.generate("prompt", DOC, 0.7, 0.9, max_retries=2)
+        assert len(stub_server.requests) == 1
+
+    @pytest.mark.parametrize("status", [408, 429])
+    def test_retryable_status_is_retried(self, stub_server, status):
+        stub_server.fail_next = 2
+        stub_server.fail_status = status
+        backend = backend_for(stub_server)
+        assert backend.generate("prompt", DOC, 0.7, 0.9, max_retries=2) == "stub reply"
         assert len(stub_server.requests) == 3
 
     def test_verify_uses_given_temperature(self, stub_server):

@@ -28,7 +28,9 @@ calls = {}
 for span in tracer.spans:
     key = (span.parent.name if span.parent else "") + " > " + span.name
     calls[key] = calls.get(key, 0) + 1
-print(json.dumps({"calls": calls, "layers": layer_metrics(tracer.spans, traces)}))
+generated = sum(span.value for span in tracer.spans if span.name == "rewriter.generate")
+print(json.dumps({"calls": calls, "generated": generated,
+                  "layers": layer_metrics(tracer.spans, traces)}))
 """
 
 
@@ -54,12 +56,22 @@ def test_tracer_installs_and_sees_every_layer():
     assert calls["pipeline.iteration > surface.score"] == 2 * iterations  # objective before/after
     assert calls["pipeline.rank > surface.score"] == iterations
     assert calls["pipeline.iteration > pipeline.gather"] == iterations
-    assert calls["pipeline.iteration > rewriter.select"] == layers["pipeline.selected"]
-    # every verified candidate is tokenized once, by the iteration itself, and
+    # the speculative pass selects once per document; the commit walk selects
+    # once per document, and again after each verification it makes
+    commit_verifies = calls.get("pipeline.iteration > rewriter.verify", 0)
+    assert calls["pipeline.gather > rewriter.select"] == layers["pipeline.selected"]
+    assert calls["pipeline.iteration > rewriter.select"] == (
+        layers["pipeline.selected"] + commit_verifies
+    )
+    assert calls["pipeline.gather > rewriter.verify"] + commit_verifies == (
+        layers["backends.verify_calls"]
+    )
+    # every generated candidate is tokenized once, in the gather, and
     # embedded in blocks (no surface_embedding call); selection only scores
     assert layers["pipeline.replaced"] > 0
     assert layers["surface.candidate_embed_calls"] == 0
-    assert calls["pipeline.iteration > corpus.replace_text"] == layers["backends.verify_calls"]
+    assert calls["pipeline.gather > corpus.replace_text"] == out["generated"]
+    assert "pipeline.iteration > corpus.replace_text" not in calls
     assert not [key for key in calls if key.startswith("rewriter.select >")]
     assert calls["pipeline.gather > rewriter.generate"] == layers["pipeline.selected"]
     assert calls["rewriter.generate > backends.generate"] == 3 * layers["pipeline.selected"]

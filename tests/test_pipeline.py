@@ -1,10 +1,15 @@
+import json
 import math
+import sys
+import zlib
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from razor.backends import MockBackend
+from razor.backends import CallLog, MockBackend
 from razor.corpus import TokenizerConfig, load_dataset, make_document, save_dataset
 from razor.errors import BackendError, ConfigError, DataError
 from razor.evalkit import BiasSpec, generate_biased_corpus
@@ -16,15 +21,26 @@ from razor.pipeline import (
     STOP_CONVERGED,
     STOP_MAX_ITERATIONS,
     STOP_NO_REPLACEMENTS,
+    decide_replacement,
     rank_and_select,
+    read_trace_file,
     resolve_k,
     run_iteration,
     run_razor,
 )
-from razor import surface
-from razor.surface import BLOCK_DOCS, ClassLedger, compute_embeddings, shortcut_scores
+from razor import pipeline, surface
+from razor.rewriter import GeneratorConfig, RewriteCandidate, generate_candidates, verify_label
+from razor.surface import (
+    BLOCK_DOCS,
+    ClassLedger,
+    SurfaceSpace,
+    compute_embeddings,
+    score_against,
+    shortcut_scores,
+)
 
 from conftest import dataset_from
+from oracles import eager_replacement
 
 
 def synth(corpus_size=200, seed=7, **spec_kw):
@@ -365,6 +381,71 @@ class TestCheckpointResume:
         # the records written after the repair are whole lines again
         assert len(RewriteJournal(journal_path)._entries) == len(straight.traces[0].selected_ids)
 
+    @pytest.mark.parametrize("target", ["snapshot", "trace"])
+    def test_failed_write_keeps_previous_state(self, tmp_path, monkeypatch, target):
+        """A snapshot or trace write that raises part-way leaves the files it
+        was replacing as they were, and the run resumes to the straight
+        run's output."""
+        dataset, rules = synth(corpus_size=120)
+        config = RunConfig(k=6, epsilon=1e-12, max_iterations=3)
+        straight = run_razor(dataset, config, mock_backend(rules))
+        ckpt = Checkpoint(tmp_path / "ckpt")
+        # the writer's path argument, and which of its calls writes iteration 2
+        name, arg, fail_at = {
+            "snapshot": ("save_dataset", 1, 3),  # snapshots 0, 1, 2
+            "trace": ("write_trace_file", 0, 2),  # traces after iterations 1, 2
+        }[target]
+        write, writes = getattr(pipeline, name), []
+
+        def partial(*args):
+            writes.append(args[arg])
+            if len(writes) == fail_at:
+                with open(args[arg], "w", encoding="utf-8") as fh:
+                    fh.write('{"id": "torn", "te')
+                raise OSError("disk full")
+            write(*args)
+
+        monkeypatch.setattr(pipeline, name, partial)
+        with pytest.raises(OSError, match="disk full"):
+            run_razor(dataset, config, mock_backend(rules), ckpt)
+        monkeypatch.undo()
+
+        assert writes[-1].name.endswith(".tmp") and not writes[-1].exists()
+        files = sorted(p.name for p in ckpt.directory.iterdir())
+        snapshots = [f"iteration_00{i}.jsonl" for i in range(3 if target == "trace" else 2)]
+        assert files == sorted(snapshots + ["journal_001.jsonl", "journal_002.jsonl", "trace.json"])
+        traces, _ = read_trace_file(ckpt.trace_path)
+        assert [t.iteration for t in traces] == [1]
+        # a temporary file left by a killed write is not a snapshot
+        (ckpt.directory / "iteration_009.jsonl.tmp").write_text('{"id": "torn", "te')
+        assert ckpt.completed_iterations() == len(snapshots) - 1
+
+        resumed = run_razor(dataset, config, mock_backend(rules), ckpt)
+        assert output_bytes(resumed.dataset, tmp_path / "resumed.jsonl") == output_bytes(
+            straight.dataset, tmp_path / "straight.jsonl"
+        )
+
+    def test_journal_keeps_one_handle_per_iteration(self, tmp_path, monkeypatch):
+        dataset, rules = synth(corpus_size=100)
+        opened = []
+        real_open = open
+
+        def counting_open(path, *args, **kwargs):
+            if Path(path).name.startswith("journal_"):
+                opened.append(str(path))
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", counting_open)
+        ckpt = Checkpoint(tmp_path / "ckpt")
+        with pytest.raises(BackendError):
+            run_razor(dataset, RunConfig(k=10), mock_backend(rules, fail_after_generate_calls=15),
+                      ckpt)
+        result = run_razor(dataset, RunConfig(k=10, max_iterations=2), mock_backend(rules), ckpt)
+        monkeypatch.undo()
+        assert len(result.traces) == 2
+        assert opened == [str(ckpt.journal_path(1)), str(ckpt.journal_path(1)),
+                          str(ckpt.journal_path(2))]
+
     def test_malformed_inner_journal_line_is_data_error(self, tmp_path):
         path = tmp_path / "journal_001.jsonl"
         path.write_text(
@@ -413,7 +494,7 @@ class TestIterationTraceSerialization:
 
 
 def test_iteration_embeds_in_blocks(monkeypatch):
-    """One iteration embeds its snapshot and then all its verified candidates
+    """One iteration embeds its snapshot and then all its generated candidates
     BLOCK_DOCS at a time: an embedding call per document or per candidate
     would multiply this count."""
     sizes = []
@@ -428,8 +509,234 @@ def test_iteration_embeds_in_blocks(monkeypatch):
     ds = dataset_from([(f"d{i:04d}", f"word{i} shared text", i % 2) for i in range(n_docs)])
     # one new distinct candidate per document
     backend = MockBackend([{"pattern": "^", "replacement": "fresh "}])
-    _, trace = run_iteration(ds, RunConfig(k=k), backend)
-    candidates = trace.llm_calls["verify"]
+    journal = RewriteJournal()
+    _, trace = run_iteration(ds, RunConfig(k=k), backend, journal=journal)
+    candidates = sum(len(journal.get(doc_id)) for doc_id in trace.selected_ids)
     assert candidates == k
     assert len(sizes) == math.ceil(n_docs / BLOCK_DOCS) + math.ceil(candidates / BLOCK_DOCS)
     assert sum(sizes) == n_docs + candidates
+
+
+def accepts(text: str) -> bool:
+    """The verdict of ScriptedBackend's verifier on a candidate: fixed per
+    text, and a rejection for about one text in three."""
+    return zlib.crc32(text.encode("utf-8")) % 3 != 0
+
+
+class ScriptedBackend:
+    """A backend whose answers depend only on the request. The i-th of the
+    three generate calls for a prompt (counted modulo 3) drops "zonk" and the
+    i-th word of the text; the verifier confirms the label of the candidates
+    :func:`accepts`. ``asked`` lists every (role, doc id, prompt or candidate)
+    in call order."""
+
+    def __init__(self):
+        self.calls = CallLog()
+        self.asked = []
+        self._per_prompt = Counter()
+
+    def generate(self, prompt, doc, temperature, top_p, max_retries):
+        i = self._per_prompt[prompt] % 3
+        self._per_prompt[prompt] += 1
+        self.calls.append("generate", doc.id)
+        self.asked.append(("generate", doc.id, prompt))
+        words = [w for w in doc.mutable_text.split() if w != "zonk"]
+        return " ".join(words[:i] + words[i + 1 :])
+
+    def verify(self, prompt, candidate, doc, label_names, temperature, max_retries):
+        self.calls.append("verify", doc.id)
+        self.asked.append(("verify", doc.id, candidate))
+        return label_names[doc.label] if accepts(candidate) else "cannot tell"
+
+
+class FailOnVerify:
+    """Wraps a backend: its ``n``-th verify call (1-based) raises
+    BackendError instead of reaching the backend."""
+
+    def __init__(self, backend, n: int):
+        self.backend, self.n, self.calls = backend, n, backend.calls
+        self._verifies = 0
+
+    def generate(self, *args):
+        return self.backend.generate(*args)
+
+    def verify(self, *args):
+        self._verifies += 1
+        if self._verifies == self.n:
+            raise BackendError(f"injected failure at verify call {self.n}")
+        return self.backend.verify(*args)
+
+
+def output_bytes(dataset, path):
+    save_dataset(dataset, path)
+    return path.read_bytes()
+
+
+class TestLazyVerification:
+    def test_decision_matches_eager_rule(self):
+        """Random candidates, some tied, some unscoreable, some with a verdict
+        from a speculative pass: the commit walk picks the eager rule's
+        winner, asks each candidate at most once, and never asks one whose
+        verdict is known."""
+        rng = np.random.default_rng(5)
+        lam, n, decided = 8, 40, Counter()
+        for trial in range(300):
+            labels = rng.integers(0, 3, size=n)
+            space = SurfaceSpace((f"d{i}" for i in range(n)), labels, lam)
+            space.set_rows(np.arange(n), rng.standard_normal((n, lam)))
+            ledger = ClassLedger(space)
+            doc = make_document("d0", "some original text", int(labels[0]))
+            units = rng.standard_normal((4, lam))
+            units /= np.linalg.norm(units, axis=1, keepdims=True)
+            cands = []
+            for j in range(int(rng.integers(0, 7))):
+                cand = RewriteCandidate(f"t{trial}-{rng.integers(0, 1000)}-{j}")
+                kind = rng.integers(0, 6)
+                if kind > 0:  # kinds 1-5 share four units, so scores tie
+                    cand.unit = space.units[0] if kind == 5 else units[kind - 1]
+                if rng.random() < 0.3:
+                    cand.verified = accepts(cand.text)
+                cands.append(cand)
+            opposite_sum, count = ledger.opposite(doc.label)
+            scored = [
+                (c.text, None if c.unit is None else score_against(c.unit, opposite_sum, count))
+                for c in cands
+            ]
+            known = {c.text for c in cands if c.verified is not None}
+            asked = []
+
+            def verify(cand):
+                asked.append(cand.text)
+                cand.verified = accepts(cand.text)
+
+            decision = decide_replacement(doc, cands, ledger, space.units[0], verify)
+            winner, eager_calls = eager_replacement(
+                scored, score_against(space.units[0], opposite_sum, count), accepts
+            )
+            assert (decision.candidate.text if decision.replaced else None) == winner
+            assert decision.pending is None
+            assert len(asked) == len(set(asked)) and not set(asked) & known
+            assert len(asked) + len(known) <= eager_calls == len(cands)
+            decided[decision.replaced, bool(asked)] += 1
+        # the trials reach every outcome, with and without verifier calls
+        assert len(decided) == 4
+
+    def straight_run(self, dataset, config, monkeypatch):
+        """A run through ScriptedBackend, and the number of verify calls its
+        first iteration made before the commit walk: the speculative pass."""
+        backend = ScriptedBackend()
+        speculative = []
+        decide = pipeline.decide_replacement
+
+        def spy(*args):
+            if not speculative:
+                speculative.append(backend.calls.count("verify"))
+            return decide(*args)
+
+        monkeypatch.setattr(pipeline, "decide_replacement", spy)
+        result = run_razor(dataset, config, backend)
+        monkeypatch.undo()
+        return result, backend, speculative[0]
+
+    @pytest.mark.parametrize("phase", ["speculative", "commit"])
+    def test_resume_after_verify_failure(self, tmp_path, monkeypatch, phase):
+        dataset, _ = synth(corpus_size=120)
+        config = RunConfig(k=12, epsilon=1e-12, max_iterations=3)
+        straight, straight_backend, speculative = self.straight_run(dataset, config, monkeypatch)
+        assert len(straight.traces) == 3 and straight.traces[0].replaced_ids
+        first_verifies = straight.traces[0].llm_calls["verify"]
+        # some first-iteration candidates are verified by each pass
+        assert 2 <= speculative < first_verifies
+        n = speculative // 2 + 1 if phase == "speculative" else speculative + 1
+
+        ckpt = Checkpoint(tmp_path / "ckpt")
+        failing = FailOnVerify(ScriptedBackend(), n)
+        with pytest.raises(BackendError):
+            run_razor(dataset, config, failing, ckpt)
+        assert ckpt.completed_iterations() == 0
+        resumed_backend = ScriptedBackend()
+        resumed = run_razor(dataset, config, resumed_backend, ckpt)
+
+        assert output_bytes(resumed.dataset, tmp_path / "resumed.jsonl") == output_bytes(
+            straight.dataset, tmp_path / "straight.jsonl"
+        )
+        assert [t.objective_after for t in resumed.traces] == [
+            t.objective_after for t in straight.traces
+        ]
+        # the aborted and the resumed run together asked exactly what the
+        # straight run asked: nothing twice, nothing more
+        assert resumed.traces[0].llm_calls == {"generate": 0, "verify": first_verifies - (n - 1)}
+        assert Counter(failing.backend.asked) + Counter(resumed_backend.asked) == Counter(
+            straight_backend.asked
+        )
+
+    def test_journal_of_eager_verification_replays(self, tmp_path):
+        """A journal in the format of a run that verified every candidate as
+        it was generated resumes without a backend call for its documents."""
+        dataset, _ = synth(corpus_size=120)
+        config = RunConfig(k=12, epsilon=1e-12, max_iterations=2)
+        straight = run_razor(dataset, config, ScriptedBackend())
+
+        backend = ScriptedBackend()
+        label_names = dict(dataset.label_names)
+        lines = []
+        for doc_id in straight.traces[0].selected_ids:
+            doc = dataset.by_id(doc_id)
+            texts = generate_candidates(doc, backend, config.generator, label_names)
+            candidates = [
+                {"text": t, "verified": verify_label(t, doc, backend, config.generator, label_names)}
+                for t in texts
+            ]
+            lines.append(json.dumps({"doc_id": doc_id, "candidates": candidates}) + "\n")
+        assert any(not c["verified"] for line in lines for c in json.loads(line)["candidates"])
+        ckpt = Checkpoint(tmp_path / "ckpt")
+        ckpt.journal_path(1).write_text("".join(lines), encoding="utf-8")
+
+        resumed = run_razor(dataset, config, ScriptedBackend(), ckpt)
+        assert resumed.traces[0].llm_calls == {"generate": 0, "verify": 0}
+        assert resumed.traces[1].llm_calls == straight.traces[1].llm_calls
+        assert output_bytes(resumed.dataset, tmp_path / "resumed.jsonl") == output_bytes(
+            straight.dataset, tmp_path / "straight.jsonl"
+        )
+
+    @pytest.mark.parametrize("jobs", [2, 8])
+    def test_parallel_run_with_one_candidate_matches_serial(self, tmp_path, jobs):
+        """More workers than cores, switching threads often: the journal and
+        the output are the serial run's."""
+        dataset, rules = synth(corpus_size=150)
+        generator = GeneratorConfig(candidates_per_doc=1)
+        results, journals = [], []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for n in (1, jobs):
+                ckpt = Checkpoint(tmp_path / f"jobs{n}")
+                config = RunConfig(k=10, epsilon=1e-12, max_iterations=3, jobs=n, generator=generator)
+                results.append(run_razor(dataset, config, mock_backend(rules), ckpt))
+                journals.append([
+                    sorted(ckpt.journal_path(i).read_text().splitlines()) for i in (1, 2, 3)
+                ])
+        finally:
+            sys.setswitchinterval(interval)
+        serial, parallel = results
+        assert serial.traces[0].replaced_ids and journals[0] == journals[1]
+        assert output_bytes(serial.dataset, tmp_path / "serial.jsonl") == output_bytes(
+            parallel.dataset, tmp_path / "parallel.jsonl"
+        )
+        for a, b in zip(serial.traces, parallel.traces):
+            assert (a.objective_after, a.replaced_ids, a.llm_calls) == (
+                b.objective_after, b.replaced_ids, b.llm_calls
+            )
+
+    def test_verdict_journaled_once_per_candidate(self, tmp_path):
+        dataset, _ = synth(corpus_size=120)
+        ckpt = Checkpoint(tmp_path / "ckpt")
+        backend = ScriptedBackend()
+        run_razor(dataset, RunConfig(k=12, epsilon=1e-12, max_iterations=1), backend, ckpt)
+        rows = [json.loads(line) for line in ckpt.journal_path(1).read_text().splitlines()]
+        generated = [r for r in rows if "texts" in r]
+        verdicts = [(r["doc_id"], r["text"]) for r in rows if "verified" in r]
+        asked = [(doc_id, text) for role, doc_id, text in backend.asked if role == "verify"]
+        assert len(generated) == 12 and len(verdicts) == len(set(verdicts))
+        assert verdicts == asked
+        assert len(verdicts) < sum(len(r["texts"]) for r in generated)

@@ -526,6 +526,26 @@ class TestObjective:
         with pytest.raises(ObjectiveUndefinedError):
             objective_of(space)
 
+    def test_class_sums_add_rows_in_document_order(self):
+        # ragged classes (one with a single row, one with none scoreable),
+        # zero rows, and more rows than one reduction buffer holds
+        rng = np.random.default_rng(23)
+        n, lam = 9000, 8
+        labels = rng.choice([0, 1, 2, 3], size=n, p=[0.6, 0.3, 0.1, 0.0])
+        labels[17], labels[40] = 3, 4
+        space = SurfaceSpace((f"d{i}" for i in range(n)), labels, lam)
+        rows = np.flatnonzero(rng.random(n) > 0.1)
+        rows = rows[rows != 40]
+        space.set_rows(rows, rng.standard_normal((len(rows), lam)))
+        ledger = ClassLedger(space)
+        expected = np.zeros((5, lam))
+        np.add.at(expected, labels, space.units)
+        assert ledger.classes == [0, 1, 2, 3, 4]
+        assert np.array_equal(ledger.sums, expected)
+        assert ledger.counts.tolist() == [
+            int(np.sum(space.scoreable & (labels == c))) for c in range(5)
+        ]
+
     def test_swap_updates_one_class_sum(self):
         rng = np.random.default_rng(41)
         ds, space = random_embedding_dataset(rng, 12, n_classes=3)
