@@ -114,9 +114,11 @@ class HttpBackend:
                         f"{resp.text[:200]}"
                     )
                 resp.raise_for_status()
-                body = resp.json()
-                return str(body["choices"][0]["message"]["content"])
-            except (requests.RequestException, KeyError, IndexError, ValueError) as exc:
+                content = resp.json()["choices"][0]["message"]["content"]
+                if not isinstance(content, str):
+                    raise TypeError(f"message content is {type(content).__name__}, not text")
+                return content
+            except (requests.RequestException, KeyError, IndexError, TypeError, ValueError) as exc:
                 last_error = exc
                 log.warning("backend attempt %d/%d failed: %r", attempt + 1, max_retries + 1, exc)
         raise BackendError(f"backend failed after {max_retries + 1} attempt(s): {last_error}")

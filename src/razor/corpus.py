@@ -149,12 +149,6 @@ class Dataset:
     def __iter__(self):
         return iter(self.documents)
 
-    def by_id(self, doc_id: str) -> LabeledDocument:
-        for doc in self.documents:
-            if doc.id == doc_id:
-                return doc
-        raise KeyError(doc_id)
-
     def with_documents(self, documents: Iterable[LabeledDocument]) -> "Dataset":
         return Dataset(tuple(documents), self.label_names, self.schema)
 

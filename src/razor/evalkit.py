@@ -92,18 +92,13 @@ def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
-def corpus_bleu(
-    candidate_corpus: Sequence[str],
-    reference_corpus: Sequence[str],
-    max_n: int = 4,
-    smooth: bool = False,
-) -> float:
-    """Corpus-level BLEU on a 0-100 scale: geometric mean of corpus-aggregated
-    clipped n-gram precisions times the brevity penalty.
+BLEU_MAX_N = 4
 
-    Without smoothing, a zero precision at any order gives 0. ``smooth``
-    applies add-one smoothing to zero-match orders above unigrams, for short
-    corpora.
+
+def corpus_bleu(candidate_corpus: Sequence[str], reference_corpus: Sequence[str]) -> float:
+    """Corpus-level BLEU-4 on a 0-100 scale: geometric mean of
+    corpus-aggregated clipped n-gram precisions times the brevity penalty.
+    Unsmoothed: a zero precision at any order gives 0.
     """
     if len(candidate_corpus) != len(reference_corpus):
         raise DataError(
@@ -112,11 +107,9 @@ def corpus_bleu(
         )
     if not candidate_corpus:
         raise DataError("corpora must be non-empty")
-    if max_n < 1:
-        raise ConfigError(f"max_n must be >= 1, got {max_n}")
 
-    matches = [0] * max_n
-    totals = [0] * max_n
+    matches = [0] * BLEU_MAX_N
+    totals = [0] * BLEU_MAX_N
     cand_len = 0
     ref_len = 0
     for cand_text, ref_text in zip(candidate_corpus, reference_corpus):
@@ -124,7 +117,7 @@ def corpus_bleu(
         ref = ref_text.split()
         cand_len += len(cand)
         ref_len += len(ref)
-        for n in range(1, max_n + 1):
+        for n in range(1, BLEU_MAX_N + 1):
             cand_ngrams = _ngram_counts(cand, n)
             ref_ngrams = _ngram_counts(ref, n)
             totals[n - 1] += sum(cand_ngrams.values())
@@ -135,13 +128,10 @@ def corpus_bleu(
     if cand_len == 0:
         return 0.0
     log_sum = 0.0
-    for n in range(max_n):
-        match, total = matches[n], totals[n]
-        if smooth and match == 0 and n > 0:
-            match, total = match + 1, total + 1
+    for match, total in zip(matches, totals):
         if match == 0 or total == 0:
             return 0.0
-        log_sum += math.log(match / total) / max_n
+        log_sum += math.log(match / total) / BLEU_MAX_N
     brevity = 1.0 if cand_len >= ref_len else math.exp(1.0 - ref_len / cand_len)
     return 100.0 * brevity * math.exp(log_sum)
 
@@ -258,6 +248,8 @@ def emit_report(
     the given terms, BLEU of rewritten texts against their originals
     (optionally on a seeded sample of the rewritten pairs), and the objective
     trajectory from the iteration traces."""
+    if sample is not None and sample < 1:
+        raise ConfigError(f"sample must be >= 1, got {sample}")
     if before.schema != after.schema:
         raise DataError(f"schema mismatch: {before.schema!r} vs {after.schema!r}")
     before_by_id = {doc.id: doc for doc in before}

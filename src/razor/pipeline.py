@@ -40,8 +40,6 @@ from .corpus import (
 from .errors import BackendError, ConfigError, DataError
 from .rewriter import (
     GeneratorConfig,
-    PromptTemplate,
-    ReplacementDecision,
     RewriteCandidate,
     embed_candidates,
     generate_candidates,
@@ -289,12 +287,11 @@ def _verify(
     backend,
     config: RunConfig,
     journal: RewriteJournal,
-    template: Optional[PromptTemplate],
 ) -> None:
     """Ask the verifier about ``cand``, a candidate for ``doc``, and journal
     the verdict."""
     cand.verified = verify_label(
-        cand.text, doc, backend, config.generator, dict(dataset.label_names), template, dataset.schema
+        cand.text, doc, backend, config.generator, dataset.label_names, dataset.schema
     )
     journal.record({"doc_id": doc.id, "text": cand.text, "verified": cand.verified})
 
@@ -308,7 +305,6 @@ def _gather_candidates(
     backend,
     config: RunConfig,
     journal: RewriteJournal,
-    template: Optional[PromptTemplate],
 ) -> list[list[RewriteCandidate]]:
     """The embedded rewrite candidates of the documents at ``rows``, from two
     passes over the documents, each parallel under ``config.jobs``:
@@ -316,14 +312,13 @@ def _gather_candidates(
     1. generate every document's candidates (in ``rows`` order when serial),
        then embed all of them against the frozen ``stats`` in blocks;
     2. for each document, ask the verifier about its likely winner: the
-       candidate :func:`select_replacement` is pending on against the frozen
-       ``ledger``.
+       candidate :func:`select_replacement` returns against the frozen
+       ``ledger``, when it has no verdict yet.
 
     Journaled answers are replayed instead of asked again. A document with a
     journaled verdict skips the second pass: its speculative verdict is known,
     so the commit walk asks the verifier what it still needs."""
     docs = dataset.documents
-    label_names = dict(dataset.label_names)
 
     def generate(i: int) -> list[RewriteCandidate]:
         doc = docs[i]
@@ -331,7 +326,7 @@ def _gather_candidates(
             texts = journal.get(doc.id)
         else:
             texts = generate_candidates(
-                doc, backend, config.generator, label_names, template, dataset.schema
+                doc, backend, config.generator, dataset.label_names, dataset.schema
             )
             journal.record({"doc_id": doc.id, "texts": texts})
         return [RewriteCandidate(text, journal.verdict(doc.id, text)) for text in texts]
@@ -347,9 +342,9 @@ def _gather_candidates(
     def speculate(i: int, cands: list[RewriteCandidate]) -> None:
         if any(cand.verified is not None for cand in cands):
             return
-        pending = select_replacement(docs[i], cands, ledger, space.units[i]).pending
-        if pending is not None:
-            _verify(pending, docs[i], dataset, backend, config, journal, template)
+        best = select_replacement(docs[i], cands, ledger, space.units[i])
+        if best is not None and best.verified is None:
+            _verify(best, docs[i], dataset, backend, config, journal)
 
     _map(speculate, config.jobs, rows, candidates)
     return candidates
@@ -361,17 +356,18 @@ def decide_replacement(
     ledger: ClassLedger,
     doc_unit: np.ndarray,
     verify: Callable[[RewriteCandidate], None],
-) -> ReplacementDecision:
-    """:func:`select_replacement` against the live ``ledger``, calling
-    ``verify(candidate)`` (which sets its verdict) on each candidate the
-    decision is pending on, until it is decided. The pending candidates come
-    in (score, text) order, each at most once, and the first verified one
-    wins: the winner of verifying every candidate first."""
-    decision = select_replacement(doc, candidates, ledger, doc_unit)
-    while decision.pending is not None:
-        verify(decision.pending)
-        decision = select_replacement(doc, candidates, ledger, doc_unit)
-    return decision
+) -> Optional[RewriteCandidate]:
+    """The verified candidate that replaces ``doc``, or None to keep it:
+    :func:`select_replacement` against the live ``ledger``, calling
+    ``verify(candidate)`` (which sets its verdict) on each candidate it
+    returns without a verdict, then selecting again. Those candidates come in
+    (score, text) order, each at most once, and the first verified one wins:
+    the winner of verifying every candidate first."""
+    best = select_replacement(doc, candidates, ledger, doc_unit)
+    while best is not None and best.verified is None:
+        verify(best)
+        best = select_replacement(doc, candidates, ledger, doc_unit)
+    return best
 
 
 def run_iteration(
@@ -380,7 +376,6 @@ def run_iteration(
     backend,
     iteration: int = 1,
     journal: Optional[RewriteJournal] = None,
-    template: Optional[PromptTemplate] = None,
 ) -> tuple[Dataset, IterationTrace]:
     """One pass of the loop. Returns the (possibly unchanged) dataset and the
     iteration's trace; on backend failure the dataset is returned unchanged
@@ -403,7 +398,7 @@ def run_iteration(
     error = None
     try:
         candidates = _gather_candidates(
-            dataset, rows, space, ledger, stats, backend, config, journal, template
+            dataset, rows, space, ledger, stats, backend, config, journal
         )
         # Replacements are committed one at a time against the live class
         # ledger: each strict improvement raises the pair objective, so the
@@ -412,13 +407,13 @@ def run_iteration(
         # is verified here, serially.
         for i, cands in zip(rows, candidates):
             doc = docs[i]
-            decision = decide_replacement(
+            winner = decide_replacement(
                 doc, cands, ledger, space.units[i],
-                lambda cand: _verify(cand, doc, dataset, backend, config, journal, template),
+                lambda cand: _verify(cand, doc, dataset, backend, config, journal),
             )
-            if decision.replaced:
-                ledger.swap(doc.label, space.units[i], decision.candidate.unit)
-                replaced[doc.id] = decision.candidate.document
+            if winner is not None:
+                ledger.swap(doc.label, space.units[i], winner.unit)
+                replaced[doc.id] = winner.document
     except BackendError as exc:
         # every document is kept: the dataset and the objective are unchanged
         log.error("iteration %d aborted: %s", iteration, exc)
@@ -551,7 +546,6 @@ def run_razor(
     config: RunConfig,
     backend,
     checkpoint: Optional[Checkpoint] = None,
-    template: Optional[PromptTemplate] = None,
 ) -> RunResult:
     """Iterate :func:`run_iteration` to convergence, checkpointing after every
     iteration. If the checkpoint directory already holds state, the run
@@ -575,9 +569,7 @@ def run_razor(
     stop_reason = STOP_MAX_ITERATIONS
     for iteration in range(start_iteration, config.max_iterations + 1):
         with RewriteJournal(checkpoint.journal_path(iteration) if checkpoint else None) as journal:
-            dataset_next, trace = run_iteration(
-                dataset, config, backend, iteration, journal, template
-            )
+            dataset_next, trace = run_iteration(dataset, config, backend, iteration, journal)
         traces.append(trace)
         if trace.error is not None:
             if checkpoint is not None:
@@ -585,8 +577,11 @@ def run_razor(
             raise BackendError(trace.error)
         dataset = dataset_next
         if checkpoint is not None:
-            checkpoint.write_snapshot(dataset, iteration)
+            # the trace first: a resume drops traces newer than the last
+            # snapshot and replays that iteration from its journal, while a
+            # snapshot without its trace would lose the trace for good
             checkpoint.write_traces(traces, None)
+            checkpoint.write_snapshot(dataset, iteration)
         if not trace.replaced_ids:
             stop_reason = STOP_NO_REPLACEMENTS
             break

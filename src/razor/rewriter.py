@@ -7,10 +7,12 @@ the lowest shortcut score wins, and only if it strictly improves on the
 original; otherwise the original is kept.
 
 Verification is lazy: a candidate's verdict is None until the verifier is
-asked, and :func:`select_replacement` names the one candidate whose verdict
-would decide the outcome. Walking the strictly-improving candidates in
-(score, text) order and stopping at the first verified one picks the same
-winner as verifying every candidate first, with fewer verifier calls.
+asked. :func:`select_replacement` returns the one candidate to act on: the
+winner when it is verified, or the candidate whose verdict decides the
+outcome when it is not, which the caller verifies before selecting again.
+Walking the strictly-improving candidates in (score, text) order and
+stopping at the first verified one picks the same winner as verifying every
+candidate first, with fewer verifier calls.
 """
 
 from __future__ import annotations
@@ -119,57 +121,38 @@ class GeneratorConfig:
 class RewriteCandidate:
     text: str
     verified: Optional[bool] = None  # None until the verifier is asked
-    score: Optional[float] = None  # set only for scoreable candidates not rejected
     # set by embed_candidates for a scoreable candidate not rejected
     document: Optional[LabeledDocument] = None
     unit: Optional[np.ndarray] = field(default=None, compare=False)
 
 
-def _render(template: str, bindings: dict[str, str]) -> str:
-    try:
-        rendered = template.format_map(bindings)
-    except (KeyError, IndexError) as exc:
-        raise ConfigError(f"unbound prompt placeholder: {exc}") from None
-    if not rendered.strip():
-        raise ConfigError("prompt rendered empty")
-    return rendered
+def _bindings(doc: LabeledDocument, label_names: Mapping[int, str], schema: str):
+    """The template of ``doc``'s schema (a document without context uses the
+    single-text one) and the placeholder values every prompt shares."""
+    if doc.label not in label_names:
+        raise ConfigError(f"no name declared for label {doc.label}")
+    template = DEFAULT_TEMPLATES[schema if doc.context_text else "single"]
+    return template, {
+        "context": doc.context_text or "",
+        "label_name": label_names[doc.label],
+        "label_names": ", ".join(label_names[k] for k in sorted(label_names)),
+    }
 
 
 def build_prompt(
-    doc: LabeledDocument,
-    label_names: Mapping[int, str],
-    template: Optional[PromptTemplate] = None,
-    schema: str = "single",
+    doc: LabeledDocument, label_names: Mapping[int, str], schema: str = "single"
 ) -> str:
     """Render the generation prompt for one document. The original label name
     is always included so rewrites preserve it."""
-    if doc.label not in label_names:
-        raise ConfigError(f"no name declared for label {doc.label}")
-    template = template or DEFAULT_TEMPLATES[schema if doc.context_text else "single"]
-    bindings = {
-        "text": doc.mutable_text,
-        "context": doc.context_text or "",
-        "label_name": label_names[doc.label],
-        "label_names": ", ".join(label_names[k] for k in sorted(label_names)),
-    }
-    return _render(template.instruction, bindings)
+    template, bindings = _bindings(doc, label_names, schema)
+    return template.instruction.format(text=doc.mutable_text, **bindings)
 
 
 def build_verify_prompt(
-    candidate: str,
-    doc: LabeledDocument,
-    label_names: Mapping[int, str],
-    template: Optional[PromptTemplate] = None,
-    schema: str = "single",
+    candidate: str, doc: LabeledDocument, label_names: Mapping[int, str], schema: str = "single"
 ) -> str:
-    template = template or DEFAULT_TEMPLATES[schema if doc.context_text else "single"]
-    bindings = {
-        "candidate": candidate,
-        "context": doc.context_text or "",
-        "label_name": label_names[doc.label],
-        "label_names": ", ".join(label_names[k] for k in sorted(label_names)),
-    }
-    return _render(template.verify_instruction, bindings)
+    template, bindings = _bindings(doc, label_names, schema)
+    return template.verify_instruction.format(candidate=candidate, **bindings)
 
 
 def generate_candidates(
@@ -177,7 +160,6 @@ def generate_candidates(
     backend,
     config: GeneratorConfig,
     label_names: Mapping[int, str],
-    template: Optional[PromptTemplate] = None,
     schema: str = "single",
 ) -> list[str]:
     """Up to ``candidates_per_doc`` distinct non-empty rewrites of ``doc``.
@@ -186,7 +168,7 @@ def generate_candidates(
     signals keep-original. Transport failures surface as BackendError after
     the backend's retries are exhausted.
     """
-    prompt = build_prompt(doc, label_names, template, schema)
+    prompt = build_prompt(doc, label_names, schema)
     seen: set[str] = set()
     out: list[str] = []
     for _ in range(config.candidates_per_doc):
@@ -217,12 +199,11 @@ def verify_label(
     backend,
     config: GeneratorConfig,
     label_names: Mapping[int, str],
-    template: Optional[PromptTemplate] = None,
     schema: str = "single",
 ) -> bool:
     """True when the verifier assigns ``candidate`` the document's original
     label. Responses naming zero or several labels reject the candidate."""
-    prompt = build_verify_prompt(candidate, doc, label_names, template, schema)
+    prompt = build_verify_prompt(candidate, doc, label_names, schema)
     response = backend.verify(
         prompt, candidate, doc, dict(label_names), config.verifier_temperature, config.max_retries
     )
@@ -274,47 +255,29 @@ def embed_candidates(
             cand.document, cand.unit = trial, unit
 
 
-@dataclass(frozen=True)
-class ReplacementDecision:
-    """The outcome for one document: the winning candidate, which carries
-    its document and unit vector, when the original is replaced. While the
-    outcome hangs on a verdict not yet known, ``pending`` is the candidate
-    the verifier must be asked about."""
-
-    replaced: bool
-    candidate: Optional[RewriteCandidate] = None
-    original_score: Optional[float] = None
-    pending: Optional[RewriteCandidate] = None
-
-
 def select_replacement(
     doc: LabeledDocument,
     candidates: list[RewriteCandidate],
     ledger: ClassLedger,
     doc_unit: np.ndarray,
-) -> ReplacementDecision:
-    """Pick the verified candidate with the lowest shortcut score against the
-    ledger's current opposite-class sum, replacing the original (unit vector
-    ``doc_unit``) only on strict improvement. Ties go to the lexicographically
-    smallest text. Only candidates given a unit by :func:`embed_candidates`
-    and not rejected are scored; the others keep score None.
+) -> Optional[RewriteCandidate]:
+    """The candidate not rejected by the verifier with the lowest shortcut
+    score against the ledger's current opposite-class sum, ties to the
+    lexicographically smallest text, when that score is strictly below the
+    original's (unit vector ``doc_unit``); None to keep the original. Only
+    candidates given a unit by :func:`embed_candidates` are scored.
 
-    Rejected candidates are passed over. When the best remaining candidate
-    strictly improves but has no verdict yet, the decision is pending on it:
+    A returned candidate that is verified replaces the original with its
+    document and unit. One whose verdict is still None decides the outcome:
     the caller asks the verifier and selects again. No backend call is made
     here.
     """
     opposite_sum, opposite_count = ledger.opposite(doc.label)
-    original_score = score_against(doc_unit, opposite_sum, opposite_count)
-    best: Optional[RewriteCandidate] = None
+    best, best_score = None, score_against(doc_unit, opposite_sum, opposite_count)
     for cand in sorted(candidates, key=lambda c: c.text):
         if cand.unit is None or cand.verified is False:
             continue
-        cand.score = score_against(cand.unit, opposite_sum, opposite_count)
-        if best is None or cand.score < best.score:
-            best = cand
-    if best is None or not best.score < original_score:
-        return ReplacementDecision(False, None, original_score)
-    if best.verified is None:
-        return ReplacementDecision(False, None, original_score, pending=best)
-    return ReplacementDecision(True, best, original_score)
+        score = score_against(cand.unit, opposite_sum, opposite_count)
+        if score < best_score:
+            best, best_score = cand, score
+    return best

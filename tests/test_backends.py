@@ -26,7 +26,9 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_response(self.server.fail_status)
             self.end_headers()
             return
-        payload = {"choices": [{"message": {"role": "assistant", "content": self.server.reply}}]}
+        payload = self.server.body or {
+            "choices": [{"message": {"role": "assistant", "content": self.server.reply}}]
+        }
         data = json.dumps(payload).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
@@ -43,6 +45,7 @@ def stub_server():
     server = HTTPServer(("127.0.0.1", 0), _Handler)
     server.requests = []
     server.reply = "stub reply"
+    server.body = None  # a 200 response body of another shape than the reply's
     server.fail_next = 0
     server.fail_status = 500
     thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -93,6 +96,18 @@ class TestHttpBackend:
         with pytest.raises(BackendError, match="HTTP 401"):
             backend.generate("prompt", DOC, 0.7, 0.9, max_retries=2)
         assert len(stub_server.requests) == 1
+
+    @pytest.mark.parametrize("body", [
+        {"choices": None},
+        ["stub reply"],
+        {"choices": [{"message": {"role": "assistant", "content": None}}]},
+    ])
+    def test_malformed_answer_is_retried_then_backend_error(self, stub_server, body):
+        stub_server.body = body
+        backend = backend_for(stub_server)
+        with pytest.raises(BackendError, match="after 3 attempt"):
+            backend.generate("prompt", DOC, 0.7, 0.9, max_retries=2)
+        assert len(stub_server.requests) == 3
 
     @pytest.mark.parametrize("status", [408, 429])
     def test_retryable_status_is_retried(self, stub_server, status):

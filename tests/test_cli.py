@@ -263,6 +263,15 @@ class TestReport:
         assert payload["term_counts"]["zonk"]["delta"] < 0
         assert json_path.exists() and csv_path.exists()
 
+    @pytest.mark.parametrize("sample", ["0", "-1"])
+    def test_sample_below_one_is_config_error(self, single_file, sample, capsys):
+        code = main(
+            ["report", "--before", str(single_file), "--after", str(single_file),
+             "--sample", sample]
+        )
+        assert code == 1
+        assert "sample must be >= 1" in capsys.readouterr().err
+
     def test_schema_mismatch_is_data_error(self, single_file, tmp_path):
         pair = tmp_path / "pair.jsonl"
         write_jsonl(

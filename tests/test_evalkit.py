@@ -83,9 +83,6 @@ class TestCorpusBleu:
         # unigrams overlap but no common 4-gram
         assert corpus_bleu(["a b c x e"], ["a b q c e"]) == 0.0
 
-    def test_smoothing_rescues_short_sentences(self):
-        assert corpus_bleu(["a b c x e"], ["a b q c e"], smooth=True) > 0.0
-
     def test_matches_reference_scorer(self):
         rng = random.Random(99)
         vocab = ["the", "cat", "dog", "sat", "ran", "house", "tree", "quick", "red", "old"]

@@ -385,7 +385,9 @@ class TestCheckpointResume:
     def test_failed_write_keeps_previous_state(self, tmp_path, monkeypatch, target):
         """A snapshot or trace write that raises part-way leaves the files it
         was replacing as they were, and the run resumes to the straight
-        run's output."""
+        run's output and traces. Iteration 2's trace is written before its
+        snapshot, so either failure leaves snapshots 0 and 1, and the resume
+        redoes iteration 2 from its journal."""
         dataset, rules = synth(corpus_size=120)
         config = RunConfig(k=6, epsilon=1e-12, max_iterations=3)
         straight = run_razor(dataset, config, mock_backend(rules))
@@ -393,7 +395,7 @@ class TestCheckpointResume:
         # the writer's path argument, and which of its calls writes iteration 2
         name, arg, fail_at = {
             "snapshot": ("save_dataset", 1, 3),  # snapshots 0, 1, 2
-            "trace": ("write_trace_file", 0, 2),  # traces after iterations 1, 2
+            "trace": ("write_trace_file", 0, 2),  # traces of iterations 1, 2
         }[target]
         write, writes = getattr(pipeline, name), []
 
@@ -412,10 +414,10 @@ class TestCheckpointResume:
 
         assert writes[-1].name.endswith(".tmp") and not writes[-1].exists()
         files = sorted(p.name for p in ckpt.directory.iterdir())
-        snapshots = [f"iteration_00{i}.jsonl" for i in range(3 if target == "trace" else 2)]
+        snapshots = ["iteration_000.jsonl", "iteration_001.jsonl"]
         assert files == sorted(snapshots + ["journal_001.jsonl", "journal_002.jsonl", "trace.json"])
         traces, _ = read_trace_file(ckpt.trace_path)
-        assert [t.iteration for t in traces] == [1]
+        assert [t.iteration for t in traces] == ([1, 2] if target == "snapshot" else [1])
         # a temporary file left by a killed write is not a snapshot
         (ckpt.directory / "iteration_009.jsonl.tmp").write_text('{"id": "torn", "te')
         assert ckpt.completed_iterations() == len(snapshots) - 1
@@ -424,6 +426,11 @@ class TestCheckpointResume:
         assert output_bytes(resumed.dataset, tmp_path / "resumed.jsonl") == output_bytes(
             straight.dataset, tmp_path / "straight.jsonl"
         )
+        assert [t.iteration for t in resumed.traces] == [1, 2, 3]
+        assert resumed.traces[1].llm_calls == {"generate": 0, "verify": 0}
+        assert [t.objective_after for t in resumed.traces] == [
+            t.objective_after for t in straight.traces
+        ]
 
     def test_journal_keeps_one_handle_per_iteration(self, tmp_path, monkeypatch):
         dataset, rules = synth(corpus_size=100)
@@ -609,15 +616,15 @@ class TestLazyVerification:
                 asked.append(cand.text)
                 cand.verified = accepts(cand.text)
 
-            decision = decide_replacement(doc, cands, ledger, space.units[0], verify)
+            chosen = decide_replacement(doc, cands, ledger, space.units[0], verify)
             winner, eager_calls = eager_replacement(
                 scored, score_against(space.units[0], opposite_sum, count), accepts
             )
-            assert (decision.candidate.text if decision.replaced else None) == winner
-            assert decision.pending is None
+            assert (None if chosen is None else chosen.text) == winner
+            assert chosen is None or chosen.verified is True
             assert len(asked) == len(set(asked)) and not set(asked) & known
             assert len(asked) + len(known) <= eager_calls == len(cands)
-            decided[decision.replaced, bool(asked)] += 1
+            decided[chosen is not None, bool(asked)] += 1
         # the trials reach every outcome, with and without verifier calls
         assert len(decided) == 4
 
@@ -679,9 +686,9 @@ class TestLazyVerification:
 
         backend = ScriptedBackend()
         label_names = dict(dataset.label_names)
-        lines = []
+        lines, by_id = [], {doc.id: doc for doc in dataset}
         for doc_id in straight.traces[0].selected_ids:
-            doc = dataset.by_id(doc_id)
+            doc = by_id[doc_id]
             texts = generate_candidates(doc, backend, config.generator, label_names)
             candidates = [
                 {"text": t, "verified": verify_label(t, doc, backend, config.generator, label_names)}

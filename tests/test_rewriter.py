@@ -6,7 +6,6 @@ from razor.corpus import make_document, replace_text
 from razor.errors import BackendError, ConfigError
 from razor.rewriter import (
     GeneratorConfig,
-    PromptTemplate,
     RewriteCandidate,
     build_prompt,
     build_verify_prompt,
@@ -22,6 +21,7 @@ from razor.surface import (
     _unit_rows,
     compute_embeddings,
     corpus_stats,
+    score_against,
     surface_embedding,
 )
 
@@ -49,12 +49,6 @@ class TestBuildPrompt:
         prompt = build_prompt(doc, LABELS, schema="claim_evidence")
         assert "Evidence:" not in prompt
         assert "plain text doc" in prompt
-
-    def test_unbound_placeholder_rejected(self):
-        doc = make_document("d", "text body", 0)
-        template = PromptTemplate("{nonsense} {text}", "{candidate}")
-        with pytest.raises(ConfigError, match="placeholder"):
-            build_prompt(doc, LABELS, template)
 
     def test_deterministic(self):
         doc = make_document("d", "steady text", 0, context_text="ctx")
@@ -164,14 +158,28 @@ def scoring_fixture():
     return ds, stats, space
 
 
-def select_for_b1(accepted):
+def select_for_b1(candidates):
     """embed_candidates, then select_replacement for doc b1 of the scoring
     fixture, against a fresh ledger of the fixture's space."""
     ds, stats, space = scoring_fixture()
-    doc = ds.by_id("b1")
-    embed_candidates([(doc, cand) for cand in accepted], stats, 16)
+    doc = {d.id: d for d in ds}["b1"]
+    embed_candidates([(doc, cand) for cand in candidates], stats, 16)
     i = space.ids.index("b1")
-    return select_replacement(doc, accepted, ClassLedger(space), space.units[i])
+    return select_replacement(doc, candidates, ClassLedger(space), space.units[i])
+
+
+def b1_score(unit=None):
+    """Shortcut score of ``unit`` (b1's own unit when None) against b1's
+    opposite class in a fresh ledger of the scoring fixture."""
+    _, _, space = scoring_fixture()
+    if unit is None:
+        unit = space.units[space.ids.index("b1")]
+    return score_against(unit, *ClassLedger(space).opposite(1))
+
+
+# both strictly improve on b1's original; the first scores lowest
+BEST = "the crew painted the fence quickly"
+RUNNER_UP = "crew painted the fence quickly zonk"
 
 
 class TestSelectReplacement:
@@ -180,19 +188,16 @@ class TestSelectReplacement:
             RewriteCandidate("the crew painted the fence quickly", True),
             RewriteCandidate("zonk zonk the crew painted the fence quickly", True),
         ]
-        decision = select_for_b1(accepted)
-        assert decision.replaced
-        assert decision.candidate.text == "the crew painted the fence quickly"
-        assert decision.candidate.score < decision.original_score
+        chosen = select_for_b1(accepted)
+        assert chosen is accepted[0]
+        assert b1_score(chosen.unit) < b1_score()
 
     def test_keep_original_when_no_candidate_improves(self):
         accepted = [RewriteCandidate("zonk zonk zonk the crew painted fences", True)]
-        decision = select_for_b1(accepted)
-        assert not decision.replaced
+        assert select_for_b1(accepted) is None
 
     def test_empty_accepted_keeps_original(self):
-        decision = select_for_b1([])
-        assert not decision.replaced
+        assert select_for_b1([]) is None
 
     def test_tie_breaks_lexicographically(self):
         # identical token sequences under normalization, so identical scores
@@ -200,42 +205,60 @@ class TestSelectReplacement:
             RewriteCandidate("THE crew painted the fence quickly", True),
             RewriteCandidate("The crew painted the fence quickly", True),
         ]
-        decision = select_for_b1(accepted)
-        assert decision.replaced
-        assert decision.candidate.text == "THE crew painted the fence quickly"
-        assert accepted[0].score == accepted[1].score
+        chosen = select_for_b1(accepted)
+        assert chosen.text == "THE crew painted the fence quickly"
+        assert np.array_equal(accepted[0].unit, accepted[1].unit)
 
     def test_unscoreable_candidates_skipped(self):
         short = RewriteCandidate("word", True)
         empty = RewriteCandidate("?!", True)
         good = RewriteCandidate("the crew painted the fence quickly", True)
-        decision = select_for_b1([short, empty, good])
-        assert decision.replaced
-        assert decision.candidate.text == good.text
-        assert short.score is None and short.unit is None and short.document is None
-        assert empty.score is None and empty.unit is None
+        assert select_for_b1([short, empty, good]) is good
+        assert short.unit is None and short.document is None
+        assert empty.unit is None and empty.document is None
 
     def test_replacement_carries_document_and_unit(self):
         text = "the crew painted the fence quickly"
-        decision = select_for_b1([RewriteCandidate(text, True)])
+        chosen = select_for_b1([RewriteCandidate(text, True)])
         ds, stats, _ = scoring_fixture()
-        expected = replace_text(ds.by_id("b1"), text)
-        assert decision.replaced and decision.candidate.document == expected
+        expected = replace_text({d.id: d for d in ds}["b1"], text)
+        assert chosen.verified and chosen.document == expected
         vector = surface_embedding(expected, stats, 16, unseen_df=1)
-        np.testing.assert_array_equal(decision.candidate.unit, _unit_rows(vector[None])[0])
+        np.testing.assert_array_equal(chosen.unit, _unit_rows(vector[None])[0])
 
     def test_original_tokens_never_replace(self):
         # the original's tokens in other case: its own embedding, no improvement
         same = RewriteCandidate("ZONK the crew painted the fence quickly", True)
-        decision = select_for_b1([same])
-        assert not decision.replaced and decision.candidate is None
-        assert same.score is None and same.unit is None
+        assert select_for_b1([same]) is None
+        assert same.unit is None
 
     def test_unverified_candidates_ignored(self):
-        unverified = RewriteCandidate("the crew painted the fence quickly", False)
-        decision = select_for_b1([unverified])
-        assert not decision.replaced
-        assert unverified.score is None and unverified.unit is None
+        rejected = RewriteCandidate("the crew painted the fence quickly", False)
+        assert select_for_b1([rejected]) is None
+        assert rejected.unit is None
+
+    def test_unverified_best_returned_unchanged(self):
+        best, runner_up = RewriteCandidate(BEST), RewriteCandidate(RUNNER_UP, True)
+        chosen = select_for_b1([runner_up, best])
+        assert chosen is best and best.verified is None
+        assert b1_score(best.unit) < b1_score(runner_up.unit) < b1_score()
+
+    def test_rejected_best_passed_over(self):
+        best, runner_up = RewriteCandidate(BEST), RewriteCandidate(RUNNER_UP)
+        assert select_for_b1([best, runner_up]) is best
+        # rejected after it was embedded: selection itself passes it over
+        best.verified = False
+        assert select_for_b1([best, runner_up]) is runner_up
+        assert best.unit is not None and runner_up.verified is None
+
+    def test_none_when_nothing_improves_even_unverified(self):
+        worse = [
+            RewriteCandidate("zonk zonk zonk the crew painted fences"),
+            RewriteCandidate("the crew painted the fence slowly"),
+            RewriteCandidate("zonk zonk the crew painted the fence quickly", True),
+        ]
+        assert select_for_b1(worse) is None
+        assert all(cand.unit is not None for cand in worse)
 
 
 class TestEmbedCandidates:
@@ -265,7 +288,8 @@ class TestEmbedCandidates:
         # a block of other candidates in between: the two would otherwise be
         # embedded in different blocks
         ds, stats, _ = scoring_fixture()
-        a1, b1 = ds.by_id("a1"), ds.by_id("b1")
+        docs = {d.id: d for d in ds}
+        a1, b1 = docs["a1"], docs["b1"]
         first = RewriteCandidate("the crew painted a fence", True)
         second = RewriteCandidate("The crew painted a FENCE.", True)
         fillers = [RewriteCandidate(f"the crew painted fence {i}", True) for i in range(BLOCK_DOCS)]

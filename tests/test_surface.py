@@ -338,7 +338,7 @@ class TestOppositeSet:
             ]
         )
         space = compute_embeddings(ds, lam=8)
-        opposite_sum, n = ClassLedger(space).opposite(ds.by_id("b").label)
+        opposite_sum, n = ClassLedger(space).opposite(ds.documents[1].label)
         assert n == 2
         np.testing.assert_allclose(opposite_sum, space.units[0] + space.units[2], atol=1e-12)
 
