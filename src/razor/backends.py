@@ -57,12 +57,24 @@ class CallLog:
             return len(self.entries) if role is None else self._counts[role]
 
 
+def _delta_seconds(value: Optional[str]) -> int:
+    """The seconds a ``Retry-After`` header in delta-seconds form asks for;
+    0 for an HTTP date, a missing header or anything unparseable."""
+    try:
+        return max(0, int(value))
+    except (TypeError, ValueError):
+        return 0
+
+
 class HttpBackend:
     """Chat-completion client. POSTs {"model", "messages", "temperature",
     "top_p"} to the configured URL and reads the first choice's message
     content. The endpoint URL comes from RAZOR_API_BASE and the bearer token
     from RAZOR_API_KEY unless given explicitly. Transport errors, 5xx, 408
-    and 429 are retried; any other 4xx raises BackendError at once."""
+    and 429 are retried; any other 4xx raises BackendError at once. Before
+    the n-th retry the client sleeps ``retry_backoff * n`` seconds, or what a
+    429's ``Retry-After`` asked for when that is longer (at most
+    ``timeout``)."""
 
     def __init__(
         self,
@@ -99,13 +111,18 @@ class HttpBackend:
             "Content-Type": "application/json",
         }
         last_error: Exception | None = None
+        retry_after = 0.0  # the wait a 429 answer asked for
         for attempt in range(max_retries + 1):
-            if attempt and self.retry_backoff:
-                time.sleep(self.retry_backoff * attempt)
+            delay = max(self.retry_backoff * attempt, retry_after)
+            if delay:
+                time.sleep(delay)
+            retry_after = 0.0
             try:
                 resp = requests.post(
                     self.base_url, json=payload, headers=headers, timeout=self.timeout
                 )
+                if resp.status_code == 429:
+                    retry_after = min(_delta_seconds(resp.headers.get("Retry-After")), self.timeout)
                 if 400 <= resp.status_code < 500 and resp.status_code not in RETRYABLE_4XX:
                     # the same request would be refused again: bad key, bad
                     # model, malformed payload

@@ -15,11 +15,15 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import unicodedata
 from dataclasses import dataclass, field, replace
+from operator import is_not
 from pathlib import Path
 from sys import intern
-from typing import Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional
+
+import numpy as np
 
 from .errors import DataError, NoContrastError
 
@@ -257,28 +261,126 @@ def load_dataset(
     return Dataset(tuple(documents), declared, schema)
 
 
-def save_dataset(dataset: Dataset, path: str | Path) -> None:
-    """Write a dataset back to JSONL, mirroring its input schema exactly.
+@dataclass(frozen=True, eq=False)
+class SavedLines:
+    """Where a JSONL file written by :func:`save_dataset` holds each line:
+    line i, written for ``documents[i]`` under ``schema``, ends at byte
+    ``ends[i]``. ``mtime_ns`` is the file's modification time when written."""
 
-    Each line holds the bytes ``json.dumps(row, ensure_ascii=False)`` gives,
-    formatted directly with the string encoder json.dumps uses."""
-    text_field, context_field = SCHEMAS[dataset.schema]
+    path: Path
+    schema: str
+    documents: tuple[LabeledDocument, ...]
+    ends: np.ndarray
+    mtime_ns: int
+
+
+# bytes read at a time when copying unchanged lines from an earlier file
+_COPY_CHUNK = 1 << 16
+
+
+def _line_format(schema: str) -> Callable[[LabeledDocument], str]:
+    """A document's JSONL line under ``schema``: the text
+    ``json.dumps(row, ensure_ascii=False)`` gives, formatted directly with
+    the string encoder json.dumps uses, and a newline."""
+    text_field, context_field = SCHEMAS[schema]
     quote = json.encoder.encode_basestring
     if context_field is None:
         line = '{"id": %%s, "%s": %%s, "label": %%d}\n' % text_field
-        rows = ((quote(d.id), quote(d.mutable_text), d.label) for d in dataset.documents)
-    else:
-        # a premise_hypothesis line leads with its context, the premise
-        context_first = dataset.schema == "premise_hypothesis"
-        names = (context_field, text_field) if context_first else (text_field, context_field)
-        line = '{"id": %%s, "%s": %%s, "%s": %%s, "label": %%d}\n' % names
+        return lambda d: line % (quote(d.id), quote(d.mutable_text), d.label)
+    # a premise_hypothesis line leads with its context, the premise
+    context_first = schema == "premise_hypothesis"
+    names = (context_field, text_field) if context_first else (text_field, context_field)
+    line = '{"id": %%s, "%s": %%s, "%s": %%s, "label": %%d}\n' % names
 
-        def fields(doc: LabeledDocument) -> tuple:
-            text = quote(doc.mutable_text)
-            context = "null" if doc.context_text is None else quote(doc.context_text)
-            pair = (context, text) if context_first else (text, context)
-            return (quote(doc.id), *pair, doc.label)
+    def format_line(doc: LabeledDocument) -> str:
+        text = quote(doc.mutable_text)
+        context = "null" if doc.context_text is None else quote(doc.context_text)
+        pair = (context, text) if context_first else (text, context)
+        return line % (quote(doc.id), *pair, doc.label)
 
-        rows = map(fields, dataset.documents)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(line % row for row in rows)
+    return format_line
+
+
+def save_dataset(
+    dataset: Dataset, path: str | Path, previous: Optional[SavedLines] = None
+) -> SavedLines:
+    """Write a dataset back to JSONL (UTF-8), mirroring its input schema
+    exactly, and return where each line went.
+
+    With ``previous``, the lines of an earlier file this function wrote, the
+    documents that are the very objects that file was written for are copied
+    from its bytes, and only the others are formatted. The file must still
+    be as written (its size and modification time are checked); otherwise,
+    or for another schema or size, every line is formatted."""
+    docs = dataset.documents
+    format_line = _line_format(dataset.schema)
+    sizes = np.empty(len(docs), dtype=np.int64)
+    with open(path, "wb") as out:
+        source = _unchanged_source(previous, dataset)
+        if source is None:
+
+            def encoded():
+                for i, doc in enumerate(docs):
+                    data = format_line(doc).encode("utf-8")
+                    sizes[i] = len(data)
+                    yield data
+
+            out.writelines(encoded())
+        else:
+            with source:
+                _patch_lines(source, out, previous, docs, format_line, sizes)
+        out.flush()
+        mtime_ns = os.fstat(out.fileno()).st_mtime_ns
+    return SavedLines(Path(path), dataset.schema, docs, np.cumsum(sizes), mtime_ns)
+
+
+def _unchanged_source(previous: Optional[SavedLines], dataset: Dataset):
+    """The file ``previous`` describes, open for reading, when its lines can
+    be copied for ``dataset``; else None."""
+    if (
+        previous is None
+        or previous.schema != dataset.schema
+        or len(previous.documents) != len(dataset.documents)
+    ):
+        return None
+    try:
+        source = open(previous.path, "rb")
+    except OSError:
+        return None
+    stat = os.fstat(source.fileno())
+    if stat.st_size != previous.ends[-1] or stat.st_mtime_ns != previous.mtime_ns:
+        source.close()
+        return None
+    return source
+
+
+def _patch_lines(source, out, previous: SavedLines, docs, format_line, sizes) -> None:
+    """Write ``docs``' lines to ``out``: each run of documents unchanged since
+    ``previous`` as the bytes of its lines in ``source``, read in bounded
+    chunks, and each changed document formatted. Fills ``sizes`` with every
+    line's length."""
+    sizes[:] = np.diff(previous.ends, prepend=0)
+    old_ends = previous.ends.tolist()
+    changed = np.flatnonzero(np.fromiter(map(is_not, docs, previous.documents), bool, len(docs)))
+    start = 0  # first row not yet written
+    for row in [*changed.tolist(), len(docs)]:
+        if row > start:
+            first = old_ends[start - 1] if start else 0
+            _copy_bytes(source, out, first, old_ends[row - 1] - first)
+        if row < len(docs):
+            data = format_line(docs[row]).encode("utf-8")
+            sizes[row] = len(data)
+            out.write(data)
+        start = row + 1
+
+
+def _copy_bytes(source, out, offset: int, size: int) -> None:
+    """Copy ``size`` bytes of ``source`` from ``offset`` to ``out``."""
+    source.seek(offset)
+    end = offset + size
+    while size > 0:
+        chunk = source.read(min(size, _COPY_CHUNK))
+        if not chunk:
+            raise DataError(f"{source.name}: ended before byte {end}")
+        out.write(chunk)
+        size -= len(chunk)

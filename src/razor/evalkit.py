@@ -16,6 +16,7 @@ import random
 import re
 from collections import Counter
 from dataclasses import asdict, dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -72,20 +73,63 @@ class BiasSpec:
             raise ConfigError("planted_token must be non-empty")
 
 
+@dataclass
+class _TermScan:
+    """One casefolded pass over a snapshot's rewritable texts: per folded
+    term, its occurrences per class and the documents holding it per class,
+    and the documents per class."""
+
+    occurrences: dict[str, Counter]
+    holding: dict[str, Counter]
+    documents: Counter
+
+
+def _scan_terms(dataset: Dataset, terms: Sequence[str]) -> _TermScan:
+    folded_terms = {term.casefold() for term in terms}
+    scan = _TermScan(
+        {f: Counter() for f in folded_terms},
+        {f: Counter() for f in folded_terms},
+        Counter(doc.label for doc in dataset),
+    )
+    if not folded_terms:
+        return scan
+    # each distinct token is casefolded once, and only the documents holding
+    # a token that folds to a term are read token by token
+    distinct = set(chain.from_iterable(doc.tokens for doc in dataset))
+    fold = {tok: f for tok in distinct if (f := tok.casefold()) in folded_terms}
+    for doc in dataset:
+        if fold.keys().isdisjoint(doc.tokens):
+            continue
+        held = set()
+        for tok in doc.tokens:
+            if tok in fold:
+                scan.occurrences[fold[tok]][doc.label] += 1
+                held.add(fold[tok])
+        for f in held:
+            scan.holding[f][doc.label] += 1
+    return scan
+
+
+def _term_counts(scan: _TermScan, term: str, label_names) -> dict:
+    per_class = {label: scan.occurrences[term.casefold()][label] for label in label_names}
+    return {"per_class": per_class, "total": sum(per_class.values())}
+
+
+def _gap(scan: _TermScan, term: str) -> float:
+    holding = scan.holding[term.casefold()]
+    rates = [holding[label] / n for label, n in sorted(scan.documents.items())]
+    if len(rates) < 2:
+        raise DataError("frequency gap needs at least one document in each of two classes")
+    return max(rates) - min(rates)
+
+
 def count_terms(dataset: Dataset, terms: Sequence[str]) -> dict[str, dict]:
     """Whole-token, case-insensitive occurrence counts of each term, per class
     and in total, over the rewritable texts."""
     if not terms:
         raise DataError("terms must be non-empty")
-    out = {t: {"per_class": {label: 0 for label in dataset.label_names}, "total": 0} for t in terms}
-    for doc in dataset:
-        counts = Counter(tok.casefold() for tok in doc.tokens)
-        for term, row in out.items():
-            n = counts.get(term.casefold(), 0)
-            if n:
-                row["per_class"][doc.label] += n
-                row["total"] += n
-    return out
+    scan = _scan_terms(dataset, terms)
+    return {term: _term_counts(scan, term, dataset.label_names) for term in terms}
 
 
 def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
@@ -139,17 +183,7 @@ def corpus_bleu(candidate_corpus: Sequence[str], reference_corpus: Sequence[str]
 def frequency_gap(dataset: Dataset, token: str) -> float:
     """Largest pairwise difference between classes in the probability that a
     document contains ``token`` (whole-token, case-insensitive)."""
-    folded = token.casefold()
-    present: dict[int, int] = {}
-    totals: dict[int, int] = {}
-    for doc in dataset:
-        totals[doc.label] = totals.get(doc.label, 0) + 1
-        if any(tok.casefold() == folded for tok in doc.tokens):
-            present[doc.label] = present.get(doc.label, 0) + 1
-    rates = [present.get(label, 0) / n for label, n in sorted(totals.items())]
-    if len(rates) < 2:
-        raise DataError("frequency gap needs at least one document in each of two classes")
-    return max(rates) - min(rates)
+    return _gap(_scan_terms(dataset, [token]), token)
 
 
 def generate_biased_corpus(spec: BiasSpec) -> tuple[Dataset, dict]:
@@ -260,17 +294,17 @@ def emit_report(
         raise DataError(f"after-snapshot ids not present before: {missing[:5]}")
 
     report = BiasReport()
-    counts_before = count_terms(before, terms) if terms else {}
-    counts_after = count_terms(after, terms) if terms else {}
+    scan_before, scan_after = _scan_terms(before, terms), _scan_terms(after, terms)
     for term in terms:
-        b, a = counts_before[term], counts_after[term]
+        b = _term_counts(scan_before, term, before.label_names)
+        a = _term_counts(scan_after, term, after.label_names)
         report.term_counts[term] = {
             "before": b,
             "after": a,
             "delta": a["total"] - b["total"],
         }
-        gap_before = frequency_gap(before, term)
-        gap_after = frequency_gap(after, term)
+        gap_before = _gap(scan_before, term)
+        gap_after = _gap(scan_after, term)
         report.frequency_gaps[term] = {
             "before": gap_before,
             "after": gap_after,

@@ -20,7 +20,7 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -30,6 +30,7 @@ from .corpus import (
     DEFAULT_TOKENIZER,
     Dataset,
     LabeledDocument,
+    SavedLines,
     TokenizerConfig,
     is_json_int,
     load_dataset,
@@ -51,6 +52,7 @@ from .surface import (
     ClassLedger,
     CorpusStats,
     SurfaceSpace,
+    TokenTable,
     _check_width,
     class_alignment_objective,
     compute_embeddings,
@@ -125,7 +127,9 @@ class IterationTrace:
     error: Optional[str] = None
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The trace's fields by name; the id lists are the trace's own, not
+        copies."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "IterationTrace":
@@ -376,13 +380,15 @@ def run_iteration(
     backend,
     iteration: int = 1,
     journal: Optional[RewriteJournal] = None,
+    table: Optional[TokenTable] = None,
 ) -> tuple[Dataset, IterationTrace]:
     """One pass of the loop. Returns the (possibly unchanged) dataset and the
     iteration's trace; on backend failure the dataset is returned unchanged
-    and the trace records the error."""
+    and the trace records the error. ``table`` is the run's token table,
+    moved to ``dataset`` here (a fresh one when None)."""
     start = time.monotonic()
     journal = journal if journal is not None else RewriteJournal()
-    stats = corpus_stats(dataset, generation_stamp=iteration)
+    stats = corpus_stats(dataset, generation_stamp=iteration, table=table)
     space = compute_embeddings(dataset, stats, config.lam)
     ledger = ClassLedger(space)
     objective_before = class_alignment_objective(ledger)
@@ -470,14 +476,16 @@ def read_trace_file(path: str | Path) -> tuple[list[IterationTrace], Optional[st
     return traces, stop_reason
 
 
-def _write_replacing(path: Path, write) -> None:
+def _write_replacing(path: Path, write):
     """Write ``path`` by calling ``write`` on a temporary file beside it
     (``<name>.tmp``) and moving that over ``path``: a write that fails part-way
-    leaves the previous file, or none, and never a torn one."""
+    leaves the previous file, or none, and never a torn one. Returns what
+    ``write`` returns."""
     tmp = path.with_name(path.name + ".tmp")
     try:
-        write(tmp)
+        result = write(tmp)
         os.replace(tmp, path)
+        return result
     finally:
         tmp.unlink(missing_ok=True)
 
@@ -485,11 +493,16 @@ def _write_replacing(path: Path, write) -> None:
 class Checkpoint:
     """Run state on disk: iteration-numbered dataset snapshots, per-iteration
     rewrite journals, and a trace file with the accumulated iteration traces
-    and stop reason."""
+    and stop reason.
+
+    Each snapshot after the first one this object writes copies the lines of
+    unchanged documents from the snapshot before it (see
+    :func:`save_dataset`); :meth:`load_state` starts over from a full write."""
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
+        self._saved: Optional[SavedLines] = None  # the last snapshot written
 
     def snapshot_path(self, iteration: int) -> Path:
         return self.directory / f"iteration_{iteration:03d}.jsonl"
@@ -502,7 +515,11 @@ class Checkpoint:
         return self.directory / "trace.json"
 
     def write_snapshot(self, dataset: Dataset, iteration: int) -> None:
-        _write_replacing(self.snapshot_path(iteration), lambda tmp: save_dataset(dataset, tmp))
+        path = self.snapshot_path(iteration)
+        previous, self._saved = self._saved, None
+        saved = _write_replacing(path, lambda tmp: save_dataset(dataset, tmp, previous))
+        if saved is not None:  # None from a stand-in writer: the next write is full
+            self._saved = replace(saved, path=path)
 
     def write_traces(self, traces: list[IterationTrace], stop_reason: Optional[str]) -> None:
         _write_replacing(self.trace_path, lambda tmp: write_trace_file(tmp, traces, stop_reason))
@@ -525,6 +542,7 @@ class Checkpoint:
         ``tokenizer``, which must be the run's. Raises DataError when its ids
         or labels, in order, differ from the input's: it belongs to another
         input, or it was cut short."""
+        self._saved = None
         last = self.completed_iterations()
         traces, stop_reason = read_trace_file(self.trace_path) if self.trace_path.exists() else ([], None)
         traces = [t for t in traces if t.error is None and t.iteration <= last]
@@ -567,9 +585,14 @@ def run_razor(
         start_iteration = last + 1
 
     stop_reason = STOP_MAX_ITERATIONS
+    # numbered from the dataset by the first iteration, then only the
+    # documents each iteration replaces
+    table = TokenTable()
     for iteration in range(start_iteration, config.max_iterations + 1):
         with RewriteJournal(checkpoint.journal_path(iteration) if checkpoint else None) as journal:
-            dataset_next, trace = run_iteration(dataset, config, backend, iteration, journal)
+            dataset_next, trace = run_iteration(
+                dataset, config, backend, iteration, journal, table
+            )
         traces.append(trace)
         if trace.error is not None:
             if checkpoint is not None:

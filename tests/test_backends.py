@@ -1,9 +1,11 @@
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from types import SimpleNamespace
 
 import pytest
 
+from razor import backends
 from razor.backends import HttpBackend, MockBackend
 from razor.corpus import make_document
 from razor.errors import BackendError, ConfigError
@@ -24,6 +26,8 @@ class _Handler(BaseHTTPRequestHandler):
         if self.server.fail_next > 0:
             self.server.fail_next -= 1
             self.send_response(self.server.fail_status)
+            for name, value in self.server.fail_headers.items():
+                self.send_header(name, value)
             self.end_headers()
             return
         payload = self.server.body or {
@@ -48,6 +52,7 @@ def stub_server():
     server.body = None  # a 200 response body of another shape than the reply's
     server.fail_next = 0
     server.fail_status = 500
+    server.fail_headers = {}
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     yield server
@@ -116,6 +121,28 @@ class TestHttpBackend:
         backend = backend_for(stub_server)
         assert backend.generate("prompt", DOC, 0.7, 0.9, max_retries=2) == "stub reply"
         assert len(stub_server.requests) == 3
+
+    @pytest.mark.parametrize("status, retry_after, backoff, timeout, slept", [
+        (429, "5", 0.25, 60.0, [5, 5]),  # longer than the backoff: the header's wait
+        (429, "120", 0.25, 2.0, [2.0, 2.0]),  # capped at the client's timeout
+        (429, "0", 0.25, 60.0, [0.25, 0.5]),  # shorter: the backoff
+        (429, "Wed, 21 Oct 2026 07:28:00 GMT", 0.25, 60.0, [0.25, 0.5]),  # a date
+        (429, "soon", 0.25, 60.0, [0.25, 0.5]),  # unparseable
+        (429, "5", 0.0, 60.0, [5, 5]),  # no backoff configured
+        (503, "5", 0.25, 60.0, [0.25, 0.5]),  # only a 429's header counts
+    ])
+    def test_retry_after_on_429(
+        self, stub_server, monkeypatch, status, retry_after, backoff, timeout, slept
+    ):
+        stub_server.fail_next = 2
+        stub_server.fail_status = status
+        stub_server.fail_headers = {"Retry-After": retry_after}
+        delays = []
+        monkeypatch.setattr(backends, "time", SimpleNamespace(sleep=delays.append))
+        backend = backend_for(stub_server, retry_backoff=backoff, timeout=timeout)
+        assert backend.generate("prompt", DOC, 0.7, 0.9, max_retries=2) == "stub reply"
+        assert len(stub_server.requests) == 3
+        assert delays == slept
 
     def test_verify_uses_given_temperature(self, stub_server):
         stub_server.reply = "refutes"

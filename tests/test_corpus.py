@@ -1,7 +1,10 @@
 import json
+import os
 
+import numpy as np
 import pytest
 
+from razor import corpus
 from razor.corpus import (
     Dataset,
     TokenizerConfig,
@@ -267,6 +270,100 @@ class TestLoadSave:
     def test_empty_documents_dataset_unconstructible(self):
         with pytest.raises(NoContrastError):
             Dataset((), {0: "zero", 1: "one"}, "single")
+
+
+TRICKY_TEXTS = [
+    'she said "no" twice',
+    "back\\slash and C:\\path\\",
+    "tab\there, bell\x07 and escape\x1b chars\nover two lines\r",
+    "line\u2028separator and paragraph\u2029separator",
+    "naïve café — 東京 🙂 déjà vu",
+]
+
+
+def tricky_dataset(schema, n=12):
+    context = "context" if schema != "single" else None
+    docs = tuple(
+        make_document(f'id "{i}" ü', f"{TRICKY_TEXTS[i % 5]} {i}", i % 3,
+                      context and f"{context} {TRICKY_TEXTS[-1 - i % 5]}")
+        for i in range(n)
+    )
+    return Dataset(docs, {0: "zero", 1: "one", 2: "two"}, schema)
+
+
+def rewritten(dataset, rows, text):
+    return dataset.with_documents(
+        replace_text(doc, f"{text} {i}") if i in rows else doc
+        for i, doc in enumerate(dataset)
+    )
+
+
+@pytest.fixture
+def formatted(monkeypatch):
+    """The ids of the documents save_dataset formats, one list per call."""
+    calls = []
+    line_format = corpus._line_format
+
+    def counting(schema):
+        fmt, ids = line_format(schema), []
+        calls.append(ids)
+        return lambda doc: ids.append(doc.id) or fmt(doc)
+
+    monkeypatch.setattr(corpus, "_line_format", counting)
+    return calls
+
+
+class TestPatchedSave:
+    """save_dataset with the lines of an earlier file copies the unchanged
+    documents' bytes; the file must equal a full save of the same dataset."""
+
+    @pytest.mark.parametrize("schema", ["single", "claim_evidence", "premise_hypothesis"])
+    def test_patched_snapshots_equal_full_saves(self, tmp_path, schema, formatted):
+        ds = tricky_dataset(schema)
+        saved = save_dataset(ds, tmp_path / "s0.jsonl")
+        # first, last and adjacent rows; texts of other byte lengths than before
+        steps = [({0, 3, 4, 11}, "ẞ 東京東京 🙂🙂"), ({4, 5, 6}, "x"), (set(), ""), ({1}, "y é")]
+        for step, (rows, text) in enumerate(steps, start=1):
+            ds = rewritten(ds, rows, text)
+            saved = save_dataset(ds, tmp_path / f"s{step}.jsonl", saved)
+            save_dataset(ds, tmp_path / "full.jsonl")
+            data = (tmp_path / f"s{step}.jsonl").read_bytes()
+            assert data == (tmp_path / "full.jsonl").read_bytes()
+            assert formatted[-2] == [ds.documents[i].id for i in sorted(rows)]
+            ends = np.cumsum([len(line) for line in data.splitlines(keepends=True)])
+            assert saved.ends.tolist() == ends.tolist()
+            assert load_dataset(tmp_path / f"s{step}.jsonl", schema, ds.label_names) == ds
+
+    @pytest.mark.parametrize("change", ["longer", "shorter", "touched"])
+    def test_altered_previous_file_is_written_in_full(self, tmp_path, formatted, change):
+        ds = tricky_dataset("claim_evidence")
+        path = tmp_path / "s0.jsonl"
+        saved = save_dataset(ds, path)
+        data = path.read_bytes()
+        if change == "longer":
+            path.write_bytes(data.replace(b"context", b"context!", 1))
+        elif change == "shorter":
+            path.write_bytes(data.replace(b"context", b"contex", 1))
+        else:  # same bytes, rewritten later
+            stat = path.stat()
+            os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 1_000_000_000))
+        ds = rewritten(ds, {2}, "new text")
+        save_dataset(ds, tmp_path / "s1.jsonl", saved)
+        save_dataset(ds, tmp_path / "full.jsonl")
+        assert (tmp_path / "s1.jsonl").read_bytes() == (tmp_path / "full.jsonl").read_bytes()
+        assert len(formatted[1]) == len(ds)
+
+    def test_other_schema_or_size_is_written_in_full(self, tmp_path, formatted):
+        ds = tricky_dataset("claim_evidence")
+        saved = save_dataset(ds, tmp_path / "s0.jsonl")
+        other = Dataset(ds.documents, ds.label_names, "premise_hypothesis")
+        save_dataset(other, tmp_path / "s1.jsonl", saved)
+        smaller = ds.with_documents(ds.documents[:-1])
+        save_dataset(smaller, tmp_path / "s2.jsonl", saved)
+        assert [len(ids) for ids in formatted] == [len(ds), len(ds), len(ds) - 1]
+        for path, dataset in (("s1.jsonl", other), ("s2.jsonl", smaller)):
+            save_dataset(dataset, tmp_path / "full.jsonl")
+            assert (tmp_path / path).read_bytes() == (tmp_path / "full.jsonl").read_bytes()
 
 
 class TestParseLabelNames:

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import sys
 import zlib
 from collections import Counter
@@ -11,7 +12,7 @@ import pytest
 
 from razor.backends import CallLog, MockBackend
 from razor.corpus import TokenizerConfig, load_dataset, make_document, save_dataset
-from razor.errors import BackendError, ConfigError, DataError
+from razor.errors import BackendError, ConfigError, DataError, StaleStatsError
 from razor.evalkit import BiasSpec, generate_biased_corpus
 from razor.pipeline import (
     Checkpoint,
@@ -28,7 +29,7 @@ from razor.pipeline import (
     run_iteration,
     run_razor,
 )
-from razor import pipeline, surface
+from razor import corpus, pipeline, rewriter, surface
 from razor.rewriter import GeneratorConfig, RewriteCandidate, generate_candidates, verify_label
 from razor.surface import (
     BLOCK_DOCS,
@@ -747,3 +748,256 @@ class TestLazyVerification:
         assert len(generated) == 12 and len(verdicts) == len(set(verdicts))
         assert verdicts == asked
         assert len(verdicts) < sum(len(r["texts"]) for r in generated)
+
+
+class PhasedBackend:
+    """Rewrites by iteration (``iteration`` is set from outside): in the
+    first, every document loses "zonk"; from the second on, "foo" becomes
+    "zonk". The verifier confirms every label. Generate calls past
+    ``fail_after`` raise BackendError."""
+
+    def __init__(self, fail_after=None):
+        self.calls = CallLog()
+        self.iteration = 1
+        self.fail_after = fail_after
+
+    def generate(self, prompt, doc, temperature, top_p, max_retries):
+        if self.fail_after is not None and self.calls.count("generate") >= self.fail_after:
+            raise BackendError("injected failure")
+        self.calls.append("generate", doc.id)
+        words = doc.mutable_text.split()
+        if self.iteration == 1:
+            return " ".join(w for w in words if w != "zonk")
+        return " ".join("zonk" if w == "foo" else w for w in words)
+
+    def verify(self, prompt, candidate, doc, label_names, temperature, max_retries):
+        self.calls.append("verify", doc.id)
+        return label_names[doc.label]
+
+
+def phased_corpus():
+    """40 short documents; "zonk" in four of class 1, "foo" in six."""
+    rng = random.Random(7)
+    pool = ["alpha", "beta", "gamma", "delta", "eps", "zeta", "eta", "theta"]
+    rows = []
+    for i in range(40):
+        words = rng.choices(pool, k=rng.randint(4, 7))
+        if i % 10 == 1:
+            words.insert(rng.randint(0, len(words)), "zonk")
+        if i % 7 == 0:
+            words.insert(rng.randint(0, len(words)), "foo")
+        rows.append((f"d{i:02d}", " ".join(words), i % 2))
+    return dataset_from(rows)
+
+
+def assert_stats_equal_fresh(stats, dataset):
+    """``stats`` (read from a run's token table) against a fresh count of
+    ``dataset``: the same df and bit-identical idf for every token the
+    snapshot holds, the unseen idf log(n / 1) for every other token of the
+    table, and ids that spell the documents' tokens."""
+    fresh = surface.corpus_stats(dataset)
+    assert stats.doc_frequency == fresh.doc_frequency
+    n = len(dataset)
+    for token, i in stats.vocab.items():
+        if token in fresh.vocab:
+            assert stats.idf[i] == fresh.idf[fresh.vocab[token]]
+        else:
+            assert stats.df[i] == 0 and stats.idf[i] == math.log(n / 1)
+    names = list(stats.vocab)
+    for doc, start, stop in zip(dataset, stats.offsets[:-1], stats.offsets[1:]):
+        assert [names[t] for t in stats.ids[start:stop]] == list(doc.tokens)
+    return fresh
+
+
+class TestTokenTable:
+    def test_table_follows_every_snapshot_across_a_resume(self, tmp_path, monkeypatch):
+        """Each iteration's stats, read from the run's one token table, equal
+        a fresh count of its snapshot, and candidates embedded against them
+        get the bits of the fresh stats: "zonk" is removed everywhere in
+        iteration 1 (df 0) and candidates bring it back later, where it must
+        score as an unseen token (df 1)."""
+        dataset = phased_corpus()
+        config = RunConfig(k=40, epsilon=1e-12, max_iterations=4)
+        backends, checked = [], []
+        zonk_df, zonk_candidates = {}, set()
+        corpus_stats, candidate_units = pipeline.corpus_stats, rewriter.candidate_units
+
+        def checked_stats(ds, generation_stamp=0, table=None):
+            backends[-1].iteration = generation_stamp
+            stats = corpus_stats(ds, generation_stamp, table)
+            assert_stats_equal_fresh(stats, ds)
+            checked.append(generation_stamp)
+            if "zonk" in stats.vocab:
+                zonk_df[generation_stamp] = int(stats.df[stats.vocab["zonk"]])
+            return stats
+
+        def checked_units(docs, stats, lam):
+            units = candidate_units(docs, stats, lam)
+            fresh = surface.corpus_stats(dataset.with_documents(stats.documents))
+            np.testing.assert_array_equal(units, candidate_units(docs, fresh, lam))
+            if any("zonk" in d.tokens for d in docs):
+                zonk_candidates.add(stats.generation_stamp)
+            return units
+
+        monkeypatch.setattr(pipeline, "corpus_stats", checked_stats)
+        monkeypatch.setattr(rewriter, "candidate_units", checked_units)
+        backends.append(PhasedBackend())
+        straight = run_razor(dataset, config, backends[-1])
+        assert zonk_df[1] > 0 and zonk_df[2] == 0 and 2 in zonk_candidates
+        assert zonk_df[3] > 0  # brought back by iteration 2's winners
+
+        checked.clear()
+        ckpt = Checkpoint(tmp_path / "ckpt")
+        generated = [t.llm_calls["generate"] for t in straight.traces]
+        backends.append(PhasedBackend(fail_after=sum(generated[:2]) + 1))
+        with pytest.raises(BackendError):
+            run_razor(dataset, config, backends[-1], ckpt)
+        backends.append(PhasedBackend())
+        resumed = run_razor(dataset, config, backends[-1], ckpt)
+        assert checked == [1, 2, 3, 3]  # the resume rebuilds the table from snapshot 2
+        assert resumed.dataset == straight.dataset
+        assert [t.objective_after for t in resumed.traces] == [
+            t.objective_after for t in straight.traces
+        ]
+
+    def test_update_moves_df_by_exact_deltas(self):
+        """Replacing documents across blocks: removing a token entirely,
+        bringing it back, adding new tokens and changing lengths."""
+        rows = [(f"d{i:04d}", f"common w{i % 11} w{i % 7} w{i % 3}", i % 2)
+                for i in range(2 * BLOCK_DOCS + 40)]
+        rows[BLOCK_DOCS + 3] = ("rare", "common rareword w1", 1)
+        dataset = dataset_from(rows)
+        table = surface.TokenTable()
+        docs = list(dataset)
+        edits = [
+            {},
+            {BLOCK_DOCS + 3: "common w1 w2 w3 w4 w5", 0: "brand new words here", 5: "common"},
+            {7: "rareword common rareword", 2 * BLOCK_DOCS + 39: "w1 w1 w1 w1 newer"},
+            {},
+            {7: "common w2", 300: "common w2 w2 w2 w2 w2 w2 w2 w2 w2 w2 w2 w2"},
+        ]
+        for stamp, edit in enumerate(edits):
+            for row, text in edit.items():
+                docs[row] = make_document(docs[row].id, text, docs[row].label)
+            snapshot = dataset.with_documents(docs)
+            stats = surface.corpus_stats(snapshot, stamp, table)
+            fresh = assert_stats_equal_fresh(stats, snapshot)
+            np.testing.assert_array_equal(
+                compute_embeddings(snapshot, stats, 16).vectors,
+                compute_embeddings(snapshot, fresh, 16).vectors,
+            )
+            if stamp == 1:
+                assert stats.df[stats.vocab["rareword"]] == 0
+                novel = [make_document("c", "rareword common w1", 1)]
+                np.testing.assert_array_equal(
+                    surface.candidate_units(novel, stats, 16),
+                    surface.candidate_units(novel, fresh, 16),
+                )
+                with pytest.raises(StaleStatsError, match="'rareword'"):
+                    surface.surface_embedding(novel[0], stats, 16)
+
+    def test_earlier_stats_stay_as_they_were(self):
+        dataset = dataset_from([("a", "x y z", 0), ("b", "x y", 1), ("c", "y z", 0)])
+        table = surface.TokenTable()
+        before = surface.corpus_stats(dataset, 1, table)
+        frozen = (dict(before.vocab), before.df.copy(), before.idf.copy(), before.ids.copy())
+        changed = dataset.with_documents(
+            [make_document("a", "brand new x", 0), *dataset.documents[1:]]
+        )
+        surface.corpus_stats(changed, 2, table)
+        assert before.vocab == frozen[0]
+        for kept, was in zip((before.df, before.idf, before.ids), frozen[1:]):
+            np.testing.assert_array_equal(kept, was)
+
+
+class TestIncrementalCounts:
+    """Gate on counts, not wall time: after the first iteration, the run
+    maps only the tokens of the documents the last iteration replaced, and
+    each snapshot formats only those documents' lines."""
+
+    def test_iteration_maps_and_writes_only_replaced_documents(self, tmp_path, monkeypatch):
+        spec = BiasSpec("zönk", biased_class=1, bias_rate=0.9, background_rate=0.1,
+                        corpus_size=300, seed=3)
+        dataset, rules = generate_biased_corpus(spec)
+        mapped, formatted, snapshots, inside = {}, [], {}, []
+        stamp = [0]
+
+        def counting_ids(docs, vocab):
+            if inside:
+                mapped[stamp[0]] = mapped.get(stamp[0], 0) + sum(len(d.tokens) for d in docs)
+            return token_ids(docs, vocab)
+
+        def measured(fn):
+            def call(ds, *args, **kwargs):
+                inside.append(fn)
+                try:
+                    return fn(ds, *args, **kwargs)
+                finally:
+                    inside.pop()
+            return call
+
+        def stats_of(ds, generation_stamp=0, table=None):
+            stamp[0] = generation_stamp
+            snapshots[generation_stamp] = ds
+            return corpus_stats(ds, generation_stamp, table)
+
+        def counting_format(schema):
+            fmt, ids = line_format(schema), []
+            formatted.append(ids)
+            return lambda doc: ids.append(doc.id) or fmt(doc)
+
+        token_ids, line_format = surface._token_ids, corpus._line_format
+        corpus_stats = pipeline.corpus_stats
+        monkeypatch.setattr(surface, "_token_ids", counting_ids)
+        monkeypatch.setattr(pipeline, "corpus_stats", measured(stats_of))
+        monkeypatch.setattr(pipeline, "compute_embeddings", measured(pipeline.compute_embeddings))
+        monkeypatch.setattr(corpus, "_line_format", counting_format)
+        config = RunConfig(k=20, epsilon=1e-12, max_iterations=4)
+        result = run_razor(dataset, config, mock_backend(rules), Checkpoint(tmp_path / "ckpt"))
+        monkeypatch.undo()
+
+        assert len(result.traces) == 4
+        assert mapped[1] == sum(len(d.tokens) for d in dataset)
+        assert formatted[0] == [d.id for d in dataset]
+        for trace in result.traces[:-1]:
+            later = snapshots[trace.iteration + 1]
+            replaced = [d for d in later if d.id in trace.replaced_ids]
+            assert replaced
+            assert mapped.get(trace.iteration + 1, 0) == sum(len(d.tokens) for d in replaced)
+        for trace, ids in zip(result.traces, formatted[1:]):
+            assert ids == [d.id for d in dataset if d.id in trace.replaced_ids]
+
+    def test_snapshots_equal_full_saves_across_a_resume(self, tmp_path, monkeypatch):
+        """Every snapshot equals ``save_dataset`` of its dataset; the first
+        one and the first one after a resume are formatted in full."""
+        spec = BiasSpec("zönk", biased_class=1, bias_rate=0.9, background_rate=0.1,
+                        corpus_size=200, seed=5)
+        dataset, rules = generate_biased_corpus(spec)
+        written, formatted = [], []
+        write_snapshot, line_format = Checkpoint.write_snapshot, corpus._line_format
+
+        def recording(self, ds, iteration):
+            written.append((iteration, ds))
+            write_snapshot(self, ds, iteration)
+
+        def counting_format(schema):
+            fmt, ids = line_format(schema), []
+            formatted.append(ids)
+            return lambda doc: ids.append(doc.id) or fmt(doc)
+
+        monkeypatch.setattr(Checkpoint, "write_snapshot", recording)
+        monkeypatch.setattr(corpus, "_line_format", counting_format)
+        ckpt = Checkpoint(tmp_path / "ckpt")
+        run_razor(dataset, RunConfig(k=10, epsilon=1e-12, max_iterations=2), mock_backend(rules),
+                  ckpt)
+        run_razor(dataset, RunConfig(k=10, epsilon=1e-12, max_iterations=4), mock_backend(rules),
+                  ckpt)
+        monkeypatch.undo()
+
+        assert [i for i, _ in written] == [0, 1, 2, 3, 4]
+        full = [len(ids) == len(dataset) for ids in formatted]
+        assert full == [True, False, False, True, False]
+        for iteration, ds in written:
+            save_dataset(ds, tmp_path / "full.jsonl")
+            expected = (tmp_path / "full.jsonl").read_bytes()
+            assert ckpt.snapshot_path(iteration).read_bytes() == expected

@@ -15,7 +15,6 @@ from razor.errors import (
 from razor.surface import (
     BLOCK_DOCS,
     ClassLedger,
-    CorpusStats,
     SurfaceSpace,
     candidate_units,
     class_alignment_objective,
@@ -119,7 +118,8 @@ class TestTfidf:
 
     def test_stale_stats_detected(self):
         ds = dataset_from([("d1", "a b", 0), ("d2", "a c", 1)])
-        stats = CorpusStats(2, {"a": 2, "c": 1}, generation_stamp=3)
+        # the stats of another snapshot, one without "b"
+        stats = corpus_stats(dataset_from([("d1", "a c", 0), ("d2", "a", 1)]), generation_stamp=3)
         with pytest.raises(StaleStatsError):
             tfidf_score("b", ds.documents[0], stats)
 
@@ -288,12 +288,7 @@ class TestBlockEmbedding:
         rows = [(f"d{i}", f"shared word{i % 7}", i % 2) for i in range(2 * BLOCK_DOCS)]
         rows.append(("late", "shared lateonly", 1))
         ds = dataset_from(rows)
-        stats = corpus_stats(ds)
-        stale = CorpusStats(
-            stats.doc_count,
-            {t: df for t, df in stats.doc_frequency.items() if t != "lateonly"},
-            generation_stamp=5,
-        )
+        stale = corpus_stats(ds.with_documents(ds.documents[:-1]), generation_stamp=5)
         with pytest.raises(StaleStatsError, match="'lateonly' occurs in document 'late'"):
             compute_embeddings(ds, stale, 8)
 
