@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .corpus import (  # noqa: F401
     Dataset,
     LabeledDocument,
-    TokenizerConfig,
     load_dataset,
     save_dataset,
     tokenize,

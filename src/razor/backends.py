@@ -2,10 +2,14 @@
 
 Both expose the same two calls. ``generate`` produces one rewrite candidate,
 ``verify`` produces the raw text the label check parses. Generation and
-verification never share a session: every HTTP request is independent, and
-the mock keeps no cross-call state either. Each backend keeps an append-only
-call log so pipelines can account for every request (and resume tests can
-prove that no document was queried twice).
+verification never share a session: every HTTP request is independent. The
+mock draws its ``replacements`` picks from one seeded RNG that every generate
+call shares, so with such rules its answers depend on the order of the calls
+(under ``--jobs > 1``, and across an abort and resume, where journaled
+documents draw nothing); ROADMAP item 1 gives the mock an RNG per document
+instead. Each backend keeps an append-only call log so pipelines can account
+for every request (and resume tests can prove that no document was queried
+twice).
 """
 
 from __future__ import annotations
@@ -170,10 +174,12 @@ class MockBackend:
     """Deterministic stand-in driven by a rules file.
 
     Generation applies every regex rule to the document's text in order; a
-    rule may list several ``replacements``, in which case the seeded RNG
-    picks one per call. Verification follows a fixed policy: ``confirm``
-    echoes the document's label name, ``flip`` answers with a different
-    declared name, ``garbled`` answers free text containing no label name.
+    rule may list several ``replacements``, in which case one seeded RNG,
+    shared by all generate calls, picks one per call: the pick depends on
+    how many picks came before it. Verification follows a fixed policy:
+    ``confirm`` echoes the document's label name, ``flip`` answers with a
+    different declared name, ``garbled`` answers free text containing no
+    label name.
 
     ``fail_after_generate_calls`` injects a transport failure once that many
     generate calls have been served, for abort/resume testing.

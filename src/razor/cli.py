@@ -19,7 +19,7 @@ from dataclasses import fields
 from . import __version__
 from .attribution import attribution_mass, is_shortcut, mass_inequality_holds, load_attribution_records
 from .backends import HttpBackend, MockBackend
-from .corpus import SCHEMAS, TokenizerConfig, load_dataset, parse_label_names, read_json, save_dataset
+from .corpus import SCHEMAS, load_dataset, parse_label_names, read_json, save_dataset
 from .errors import BackendError, ConfigError, DataError, RazorError
 from .evalkit import BiasSpec, emit_report, generate_biased_corpus
 from .pipeline import Checkpoint, RunConfig, read_trace_file, run_razor, write_trace_file
@@ -175,16 +175,13 @@ def _build_run_config(args) -> RunConfig:
     data = read_json(args.config) if args.config else {}
     try:
         gen = dict(data.pop("generator", {}))
-        tok = dict(data.pop("tokenizer", {}))
         for fields_of, target in ((RunConfig, data), (GeneratorConfig, gen)):
             for f in fields(fields_of):
                 if (value := getattr(args, f.name, None)) is not None:
                     target[f.name] = value
         if args.single_pass:
             data["max_iterations"] = 1
-        return RunConfig(
-            generator=GeneratorConfig(**gen), tokenizer=TokenizerConfig(**tok), **data
-        )
+        return RunConfig(generator=GeneratorConfig(**gen), **data)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad run config: {exc}") from None
 
@@ -204,7 +201,7 @@ def _make_backend(args, config: RunConfig):
 def cmd_run(args) -> int:
     config = _build_run_config(args)
     backend = _make_backend(args, config)
-    dataset = load_dataset(args.input, args.schema, _load_labels(args.labels), config.tokenizer)
+    dataset = load_dataset(args.input, args.schema, _load_labels(args.labels))
     checkpoint = Checkpoint(args.checkpoint_dir) if args.checkpoint_dir else None
     result = run_razor(dataset, config, backend, checkpoint)
     save_dataset(result.dataset, args.out)

@@ -17,7 +17,7 @@ import json
 import logging
 import os
 import unicodedata
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from operator import is_not
 from pathlib import Path
 from sys import intern
@@ -36,18 +36,6 @@ SCHEMAS = {
 }
 
 
-@dataclass(frozen=True)
-class TokenizerConfig:
-    """Normalization pipeline knobs. Defaults: casefold, whitespace split,
-    strip leading/trailing punctuation, drop empty tokens."""
-
-    lowercase: bool = True
-    strip_punctuation: bool = True
-
-
-DEFAULT_TOKENIZER = TokenizerConfig()
-
-
 def _strip_punct(token: str) -> str:
     # a letter or digit is never punctuation: most tokens need no lookup
     if token[0].isalnum() and token[-1].isalnum():
@@ -60,19 +48,18 @@ def _strip_punct(token: str) -> str:
     return token[start:end]
 
 
-def tokenize(text: str, config: TokenizerConfig = DEFAULT_TOKENIZER) -> list[str]:
-    """Deterministically split ``text`` into normalized tokens.
+def tokenize(text: str) -> list[str]:
+    """Deterministically split ``text`` into normalized tokens: lowercase,
+    split on whitespace, strip leading and trailing Unicode punctuation from
+    each token, and drop tokens left empty.
 
     Positions are the 0-based indices into the returned list. Empty output
     is legal here; emptiness is rejected at document construction instead.
     Tokens are interned: every document holding a token shares one string.
     """
-    if config.lowercase:
-        text = text.lower()
     tokens = []
-    for raw in text.split():
-        if config.strip_punctuation:
-            raw = _strip_punct(raw)
+    for raw in text.lower().split():
+        raw = _strip_punct(raw)
         if raw:
             tokens.append(intern(raw))
     return tokens
@@ -82,8 +69,9 @@ def tokenize(text: str, config: TokenizerConfig = DEFAULT_TOKENIZER) -> list[str
 class LabeledDocument:
     """One record: a rewritable text, optional fixed context, and a class label.
 
-    ``tokens`` is always the tokenizer output of ``mutable_text``; use
-    :func:`make_document` / :func:`replace_text` so the cache stays coherent.
+    ``tokens`` is always ``tokenize(mutable_text)``; build documents with
+    :func:`make_document` (or :func:`replace_text`, which calls it) so the
+    two stay coherent.
     """
 
     id: str
@@ -98,9 +86,8 @@ def make_document(
     mutable_text: str,
     label: int,
     context_text: Optional[str] = None,
-    config: TokenizerConfig = DEFAULT_TOKENIZER,
 ) -> LabeledDocument:
-    tokens = tuple(tokenize(mutable_text, config))
+    tokens = tuple(tokenize(mutable_text))
     if not tokens:
         raise DataError(f"document {doc_id!r}: text is empty after normalization")
     return LabeledDocument(
@@ -112,14 +99,9 @@ def make_document(
     )
 
 
-def replace_text(
-    doc: LabeledDocument, new_text: str, config: TokenizerConfig = DEFAULT_TOKENIZER
-) -> LabeledDocument:
+def replace_text(doc: LabeledDocument, new_text: str) -> LabeledDocument:
     """New document with the same id/label/context but rewritten text."""
-    tokens = tuple(tokenize(new_text, config))
-    if not tokens:
-        raise DataError(f"document {doc.id!r}: replacement text is empty after normalization")
-    return replace(doc, mutable_text=new_text, tokens=tokens)
+    return make_document(doc.id, new_text, doc.label, doc.context_text)
 
 
 @dataclass(frozen=True)
@@ -199,7 +181,6 @@ def load_dataset(
     path: str | Path,
     schema: str,
     label_names: Optional[Mapping[int, str]] = None,
-    config: TokenizerConfig = DEFAULT_TOKENIZER,
 ) -> Dataset:
     """Load a JSONL dataset, enforcing all invariants. Line order is preserved."""
     if schema not in SCHEMAS:
@@ -242,7 +223,6 @@ def load_dataset(
                     str(row[text_field]),
                     label,
                     context_text=str(row[context_field]) if context_field else None,
-                    config=config,
                 )
             except DataError as exc:
                 raise DataError(f"{path}: line {lineno}: {exc}") from None

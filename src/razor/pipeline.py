@@ -27,11 +27,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .corpus import (
-    DEFAULT_TOKENIZER,
     Dataset,
     LabeledDocument,
     SavedLines,
-    TokenizerConfig,
     is_json_int,
     load_dataset,
     read_json,
@@ -84,10 +82,14 @@ class RunConfig:
     epsilon: float = 1e-4
     max_iterations: int = 10
     generator: GeneratorConfig = field(default_factory=GeneratorConfig)
-    tokenizer: TokenizerConfig = field(default_factory=TokenizerConfig)
     jobs: int = 1
 
     def __post_init__(self):
+        for name in ("lam", "max_iterations", "jobs"):
+            if not is_json_int(value := getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if isinstance(self.k, bool) or not isinstance(self.k, (int, float)):
+            raise ConfigError(f"k must be a number, got {self.k!r}")
         if isinstance(self.k, float) and not self.k.is_integer():
             if not (0.0 < self.k < 1.0):
                 raise ConfigError(
@@ -340,7 +342,6 @@ def _gather_candidates(
         ((docs[i], cand) for i, cands in zip(rows, candidates) for cand in cands),
         stats,
         config.lam,
-        config.tokenizer,
     )
 
     def speculate(i: int, cands: list[RewriteCandidate]) -> None:
@@ -518,8 +519,7 @@ class Checkpoint:
         path = self.snapshot_path(iteration)
         previous, self._saved = self._saved, None
         saved = _write_replacing(path, lambda tmp: save_dataset(dataset, tmp, previous))
-        if saved is not None:  # None from a stand-in writer: the next write is full
-            self._saved = replace(saved, path=path)
+        self._saved = replace(saved, path=path)
 
     def write_traces(self, traces: list[IterationTrace], stop_reason: Optional[str]) -> None:
         _write_replacing(self.trace_path, lambda tmp: write_trace_file(tmp, traces, stop_reason))
@@ -534,14 +534,13 @@ class Checkpoint:
         return last
 
     def load_state(
-        self, dataset: Dataset, tokenizer: TokenizerConfig = DEFAULT_TOKENIZER
+        self, dataset: Dataset
     ) -> tuple[Dataset, list[IterationTrace], Optional[str], int]:
         """Resume point: (current dataset, completed traces, stop reason, last
         completed iteration). Falls back to the given input dataset when the
-        directory holds no snapshots. The last snapshot is re-tokenized with
-        ``tokenizer``, which must be the run's. Raises DataError when its ids
-        or labels, in order, differ from the input's: it belongs to another
-        input, or it was cut short."""
+        directory holds no snapshots. Raises DataError when the last
+        snapshot's ids or labels, in order, differ from the input's: it
+        belongs to another input, or it was cut short."""
         self._saved = None
         last = self.completed_iterations()
         traces, stop_reason = read_trace_file(self.trace_path) if self.trace_path.exists() else ([], None)
@@ -549,7 +548,7 @@ class Checkpoint:
         if last < 0:
             return dataset, [], None, -1
         path = self.snapshot_path(last)
-        current = load_dataset(path, dataset.schema, dataset.label_names, tokenizer)
+        current = load_dataset(path, dataset.schema, dataset.label_names)
         if [(d.id, d.label) for d in current] != [(d.id, d.label) for d in dataset]:
             raise DataError(
                 f"{path}: snapshot does not match the input ({len(current)} vs "
@@ -573,7 +572,7 @@ def run_razor(
     traces: list[IterationTrace] = []
     start_iteration = 1
     if checkpoint is not None:
-        dataset, traces, stop_reason, last = checkpoint.load_state(dataset, config.tokenizer)
+        dataset, traces, stop_reason, last = checkpoint.load_state(dataset)
         if stop_reason == STOP_MAX_ITERATIONS and config.max_iterations > last:
             log.info("checkpoint stopped at its iteration cap (%d); continuing", last)
         elif stop_reason is not None:

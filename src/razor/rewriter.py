@@ -24,7 +24,7 @@ from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
-from .corpus import DEFAULT_TOKENIZER, LabeledDocument, TokenizerConfig, replace_text
+from .corpus import LabeledDocument, is_json_int, replace_text
 from .errors import ConfigError, DataError
 from .surface import (
     ClassLedger,
@@ -107,6 +107,9 @@ class GeneratorConfig:
     model: str = ""
 
     def __post_init__(self):
+        for name in ("candidates_per_doc", "max_retries"):
+            if not is_json_int(value := getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if not (0.0 < self.top_p <= 1.0):
             raise ConfigError(f"top_p must be in (0, 1], got {self.top_p}")
         if self.temperature < 0:
@@ -221,7 +224,6 @@ def embed_candidates(
     pairs: Iterable[tuple[LabeledDocument, RewriteCandidate]],
     stats: CorpusStats,
     lam: int,
-    tokenizer: TokenizerConfig = DEFAULT_TOKENIZER,
 ) -> None:
     """Give each candidate in ``pairs`` (original document, candidate) that
     the verifier has not rejected its rewritten document and unit vector.
@@ -239,7 +241,7 @@ def embed_candidates(
         if cand.verified is False:
             continue
         try:
-            trial = replace_text(doc, cand.text, tokenizer)
+            trial = replace_text(doc, cand.text)
         except DataError:
             continue
         if len(trial.tokens) < 2 or trial.tokens == doc.tokens:

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -244,7 +245,8 @@ class TestReport:
     def test_report_outputs(self, synth_run, tmp_path, capsys):
         corpus, rules = synth_run
         out = tmp_path / "after.jsonl"
-        assert main(["run", "--input", str(corpus), "--rules", str(rules), "--out", str(out)]) == 0
+        argv = ["run", "--input", str(corpus), "--rules", str(rules), "--out", str(out)]
+        assert main(argv + ["--terms", "zonk"]) == 0
         capsys.readouterr()
         json_path = tmp_path / "rep.json"
         csv_path = tmp_path / "rep.csv"
@@ -253,6 +255,7 @@ class TestReport:
                 "report",
                 "--before", str(corpus),
                 "--after", str(out),
+                "--trace", f"{out}.trace.json",
                 "--terms", "zonk",
                 "--out-json", str(json_path),
                 "--out-csv", str(csv_path),
@@ -262,6 +265,11 @@ class TestReport:
         payload = json.loads(capsys.readouterr().out)
         assert payload["term_counts"]["zonk"]["delta"] < 0
         assert json_path.exists() and csv_path.exists()
+        # the run's own report counts the same tokens as a later report
+        assert json.loads(json_path.read_text()) == json.loads(
+            (tmp_path / "after.jsonl.report.json").read_text()
+        )
+        assert csv_path.read_text() == (tmp_path / "after.jsonl.report.csv").read_text()
 
     @pytest.mark.parametrize("sample", ["0", "-1"])
     def test_sample_below_one_is_config_error(self, single_file, sample, capsys):
@@ -403,6 +411,7 @@ STRING_ITERATION = {
 RUN = ["run", "--input", "{data}", "--rules", "{tmp}/rules.json", "--out", "{tmp}/out.jsonl"]
 REPORT = ["report", "--before", "{data}", "--after", "{data}", "--trace", "{tmp}/trace.json"]
 RESUME = RUN + ["--checkpoint-dir", "{tmp}/ckpt"]
+RUN_CONFIG = RUN + ["--config", "{tmp}/config.json"]
 CHECK = ["check-shortcut", "--attributions", "{tmp}/attr.jsonl"]
 
 
@@ -413,10 +422,21 @@ def attribution(**fields):
 
 # (files to write: raw text, or a value written as JSON; argv; exit code)
 ERROR_CASES = {
-    "config-malformed": ({"config.json": "{"}, RUN + ["--config", "{tmp}/config.json"], 2),
-    "config-not-object": ({"config.json": [1]}, RUN + ["--config", "{tmp}/config.json"], 2),
-    "config-seed-field": ({"config.json": {"seed": 7}}, RUN + ["--config", "{tmp}/config.json"], 1),
-    "config-bad-k": ({"config.json": {"k": "ten"}}, RUN + ["--config", "{tmp}/config.json"], 1),
+    "config-malformed": ({"config.json": "{"}, RUN_CONFIG, 2),
+    "config-not-object": ({"config.json": [1]}, RUN_CONFIG, 2),
+    "config-seed-field": ({"config.json": {"seed": 7}}, RUN_CONFIG, 1),
+    "config-bad-k": ({"config.json": {"k": "ten"}}, RUN_CONFIG, 1),
+    "config-tokenizer-field": ({"config.json": {"tokenizer": {"lowercase": False}}}, RUN_CONFIG, 1),
+    "config-k-bool": ({"config.json": {"k": True}}, RUN_CONFIG, 1),
+    "config-lam-float": ({"config.json": {"lam": 64.0}}, RUN_CONFIG, 1),
+    "config-max-iterations-float": ({"config.json": {"max_iterations": 2.5}}, RUN_CONFIG, 1),
+    "config-jobs-float": ({"config.json": {"jobs": 2.5}}, RUN_CONFIG, 1),
+    "config-candidates-per-doc-float": (
+        {"config.json": {"generator": {"candidates_per_doc": 2.5}}}, RUN_CONFIG, 1
+    ),
+    "config-max-retries-float": (
+        {"config.json": {"generator": {"max_retries": 1.5}}}, RUN_CONFIG, 1
+    ),
     "rules-malformed": ({"rules.json": "{"}, RUN, 2),
     "rules-not-object": ({"rules.json": ["x"]}, RUN, 2),
     "rules-generation-not-list": ({"rules.json": {"generation": "x"}}, RUN, 1),
@@ -462,3 +482,8 @@ def test_bad_file_maps_onto_exit_code(case, single_file, tmp_path, capsys):
     assert [line for line in lines if line.startswith("razor:")] == [lines[-1]]
     assert lines[-1].startswith(f"razor: {kind} error:")
     assert "Traceback" not in err
+    config = files.get("config.json")
+    if isinstance(config, dict):
+        # a rejected run config names the field it rejects
+        name = next(iter(config.get("generator", config)))
+        assert re.search(rf"\b{name}\b", lines[-1])

@@ -7,7 +7,6 @@ import pytest
 from razor import corpus
 from razor.corpus import (
     Dataset,
-    TokenizerConfig,
     load_dataset,
     make_document,
     parse_label_names,
@@ -45,14 +44,6 @@ class TestTokenize:
     def test_tokens_are_shared_strings(self):
         first, second = tokenize("shared word"), tokenize("".join(["sha", "red"]) + " other")
         assert first[0] is second[0]
-
-    def test_config_disables_lowercase(self):
-        config = TokenizerConfig(lowercase=False)
-        assert tokenize("Not A film", config) == ["Not", "A", "film"]
-
-    def test_config_disables_punct_strip(self):
-        config = TokenizerConfig(strip_punctuation=False)
-        assert tokenize("yes!", config) == ["yes!"]
 
     def test_deterministic(self):
         text = "The  Quick, brown FOX; jumps — over 12 dogs."

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from razor.backends import CallLog, MockBackend
-from razor.corpus import TokenizerConfig, load_dataset, make_document, save_dataset
+from razor.corpus import load_dataset, make_document, save_dataset
 from razor.errors import BackendError, ConfigError, DataError, StaleStatsError
 from razor.evalkit import BiasSpec, generate_biased_corpus
 from razor.pipeline import (
@@ -327,36 +327,6 @@ class TestCheckpointResume:
         assert resumed.dataset == straight.dataset
         assert len(resumed.traces) == len(straight.traces)
 
-    def test_resume_keeps_run_tokenizer(self, tmp_path):
-        # capitalized first words are tokens of their own without lowercasing
-        tokenizer = TokenizerConfig(lowercase=False)
-        synthetic, rules = synth(corpus_size=200)
-        dataset = synthetic.with_documents(
-            make_document(d.id, d.mutable_text.capitalize(), d.label, config=tokenizer)
-            for d in synthetic
-        )
-        config = RunConfig(k=10, epsilon=1e-12, max_iterations=4, tokenizer=tokenizer)
-        straight = run_razor(dataset, config, mock_backend(rules))
-        assert len(straight.traces) == 4
-
-        # abort at the first generate call of iteration 3, then resume
-        ckpt_dir = tmp_path / "ckpt"
-        done = sum(t.llm_calls["generate"] for t in straight.traces[:2])
-        with pytest.raises(BackendError):
-            run_razor(dataset, config, mock_backend(rules, fail_after_generate_calls=done),
-                      Checkpoint(ckpt_dir))
-        assert Checkpoint(ckpt_dir).completed_iterations() == 2
-        resumed = run_razor(dataset, config, mock_backend(rules), Checkpoint(ckpt_dir))
-
-        assert resumed.dataset == straight.dataset
-        assert [t.objective_after for t in resumed.traces] == [
-            t.objective_after for t in straight.traces
-        ]
-        p1, p2 = tmp_path / "straight.jsonl", tmp_path / "resumed.jsonl"
-        save_dataset(straight.dataset, p1)
-        save_dataset(resumed.dataset, p2)
-        assert p1.read_bytes() == p2.read_bytes()
-
     def test_torn_final_journal_line_dropped(self, tmp_path, caplog):
         dataset, rules = synth(corpus_size=100)
         config = RunConfig(k=10, max_iterations=10)
@@ -406,7 +376,7 @@ class TestCheckpointResume:
                 with open(args[arg], "w", encoding="utf-8") as fh:
                     fh.write('{"id": "torn", "te')
                 raise OSError("disk full")
-            write(*args)
+            return write(*args)
 
         monkeypatch.setattr(pipeline, name, partial)
         with pytest.raises(OSError, match="disk full"):
