@@ -19,6 +19,7 @@ from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
+from .corpus import is_json_int
 from .errors import DataError
 
 REASON_PREDICTION_CHANGED = "prediction-changed"
@@ -153,10 +154,12 @@ def load_attribution_records(path: str | Path) -> list[AttributionRecord]:
             try:
                 doc_id = str(row["doc_id"])
                 attributions = row["attributions"]
-                predicted_full = int(row["predicted_full"])
-                true_label = int(row["true_label"])
-            except (KeyError, TypeError, ValueError) as exc:
+                predicted_full, true_label = row["predicted_full"], row["true_label"]
+            except (KeyError, TypeError) as exc:
                 raise DataError(f"{path}: line {lineno}: bad record ({exc})") from None
+            for name, value in (("predicted_full", predicted_full), ("true_label", true_label)):
+                if not is_json_int(value):
+                    raise DataError(f"{path}: line {lineno}: {name} {value!r} is not an integer")
             entries = row.get("subsets", [])
             if not isinstance(entries, list):
                 raise DataError(f"{path}: line {lineno}: subsets must be a list")
@@ -164,9 +167,14 @@ def load_attribution_records(path: str | Path) -> list[AttributionRecord]:
             for entry in entries:
                 try:
                     positions = frozenset(int(p) for p in entry["positions"])
-                    subsets[positions] = int(entry["predicted"])
+                    predicted = entry["predicted"]
                 except (KeyError, TypeError, ValueError) as exc:
                     raise DataError(f"{path}: line {lineno}: bad subset entry ({exc})") from None
+                if not is_json_int(predicted):
+                    raise DataError(
+                        f"{path}: line {lineno}: subset predicted {predicted!r} is not an integer"
+                    )
+                subsets[positions] = predicted
             try:
                 records.append(
                     make_record(doc_id, attributions, predicted_full, true_label, subsets)

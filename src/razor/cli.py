@@ -293,7 +293,9 @@ def cmd_check_shortcut(args) -> int:
                 "positions": sorted(positions),
                 "is_shortcut": verdict.is_shortcut,
                 "reason": verdict.reason,
-                "mass_inequality_holds": mass_inequality_holds(positions, record) if complement else None,
+                "mass_inequality_holds": (
+                    mass_inequality_holds(positions, record) if positions and complement else None
+                ),
                 "mass_subset": attribution_mass(positions, record),
                 "mass_complement": attribution_mass(complement, record),
             }

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import unicodedata
 from dataclasses import dataclass, field
@@ -177,6 +178,12 @@ def is_json_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def is_json_number(value) -> bool:
+    """Whether a value read from JSON is a finite number (``true``, ``NaN``
+    and ``Infinity`` are not)."""
+    return is_json_int(value) or isinstance(value, float) and math.isfinite(value)
+
+
 def load_dataset(
     path: str | Path,
     schema: str,
@@ -186,6 +193,7 @@ def load_dataset(
     if schema not in SCHEMAS:
         raise DataError(f"unknown schema {schema!r}")
     text_field, context_field = SCHEMAS[schema]
+    texts = (text_field, context_field) if context_field else (text_field,)
     declared = dict(label_names) if label_names else None
 
     documents: list[LabeledDocument] = []
@@ -202,27 +210,29 @@ def load_dataset(
                 raise DataError(f"{path}: line {lineno}: malformed JSON ({exc.msg})") from None
             if not isinstance(row, dict):
                 raise DataError(f"{path}: line {lineno}: expected a JSON object")
-            required = ["id", "label", text_field] + ([context_field] if context_field else [])
-            for name in required:
+            for name in ("id", "label", *texts):
                 if name not in row or row[name] is None:
                     raise DataError(f"{path}: line {lineno}: missing field {name!r}")
             doc_id = str(row["id"])
             if doc_id in seen_ids:
                 raise DataError(f"{path}: line {lineno}: duplicate id {doc_id!r}")
-            try:
-                label = int(row["label"])
-            except (TypeError, ValueError):
-                raise DataError(
-                    f"{path}: line {lineno}: label {row['label']!r} is not an integer"
-                ) from None
+            label = row["label"]
+            if not is_json_int(label):
+                raise DataError(f"{path}: line {lineno}: label {label!r} is not an integer")
+            for name in texts:
+                if not isinstance(row[name], str):
+                    raise DataError(
+                        f"{path}: line {lineno}: field {name!r} is not a string "
+                        f"({type(row[name]).__name__})"
+                    )
             if declared is not None and label not in declared:
                 raise DataError(f"{path}: line {lineno}: label {label} not in declared label set")
             try:
                 doc = make_document(
                     doc_id,
-                    str(row[text_field]),
+                    row[text_field],
                     label,
-                    context_text=str(row[context_field]) if context_field else None,
+                    context_text=row[context_field] if context_field else None,
                 )
             except DataError as exc:
                 raise DataError(f"{path}: line {lineno}: {exc}") from None

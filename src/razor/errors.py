@@ -25,10 +25,6 @@ class DegenerateDocumentError(RazorError):
     """Document too short to embed (fewer than 2 tokens)."""
 
 
-class StaleStatsError(RazorError):
-    """Corpus statistics predate the document they are applied to."""
-
-
 class ObjectiveUndefinedError(RazorError):
     """A class has no non-zero embeddings; the alignment objective is undefined."""
 

@@ -31,6 +31,7 @@ from .corpus import (
     LabeledDocument,
     SavedLines,
     is_json_int,
+    is_json_number,
     load_dataset,
     read_json,
     replace_text,  # noqa: F401  (see below)
@@ -48,7 +49,6 @@ from .rewriter import (
 from .surface import (
     DEFAULT_LAMBDA,
     ClassLedger,
-    CorpusStats,
     SurfaceSpace,
     TokenTable,
     _check_width,
@@ -88,8 +88,9 @@ class RunConfig:
         for name in ("lam", "max_iterations", "jobs"):
             if not is_json_int(value := getattr(self, name)):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if isinstance(self.k, bool) or not isinstance(self.k, (int, float)):
-            raise ConfigError(f"k must be a number, got {self.k!r}")
+        for name in ("k", "epsilon"):
+            if not is_json_number(value := getattr(self, name)):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
         if isinstance(self.k, float) and not self.k.is_integer():
             if not (0.0 < self.k < 1.0):
                 raise ConfigError(
@@ -144,23 +145,19 @@ class IterationTrace:
         return trace
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _is_ids(value) -> bool:
     return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
 _TRACE_FIELD_TYPES = {
     "iteration": is_json_int,
-    "objective_before": _is_number,
-    "objective_after": _is_number,
+    "objective_before": is_json_number,
+    "objective_after": is_json_number,
     "selected_ids": _is_ids,
     "replaced_ids": _is_ids,
     "kept_ids": _is_ids,
     "llm_calls": lambda v: isinstance(v, dict) and all(map(is_json_int, v.values())),
-    "wall_time": _is_number,
+    "wall_time": is_json_number,
     "error": lambda v: v is None or isinstance(v, str),
 }
 
@@ -307,7 +304,7 @@ def _gather_candidates(
     rows: list[int],
     space: SurfaceSpace,
     ledger: ClassLedger,
-    stats: CorpusStats,
+    stats: TokenTable,
     backend,
     config: RunConfig,
     journal: RewriteJournal,
@@ -389,7 +386,7 @@ def run_iteration(
     moved to ``dataset`` here (a fresh one when None)."""
     start = time.monotonic()
     journal = journal if journal is not None else RewriteJournal()
-    stats = corpus_stats(dataset, generation_stamp=iteration, table=table)
+    stats = corpus_stats(dataset, table)
     space = compute_embeddings(dataset, stats, config.lam)
     ledger = ClassLedger(space)
     objective_before = class_alignment_objective(ledger)

@@ -24,11 +24,11 @@ from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
-from .corpus import LabeledDocument, is_json_int, replace_text
+from .corpus import LabeledDocument, is_json_int, is_json_number, replace_text
 from .errors import ConfigError, DataError
 from .surface import (
     ClassLedger,
-    CorpusStats,
+    TokenTable,
     candidate_units,
     score_against,
     surface_embedding,  # noqa: F401  (see below)
@@ -110,10 +110,17 @@ class GeneratorConfig:
         for name in ("candidates_per_doc", "max_retries"):
             if not is_json_int(value := getattr(self, name)):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in ("top_p", "temperature", "verifier_temperature"):
+            if not is_json_number(value := getattr(self, name)):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
+        for name in ("backend", "model"):
+            if not isinstance(value := getattr(self, name), str):
+                raise ConfigError(f"{name} must be a string, got {value!r}")
         if not (0.0 < self.top_p <= 1.0):
             raise ConfigError(f"top_p must be in (0, 1], got {self.top_p}")
-        if self.temperature < 0:
-            raise ConfigError(f"temperature must be >= 0, got {self.temperature}")
+        for name in ("temperature", "verifier_temperature"):
+            if (value := getattr(self, name)) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {value}")
         if self.candidates_per_doc < 1:
             raise ConfigError(f"candidates_per_doc must be >= 1, got {self.candidates_per_doc}")
         if self.max_retries < 0:
@@ -222,18 +229,17 @@ def verify_label(
 
 def embed_candidates(
     pairs: Iterable[tuple[LabeledDocument, RewriteCandidate]],
-    stats: CorpusStats,
+    stats: TokenTable,
     lam: int,
 ) -> None:
     """Give each candidate in ``pairs`` (original document, candidate) that
     the verifier has not rejected its rewritten document and unit vector.
     Every candidate is tokenized once; each distinct token sequence is
     embedded once, all of them together against the frozen ``stats``,
-    ``BLOCK_DOCS`` at a time, so candidates with the same tokens tie
-    exactly. Candidates that are empty,
-    shorter than 2 tokens, have the original's tokens (so the original's
-    embedding: no improvement) or embed to zero keep both None and are never
-    scored."""
+    ``BLOCK_DOCS`` at a time, so candidates with the same tokens tie exactly.
+    Candidates that are empty, shorter than 2 tokens, have the original's
+    tokens (so the original's embedding: no improvement) or embed to zero
+    keep both None and are never scored."""
     rows: dict[tuple[str, ...], int] = {}  # token sequence -> row of units
     distinct: list[LabeledDocument] = []
     trials: list[tuple[RewriteCandidate, LabeledDocument]] = []

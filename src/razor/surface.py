@@ -7,12 +7,13 @@ Documents with fewer than 2 tokens, or whose weights are all zero, are
 excluded from scoring rather than patched.
 
 A run numbers its tokens once, in one :class:`TokenTable` that follows the
-snapshots by the documents each iteration replaces. A snapshot's embeddings
-are one :class:`SurfaceSpace` (a row per document, filled a block of
-documents at a time from the token ids and idf table of its
-:class:`CorpusStats`), and its per-class unit-vector sums one
-:class:`ClassLedger`. Rewrite candidates are embedded in blocks as well
-(:func:`candidate_units`). Both cosine sums the paper defines reduce to dots
+snapshots by the documents each iteration replaces (:func:`corpus_stats`). A
+snapshot's embeddings are one :class:`SurfaceSpace` (a row per document,
+filled a block of documents at a time from the table's token ids and idf),
+and its per-class unit-vector sums one :class:`ClassLedger`. Rewrite
+candidates are embedded in blocks as well (:func:`candidate_units`), read
+through the same table: a token it never saw takes df 1, as it would have
+once inserted. Both cosine sums the paper defines reduce to dots
 with those class sums: a document's shortcut score (:func:`score_against`)
 and the cross-class objective (:func:`class_alignment_objective`).
 """
@@ -22,20 +23,14 @@ from __future__ import annotations
 import math
 import mmap
 from collections import defaultdict
-from dataclasses import dataclass, field
-from itertools import chain, count, islice
+from itertools import chain, count
 from operator import is_not
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .corpus import Dataset, LabeledDocument
-from .errors import (
-    ConfigError,
-    DegenerateDocumentError,
-    ObjectiveUndefinedError,
-    StaleStatsError,
-)
+from .errors import ConfigError, DegenerateDocumentError, ObjectiveUndefinedError
 
 DEFAULT_LAMBDA = 64
 
@@ -57,9 +52,7 @@ class TokenTable:
     :meth:`update` moves the table to a later snapshot. Only the documents
     that are not the objects it numbered before are mapped from their
     strings, and df moves by their exact integer deltas, so each idf entry
-    keeps the bits a fresh count gives. The arrays are replaced rather than
-    written in place, and the vocabulary is copied when it grows, so stats
-    read from an earlier snapshot stay as they were."""
+    keeps the bits a fresh count gives."""
 
     def __init__(self):
         self.vocab: dict[str, int] = {}
@@ -136,50 +129,15 @@ def _idf(n: int, df: np.ndarray) -> np.ndarray:
     return np.array([math.log(n / max(d, 1)) for d in df.tolist()], dtype=np.float64)
 
 
-@dataclass(frozen=True, eq=False)
-class CorpusStats:
-    """Document count and per-token document frequencies of one dataset
-    snapshot, read from a :class:`TokenTable` by :func:`corpus_stats`.
-    ``generation_stamp`` records the pipeline iteration that produced the
-    snapshot.
-
-    ``vocab`` numbers the tokens, and ``df[vocab[token]]`` and
-    ``idf[vocab[token]]`` are the token's document frequency and
-    log(doc_count / df), log(doc_count / 1) for a token of the run that no
-    document of the snapshot holds: one table per snapshot, read by every
-    block embedded against it. ``documents`` is the snapshot, document i
-    holding the token ids ``ids[offsets[i]:offsets[i + 1]]``."""
-
-    doc_count: int
-    generation_stamp: int
-    vocab: Mapping[str, int] = field(repr=False)
-    df: np.ndarray = field(repr=False)
-    idf: np.ndarray = field(repr=False)
-    documents: tuple[LabeledDocument, ...] = field(repr=False)
-    ids: np.ndarray = field(repr=False)
-    offsets: np.ndarray = field(repr=False)
-
-    @property
-    def doc_frequency(self) -> dict[str, int]:
-        """Token -> document frequency, for the tokens the snapshot holds."""
-        df = self.df.tolist()
-        return {token: df[i] for token, i in self.vocab.items() if df[i]}
-
-
-def corpus_stats(
-    dataset: Dataset, generation_stamp: int = 0, table: Optional[TokenTable] = None
-) -> CorpusStats:
+def corpus_stats(dataset: Dataset, table: Optional[TokenTable] = None) -> TokenTable:
     """Document frequencies over the rewritable texts only; context is ignored.
 
-    Read from ``table``, a run's :class:`TokenTable`, after moving it to
-    ``dataset``; without one, from a table built for ``dataset`` alone."""
+    ``table``, a run's :class:`TokenTable`, moved to ``dataset`` and
+    returned; without one, a table built for ``dataset`` alone."""
     if table is None:
         table = TokenTable()
     table.update(dataset)
-    return CorpusStats(
-        len(dataset), generation_stamp, table.vocab, table.df, table.idf,
-        table.documents, table.ids, table.offsets,
-    )
+    return table
 
 
 def _token_ids(
@@ -217,48 +175,25 @@ def _doc_counts(lengths: np.ndarray, token_ids: np.ndarray, size: int) -> np.nda
 
 
 def _mapped(
-    docs: Sequence[LabeledDocument], stats: CorpusStats, unseen_df: Optional[int] = None
+    docs: Sequence[LabeledDocument], table: TokenTable
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The lengths and token ids of ``docs``, numbered from their strings
-    through the stats' vocabulary, and the idf table to read them with.
-
-    A token the snapshot does not hold (df 0, or never seen) takes the idf
-    of ``unseen_df``; with ``unseen_df`` None it raises StaleStatsError."""
-    vocab: Mapping[str, int] = stats.vocab
-    if unseen_df is not None:
-        # tokens outside the table take ids past it. Ids from a counter, not
-        # from the dict's own __len__: that self-reference would keep the
-        # copy alive until the cycle collector ran.
-        vocab = defaultdict(count(len(vocab)).__next__, vocab)
-    try:
-        token_ids, lengths = _token_ids(docs, vocab)
-    except KeyError as exc:
-        raise _stale(exc.args[0], docs, stats) from None
-    if unseen_df is None:
-        absent = np.flatnonzero(stats.df[token_ids] == 0)
-        if len(absent):
-            tokens = chain.from_iterable(d.tokens for d in docs)
-            raise _stale(next(islice(tokens, int(absent[0]), None)), docs, stats)
-        return lengths, token_ids, stats.idf
-    unseen_idf = math.log(stats.doc_count / unseen_df)
-    idf = np.full(len(vocab), unseen_idf)
-    idf[: len(stats.idf)] = np.where(stats.df > 0, stats.idf, unseen_idf)
+    through the table's vocabulary, and the idf table to read them with. A
+    token the table never saw takes an id past it and the idf of df 1, the
+    idf the table holds for a token no document holds any more."""
+    # Ids from a counter, not from the dict's own __len__: that
+    # self-reference would keep the copy alive until the cycle collector ran.
+    vocab = defaultdict(count(len(table.vocab)).__next__, table.vocab)
+    token_ids, lengths = _token_ids(docs, vocab)
+    idf = np.full(len(vocab), math.log(len(table.documents) / 1))
+    idf[: len(table.idf)] = table.idf
     return lengths, token_ids, idf
 
 
-def _stale(token: str, docs: Sequence[LabeledDocument], stats: CorpusStats) -> StaleStatsError:
-    doc = next(d for d in docs if token in d.tokens)
-    return StaleStatsError(
-        f"token {token!r} occurs in document {doc.id!r} but is missing from "
-        f"corpus stats (stamp {stats.generation_stamp})"
-    )
-
-
-def tfidf_score(token: str, doc: LabeledDocument, stats: CorpusStats) -> float:
+def tfidf_score(token: str, doc: LabeledDocument, stats: TokenTable) -> float:
     """Term frequency times inverse document frequency (natural log).
 
     Zero when the token does not occur in ``doc`` or occurs in every document.
-    Raises StaleStatsError when any token of ``doc`` is missing from ``stats``.
     """
     if token not in doc.tokens:
         return 0.0
@@ -336,26 +271,17 @@ def _embed_block(
 
 
 def surface_embedding(
-    doc: LabeledDocument,
-    stats: CorpusStats,
-    lam: int = DEFAULT_LAMBDA,
-    unseen_df: Optional[int] = None,
+    doc: LabeledDocument, stats: TokenTable, lam: int = DEFAULT_LAMBDA
 ) -> np.ndarray:
     """Embed one document: sum of weight(token_j) * encoding(j) over 0-based
-    positions j, divided by (token count - 1).
-
-    ``unseen_df`` scores text from outside the stats snapshot (rewrite
-    candidates): tokens absent from the stats take that document frequency
-    instead of raising. Snapshot documents should leave it None so stale
-    stats are caught.
-    """
+    positions j, divided by (token count - 1)."""
     _check_width(lam)
     m = len(doc.tokens)
     if m < 2:
         raise DegenerateDocumentError(
             f"document {doc.id!r} has {m} token(s); at least 2 are required"
         )
-    return _embed_block(*_mapped([doc], stats, unseen_df), lam)[0]
+    return _embed_block(*_mapped([doc], stats), lam)[0]
 
 
 def _unit_rows(vectors: np.ndarray) -> np.ndarray:
@@ -365,16 +291,15 @@ def _unit_rows(vectors: np.ndarray) -> np.ndarray:
 
 
 def candidate_units(
-    docs: Sequence[LabeledDocument], stats: CorpusStats, lam: int = DEFAULT_LAMBDA
+    docs: Sequence[LabeledDocument], stats: TokenTable, lam: int = DEFAULT_LAMBDA
 ) -> np.ndarray:
     """Unit embeddings of rewrite candidates (each of at least 2 tokens), one
     row each, embedded ``BLOCK_DOCS`` at a time; a row stays zero for an
-    all-zero embedding. Tokens absent from ``stats`` take df 1: a candidate's
-    new tokens would have df >= 1 once inserted."""
+    all-zero embedding."""
     units = np.zeros((len(docs), lam))
     for start in range(0, len(docs), BLOCK_DOCS):
         block = docs[start : start + BLOCK_DOCS]
-        vectors = _embed_block(*_mapped(block, stats, unseen_df=1), lam)
+        vectors = _embed_block(*_mapped(block, stats), lam)
         units[start : start + len(block)] = _unit_rows(vectors)
     return units
 
@@ -425,36 +350,29 @@ class SurfaceSpace:
 
 def compute_embeddings(
     dataset: Dataset,
-    stats: Optional[CorpusStats] = None,
+    stats: Optional[TokenTable] = None,
     lam: int = DEFAULT_LAMBDA,
 ) -> SurfaceSpace:
     """The surface space of ``dataset``, embedded ``BLOCK_DOCS`` documents at
-    a time; documents too short to embed keep an empty row, and callers treat
-    them as unscoreable.
-
-    Stats of ``dataset`` itself hold its token ids already; stats of another
-    snapshot have its documents numbered through their vocabulary (raising
-    StaleStatsError for a token they do not hold)."""
+    a time from the token ids and idf of ``stats`` (the run's table, moved to
+    ``dataset`` first); documents too short to embed keep an empty row, and
+    callers treat them as unscoreable."""
     _check_width(lam)
-    if stats is None:
-        stats = corpus_stats(dataset)
+    table = corpus_stats(dataset, stats)
     docs = dataset.documents
     space = SurfaceSpace((d.id for d in docs), (d.label for d in docs), lam)
-    offsets = stats.offsets
+    offsets = table.offsets
     for start in range(0, len(docs), BLOCK_DOCS):
         stop = min(start + BLOCK_DOCS, len(docs))
-        if stats.documents is docs:
-            lengths = np.diff(offsets[start : stop + 1])
-            token_ids, idf = stats.ids[offsets[start] : offsets[stop]], stats.idf
-        else:
-            lengths, token_ids, idf = _mapped(docs[start:stop], stats)
+        lengths = np.diff(offsets[start : stop + 1])
+        token_ids = table.ids[offsets[start] : offsets[stop]]
         embeddable = lengths >= 2
         if not embeddable.all():
             token_ids = token_ids[np.repeat(embeddable, lengths)]
             lengths = lengths[embeddable]
         if len(lengths):
             rows = start + np.flatnonzero(embeddable)
-            space.set_rows(rows, _embed_block(lengths, token_ids, idf, lam))
+            space.set_rows(rows, _embed_block(lengths, token_ids, table.idf, lam))
     return space
 
 

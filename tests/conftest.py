@@ -20,6 +20,12 @@ def dataset_from(rows, label_names=None, schema="single"):
     return Dataset(documents, label_names, schema)
 
 
+def doc_frequency(table):
+    """Token -> document frequency, for the tokens the table's snapshot holds."""
+    df = table.df.tolist()
+    return {token: df[i] for token, i in table.vocab.items() if df[i]}
+
+
 @pytest.fixture
 def tiny_binary():
     """Two docs per class, mixed vocabulary."""

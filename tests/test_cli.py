@@ -372,6 +372,28 @@ class TestCheckShortcut:
         )
         assert main(["check-shortcut", "--attributions", str(path)]) == 2
 
+    def test_empty_subset_gives_null_inequality(self, tmp_path, capsys):
+        path = self.attribution_file(
+            tmp_path,
+            [
+                {
+                    "doc_id": "d",
+                    "attributions": [[1.0], [2.0]],
+                    "predicted_full": 1,
+                    "true_label": 0,
+                    "subsets": [
+                        {"positions": [], "predicted": 0},
+                        {"positions": [0, 1], "predicted": 1},
+                    ],
+                }
+            ],
+        )
+        assert main(["check-shortcut", "--attributions", str(path)]) == 0
+        rows = [json.loads(line) for line in capsys.readouterr().out.strip().splitlines()]
+        assert [r["positions"] for r in rows] == [[], [0, 1]]
+        assert [r["mass_inequality_holds"] for r in rows] == [None, None]
+        assert rows[0]["mass_subset"] == 0.0 and rows[0]["mass_complement"] == 3.0
+
 
 class TestUsage:
     def test_no_subcommand_exits_1(self):
@@ -413,14 +435,24 @@ REPORT = ["report", "--before", "{data}", "--after", "{data}", "--trace", "{tmp}
 RESUME = RUN + ["--checkpoint-dir", "{tmp}/ckpt"]
 RUN_CONFIG = RUN + ["--config", "{tmp}/config.json"]
 CHECK = ["check-shortcut", "--attributions", "{tmp}/attr.jsonl"]
+ANALYZE = ["analyze", "--input", "{tmp}/bad.jsonl", "--out", "{tmp}/ranking.jsonl"]
+ANALYZE_CLAIMS = ANALYZE + ["--schema", "claim_evidence"]
+
+
+def data_lines(**fields):
+    """Two dataset lines, the second with ``fields`` replaced."""
+    good = {"id": "a", "text": "alpha beta", "claim": "alpha beta", "evidence": "gamma", "label": 0}
+    return json.dumps(good) + "\n" + json.dumps({**good, "id": "b", **fields}) + "\n"
 
 
 def attribution(**fields):
+    """Two attribution records, the second with ``fields`` replaced."""
     row = {"doc_id": "d", "attributions": [[1.0], [2.0]], "predicted_full": 1, "true_label": 0}
-    return json.dumps({**row, **fields}) + "\n"
+    return json.dumps(row) + "\n" + json.dumps({**row, "doc_id": "e", **fields}) + "\n"
 
 
-# (files to write: raw text, or a value written as JSON; argv; exit code)
+# (files to write: raw text, or a value written as JSON; argv; exit code;
+# optionally, words the one-line error must hold)
 ERROR_CASES = {
     "config-malformed": ({"config.json": "{"}, RUN_CONFIG, 2),
     "config-not-object": ({"config.json": [1]}, RUN_CONFIG, 2),
@@ -436,6 +468,29 @@ ERROR_CASES = {
     ),
     "config-max-retries-float": (
         {"config.json": {"generator": {"max_retries": 1.5}}}, RUN_CONFIG, 1
+    ),
+    "config-epsilon-bool": ({"config.json": {"epsilon": True}}, RUN_CONFIG, 1),
+    "config-epsilon-nan": ({"config.json": {"epsilon": float("nan")}}, RUN_CONFIG, 1),
+    "config-top-p-bool": ({"config.json": {"generator": {"top_p": True}}}, RUN_CONFIG, 1),
+    "config-temperature-infinity": (
+        {"config.json": {"generator": {"temperature": float("inf")}}}, RUN_CONFIG, 1
+    ),
+    "config-verifier-temperature-negative": (
+        {"config.json": {"generator": {"verifier_temperature": -3}}}, RUN_CONFIG, 1
+    ),
+    "config-verifier-temperature-string": (
+        {"config.json": {"generator": {"verifier_temperature": "x"}}}, RUN_CONFIG, 1
+    ),
+    "config-model-number": ({"config.json": {"generator": {"model": 5}}}, RUN_CONFIG, 1),
+    "data-label-float": ({"bad.jsonl": data_lines(label=0.7)}, ANALYZE, 2, ["line 2", "label"]),
+    "data-label-bool": ({"bad.jsonl": data_lines(label=True)}, ANALYZE, 2, ["line 2", "label"]),
+    "data-label-string": ({"bad.jsonl": data_lines(label="1")}, ANALYZE, 2, ["line 2", "label"]),
+    "data-text-list": (
+        {"bad.jsonl": data_lines(text=["alpha", "beta"])}, ANALYZE, 2, ["line 2", "text"]
+    ),
+    "data-claim-number": ({"bad.jsonl": data_lines(claim=5)}, ANALYZE_CLAIMS, 2, ["line 2", "claim"]),
+    "data-evidence-object": (
+        {"bad.jsonl": data_lines(evidence={"a": 1})}, ANALYZE_CLAIMS, 2, ["line 2", "evidence"]
     ),
     "rules-malformed": ({"rules.json": "{"}, RUN, 2),
     "rules-not-object": ({"rules.json": ["x"]}, RUN, 2),
@@ -462,12 +517,22 @@ ERROR_CASES = {
     "attributions-not-nested": ({"attr.jsonl": attribution(attributions=[1.0, 2.0])}, CHECK, 2),
     "attributions-not-numbers": ({"attr.jsonl": attribution(attributions=[[{}]])}, CHECK, 2),
     "subsets-not-list": ({"attr.jsonl": attribution(subsets=5)}, CHECK, 2),
+    "attributions-predicted-full-float": (
+        {"attr.jsonl": attribution(predicted_full=1.5)}, CHECK, 2, ["line 2", "predicted_full"]
+    ),
+    "attributions-true-label-bool": (
+        {"attr.jsonl": attribution(true_label=False)}, CHECK, 2, ["line 2", "true_label"]
+    ),
+    "attributions-subset-predicted-string": (
+        {"attr.jsonl": attribution(subsets=[{"positions": [0], "predicted": "1"}])},
+        CHECK, 2, ["line 2", "predicted"],
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(ERROR_CASES))
 def test_bad_file_maps_onto_exit_code(case, single_file, tmp_path, capsys):
-    files, argv, expected = ERROR_CASES[case]
+    files, argv, expected, *named = ERROR_CASES[case]
     files = {"rules.json": RULES, **files}
     for name, content in files.items():
         path = tmp_path / name
@@ -487,3 +552,5 @@ def test_bad_file_maps_onto_exit_code(case, single_file, tmp_path, capsys):
         # a rejected run config names the field it rejects
         name = next(iter(config.get("generator", config)))
         assert re.search(rf"\b{name}\b", lines[-1])
+    for word in named[0] if named else ():
+        assert re.search(rf"\b{word}\b", lines[-1])

@@ -12,7 +12,7 @@ import pytest
 
 from razor.backends import CallLog, MockBackend
 from razor.corpus import load_dataset, make_document, save_dataset
-from razor.errors import BackendError, ConfigError, DataError, StaleStatsError
+from razor.errors import BackendError, ConfigError, DataError
 from razor.evalkit import BiasSpec, generate_biased_corpus
 from razor.pipeline import (
     Checkpoint,
@@ -40,7 +40,7 @@ from razor.surface import (
     shortcut_scores,
 )
 
-from conftest import dataset_from
+from conftest import dataset_from, doc_frequency
 from oracles import eager_replacement
 
 
@@ -721,14 +721,15 @@ class TestLazyVerification:
 
 
 class PhasedBackend:
-    """Rewrites by iteration (``iteration`` is set from outside): in the
-    first, every document loses "zonk"; from the second on, "foo" becomes
-    "zonk". The verifier confirms every label. Generate calls past
-    ``fail_after`` raise BackendError."""
+    """Rewrites by iteration (``iteration`` is counted from outside, from
+    the iteration before the run's first): in the first, every document
+    loses "zonk"; from the second on, "foo" becomes "zonk". The verifier
+    confirms every label. Generate calls past ``fail_after`` raise
+    BackendError."""
 
-    def __init__(self, fail_after=None):
+    def __init__(self, fail_after=None, iteration=0):
         self.calls = CallLog()
-        self.iteration = 1
+        self.iteration = iteration
         self.fail_after = fail_after
 
     def generate(self, prompt, doc, temperature, top_p, max_retries):
@@ -766,7 +767,7 @@ def assert_stats_equal_fresh(stats, dataset):
     snapshot holds, the unseen idf log(n / 1) for every other token of the
     table, and ids that spell the documents' tokens."""
     fresh = surface.corpus_stats(dataset)
-    assert stats.doc_frequency == fresh.doc_frequency
+    assert doc_frequency(stats) == doc_frequency(fresh)
     n = len(dataset)
     for token, i in stats.vocab.items():
         if token in fresh.vocab:
@@ -792,13 +793,14 @@ class TestTokenTable:
         zonk_df, zonk_candidates = {}, set()
         corpus_stats, candidate_units = pipeline.corpus_stats, rewriter.candidate_units
 
-        def checked_stats(ds, generation_stamp=0, table=None):
-            backends[-1].iteration = generation_stamp
-            stats = corpus_stats(ds, generation_stamp, table)
+        def checked_stats(ds, table=None):
+            backend = backends[-1]
+            backend.iteration += 1  # one call per iteration
+            stats = corpus_stats(ds, table)
             assert_stats_equal_fresh(stats, ds)
-            checked.append(generation_stamp)
+            checked.append(backend.iteration)
             if "zonk" in stats.vocab:
-                zonk_df[generation_stamp] = int(stats.df[stats.vocab["zonk"]])
+                zonk_df[backend.iteration] = int(stats.df[stats.vocab["zonk"]])
             return stats
 
         def checked_units(docs, stats, lam):
@@ -806,7 +808,7 @@ class TestTokenTable:
             fresh = surface.corpus_stats(dataset.with_documents(stats.documents))
             np.testing.assert_array_equal(units, candidate_units(docs, fresh, lam))
             if any("zonk" in d.tokens for d in docs):
-                zonk_candidates.add(stats.generation_stamp)
+                zonk_candidates.add(backends[-1].iteration)
             return units
 
         monkeypatch.setattr(pipeline, "corpus_stats", checked_stats)
@@ -822,7 +824,7 @@ class TestTokenTable:
         backends.append(PhasedBackend(fail_after=sum(generated[:2]) + 1))
         with pytest.raises(BackendError):
             run_razor(dataset, config, backends[-1], ckpt)
-        backends.append(PhasedBackend())
+        backends.append(PhasedBackend(iteration=ckpt.completed_iterations()))
         resumed = run_razor(dataset, config, backends[-1], ckpt)
         assert checked == [1, 2, 3, 3]  # the resume rebuilds the table from snapshot 2
         assert resumed.dataset == straight.dataset
@@ -850,7 +852,7 @@ class TestTokenTable:
             for row, text in edit.items():
                 docs[row] = make_document(docs[row].id, text, docs[row].label)
             snapshot = dataset.with_documents(docs)
-            stats = surface.corpus_stats(snapshot, stamp, table)
+            stats = surface.corpus_stats(snapshot, table)
             fresh = assert_stats_equal_fresh(stats, snapshot)
             np.testing.assert_array_equal(
                 compute_embeddings(snapshot, stats, 16).vectors,
@@ -863,21 +865,10 @@ class TestTokenTable:
                     surface.candidate_units(novel, stats, 16),
                     surface.candidate_units(novel, fresh, 16),
                 )
-                with pytest.raises(StaleStatsError, match="'rareword'"):
-                    surface.surface_embedding(novel[0], stats, 16)
-
-    def test_earlier_stats_stay_as_they_were(self):
-        dataset = dataset_from([("a", "x y z", 0), ("b", "x y", 1), ("c", "y z", 0)])
-        table = surface.TokenTable()
-        before = surface.corpus_stats(dataset, 1, table)
-        frozen = (dict(before.vocab), before.df.copy(), before.idf.copy(), before.ids.copy())
-        changed = dataset.with_documents(
-            [make_document("a", "brand new x", 0), *dataset.documents[1:]]
-        )
-        surface.corpus_stats(changed, 2, table)
-        assert before.vocab == frozen[0]
-        for kept, was in zip((before.df, before.idf, before.ids), frozen[1:]):
-            np.testing.assert_array_equal(kept, was)
+                np.testing.assert_array_equal(
+                    surface.surface_embedding(novel[0], stats, 16),
+                    surface.surface_embedding(novel[0], fresh, 16),
+                )
 
 
 class TestIncrementalCounts:
@@ -906,10 +897,10 @@ class TestIncrementalCounts:
                     inside.pop()
             return call
 
-        def stats_of(ds, generation_stamp=0, table=None):
-            stamp[0] = generation_stamp
-            snapshots[generation_stamp] = ds
-            return corpus_stats(ds, generation_stamp, table)
+        def stats_of(ds, table=None):
+            stamp[0] += 1  # one call per iteration
+            snapshots[stamp[0]] = ds
+            return corpus_stats(ds, table)
 
         def counting_format(schema):
             fmt, ids = line_format(schema), []

@@ -25,7 +25,7 @@ from razor.surface import (
     surface_embedding,
 )
 
-from conftest import dataset_from
+from conftest import dataset_from, doc_frequency
 from oracles import embed_reference
 
 LABELS = {0: "supports", 1: "refutes"}
@@ -223,7 +223,7 @@ class TestSelectReplacement:
         ds, stats, _ = scoring_fixture()
         expected = replace_text({d.id: d for d in ds}["b1"], text)
         assert chosen.verified and chosen.document == expected
-        vector = surface_embedding(expected, stats, 16, unseen_df=1)
+        vector = surface_embedding(expected, stats, 16)
         np.testing.assert_array_equal(chosen.unit, _unit_rows(vector[None])[0])
 
     def test_original_tokens_never_replace(self):
@@ -269,7 +269,7 @@ class TestEmbedCandidates:
         ds, stats, _ = scoring_fixture()
         originals = list(ds)
         rng = np.random.default_rng(3)
-        words = sorted(stats.doc_frequency) + ["unseen", "novel"]
+        words = sorted(doc_frequency(stats)) + ["unseen", "novel"]
         pairs = []
         for j in range(BLOCK_DOCS + 40):
             text = " ".join(words[w] for w in rng.integers(0, len(words), size=2 + j % 9))
@@ -314,3 +314,8 @@ class TestGeneratorConfig:
     def test_invalid_temperature(self):
         with pytest.raises(ConfigError):
             GeneratorConfig(temperature=-0.1)
+
+    def test_backend_and_model_must_be_strings(self):
+        for fields in ({"backend": ["mock"]}, {"model": 5}):
+            with pytest.raises(ConfigError, match=next(iter(fields))):
+                GeneratorConfig(**fields)

@@ -6,12 +6,7 @@ import numpy as np
 import pytest
 
 from razor.corpus import Dataset, make_document
-from razor.errors import (
-    ConfigError,
-    DegenerateDocumentError,
-    ObjectiveUndefinedError,
-    StaleStatsError,
-)
+from razor.errors import ConfigError, DegenerateDocumentError, ObjectiveUndefinedError
 from razor.surface import (
     BLOCK_DOCS,
     ClassLedger,
@@ -27,7 +22,7 @@ from razor.surface import (
     tfidf_score,
 )
 
-from conftest import dataset_from
+from conftest import dataset_from, doc_frequency
 from oracles import embed_reference, naive_objective, naive_shortcut_score, pe_reference
 
 # Hand-evaluated tf-idf values for a fixed 5-document corpus, produced by an
@@ -60,20 +55,19 @@ def five_doc_dataset():
 class TestCorpusStats:
     def test_bounds_and_coverage(self):
         ds = five_doc_dataset()
-        stats = corpus_stats(ds, generation_stamp=4)
+        stats = corpus_stats(ds)
         occurring = set()
         for doc in ds:
             occurring.update(doc.tokens)
-        assert set(stats.doc_frequency) == occurring
-        assert stats.generation_stamp == 4
-        for token, df in stats.doc_frequency.items():
-            assert 1 <= df <= stats.doc_count
+        assert set(doc_frequency(stats)) == occurring
+        for token, df in doc_frequency(stats).items():
+            assert 1 <= df <= len(stats.documents)
 
     def test_df_counts_documents_across_blocks(self):
         ds = block_corpus(2 * BLOCK_DOCS + 37)
         stats = corpus_stats(ds)
         expected = Counter(token for doc in ds for token in set(doc.tokens))
-        assert stats.doc_frequency == dict(expected)
+        assert doc_frequency(stats) == dict(expected)
         for token, df in expected.items():
             assert stats.idf[stats.vocab[token]] == math.log(len(ds) / df)
 
@@ -86,7 +80,7 @@ class TestCorpusStats:
             schema="claim_evidence",
         )
         stats = corpus_stats(ds)
-        assert "evidenceonly" not in stats.doc_frequency
+        assert "evidenceonly" not in doc_frequency(stats)
 
 
 class TestTfidf:
@@ -116,21 +110,14 @@ class TestTfidf:
         stats = corpus_stats(ds)
         assert tfidf_score("zzz", ds.documents[0], stats) == 0.0
 
-    def test_stale_stats_detected(self):
-        ds = dataset_from([("d1", "a b", 0), ("d2", "a c", 1)])
-        # the stats of another snapshot, one without "b"
-        stats = corpus_stats(dataset_from([("d1", "a c", 0), ("d2", "a", 1)]), generation_stamp=3)
-        with pytest.raises(StaleStatsError):
-            tfidf_score("b", ds.documents[0], stats)
-
     def test_zero_iff_absent_or_ubiquitous(self):
         ds = five_doc_dataset()
         stats = corpus_stats(ds)
         for doc in ds:
-            for token in set(stats.doc_frequency) | {"unseen"}:
+            for token in set(doc_frequency(stats)) | {"unseen"}:
                 score = tfidf_score(token, doc, stats)
                 absent = token not in doc.tokens
-                ubiquitous = stats.doc_frequency.get(token) == stats.doc_count
+                ubiquitous = doc_frequency(stats).get(token) == len(stats.documents)
                 assert (score == 0.0) == (absent or ubiquitous)
 
 
@@ -227,10 +214,11 @@ class TestSurfaceEmbedding:
         ds = dataset_from([("d1", "a b", 0), ("d2", "a c", 1)])
         stats = corpus_stats(ds)
         novel = make_document("d1", "a brandnew", 0)
-        with pytest.raises(StaleStatsError):
-            surface_embedding(novel, stats, 4)
-        assert surface_embedding(novel, stats, 4, unseen_df=1).any()
-        assert candidate_units([novel], stats, 4).any()
+        vector = surface_embedding(novel, stats, 4)
+        assert vector.any()
+        np.testing.assert_array_equal(
+            vector / np.linalg.norm(vector), candidate_units([novel], stats, 4)[0]
+        )
 
 
 def block_corpus(n_docs, seed=0):
@@ -280,17 +268,26 @@ class TestBlockEmbedding:
         rows = [1, BLOCK_DOCS - 1, BLOCK_DOCS, 2 * BLOCK_DOCS + 36]
         units = candidate_units([ds.documents[i] for i in rows], stats, 8)
         for i, unit in zip(rows, units):
-            vector = surface_embedding(ds.documents[i], stats, 8, unseen_df=1)
+            vector = surface_embedding(ds.documents[i], stats, 8)
             np.testing.assert_allclose(vector, space.vectors[i], rtol=0, atol=1e-12)
             np.testing.assert_allclose(unit, space.units[i], rtol=0, atol=1e-12)
 
-    def test_stale_stats_in_a_later_block(self):
+    def test_table_of_another_snapshot_is_moved(self):
         rows = [(f"d{i}", f"shared word{i % 7}", i % 2) for i in range(2 * BLOCK_DOCS)]
         rows.append(("late", "shared lateonly", 1))
         ds = dataset_from(rows)
-        stale = corpus_stats(ds.with_documents(ds.documents[:-1]), generation_stamp=5)
-        with pytest.raises(StaleStatsError, match="'lateonly' occurs in document 'late'"):
-            compute_embeddings(ds, stale, 8)
+        fresh = compute_embeddings(ds, corpus_stats(ds), 8)
+        # tables of a smaller snapshot and of a same-size one with other text
+        smaller = corpus_stats(ds.with_documents(ds.documents[:-1]))
+        edited = ds.with_documents(
+            ds.documents[:3] + (make_document("d3", "other words entirely", 1),) + ds.documents[4:]
+        )
+        for table in (smaller, corpus_stats(edited)):
+            space = compute_embeddings(ds, table, 8)
+            assert table.documents is ds.documents
+            np.testing.assert_array_equal(space.vectors, fresh.vectors)
+            np.testing.assert_array_equal(space.units, fresh.units)
+            np.testing.assert_array_equal(space.embedded, fresh.embedded)
 
     def test_transient_memory_independent_of_corpus_size(self):
         def extra_peak(n_docs):
