@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
-from .corpus import is_json_int
+from .corpus import is_json_int, json_id
 from .errors import DataError
 
 REASON_PREDICTION_CHANGED = "prediction-changed"
@@ -68,6 +68,14 @@ def make_record(
     for subset in preds:
         _check_positions(subset, arr.shape[0], doc_id)
     return AttributionRecord(doc_id, arr, int(predicted_full), int(true_label), preds)
+
+
+def json_positions(value) -> frozenset[int]:
+    """Token positions read from JSON: a list of integers, as a set. Raises
+    TypeError for any other value (``0.9`` and ``true`` are not positions)."""
+    if isinstance(value, list) and all(map(is_json_int, value)):
+        return frozenset(value)
+    raise TypeError(f"positions {value!r} are not a list of integers")
 
 
 def _check_positions(subset: Iterable[int], n_tokens: int, doc_id: str) -> frozenset[int]:
@@ -152,7 +160,7 @@ def load_attribution_records(path: str | Path) -> list[AttributionRecord]:
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}: line {lineno}: malformed JSON ({exc.msg})") from None
             try:
-                doc_id = str(row["doc_id"])
+                doc_id = json_id(row["doc_id"], "doc_id")
                 attributions = row["attributions"]
                 predicted_full, true_label = row["predicted_full"], row["true_label"]
             except (KeyError, TypeError) as exc:
@@ -166,9 +174,9 @@ def load_attribution_records(path: str | Path) -> list[AttributionRecord]:
             subsets: dict[frozenset[int], int] = {}
             for entry in entries:
                 try:
-                    positions = frozenset(int(p) for p in entry["positions"])
+                    positions = json_positions(entry["positions"])
                     predicted = entry["predicted"]
-                except (KeyError, TypeError, ValueError) as exc:
+                except (KeyError, TypeError) as exc:
                     raise DataError(f"{path}: line {lineno}: bad subset entry ({exc})") from None
                 if not is_json_int(predicted):
                     raise DataError(

@@ -7,9 +7,8 @@ mock draws its ``replacements`` picks from one seeded RNG that every generate
 call shares, so with such rules its answers depend on the order of the calls
 (under ``--jobs > 1``, and across an abort and resume, where journaled
 documents draw nothing); ROADMAP item 1 gives the mock an RNG per document
-instead. Each backend keeps an append-only call log so pipelines can account
-for every request (and resume tests can prove that no document was queried
-twice).
+instead. Each backend counts its requests per role, so pipelines can account
+for every request.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ import re
 import threading
 import time
 from collections import Counter
-from dataclasses import dataclass, field
 from pathlib import Path
 from random import Random
 from typing import Optional
@@ -41,24 +39,20 @@ MOCK_VERDICTS = ("confirm", "flip", "garbled")
 RETRYABLE_4XX = (408, 429)
 
 
-@dataclass
 class CallLog:
-    """Append-only record of backend traffic, safe to share across workers.
-    ``entries`` keeps every (role, doc id) in call order; per-role counts are
-    kept as calls are appended, so counting costs the same at any length."""
+    """Per-role counts of backend requests, safe to share across workers."""
 
-    entries: list[tuple[str, str]] = field(default_factory=list)
-    _counts: Counter = field(default_factory=Counter, repr=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+    def __init__(self):
+        self._counts = Counter()
+        self._lock = threading.Lock()
 
-    def append(self, role: str, doc_id: str) -> None:
+    def add(self, role: str) -> None:
         with self._lock:
-            self.entries.append((role, doc_id))
             self._counts[role] += 1
 
-    def count(self, role: Optional[str] = None) -> int:
+    def count(self, role: str) -> int:
         with self._lock:
-            return len(self.entries) if role is None else self._counts[role]
+            return self._counts[role]
 
 
 def _delta_seconds(value: Optional[str]) -> int:
@@ -152,7 +146,7 @@ class HttpBackend:
         top_p: float,
         max_retries: int,
     ) -> str:
-        self.calls.append("generate", doc.id)
+        self.calls.add("generate")
         return self._complete(
             [{"role": "user", "content": prompt}], temperature, top_p, max_retries
         )
@@ -166,7 +160,7 @@ class HttpBackend:
         temperature: float,
         max_retries: int,
     ) -> str:
-        self.calls.append("verify", doc.id)
+        self.calls.add("verify")
         return self._complete([{"role": "user", "content": prompt}], temperature, 1.0, max_retries)
 
 
@@ -252,7 +246,7 @@ class MockBackend:
                 raise BackendError(
                     f"mock transport failure injected after {served} generate call(s)"
                 )
-            self.calls.append("generate", doc.id)
+            self.calls.add("generate")
             text = doc.mutable_text
             for pattern, replacements in self.rules:
                 replacement = (
@@ -272,7 +266,7 @@ class MockBackend:
         temperature: float,
         max_retries: int,
     ) -> str:
-        self.calls.append("verify", doc.id)
+        self.calls.add("verify")
         original = label_names[doc.label]
         if self.verdict == "confirm":
             return original

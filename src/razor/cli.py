@@ -17,14 +17,27 @@ import sys
 from dataclasses import fields
 
 from . import __version__
-from .attribution import attribution_mass, is_shortcut, mass_inequality_holds, load_attribution_records
+from .attribution import (
+    attribution_mass,
+    is_shortcut,
+    json_positions,
+    load_attribution_records,
+    mass_inequality_holds,
+)
 from .backends import HttpBackend, MockBackend
-from .corpus import SCHEMAS, load_dataset, parse_label_names, read_json, save_dataset
+from .corpus import SCHEMAS, json_id, load_dataset, parse_label_names, read_json, save_dataset
 from .errors import BackendError, ConfigError, DataError, RazorError
 from .evalkit import BiasSpec, emit_report, generate_biased_corpus
 from .pipeline import Checkpoint, RunConfig, read_trace_file, run_razor, write_trace_file
 from .rewriter import GeneratorConfig
-from .surface import ClassLedger, class_alignment_objective, compute_embeddings, shortcut_scores
+from .surface import (
+    ClassLedger,
+    class_alignment_objective,
+    compute_embeddings,
+    corpus_stats,
+    embedding_rows,
+    shortcut_scores,
+)
 
 log = logging.getLogger("razor")
 
@@ -134,14 +147,14 @@ def _load_labels(arg):
 
 def cmd_analyze(args) -> int:
     dataset = load_dataset(args.input, args.schema, _load_labels(args.labels))
-    space = compute_embeddings(dataset, lam=args.lam)
+    table = corpus_stats(dataset)
+    space = compute_embeddings(dataset, table, args.lam)
     ledger = ClassLedger(space)
-    scores = shortcut_scores(space, ledger)
+    ranked, scores = shortcut_scores(space, ledger)
     objective = class_alignment_objective(ledger)
-    by_id = {doc.id: doc for doc in dataset}
     rows = [
-        {"id": doc_id, "label": by_id[doc_id].label, "score": score}
-        for doc_id, score in scores.items()
+        {"id": space.ids[i], "label": int(space.labels[i]), "score": score}
+        for i, score in zip(ranked.tolist(), scores.tolist())
     ]
 
     if args.out:
@@ -150,9 +163,9 @@ def cmd_analyze(args) -> int:
                 fh.write(json.dumps(row, ensure_ascii=False) + "\n")
     if args.embeddings_out:
         with open(args.embeddings_out, "w", encoding="utf-8") as fh:
-            for doc_id, embedded, vector in zip(space.ids, space.embedded, space.vectors):
-                if embedded:
-                    fh.write(json.dumps({"id": doc_id, "vector": vector.tolist()}) + "\n")
+            for block, vectors in embedding_rows(dataset, table, args.lam):
+                for i, vector in zip(block.tolist(), vectors.tolist()):
+                    fh.write(json.dumps({"id": space.ids[i], "vector": vector}) + "\n")
     if args.top is not None:
         for row in rows[: args.top]:
             print(json.dumps(row, ensure_ascii=False))
@@ -274,9 +287,9 @@ def cmd_check_shortcut(args) -> int:
                     continue
                 try:
                     row = json.loads(line)
-                    doc_id = str(row["doc_id"])
-                    positions = frozenset(int(p) for p in row["positions"])
-                except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+                    doc_id = json_id(row["doc_id"], "doc_id")
+                    positions = json_positions(row["positions"])
+                except (json.JSONDecodeError, KeyError, TypeError) as exc:
                     raise DataError(f"{args.subset_file}: line {lineno}: bad subset ({exc})") from None
                 wanted.setdefault(doc_id, []).append(positions)
 

@@ -184,6 +184,17 @@ def is_json_number(value) -> bool:
     return is_json_int(value) or isinstance(value, float) and math.isfinite(value)
 
 
+def json_id(value, name: str = "id") -> str:
+    """A document id read from the JSON field ``name``, as a string: a string
+    as it is, an integer in decimal (FEVER's ids are numbers). Raises
+    TypeError, naming the field, for any other value."""
+    if isinstance(value, str):
+        return value
+    if is_json_int(value):
+        return str(value)
+    raise TypeError(f"{name} {value!r} is not a string or an integer")
+
+
 def load_dataset(
     path: str | Path,
     schema: str,
@@ -213,7 +224,10 @@ def load_dataset(
             for name in ("id", "label", *texts):
                 if name not in row or row[name] is None:
                     raise DataError(f"{path}: line {lineno}: missing field {name!r}")
-            doc_id = str(row["id"])
+            try:
+                doc_id = json_id(row["id"])
+            except TypeError as exc:
+                raise DataError(f"{path}: line {lineno}: {exc}") from None
             if doc_id in seen_ids:
                 raise DataError(f"{path}: line {lineno}: duplicate id {doc_id!r}")
             label = row["label"]

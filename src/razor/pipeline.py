@@ -265,14 +265,14 @@ class RewriteJournal:
         self.close()
 
 
-def rank_and_select(space: SurfaceSpace, ledger: ClassLedger, k: int) -> list[str]:
-    """Ids of the k highest-scoring documents, in :func:`shortcut_scores`'
+def rank_and_select(space: SurfaceSpace, ledger: ClassLedger, k: int) -> list[int]:
+    """Rows of the k highest-scoring documents, in :func:`shortcut_scores`'
     ranked order. Selects every scoreable document (with a warning) when
     fewer than k exist."""
-    ranked = list(shortcut_scores(space, ledger))
+    ranked, _ = shortcut_scores(space, ledger)
     if len(ranked) < k:
         log.warning("only %d scoreable documents for k=%d; selecting all", len(ranked), k)
-    return ranked[:k]
+    return ranked[:k].tolist()
 
 
 def _map(fn, jobs: int, *iterables) -> list:
@@ -391,14 +391,12 @@ def run_iteration(
     ledger = ClassLedger(space)
     objective_before = class_alignment_objective(ledger)
     k = resolve_k(config.k, len(dataset))
-    selected = rank_and_select(space, ledger, k)
+    rows = rank_and_select(space, ledger, k)
 
     roles = ("generate", "verify")
     calls_before = [backend.calls.count(role) for role in roles]
-    row = {doc_id: i for i, doc_id in enumerate(space.ids)}
-    rows = [row[doc_id] for doc_id in selected]
     docs = dataset.documents
-    replaced: dict[str, LabeledDocument] = {}
+    replaced: dict[int, LabeledDocument] = {}  # row -> its replacement
     error = None
     try:
         candidates = _gather_candidates(
@@ -417,7 +415,7 @@ def run_iteration(
             )
             if winner is not None:
                 ledger.swap(doc.label, space.units[i], winner.unit)
-                replaced[doc.id] = winner.document
+                replaced[i] = winner.document
     except BackendError as exc:
         # every document is kept: the dataset and the objective are unchanged
         log.error("iteration %d aborted: %s", iteration, exc)
@@ -427,16 +425,16 @@ def run_iteration(
         iteration=iteration,
         objective_before=objective_before,
         objective_after=objective_before if error else class_alignment_objective(ledger),
-        selected_ids=list(selected),
-        replaced_ids=[doc_id for doc_id in selected if doc_id in replaced],
-        kept_ids=[doc_id for doc_id in selected if doc_id not in replaced],
+        selected_ids=[docs[i].id for i in rows],
+        replaced_ids=[docs[i].id for i in rows if i in replaced],
+        kept_ids=[docs[i].id for i in rows if i not in replaced],
         llm_calls={
             role: backend.calls.count(role) - before for role, before in zip(roles, calls_before)
         },
         wall_time=time.monotonic() - start,
         error=error,
     )
-    return dataset.with_documents(replaced.get(doc.id, doc) for doc in dataset), trace
+    return dataset.with_documents(replaced.get(i, doc) for i, doc in enumerate(docs)), trace
 
 
 @dataclass
@@ -449,14 +447,15 @@ class RunResult:
 def write_trace_file(
     path: str | Path, traces: list[IterationTrace], stop_reason: Optional[str]
 ) -> None:
-    """Write the iteration traces and stop reason as the run's trace JSON."""
+    """Write the iteration traces and stop reason as the run's trace JSON, on
+    one line: json's C encoder serializes it, where ``indent`` takes the
+    pure-Python one. An indented file reads the same."""
     payload = {
         "stop_reason": stop_reason,
         "iterations": [t.to_dict() for t in traces],
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(payload) + "\n")
 
 
 def read_trace_file(path: str | Path) -> tuple[list[IterationTrace], Optional[str]]:

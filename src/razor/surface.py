@@ -7,15 +7,15 @@ Documents with fewer than 2 tokens, or whose weights are all zero, are
 excluded from scoring rather than patched.
 
 A run numbers its tokens once, in one :class:`TokenTable` that follows the
-snapshots by the documents each iteration replaces (:func:`corpus_stats`). A
-snapshot's embeddings are one :class:`SurfaceSpace` (a row per document,
-filled a block of documents at a time from the table's token ids and idf),
-and its per-class unit-vector sums one :class:`ClassLedger`. Rewrite
-candidates are embedded in blocks as well (:func:`candidate_units`), read
-through the same table: a token it never saw takes df 1, as it would have
-once inserted. Both cosine sums the paper defines reduce to dots
-with those class sums: a document's shortcut score (:func:`score_against`)
-and the cross-class objective (:func:`class_alignment_objective`).
+snapshots by the documents each iteration replaces (:func:`corpus_stats`).
+One block walk embeds a snapshot from the table's token ids and idf
+(:func:`embedding_rows`) and rewrite candidates read through the same table
+(:func:`candidate_units`), where a token it never saw takes df 1, as it would
+have once inserted. A snapshot keeps only its unit vectors, a
+:class:`SurfaceSpace`, and their per-class sums, a :class:`ClassLedger`. Both
+cosine sums the paper defines reduce to dots with those class sums: a
+document's shortcut score (:func:`score_against`) and the cross-class
+objective (:func:`class_alignment_objective`).
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .errors import ConfigError, DegenerateDocumentError, ObjectiveUndefinedErro
 
 DEFAULT_LAMBDA = 64
 
-# Documents embedded per block by compute_embeddings: large enough for one
+# Documents per block of the block walk (_blocks): large enough for one
 # matrix product to amortize the per-block numpy calls, small enough that a
 # block's temporaries stay far below the space's own arrays.
 BLOCK_DOCS = 256
@@ -155,18 +155,24 @@ def _token_ids(
     return token_ids, lengths
 
 
+def _blocks(lengths: np.ndarray, token_ids: np.ndarray):
+    """The one block walk: documents (their lengths, and their token ids in
+    reading order) ``BLOCK_DOCS`` at a time, as (first row, lengths, ids)."""
+    offsets = np.concatenate([[0], np.cumsum(lengths)])
+    for start in range(0, len(lengths), BLOCK_DOCS):
+        stop = min(start + BLOCK_DOCS, len(lengths))
+        yield start, lengths[start:stop], token_ids[offsets[start] : offsets[stop]]
+
+
 def _doc_counts(lengths: np.ndarray, token_ids: np.ndarray, size: int) -> np.ndarray:
     """How many of the documents (their lengths, and their token ids in
     reading order) hold each id below ``size``. Each block of ``BLOCK_DOCS``
     documents adds its distinct (document, token) pairs, found with one
     ``np.unique``, with one ``np.bincount``."""
     counts = np.zeros(size, dtype=np.int64)
-    ends = np.cumsum(lengths)
-    for start in range(0, len(lengths), BLOCK_DOCS):
-        block = lengths[start : start + BLOCK_DOCS]
-        first = ends[start] - block[0]
+    for _, block, block_ids in _blocks(lengths, token_ids):
         keys = np.repeat(np.arange(len(block)) * size, block)
-        keys += token_ids[first : first + len(keys)]
+        keys += block_ids
         # return_inverse: the argsort the embedding blocks use. A plain
         # np.unique sorts in place, which loads 1.5 MB more of numpy's code.
         pairs = np.unique(keys, return_inverse=True)[0]
@@ -290,17 +296,27 @@ def _unit_rows(vectors: np.ndarray) -> np.ndarray:
     return np.divide(vectors, norms, out=np.zeros_like(vectors), where=norms > 0)
 
 
+def _embedded_blocks(lengths: np.ndarray, token_ids: np.ndarray, idf: np.ndarray, lam: int):
+    """Per block of :func:`_blocks`, the row numbers of its documents of at
+    least 2 tokens and their embeddings."""
+    for start, block, block_ids in _blocks(lengths, token_ids):
+        embeddable = block >= 2
+        if not embeddable.all():
+            block_ids = block_ids[np.repeat(embeddable, block)]
+            block = block[embeddable]
+        if len(block):
+            yield start + np.flatnonzero(embeddable), _embed_block(block, block_ids, idf, lam)
+
+
 def candidate_units(
     docs: Sequence[LabeledDocument], stats: TokenTable, lam: int = DEFAULT_LAMBDA
 ) -> np.ndarray:
     """Unit embeddings of rewrite candidates (each of at least 2 tokens), one
-    row each, embedded ``BLOCK_DOCS`` at a time; a row stays zero for an
-    all-zero embedding."""
+    row each, mapped through the table once and embedded ``BLOCK_DOCS`` at a
+    time; a row stays zero for an all-zero embedding."""
     units = np.zeros((len(docs), lam))
-    for start in range(0, len(docs), BLOCK_DOCS):
-        block = docs[start : start + BLOCK_DOCS]
-        vectors = _embed_block(*_mapped(block, stats), lam)
-        units[start : start + len(block)] = _unit_rows(vectors)
+    for rows, vectors in _embedded_blocks(*_mapped(docs, stats), lam):
+        units[rows] = _unit_rows(vectors)
     return units
 
 
@@ -317,9 +333,9 @@ def _mapped_zeros(*shape: int, dtype=np.float64) -> np.ndarray:
 
 
 class SurfaceSpace:
-    """One snapshot's embeddings, row i for the i-th document.
+    """One snapshot's unit embeddings, row i for the i-th document.
 
-    ``embedded[i]`` is False for a document too short to embed; its rows stay
+    ``embedded[i]`` is False for a document too short to embed; its row stays
     zero. ``units`` holds each row's unit vector and stays zero for the
     all-zero embedding, so ``scoreable`` is exactly the non-zero unit rows.
     """
@@ -328,7 +344,6 @@ class SurfaceSpace:
         self.ids = list(ids)
         self.labels = np.asarray(list(labels), dtype=np.int64)
         n = len(self.ids)
-        self.vectors = _mapped_zeros(n, lam)
         self.units = _mapped_zeros(n, lam)
         self.embedded = np.zeros(n, dtype=bool)
 
@@ -337,9 +352,8 @@ class SurfaceSpace:
         return int(self.embedded.sum())
 
     def set_rows(self, rows, vectors: np.ndarray) -> None:
-        """Store the embeddings ``vectors`` at ``rows`` (a row number with one
-        vector, or a sequence of row numbers with one vector each)."""
-        self.vectors[rows] = vectors
+        """Mark ``rows`` (a row number, or a sequence of them) embedded and
+        store the unit vectors of their embeddings ``vectors``."""
         self.embedded[rows] = True
         self.units[rows] = _unit_rows(np.atleast_2d(vectors))
 
@@ -348,31 +362,28 @@ class SurfaceSpace:
         return self.units.any(axis=1)
 
 
+def embedding_rows(dataset: Dataset, stats: Optional[TokenTable] = None, lam: int = DEFAULT_LAMBDA):
+    """The embeddings of ``dataset``'s documents from the token ids and idf of
+    ``stats`` (the run's table, moved to ``dataset`` first; a table of its
+    own when None), ``BLOCK_DOCS`` documents at a time: per block, the row
+    numbers of its documents of at least 2 tokens and their embeddings."""
+    _check_width(lam)
+    table = corpus_stats(dataset, stats)
+    return _embedded_blocks(np.diff(table.offsets), table.ids, table.idf, lam)
+
+
 def compute_embeddings(
     dataset: Dataset,
     stats: Optional[TokenTable] = None,
     lam: int = DEFAULT_LAMBDA,
 ) -> SurfaceSpace:
-    """The surface space of ``dataset``, embedded ``BLOCK_DOCS`` documents at
-    a time from the token ids and idf of ``stats`` (the run's table, moved to
-    ``dataset`` first); documents too short to embed keep an empty row, and
-    callers treat them as unscoreable."""
-    _check_width(lam)
-    table = corpus_stats(dataset, stats)
-    docs = dataset.documents
-    space = SurfaceSpace((d.id for d in docs), (d.label for d in docs), lam)
-    offsets = table.offsets
-    for start in range(0, len(docs), BLOCK_DOCS):
-        stop = min(start + BLOCK_DOCS, len(docs))
-        lengths = np.diff(offsets[start : stop + 1])
-        token_ids = table.ids[offsets[start] : offsets[stop]]
-        embeddable = lengths >= 2
-        if not embeddable.all():
-            token_ids = token_ids[np.repeat(embeddable, lengths)]
-            lengths = lengths[embeddable]
-        if len(lengths):
-            rows = start + np.flatnonzero(embeddable)
-            space.set_rows(rows, _embed_block(lengths, token_ids, table.idf, lam))
+    """The surface space of ``dataset``, filled from :func:`embedding_rows`;
+    documents too short to embed keep an empty row, and callers treat them as
+    unscoreable."""
+    blocks = embedding_rows(dataset, stats, lam)
+    space = SurfaceSpace((d.id for d in dataset), (d.label for d in dataset), lam)
+    for rows, vectors in blocks:
+        space.set_rows(rows, vectors)
     return space
 
 
@@ -423,10 +434,10 @@ def score_against(
     return 1.0 - np.vecdot(units, opposite_sum) / opposite_count
 
 
-def shortcut_scores(space: SurfaceSpace, ledger: ClassLedger) -> dict[str, float]:
-    """Shortcut scores of every scoreable document, keyed by id in ranked
-    order: score descending, ascending id as the tie-break. Zero embeddings
-    are excluded on both sides (their cosines are undefined).
+def shortcut_scores(space: SurfaceSpace, ledger: ClassLedger) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of every scoreable document in ranked order (score
+    descending, ascending id as the tie-break) and their shortcut scores.
+    Zero embeddings are excluded on both sides (their cosines are undefined).
 
     Each class's scores come from one pass of :func:`score_against` over all
     unit rows (one dot per row, no (n, lam) temporary), and the ranking from
@@ -445,9 +456,8 @@ def shortcut_scores(space: SurfaceSpace, ledger: ClassLedger) -> dict[str, float
     # the ids' ranks, for a tie-break in Python's string order
     id_rank = np.empty(len(ids), dtype=np.int64)
     id_rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
-    order = np.lexsort((id_rank, -scores[rows])).tolist()
-    ranked = scores[rows].tolist()
-    return {ids[j]: ranked[j] for j in order}
+    ranked = rows[np.lexsort((id_rank, -scores[rows]))]
+    return ranked, scores[ranked]
 
 
 def class_alignment_objective(ledger: ClassLedger) -> float:

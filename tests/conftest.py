@@ -1,11 +1,13 @@
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from razor.corpus import Dataset, make_document
+from razor.surface import DEFAULT_LAMBDA, ClassLedger, embedding_rows, shortcut_scores
 
 
 def doc(doc_id, text, label, context=None):
@@ -24,6 +26,41 @@ def doc_frequency(table):
     """Token -> document frequency, for the tokens the table's snapshot holds."""
     df = table.df.tolist()
     return {token: df[i] for token, i in table.vocab.items() if df[i]}
+
+
+def embedding_matrix(dataset, stats=None, lam=DEFAULT_LAMBDA):
+    """The (n, lam) embeddings of ``dataset``, stacked from the block walk's
+    rows; a document too short to embed keeps a zero row."""
+    vectors = np.zeros((len(dataset), lam))
+    for rows, block in embedding_rows(dataset, stats, lam):
+        vectors[rows] = block
+    return vectors
+
+
+def scores_by_id(space, ledger=None):
+    """``shortcut_scores``' ranked rows and scores as {id: score}, in ranked
+    order; ``ledger`` defaults to the space's own."""
+    rows, scores = shortcut_scores(space, ClassLedger(space) if ledger is None else ledger)
+    return {space.ids[i]: score for i, score in zip(rows.tolist(), scores.tolist())}
+
+
+class Recording:
+    """A backend wrapper recording each generate and verify request as
+    (role, doc id), in call order, in ``entries``. ``calls`` is the wrapped
+    backend's own log."""
+
+    def __init__(self, backend):
+        self.backend = backend
+        self.calls = backend.calls
+        self.entries = []
+
+    def generate(self, prompt, doc, *args):
+        self.entries.append(("generate", doc.id))
+        return self.backend.generate(prompt, doc, *args)
+
+    def verify(self, prompt, candidate, doc, *args):
+        self.entries.append(("verify", doc.id))
+        return self.backend.verify(prompt, candidate, doc, *args)
 
 
 @pytest.fixture

@@ -39,11 +39,10 @@ from razor.surface import (
     compute_embeddings,
     corpus_stats,
     positional_encoding,
-    shortcut_scores,
     tfidf_score,
 )
 
-from conftest import dataset_from
+from conftest import Recording, dataset_from, embedding_matrix, scores_by_id
 from oracles import bleu_reference, naive_objective, naive_shortcut_score, pe_reference
 from test_attribution import build_shortcut_instance
 from test_surface import FIVE_DOC_EXPECTED, five_doc_dataset
@@ -91,18 +90,19 @@ def test_criterion_1_algebraic_identity():
             ds = random_corpus(rng, int(rng.integers(10, 201)))
             space = compute_embeddings(ds, lam=64)
             ledger = ClassLedger(space)
+            embeddings = embedding_matrix(ds, lam=64)
             by_class = {}
             vectors = {}
             for i, doc in enumerate(ds):
                 if space.scoreable[i]:
-                    vec = space.vectors[i].tolist()
+                    vec = embeddings[i].tolist()
                     vectors[doc.id] = vec
                     by_class.setdefault(doc.label, []).append(vec)
             fast = class_alignment_objective(ledger)
             naive = naive_objective(by_class)
             assert fast == pytest.approx(naive, rel=1e-9, abs=1e-9)
 
-            scores = shortcut_scores(space, ledger)
+            scores = scores_by_id(space, ledger)
             docs = [d for d in ds if d.id in vectors]
             picks = rng.choice(len(docs), size=min(10, len(docs)), replace=False)
             for idx in picks:
@@ -248,7 +248,7 @@ def test_criterion_9_determinism_and_resume(tmp_path):
         journaled = set(RewriteJournal(Checkpoint(ckpt_dir).journal_path(1))._entries)
         assert journaled, "abort must land mid-iteration, after some documents completed"
 
-        fresh = backend()
+        fresh = Recording(backend())
         resumed = run_razor(dataset, config, fresh, Checkpoint(ckpt_dir))
         p3 = tmp_path / "resumed.jsonl"
         save_dataset(resumed.dataset, p3)
@@ -256,6 +256,6 @@ def test_criterion_9_determinism_and_resume(tmp_path):
 
         iter1_generate = resumed.traces[0].llm_calls["generate"]
         assert iter1_generate == first.traces[0].llm_calls["generate"] - 3 * len(journaled)
-        first_iter_docs = [d for role, d in fresh.calls.entries if role == "generate"]
+        first_iter_docs = [d for role, d in fresh.entries if role == "generate"]
         first_iter_docs = set(first_iter_docs[:iter1_generate])
         assert not (first_iter_docs & journaled)

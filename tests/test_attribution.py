@@ -183,6 +183,12 @@ class TestLoadRecords:
         assert rec.subset_predictions == {frozenset({0}): 1}
         assert attribution_mass({0}, rec) == pytest.approx(math.sqrt(5.0))
 
+    def test_integer_doc_id_read_as_decimal_string(self, tmp_path):
+        path = tmp_path / "attr.jsonl"
+        row = {"doc_id": 42, "attributions": [[1.0], [2.0]], "predicted_full": 1, "true_label": 0}
+        self.write(path, [row])
+        assert load_attribution_records(path)[0].doc_id == "42"
+
     def test_mixed_dimensions_rejected(self, tmp_path):
         path = tmp_path / "attr.jsonl"
         self.write(

@@ -10,6 +10,8 @@ from razor.backends import HttpBackend, MockBackend
 from razor.corpus import make_document
 from razor.errors import BackendError, ConfigError
 
+from conftest import Recording
+
 LABELS = {0: "supports", 1: "refutes"}
 DOC = make_document("d1", "the claim text", 1, context_text="the evidence")
 
@@ -172,12 +174,12 @@ class TestHttpBackend:
             HttpBackend("m", api_key="k")
 
     def test_call_log_counts(self, stub_server):
-        backend = backend_for(stub_server)
+        backend = Recording(backend_for(stub_server))
         backend.generate("p", DOC, 0.7, 0.9, 0)
         backend.verify("p", "c", DOC, LABELS, 0.0, 0)
         assert backend.calls.count("generate") == 1
         assert backend.calls.count("verify") == 1
-        assert backend.calls.entries == [("generate", "d1"), ("verify", "d1")]
+        assert backend.entries == [("generate", "d1"), ("verify", "d1")]
 
 
 class TestMockBackend:

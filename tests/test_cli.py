@@ -1,10 +1,12 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
 from razor.cli import main
 from razor.corpus import load_dataset
+from razor.surface import _unit_rows, compute_embeddings
 
 from conftest import dataset_from
 from razor.corpus import save_dataset
@@ -79,6 +81,9 @@ class TestAnalyze:
         assert code == 2
 
     def test_embeddings_export(self, single_file, tmp_path):
+        lines = single_file.read_text().splitlines(keepends=True)
+        lines.insert(5, json.dumps({"id": "short", "text": "alone", "label": 1}) + "\n")
+        single_file.write_text("".join(lines))
         out = tmp_path / "emb.jsonl"
         code = main(
             ["analyze", "--input", str(single_file), "--embeddings-out", str(out), "--top", "0"]
@@ -87,6 +92,13 @@ class TestAnalyze:
         rows = [json.loads(line) for line in out.read_text().splitlines()]
         assert len(rows) == 12
         assert len(rows[0]["vector"]) == 64
+        # a 1-token document has no embedding to export
+        dataset = load_dataset(single_file, "single")
+        assert [r["id"] for r in rows] == [d.id for d in dataset if d.id != "short"]
+        space = compute_embeddings(dataset)
+        np.testing.assert_array_equal(
+            _unit_rows(np.array([r["vector"] for r in rows])), space.units[space.embedded]
+        )
 
 
 class TestRun:
@@ -437,6 +449,7 @@ RUN_CONFIG = RUN + ["--config", "{tmp}/config.json"]
 CHECK = ["check-shortcut", "--attributions", "{tmp}/attr.jsonl"]
 ANALYZE = ["analyze", "--input", "{tmp}/bad.jsonl", "--out", "{tmp}/ranking.jsonl"]
 ANALYZE_CLAIMS = ANALYZE + ["--schema", "claim_evidence"]
+CHECK_SUBSETS = CHECK + ["--subset-file", "{tmp}/subsets.jsonl"]
 
 
 def data_lines(**fields):
@@ -449,6 +462,12 @@ def attribution(**fields):
     """Two attribution records, the second with ``fields`` replaced."""
     row = {"doc_id": "d", "attributions": [[1.0], [2.0]], "predicted_full": 1, "true_label": 0}
     return json.dumps(row) + "\n" + json.dumps({**row, "doc_id": "e", **fields}) + "\n"
+
+
+def subset_lines(**fields):
+    """Two subset-file lines, the second with ``fields`` replaced."""
+    row = {"doc_id": "d", "positions": [0]}
+    return json.dumps(row) + "\n" + json.dumps({**row, **fields}) + "\n"
 
 
 # (files to write: raw text, or a value written as JSON; argv; exit code;
@@ -492,6 +511,9 @@ ERROR_CASES = {
     "data-evidence-object": (
         {"bad.jsonl": data_lines(evidence={"a": 1})}, ANALYZE_CLAIMS, 2, ["line 2", "evidence"]
     ),
+    "data-id-bool": ({"bad.jsonl": data_lines(id=True)}, ANALYZE, 2, ["line 2", "id"]),
+    "data-id-list": ({"bad.jsonl": data_lines(id=[1])}, ANALYZE, 2, ["line 2", "id"]),
+    "data-id-float": ({"bad.jsonl": data_lines(id=1.5)}, ANALYZE, 2, ["line 2", "id"]),
     "rules-malformed": ({"rules.json": "{"}, RUN, 2),
     "rules-not-object": ({"rules.json": ["x"]}, RUN, 2),
     "rules-generation-not-list": ({"rules.json": {"generation": "x"}}, RUN, 1),
@@ -526,6 +548,40 @@ ERROR_CASES = {
     "attributions-subset-predicted-string": (
         {"attr.jsonl": attribution(subsets=[{"positions": [0], "predicted": "1"}])},
         CHECK, 2, ["line 2", "predicted"],
+    ),
+    "attributions-doc-id-bool": (
+        {"attr.jsonl": attribution(doc_id=True)}, CHECK, 2, ["line 2", "doc_id"]
+    ),
+    "attributions-doc-id-object": (
+        {"attr.jsonl": attribution(doc_id={"a": 1})}, CHECK, 2, ["line 2", "doc_id"]
+    ),
+    "attributions-position-float": (
+        {"attr.jsonl": attribution(subsets=[{"positions": [0.9], "predicted": 1}])},
+        CHECK, 2, ["line 2", "positions"],
+    ),
+    "attributions-position-bool": (
+        {"attr.jsonl": attribution(subsets=[{"positions": [True], "predicted": 1}])},
+        CHECK, 2, ["line 2", "positions"],
+    ),
+    "attributions-positions-string": (
+        {"attr.jsonl": attribution(subsets=[{"positions": "01", "predicted": 1}])},
+        CHECK, 2, ["line 2", "positions"],
+    ),
+    "subset-file-doc-id-bool": (
+        {"attr.jsonl": attribution(), "subsets.jsonl": subset_lines(doc_id=True)},
+        CHECK_SUBSETS, 2, ["line 2", "doc_id"],
+    ),
+    "subset-file-doc-id-list": (
+        {"attr.jsonl": attribution(), "subsets.jsonl": subset_lines(doc_id=["d"])},
+        CHECK_SUBSETS, 2, ["line 2", "doc_id"],
+    ),
+    "subset-file-position-float": (
+        {"attr.jsonl": attribution(), "subsets.jsonl": subset_lines(positions=[0.9])},
+        CHECK_SUBSETS, 2, ["line 2", "positions"],
+    ),
+    "subset-file-position-bool": (
+        {"attr.jsonl": attribution(), "subsets.jsonl": subset_lines(positions=[True])},
+        CHECK_SUBSETS, 2, ["line 2", "positions"],
     ),
 }
 

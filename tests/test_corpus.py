@@ -122,6 +122,19 @@ class TestLoadSave:
         assert ds.documents[0].mutable_text == "someone moves"
         assert ds.documents[0].context_text == "a man walks"
 
+    def test_integer_ids_read_as_decimal_strings(self, tmp_path):
+        # FEVER's ids are JSON numbers
+        path = tmp_path / "data.jsonl"
+        self.write_lines(
+            path,
+            [
+                {"id": 75397, "text": "one text here", "label": 0},
+                {"id": "x1", "text": "two text here", "label": 1},
+            ],
+        )
+        ds = load_dataset(path, "single")
+        assert [d.id for d in ds] == ["75397", "x1"]
+
     def test_malformed_json_names_line(self, tmp_path):
         path = tmp_path / "data.jsonl"
         path.write_text('{"id": "1", "text": "ok fine", "label": 0}\n{oops\n', encoding="utf-8")

@@ -22,7 +22,7 @@ from razor.surface import (
     tfidf_score,
 )
 
-from conftest import dataset_from, doc_frequency
+from conftest import dataset_from, doc_frequency, embedding_matrix, scores_by_id
 from oracles import embed_reference, naive_objective, naive_shortcut_score, pe_reference
 
 # Hand-evaluated tf-idf values for a fixed 5-document corpus, produced by an
@@ -191,11 +191,11 @@ class TestSurfaceEmbedding:
         ds = five_doc_dataset()
         stats = corpus_stats(ds)
         all_tokens = [list(d.tokens) for d in ds]
-        space = compute_embeddings(ds, stats, 8)
+        vectors = embedding_matrix(ds, stats, 8)
         for i, doc in enumerate(ds):
             ref = embed_reference(list(doc.tokens), all_tokens, 8)
             np.testing.assert_allclose(surface_embedding(doc, stats, 8), ref, atol=1e-12)
-            np.testing.assert_allclose(space.vectors[i], ref, atol=1e-12)
+            np.testing.assert_allclose(vectors[i], ref, atol=1e-12)
 
     def test_unit_norm_within_tolerance(self):
         ds = five_doc_dataset()
@@ -208,7 +208,8 @@ class TestSurfaceEmbedding:
         space = compute_embeddings(ds, lam=4)
         assert space.embedded.tolist() == [False, True, True]
         assert len(space) == 2
-        assert np.all(space.vectors[0] == 0.0)
+        assert np.all(space.units[0] == 0.0)
+        assert np.all(embedding_matrix(ds, lam=4)[0] == 0.0)
 
     def test_unseen_df_scores_new_tokens(self):
         ds = dataset_from([("d1", "a b", 0), ("d2", "a c", 1)])
@@ -245,17 +246,18 @@ class TestBlockEmbedding:
         ds = block_corpus(2 * BLOCK_DOCS + 37)
         stats = corpus_stats(ds)
         space = compute_embeddings(ds, stats, 8)
+        vectors = embedding_matrix(ds, stats, 8)
         # sets: the oracle only asks whether a document holds a token
         all_tokens = [set(d.tokens) for d in ds]
         assert {len(d.tokens) for d in ds} == set(range(1, 41))
         for i, doc in enumerate(ds):
             if len(doc.tokens) < 2:
-                assert not space.embedded[i] and not space.vectors[i].any()
+                assert not space.embedded[i] and not vectors[i].any()
                 continue
             ref = embed_reference(list(doc.tokens), all_tokens, 8)
-            np.testing.assert_allclose(space.vectors[i], ref, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(vectors[i], ref, rtol=0, atol=1e-12)
         ubiquitous = BLOCK_DOCS + 5
-        assert space.embedded[ubiquitous] and not space.vectors[ubiquitous].any()
+        assert space.embedded[ubiquitous] and not vectors[ubiquitous].any()
         assert not space.scoreable[ubiquitous]
         assert len(space) == sum(len(d.tokens) >= 2 for d in ds)
         norms = np.linalg.norm(space.units[space.scoreable], axis=1)
@@ -265,18 +267,31 @@ class TestBlockEmbedding:
         ds = block_corpus(2 * BLOCK_DOCS + 37)
         stats = corpus_stats(ds)
         space = compute_embeddings(ds, stats, 8)
+        vectors = embedding_matrix(ds, stats, 8)
         rows = [1, BLOCK_DOCS - 1, BLOCK_DOCS, 2 * BLOCK_DOCS + 36]
         units = candidate_units([ds.documents[i] for i in rows], stats, 8)
         for i, unit in zip(rows, units):
             vector = surface_embedding(ds.documents[i], stats, 8)
-            np.testing.assert_allclose(vector, space.vectors[i], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(vector, vectors[i], rtol=0, atol=1e-12)
             np.testing.assert_allclose(unit, space.units[i], rtol=0, atol=1e-12)
+
+    def test_candidates_take_the_snapshot_walk(self):
+        # every document of at least 2 tokens: the candidate blocks are the
+        # snapshot's blocks, so each row keeps its bits
+        full = block_corpus(3 * BLOCK_DOCS + 11)
+        ds = Dataset(tuple(d for d in full if len(d.tokens) >= 2), full.label_names, full.schema)
+        assert len(ds) > 2 * BLOCK_DOCS
+        table = corpus_stats(ds)
+        np.testing.assert_array_equal(
+            candidate_units(ds.documents, table, 8), compute_embeddings(ds, table, 8).units
+        )
 
     def test_table_of_another_snapshot_is_moved(self):
         rows = [(f"d{i}", f"shared word{i % 7}", i % 2) for i in range(2 * BLOCK_DOCS)]
         rows.append(("late", "shared lateonly", 1))
         ds = dataset_from(rows)
         fresh = compute_embeddings(ds, corpus_stats(ds), 8)
+        fresh_vectors = embedding_matrix(ds, corpus_stats(ds), 8)
         # tables of a smaller snapshot and of a same-size one with other text
         smaller = corpus_stats(ds.with_documents(ds.documents[:-1]))
         edited = ds.with_documents(
@@ -285,7 +300,7 @@ class TestBlockEmbedding:
         for table in (smaller, corpus_stats(edited)):
             space = compute_embeddings(ds, table, 8)
             assert table.documents is ds.documents
-            np.testing.assert_array_equal(space.vectors, fresh.vectors)
+            np.testing.assert_array_equal(embedding_matrix(ds, table, 8), fresh_vectors)
             np.testing.assert_array_equal(space.units, fresh.units)
             np.testing.assert_array_equal(space.embedded, fresh.embedded)
 
@@ -366,10 +381,6 @@ def space_from(ds, vectors):
     return space
 
 
-def scores_of(space):
-    return shortcut_scores(space, ClassLedger(space))
-
-
 def objective_of(space):
     return class_alignment_objective(ClassLedger(space))
 
@@ -379,16 +390,16 @@ class TestShortcutScore:
         rng = np.random.default_rng(17)
         ds, space = random_embedding_dataset(rng, 60, n_classes=3)
         ledger = ClassLedger(space)
-        scores = shortcut_scores(space, ledger)
+        rows, scores = shortcut_scores(space, ledger)
         expected = {}
-        for i in np.flatnonzero(space.scoreable):
+        for i in np.flatnonzero(space.scoreable).tolist():
             opposite_sum, n = ledger.opposite(int(space.labels[i]))
-            expected[space.ids[i]] = float(score_against(space.units[i], opposite_sum, n))
-        assert scores.keys() == expected.keys()
-        for doc_id, score in scores.items():
-            assert score == pytest.approx(expected[doc_id], rel=0, abs=1e-12)
-        ranked = sorted(expected, key=lambda d: (-scores[d], d))
-        assert list(scores) == ranked
+            expected[i] = float(score_against(space.units[i], opposite_sum, n))
+        assert sorted(rows.tolist()) == sorted(expected)
+        for i, score in zip(rows.tolist(), scores.tolist()):
+            assert score == pytest.approx(expected[i], rel=0, abs=1e-12)
+        ranked = sorted(expected, key=lambda i: (-expected[i], space.ids[i]))
+        assert rows.tolist() == ranked
 
     def test_exact_ties_rank_by_ascending_id(self):
         # ids out of order in the space; equal vectors tie exactly
@@ -396,7 +407,7 @@ class TestShortcutScore:
         ds = dataset_from([(d, "p q", i % 2) for i, d in enumerate(ids)])
         vectors = {"m": [1.0, 0.0], "b": [1.0, 0.0], "z": [0.0, 1.0],
                    "a": [0.0, 1.0], "k": [1.0, 0.0], "c": [0.0, 1.0]}
-        scores = scores_of(space_from(ds, vectors))
+        scores = scores_by_id(space_from(ds, vectors))
         # class 0 (m, z, k) against 1 (b, a, c): two exact scores, 2/3 and 1/3
         assert len(set(scores.values())) == 2
         assert list(scores) == ["a", "c", "k", "m", "b", "z"]
@@ -410,32 +421,33 @@ class TestShortcutScore:
                 ("d", "other filler phrase now", 0),
             ]
         )
-        scores = scores_of(compute_embeddings(ds, lam=8))
+        scores = scores_by_id(compute_embeddings(ds, lam=8))
         # a's embedding equals b's and c's (identical text), so gamma(a) == 1 - 1 = 0
         assert scores["a"] == pytest.approx(0.0, abs=1e-9)
 
     def test_opposite_direction_scores_two(self):
         ds = dataset_from([("a", "p q", 0), ("b", "r s", 1)])
         space = space_from(ds, {"a": [1.0, 0.0], "b": [-1.0, 0.0]})
-        assert scores_of(space)["a"] == pytest.approx(2.0, abs=1e-12)
+        assert scores_by_id(space)["a"] == pytest.approx(2.0, abs=1e-12)
 
     def test_matches_naive_double_loop(self):
         rng = np.random.default_rng(11)
         ds, space = random_embedding_dataset(rng, 4)
-        scores = scores_of(space)
+        vectors = embedding_matrix(ds, lam=8)
+        scores = scores_by_id(space)
         for i, doc in enumerate(ds):
             opposite = [
-                space.vectors[j].tolist()
+                vectors[j].tolist()
                 for j, o in enumerate(ds)
                 if o.label != doc.label and space.scoreable[j]
             ]
-            expected = naive_shortcut_score(space.vectors[i].tolist(), opposite)
+            expected = naive_shortcut_score(vectors[i].tolist(), opposite)
             assert scores[doc.id] == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
     def test_range(self):
         rng = np.random.default_rng(5)
         ds, space = random_embedding_dataset(rng, 30)
-        for doc_id, score in scores_of(space).items():
+        for doc_id, score in scores_by_id(space).items():
             assert -1e-9 <= score <= 2.0 + 1e-9
 
     def test_zero_embedding_document_undefined(self):
@@ -443,25 +455,25 @@ class TestShortcutScore:
         ds = dataset_from([("a", "a b", 0), ("b", "a b c d", 1), ("c", "a b e f", 1)])
         space = compute_embeddings(ds, lam=4)
         assert space.embedded[0] and not space.scoreable[0]
-        assert "a" not in scores_of(space)
+        assert "a" not in scores_by_id(space)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(3)
         ds, embeddings = random_embedding_dataset(rng, 10)
         scaled = compute_embeddings(ds, lam=8)
-        scaled.set_rows(0, embeddings.vectors[0] * 37.0)
+        scaled.set_rows(0, embedding_matrix(ds, lam=8)[0] * 37.0)
         target = ds.documents[0].id
-        assert scores_of(scaled)[target] == pytest.approx(scores_of(embeddings)[target], rel=1e-12)
+        assert scores_by_id(scaled)[target] == pytest.approx(scores_by_id(embeddings)[target], rel=1e-12)
 
     def test_ranking_invariant_under_permutation(self):
         rng = np.random.default_rng(13)
         ds, embeddings = random_embedding_dataset(rng, 20)
-        scores = scores_of(embeddings)
+        scores = scores_by_id(embeddings)
         top = sorted(scores, key=lambda i: (-scores[i], i))[:5]
 
         order = rng.permutation(len(ds.documents))
         shuffled = ds.with_documents(ds.documents[i] for i in order)
-        scores2 = scores_of(compute_embeddings(shuffled, lam=8))
+        scores2 = scores_by_id(compute_embeddings(shuffled, lam=8))
         top2 = sorted(scores2, key=lambda i: (-scores2[i], i))[:5]
         assert top == top2
 
@@ -483,10 +495,11 @@ class TestObjective:
     def test_matches_naive_double_loop(self):
         rng = np.random.default_rng(23)
         ds, space = random_embedding_dataset(rng, 100)
+        vectors = embedding_matrix(ds, lam=8)
         by_class = {}
         for i, doc in enumerate(ds):
             if space.scoreable[i]:
-                by_class.setdefault(doc.label, []).append(space.vectors[i].tolist())
+                by_class.setdefault(doc.label, []).append(vectors[i].tolist())
         expected = naive_objective(by_class)
         got = objective_of(space)
         assert got == pytest.approx(expected, rel=1e-9, abs=1e-9)
@@ -507,7 +520,7 @@ class TestObjective:
         rng = np.random.default_rng(31)
         ds, embeddings = random_embedding_dataset(rng, 12)
         scaled = compute_embeddings(ds, lam=8)
-        scaled.set_rows(3, embeddings.vectors[3] * 0.001)
+        scaled.set_rows(3, embedding_matrix(ds, lam=8)[3] * 0.001)
         assert objective_of(scaled) == pytest.approx(objective_of(embeddings), rel=1e-12)
 
     def test_class_fully_zero_embedded_undefined(self):
