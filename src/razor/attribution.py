@@ -13,6 +13,7 @@ checker works with any upstream attribution method.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Optional
@@ -64,9 +65,10 @@ def make_record(
             f"record {doc_id!r}: attributions must be a non-empty matrix of "
             f"per-token vectors sharing one dimension"
         )
-    preds = dict(subset_predictions or {})
-    for subset in preds:
-        _check_positions(subset, arr.shape[0], doc_id)
+    preds = {
+        _check_positions(subset, arr.shape[0], doc_id): predicted
+        for subset, predicted in (subset_predictions or {}).items()
+    }
     return AttributionRecord(doc_id, arr, int(predicted_full), int(true_label), preds)
 
 
@@ -79,13 +81,24 @@ def json_positions(value) -> frozenset[int]:
 
 
 def _check_positions(subset: Iterable[int], n_tokens: int, doc_id: str) -> frozenset[int]:
-    positions = frozenset(int(p) for p in subset)
+    """``subset`` as a set of positions in range, each an integer as
+    ``operator.index`` reads one (``0.9`` and ``True`` are not positions)."""
+    positions = frozenset(_position(p, doc_id) for p in subset)
     for p in positions:
         if p < 0 or p >= n_tokens:
             raise DataError(
                 f"record {doc_id!r}: position {p} out of range for {n_tokens} tokens"
             )
     return positions
+
+
+def _position(value, doc_id: str) -> int:
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise DataError(f"record {doc_id!r}: position {value!r} is not an integer")
 
 
 def attribution_mass(subset: Iterable[int], record: AttributionRecord) -> float:

@@ -218,16 +218,14 @@ class MockBackend:
         self._lock = threading.Lock()
 
     @classmethod
-    def from_rules_file(cls, path: str | Path, **overrides) -> "MockBackend":
+    def from_rules_file(cls, path: str | Path) -> "MockBackend":
         spec = read_json(path)
-        kwargs = dict(
+        return cls(
             rules=spec.get("generation", []),
             verdict=spec.get("verdict", "confirm"),
             seed=spec.get("seed", 0),
             fail_after_generate_calls=spec.get("fail_after_generate_calls"),
         )
-        kwargs.update(overrides)
-        return cls(**kwargs)
 
     def generate(
         self,

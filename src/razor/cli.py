@@ -278,6 +278,7 @@ def cmd_report(args) -> int:
 
 def cmd_check_shortcut(args) -> int:
     records = load_attribution_records(args.attributions)
+    known = {record.doc_id for record in records}
     wanted: dict[str, list[frozenset[int]]] = {}
     if args.subset_file:
         with open(args.subset_file, "r", encoding="utf-8") as fh:
@@ -291,6 +292,11 @@ def cmd_check_shortcut(args) -> int:
                     positions = json_positions(row["positions"])
                 except (json.JSONDecodeError, KeyError, TypeError) as exc:
                     raise DataError(f"{args.subset_file}: line {lineno}: bad subset ({exc})") from None
+                if doc_id not in known:
+                    raise DataError(
+                        f"{args.subset_file}: line {lineno}: "
+                        f"no attribution record for doc_id {doc_id!r}"
+                    )
                 wanted.setdefault(doc_id, []).append(positions)
 
     for record in records:

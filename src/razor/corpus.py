@@ -18,6 +18,7 @@ import logging
 import math
 import os
 import unicodedata
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from operator import is_not
 from pathlib import Path
@@ -314,25 +315,18 @@ def save_dataset(
     With ``previous``, the lines of an earlier file this function wrote, the
     documents that are the very objects that file was written for are copied
     from its bytes, and only the others are formatted. The file must still
-    be as written (its size and modification time are checked); otherwise,
-    or for another schema or size, every line is formatted."""
+    be as written (its size and modification time are checked). Otherwise,
+    or for another schema or size, the same walk patches n empty lines:
+    every document is formatted and nothing is copied."""
     docs = dataset.documents
-    format_line = _line_format(dataset.schema)
-    sizes = np.empty(len(docs), dtype=np.int64)
     with open(path, "wb") as out:
         source = _unchanged_source(previous, dataset)
         if source is None:
-
-            def encoded():
-                for i, doc in enumerate(docs):
-                    data = format_line(doc).encode("utf-8")
-                    sizes[i] = len(data)
-                    yield data
-
-            out.writelines(encoded())
-        else:
-            with source:
-                _patch_lines(source, out, previous, docs, format_line, sizes)
+            empty = np.zeros(len(docs), dtype=np.int64)
+            source = nullcontext()
+            previous = SavedLines(Path(path), dataset.schema, (None,) * len(docs), empty, 0)
+        with source as lines:
+            sizes = _patch_lines(lines, out, previous, docs, _line_format(dataset.schema))
         out.flush()
         mtime_ns = os.fstat(out.fileno()).st_mtime_ns
     return SavedLines(Path(path), dataset.schema, docs, np.cumsum(sizes), mtime_ns)
@@ -358,12 +352,12 @@ def _unchanged_source(previous: Optional[SavedLines], dataset: Dataset):
     return source
 
 
-def _patch_lines(source, out, previous: SavedLines, docs, format_line, sizes) -> None:
+def _patch_lines(source, out, previous: SavedLines, docs, format_line) -> np.ndarray:
     """Write ``docs``' lines to ``out``: each run of documents unchanged since
     ``previous`` as the bytes of its lines in ``source``, read in bounded
-    chunks, and each changed document formatted. Fills ``sizes`` with every
-    line's length."""
-    sizes[:] = np.diff(previous.ends, prepend=0)
+    chunks, and each changed document formatted. Returns every line's
+    length."""
+    sizes = np.diff(previous.ends, prepend=0)
     old_ends = previous.ends.tolist()
     changed = np.flatnonzero(np.fromiter(map(is_not, docs, previous.documents), bool, len(docs)))
     start = 0  # first row not yet written
@@ -376,6 +370,7 @@ def _patch_lines(source, out, previous: SavedLines, docs, format_line, sizes) ->
             sizes[row] = len(data)
             out.write(data)
         start = row + 1
+    return sizes
 
 
 def _copy_bytes(source, out, offset: int, size: int) -> None:

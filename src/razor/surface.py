@@ -52,11 +52,12 @@ class TokenTable:
     :meth:`update` moves the table to a later snapshot. Only the documents
     that are not the objects it numbered before are mapped from their
     strings, and df moves by their exact integer deltas, so each idf entry
-    keeps the bits a fresh count gives."""
+    keeps the bits a count from nothing gives. A first build is the same
+    update, from n empty documents."""
 
     def __init__(self):
         self.vocab: dict[str, int] = {}
-        self.documents: tuple[LabeledDocument, ...] = ()
+        self.documents: tuple[Optional[LabeledDocument], ...] = ()
         self.ids = np.zeros(0, dtype=np.int32)
         self.offsets = np.zeros(1, dtype=np.int64)
         self.df = np.zeros(0, dtype=np.int64)
@@ -64,52 +65,43 @@ class TokenTable:
 
     def update(self, dataset: Dataset) -> None:
         """Number the documents of ``dataset`` that the table does not hold
-        yet; a dataset of another size is numbered afresh."""
+        yet. For a dataset of another size the table first holds n empty
+        documents, which every document then replaces; the vocabulary is
+        kept."""
         docs = dataset.documents
         if len(docs) != len(self.documents):
-            ids, lengths = self._number(docs)
-            self.ids = _mapped_zeros(len(ids), dtype=np.int32)
-            self.ids[:] = ids
-            self.offsets = np.concatenate([[0], np.cumsum(lengths)])
-            self.df = _doc_counts(lengths, ids, len(self.vocab))
+            self.documents = (None,) * len(docs)
+            self.ids = np.zeros(0, dtype=np.int32)
+            self.offsets = np.zeros(len(docs) + 1, dtype=np.int64)
+            self.df = np.zeros(len(self.vocab), dtype=np.int64)
             self.idf = _idf(len(docs), self.df)
-        else:
-            changed = np.fromiter(map(is_not, docs, self.documents), bool, len(docs))
-            rows = np.flatnonzero(changed).tolist()
-            if rows:
-                self._replace(docs, rows)
+        changed = np.fromiter(map(is_not, docs, self.documents), bool, len(docs))
+        if changed.any():
+            self._replace(docs, changed)
         self.documents = docs
 
-    def _number(self, docs: Sequence[LabeledDocument]) -> tuple[np.ndarray, np.ndarray]:
-        """``docs``' token ids and lengths, numbering tokens new to the run."""
-        # ids from a counter, not from the dict's own __len__ (see _mapped)
-        grown = defaultdict(count(len(self.vocab)).__next__, self.vocab)
-        ids, lengths = _token_ids(docs, grown)
+    def _replace(self, docs: tuple[LabeledDocument, ...], changed: np.ndarray) -> None:
+        """Renumber the documents where ``changed`` is True, splice their ids
+        in place of their old ones, and move df by their exact deltas; idf
+        is recomputed only where df moved."""
+        rows = np.flatnonzero(changed)
+        new_ids, new_lengths, grown = _token_ids([docs[i] for i in rows.tolist()], self.vocab)
         if len(grown) > len(self.vocab):
             self.vocab = dict(grown)
-        return ids, lengths
-
-    def _replace(self, docs: tuple[LabeledDocument, ...], rows: list[int]) -> None:
-        """Renumber the documents at ``rows`` (ascending) and move df by
-        their exact deltas."""
-        new_ids, new_lengths = self._number([docs[i] for i in rows])
-        firsts = self.offsets[rows].tolist()
-        lasts = self.offsets[np.add(rows, 1)].tolist()
-        # the table's ids in row order: each run of unchanged rows, then a
-        # replaced row's new ids; and the replaced rows' old ids
-        pieces, old_ids = [], []
-        start = taken = 0
-        for first, last, length in zip(firsts, lasts, new_lengths.tolist()):
-            pieces.append(self.ids[start:first])
-            pieces.append(new_ids[taken : taken + length])
-            old_ids.append(self.ids[first:last])
-            start, taken = last, taken + length
-        pieces.append(self.ids[start:])
-        lengths = np.diff(self.offsets)
+        old_lengths = np.diff(self.offsets)
+        lengths = old_lengths.copy()
+        lengths[rows] = new_lengths
+        offsets = np.concatenate([[0], np.cumsum(lengths)])
+        old_taken = np.repeat(changed, old_lengths)
+        new_taken = np.repeat(changed, lengths)
+        old_ids = self.ids[old_taken]
+        ids = _mapped_zeros(offsets[-1], dtype=np.int32)
+        ids[~new_taken] = self.ids[~old_taken]
+        ids[new_taken] = new_ids
 
         size = len(self.vocab)
         delta = _doc_counts(new_lengths, new_ids, size)
-        delta[: len(self.df)] -= _doc_counts(lengths[rows], np.concatenate(old_ids), len(self.df))
+        delta[: len(self.df)] -= _doc_counts(old_lengths[rows], old_ids, len(self.df))
         df = np.zeros(size, dtype=np.int64)
         df[: len(self.df)] = self.df
         df += delta
@@ -117,11 +109,7 @@ class TokenTable:
         idf[: len(self.idf)] = self.idf
         moved = np.flatnonzero(delta)
         idf[moved] = _idf(len(docs), df[moved])
-
-        lengths[rows] = new_lengths
-        offsets = np.concatenate([[0], np.cumsum(lengths)])
-        self.ids = np.concatenate(pieces, out=_mapped_zeros(offsets[-1], dtype=np.int32))
-        self.offsets, self.df, self.idf = offsets, df, idf
+        self.ids, self.offsets, self.df, self.idf = ids, offsets, df, idf
 
 
 def _idf(n: int, df: np.ndarray) -> np.ndarray:
@@ -142,17 +130,22 @@ def corpus_stats(dataset: Dataset, table: Optional[TokenTable] = None) -> TokenT
 
 def _token_ids(
     docs: Sequence[LabeledDocument], vocab: Mapping[str, int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each token of ``docs`` as its id in ``vocab``, in reading order, and
-    each document's length: the one place tokens are numbered from their
-    strings."""
+) -> tuple[np.ndarray, np.ndarray, Mapping[str, int]]:
+    """Each token of ``docs`` as its id, in reading order, each document's
+    length, and the vocabulary the ids are read through: a copy of
+    ``vocab`` grown by the tokens of ``docs`` it lacks, numbered past it in
+    the order they are first read. The one place tokens are numbered from
+    their strings."""
+    # Ids from a counter, not from the dict's own __len__: that
+    # self-reference would keep the copy alive until the cycle collector ran.
+    grown = defaultdict(count(len(vocab)).__next__, vocab)
     lengths = np.fromiter(map(len, (d.tokens for d in docs)), dtype=np.int64, count=len(docs))
     token_ids = np.fromiter(
-        map(vocab.__getitem__, chain.from_iterable(d.tokens for d in docs)),
+        map(grown.__getitem__, chain.from_iterable(d.tokens for d in docs)),
         dtype=np.int32,
         count=int(lengths.sum()),
     )
-    return token_ids, lengths
+    return token_ids, lengths, grown
 
 
 def _blocks(lengths: np.ndarray, token_ids: np.ndarray):
@@ -185,15 +178,12 @@ def _mapped(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The lengths and token ids of ``docs``, numbered from their strings
     through the table's vocabulary, and the idf table to read them with. A
-    token the table never saw takes an id past it and the idf of df 1, the
-    idf the table holds for a token no document holds any more."""
-    # Ids from a counter, not from the dict's own __len__: that
-    # self-reference would keep the copy alive until the cycle collector ran.
-    vocab = defaultdict(count(len(table.vocab)).__next__, table.vocab)
-    token_ids, lengths = _token_ids(docs, vocab)
-    idf = np.full(len(vocab), math.log(len(table.documents) / 1))
-    idf[: len(table.idf)] = table.idf
-    return lengths, token_ids, idf
+    token the table never saw takes an id past it and the idf of df 0, which
+    reads as df 1: the idf the table holds for a token no document holds any
+    more."""
+    token_ids, lengths, vocab = _token_ids(docs, table.vocab)
+    unseen = _idf(len(table.documents), np.zeros(len(vocab) - len(table.idf), dtype=np.int64))
+    return lengths, token_ids, np.concatenate([table.idf, unseen])
 
 
 def tfidf_score(token: str, doc: LabeledDocument, stats: TokenTable) -> float:
@@ -270,10 +260,17 @@ def _embed_block(
 ) -> np.ndarray:
     """Embeddings of a block of documents (each of at least 2 tokens, given
     as for :func:`_block_weights`), one row each: one product of the block's
-    weights with the encoding table."""
+    weights with the encoding table.
+
+    A lone row goes in paired with itself: a one-row product takes the
+    matrix-vector routine, which rounds otherwise than the matrix product,
+    and a document's row keeps its bits whatever its block."""
     weights = _block_weights(lengths, token_ids, idf)
     width = weights.shape[1]
-    return (weights @ _encoding_table(width, lam)[:width]) / (lengths - 1)[:, None]
+    if len(weights) == 1:
+        weights = np.repeat(weights, 2, axis=0)
+    product = weights @ _encoding_table(width, lam)[:width]
+    return product[: len(lengths)] / (lengths - 1)[:, None]
 
 
 def surface_embedding(

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -153,6 +154,37 @@ class TestIsShortcut:
         rec = self.base({})
         with pytest.raises(DataError, match="no recorded prediction"):
             is_shortcut({0}, rec)
+
+
+NOT_POSITIONS = [0.9, True, np.float64(1.0)]
+
+
+def not_a_position(value):
+    return rf"record 'doc': position {re.escape(repr(value))} is not an integer"
+
+
+class TestPositionsAreIntegers:
+    """Library callers get the check the file readers make: a position is
+    an integer, never a float or a bool that ``int()`` would quietly read."""
+
+    def rec(self):
+        return make_record("doc", [[3.0, 4.0], [1.0, 0.0], [0.0, 2.0]], 1, 0, {frozenset({0}): 1})
+
+    @pytest.mark.parametrize("value", NOT_POSITIONS)
+    @pytest.mark.parametrize("check", [attribution_mass, mass_inequality_holds, is_shortcut])
+    def test_library_calls_reject(self, check, value):
+        with pytest.raises(DataError, match=not_a_position(value)):
+            check({value}, self.rec())
+
+    @pytest.mark.parametrize("value", NOT_POSITIONS)
+    def test_subset_keys_reject(self, value):
+        with pytest.raises(DataError, match=not_a_position(value)):
+            make_record("doc", [[1.0]] * 3, 1, 0, {frozenset({value}): 1})
+
+    def test_numpy_integers_are_positions(self):
+        rec = make_record("doc", [[3.0, 4.0], [1.0, 0.0]], 1, 0, {frozenset({np.int64(0)}): 1})
+        assert attribution_mass({np.int64(0)}, rec) == attribution_mass({0}, rec) == 5.0
+        assert is_shortcut({np.int32(0)}, rec).is_shortcut
 
 
 class TestLoadRecords:

@@ -583,6 +583,10 @@ ERROR_CASES = {
         {"attr.jsonl": attribution(), "subsets.jsonl": subset_lines(positions=[True])},
         CHECK_SUBSETS, 2, ["line 2", "positions"],
     ),
+    "subset-file-doc-id-unknown": (
+        {"attr.jsonl": attribution(), "subsets.jsonl": subset_lines(doc_id="nosuch")},
+        CHECK_SUBSETS, 2, ["subsets", "line 2", "nosuch"],
+    ),
 }
 
 

@@ -856,7 +856,9 @@ class TestTokenTable:
 
     def test_update_moves_df_by_exact_deltas(self):
         """Replacing documents across blocks: removing a token entirely,
-        bringing it back, adding new tokens and changing lengths."""
+        bringing it back, adding new tokens and changing lengths; then moving
+        the table to a smaller dataset and back, where it restarts from n
+        empty documents and keeps tokens no document holds at df 0."""
         rows = [(f"d{i:04d}", f"common w{i % 11} w{i % 7} w{i % 3}", i % 2)
                 for i in range(2 * BLOCK_DOCS + 40)]
         rows[BLOCK_DOCS + 3] = ("rare", "common rareword w1", 1)
@@ -870,10 +872,13 @@ class TestTokenTable:
             {},
             {7: "common w2", 300: "common w2 w2 w2 w2 w2 w2 w2 w2 w2 w2 w2 w2"},
         ]
-        for stamp, edit in enumerate(edits):
+        smaller = BLOCK_DOCS + 10
+        steps = [(len(docs), edit) for edit in edits]
+        steps += [(smaller, {}), (smaller, {3: "common newest"}), (len(docs), {4: "common w4"})]
+        for stamp, (size, edit) in enumerate(steps):
             for row, text in edit.items():
                 docs[row] = make_document(docs[row].id, text, docs[row].label)
-            snapshot = dataset.with_documents(docs)
+            snapshot = dataset.with_documents(docs[:size])
             stats = surface.corpus_stats(snapshot, table)
             fresh = assert_stats_equal_fresh(stats, snapshot)
             np.testing.assert_array_equal(
@@ -890,6 +895,10 @@ class TestTokenTable:
                     surface.surface_embedding(novel[0], stats, 16),
                     surface.surface_embedding(novel[0], fresh, 16),
                 )
+            if size == smaller:
+                # "newer" is only in the last row, "brand" only in row 0
+                assert stats.df[stats.vocab["newer"]] == 0 and "newer" not in fresh.vocab
+                assert stats.df[stats.vocab["brand"]] == 1
 
 
 class TestIncrementalCounts:

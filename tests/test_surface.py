@@ -271,9 +271,20 @@ class TestBlockEmbedding:
         rows = [1, BLOCK_DOCS - 1, BLOCK_DOCS, 2 * BLOCK_DOCS + 36]
         units = candidate_units([ds.documents[i] for i in rows], stats, 8)
         for i, unit in zip(rows, units):
-            vector = surface_embedding(ds.documents[i], stats, 8)
-            np.testing.assert_allclose(vector, vectors[i], rtol=0, atol=1e-12)
-            np.testing.assert_allclose(unit, space.units[i], rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(surface_embedding(ds.documents[i], stats, 8), vectors[i])
+            np.testing.assert_array_equal(unit, space.units[i])
+
+    def test_candidate_rows_independent_of_batch_size(self):
+        # a batch of 1 or 257 leaves a one-row block, which must round as a
+        # row of a matrix product does
+        ds = block_corpus(2 * BLOCK_DOCS + 37)
+        stats = corpus_stats(ds)
+        docs = [d for d in ds if len(d.tokens) >= 2][: BLOCK_DOCS + 1]
+        whole = candidate_units(docs, stats, 8)
+        for size in (1, 2, BLOCK_DOCS, BLOCK_DOCS + 1):
+            starts = range(0, len(docs), size)
+            batches = [candidate_units(docs[i : i + size], stats, 8) for i in starts]
+            np.testing.assert_array_equal(np.concatenate(batches), whole)
 
     def test_candidates_take_the_snapshot_walk(self):
         # every document of at least 2 tokens: the candidate blocks are the
