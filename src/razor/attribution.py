@@ -12,15 +12,15 @@ checker works with any upstream attribution method.
 
 from __future__ import annotations
 
-import json
 import operator
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
-from .corpus import is_json_int, json_id
+from .corpus import is_json_int, is_json_number, json_id, read_json_lines
 from .errors import DataError
 
 REASON_PREDICTION_CHANGED = "prediction-changed"
@@ -65,6 +65,8 @@ def make_record(
             f"record {doc_id!r}: attributions must be a non-empty matrix of "
             f"per-token vectors sharing one dimension"
         )
+    if not np.isfinite(arr).all():
+        raise DataError(f"record {doc_id!r}: attributions must be finite numbers")
     preds = {
         _check_positions(subset, arr.shape[0], doc_id): predicted
         for subset, predicted in (subset_predictions or {}).items()
@@ -74,10 +76,10 @@ def make_record(
 
 def json_positions(value) -> frozenset[int]:
     """Token positions read from JSON: a list of integers, as a set. Raises
-    TypeError for any other value (``0.9`` and ``true`` are not positions)."""
+    DataError for any other value (``0.9`` and ``true`` are not positions)."""
     if isinstance(value, list) and all(map(is_json_int, value)):
         return frozenset(value)
-    raise TypeError(f"positions {value!r} are not a list of integers")
+    raise DataError(f"positions {value!r} are not a list of integers")
 
 
 def _check_positions(subset: Iterable[int], n_tokens: int, doc_id: str) -> frozenset[int]:
@@ -161,45 +163,39 @@ def load_attribution_records(path: str | Path) -> list[AttributionRecord]:
     """Read JSONL attribution records:
     {"doc_id", "attributions": [[...], ...], "predicted_full": int,
      "true_label": int, "subsets": [{"positions": [...], "predicted": int}, ...]}
+    Attribution values must be finite JSON numbers. The file is read by
+    :func:`read_json_lines`, so a bad record is a DataError naming the file
+    and the line.
     """
-    records: list[AttributionRecord] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+
+    def parse(row: dict) -> AttributionRecord:
+        try:
+            doc_id = json_id(row["doc_id"], "doc_id")
+            attributions = row["attributions"]
+            predicted_full, true_label = row["predicted_full"], row["true_label"]
+        except KeyError as exc:
+            raise DataError(f"bad record ({exc})") from None
+        for name, value in (("predicted_full", predicted_full), ("true_label", true_label)):
+            if not is_json_int(value):
+                raise DataError(f"{name} {value!r} is not an integer")
+        entries = row.get("subsets", [])
+        if not isinstance(entries, list):
+            raise DataError("subsets must be a list")
+        subsets: dict[frozenset[int], int] = {}
+        for entry in entries:
             try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}: line {lineno}: malformed JSON ({exc.msg})") from None
-            try:
-                doc_id = json_id(row["doc_id"], "doc_id")
-                attributions = row["attributions"]
-                predicted_full, true_label = row["predicted_full"], row["true_label"]
+                positions = json_positions(entry["positions"])
+                predicted = entry["predicted"]
             except (KeyError, TypeError) as exc:
-                raise DataError(f"{path}: line {lineno}: bad record ({exc})") from None
-            for name, value in (("predicted_full", predicted_full), ("true_label", true_label)):
-                if not is_json_int(value):
-                    raise DataError(f"{path}: line {lineno}: {name} {value!r} is not an integer")
-            entries = row.get("subsets", [])
-            if not isinstance(entries, list):
-                raise DataError(f"{path}: line {lineno}: subsets must be a list")
-            subsets: dict[frozenset[int], int] = {}
-            for entry in entries:
-                try:
-                    positions = json_positions(entry["positions"])
-                    predicted = entry["predicted"]
-                except (KeyError, TypeError) as exc:
-                    raise DataError(f"{path}: line {lineno}: bad subset entry ({exc})") from None
-                if not is_json_int(predicted):
-                    raise DataError(
-                        f"{path}: line {lineno}: subset predicted {predicted!r} is not an integer"
-                    )
-                subsets[positions] = predicted
-            try:
-                records.append(
-                    make_record(doc_id, attributions, predicted_full, true_label, subsets)
-                )
-            except DataError as exc:
-                raise DataError(f"{path}: line {lineno}: {exc}") from None
-    return records
+                raise DataError(f"bad subset entry ({exc})") from None
+            if not is_json_int(predicted):
+                raise DataError(f"subset predicted {predicted!r} is not an integer")
+            subsets[positions] = predicted
+        record = make_record(doc_id, attributions, predicted_full, true_label, subsets)
+        # numpy reads true and "1" as numbers; make_record has checked the nesting
+        if not all(map(is_json_number, chain.from_iterable(attributions))):
+            raise DataError(f"record {doc_id!r}: attributions must be finite numbers")
+        return record
+
+    with open(path, "rb") as fh:
+        return read_json_lines(path, fh, parse)

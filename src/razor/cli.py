@@ -25,7 +25,7 @@ from .attribution import (
     mass_inequality_holds,
 )
 from .backends import HttpBackend, MockBackend
-from .corpus import SCHEMAS, json_id, load_dataset, parse_label_names, read_json, save_dataset
+from .corpus import SCHEMAS, json_id, load_dataset, parse_label_names, read_json, read_json_lines, save_dataset
 from .errors import BackendError, ConfigError, DataError, RazorError
 from .evalkit import BiasSpec, emit_report, generate_biased_corpus
 from .pipeline import Checkpoint, RunConfig, read_trace_file, run_razor, write_trace_file
@@ -279,24 +279,21 @@ def cmd_report(args) -> int:
 def cmd_check_shortcut(args) -> int:
     records = load_attribution_records(args.attributions)
     known = {record.doc_id for record in records}
+
+    def subset(row: dict) -> tuple[str, frozenset[int]]:
+        try:
+            doc_id = json_id(row["doc_id"], "doc_id")
+            positions = json_positions(row["positions"])
+        except KeyError as exc:
+            raise DataError(f"bad subset ({exc})") from None
+        if doc_id not in known:
+            raise DataError(f"no attribution record for doc_id {doc_id!r}")
+        return doc_id, positions
+
     wanted: dict[str, list[frozenset[int]]] = {}
     if args.subset_file:
-        with open(args.subset_file, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    row = json.loads(line)
-                    doc_id = json_id(row["doc_id"], "doc_id")
-                    positions = json_positions(row["positions"])
-                except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                    raise DataError(f"{args.subset_file}: line {lineno}: bad subset ({exc})") from None
-                if doc_id not in known:
-                    raise DataError(
-                        f"{args.subset_file}: line {lineno}: "
-                        f"no attribution record for doc_id {doc_id!r}"
-                    )
+        with open(args.subset_file, "rb") as fh:
+            for doc_id, positions in read_json_lines(args.subset_file, fh, subset):
                 wanted.setdefault(doc_id, []).append(positions)
 
     for record in records:

@@ -188,12 +188,38 @@ def is_json_number(value) -> bool:
 def json_id(value, name: str = "id") -> str:
     """A document id read from the JSON field ``name``, as a string: a string
     as it is, an integer in decimal (FEVER's ids are numbers). Raises
-    TypeError, naming the field, for any other value."""
+    DataError, naming the field, for any other value."""
     if isinstance(value, str):
         return value
     if is_json_int(value):
         return str(value)
-    raise TypeError(f"{name} {value!r} is not a string or an integer")
+    raise DataError(f"{name} {value!r} is not a string or an integer")
+
+
+def read_json_lines(path: str | Path, lines: Iterable[bytes], parse: Callable) -> list:
+    """``parse`` of each JSON object in ``lines``, the lines (as bytes) of the
+    JSON Lines file at ``path``, in order. Each line is decoded as UTF-8, and
+    a line blank after ``str.strip()`` is skipped. A line that is not UTF-8,
+    not JSON or not an object, or that ``parse`` rejects with a DataError,
+    raises a DataError naming ``path`` and the line."""
+    parsed = []
+    for lineno, raw in enumerate(lines, start=1):
+        try:
+            try:
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
+                row = json.loads(line)
+            except UnicodeDecodeError as exc:
+                raise DataError(f"not UTF-8 ({exc.reason} at byte {exc.start})") from None
+            except json.JSONDecodeError as exc:
+                raise DataError(f"malformed JSON ({exc.msg})") from None
+            if not isinstance(row, dict):
+                raise DataError(f"expected a JSON object, got {type(row).__name__}")
+            parsed.append(parse(row))
+        except DataError as exc:
+            raise DataError(f"{path}: line {lineno}: {exc}") from None
+    return parsed
 
 
 def load_dataset(
@@ -201,59 +227,39 @@ def load_dataset(
     schema: str,
     label_names: Optional[Mapping[int, str]] = None,
 ) -> Dataset:
-    """Load a JSONL dataset, enforcing all invariants. Line order is preserved."""
+    """Load a JSONL dataset, enforcing all invariants. Line order is preserved.
+    A bad line is a DataError naming the file and the line (see :func:`read_json_lines`)."""
     if schema not in SCHEMAS:
         raise DataError(f"unknown schema {schema!r}")
     text_field, context_field = SCHEMAS[schema]
     texts = (text_field, context_field) if context_field else (text_field,)
     declared = dict(label_names) if label_names else None
-
-    documents: list[LabeledDocument] = []
     seen_ids: set[str] = set()
     seen_labels: set[int] = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}: line {lineno}: malformed JSON ({exc.msg})") from None
-            if not isinstance(row, dict):
-                raise DataError(f"{path}: line {lineno}: expected a JSON object")
-            for name in ("id", "label", *texts):
-                if name not in row or row[name] is None:
-                    raise DataError(f"{path}: line {lineno}: missing field {name!r}")
-            try:
-                doc_id = json_id(row["id"])
-            except TypeError as exc:
-                raise DataError(f"{path}: line {lineno}: {exc}") from None
-            if doc_id in seen_ids:
-                raise DataError(f"{path}: line {lineno}: duplicate id {doc_id!r}")
-            label = row["label"]
-            if not is_json_int(label):
-                raise DataError(f"{path}: line {lineno}: label {label!r} is not an integer")
-            for name in texts:
-                if not isinstance(row[name], str):
-                    raise DataError(
-                        f"{path}: line {lineno}: field {name!r} is not a string "
-                        f"({type(row[name]).__name__})"
-                    )
-            if declared is not None and label not in declared:
-                raise DataError(f"{path}: line {lineno}: label {label} not in declared label set")
-            try:
-                doc = make_document(
-                    doc_id,
-                    row[text_field],
-                    label,
-                    context_text=row[context_field] if context_field else None,
-                )
-            except DataError as exc:
-                raise DataError(f"{path}: line {lineno}: {exc}") from None
-            seen_ids.add(doc_id)
-            seen_labels.add(label)
-            documents.append(doc)
+
+    def parse(row: dict) -> LabeledDocument:
+        for name in ("id", "label", *texts):
+            if name not in row or row[name] is None:
+                raise DataError(f"missing field {name!r}")
+        doc_id = json_id(row["id"])
+        if doc_id in seen_ids:
+            raise DataError(f"duplicate id {doc_id!r}")
+        label = row["label"]
+        if not is_json_int(label):
+            raise DataError(f"label {label!r} is not an integer")
+        for name in texts:
+            if not isinstance(row[name], str):
+                raise DataError(f"field {name!r} is not a string ({type(row[name]).__name__})")
+        if declared is not None and label not in declared:
+            raise DataError(f"label {label} not in declared label set")
+        context = row[context_field] if context_field else None
+        doc = make_document(doc_id, row[text_field], label, context)
+        seen_ids.add(doc_id)
+        seen_labels.add(label)
+        return doc
+
+    with open(path, "rb") as fh:
+        documents = read_json_lines(path, fh, parse)
 
     if declared is None:
         declared = {label: str(label) for label in sorted(seen_labels)}

@@ -34,6 +34,7 @@ from .corpus import (
     is_json_number,
     load_dataset,
     read_json,
+    read_json_lines,
     replace_text,  # noqa: F401  (see below)
     save_dataset,
 )
@@ -175,10 +176,11 @@ class RewriteJournal:
     asking the backend again for anything already answered.
 
     The file is opened at the first record and kept open until :meth:`close`
-    (the journal is a context manager). A malformed final line is a record
-    torn by the abort: loading drops it with a warning (and cuts it from the
-    file before any record is appended, so later records start on a line of
-    their own). A malformed line anywhere else is a DataError.
+    (the journal is a context manager). Each record is written as one line in
+    one write, so an abort leaves whole lines and at most one torn record:
+    the bytes after the last newline. Loading cuts those from the file with a
+    warning, so later records start on a line of their own, and reads every
+    whole line with :func:`read_json_lines`; a malformed one is a DataError.
     """
 
     def __init__(self, path: Optional[Path] = None):
@@ -191,39 +193,35 @@ class RewriteJournal:
             self._load(path)
 
     def _load(self, path: Path) -> None:
-        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-        torn = bool(lines) and not lines[-1].endswith("\n")
-        for lineno, line in enumerate(lines, start=1):
-            try:
-                if line.strip():
-                    self._apply(json.loads(line))
-            except (ValueError, KeyError, TypeError) as exc:
-                if lineno < len(lines):
-                    raise DataError(f"{path}: line {lineno}: malformed journal record ({exc})") from None
-                log.warning("%s: dropping torn final line %d (%s)", path, lineno, exc)
-                lines.pop()
-                torn = True
+        data = path.read_bytes()
+        *lines, torn = data.split(b"\n")
         if torn:
-            path.write_text("".join(line.rstrip("\n") + "\n" for line in lines), encoding="utf-8")
+            log.warning("%s: dropping torn final line %d (%d bytes after the last newline)",
+                        path, len(lines) + 1, len(torn))
+            os.truncate(path, len(data) - len(torn))
+        read_json_lines(path, lines, self._apply)
 
     def _apply(self, row: dict) -> None:
-        """Keep one record. Raises KeyError or TypeError when it is none of
-        the three formats."""
-        doc_id = row["doc_id"]
-        texts = None
-        if "candidates" in row:
-            texts = [c["text"] for c in row["candidates"]]
-            verdicts = [(c["text"], c["verified"]) for c in row["candidates"]]
-        elif "texts" in row:
-            texts, verdicts = row["texts"], []
-        else:
-            verdicts = [(row["text"], row["verified"])]
+        """Keep one record. Raises DataError when it is none of the three
+        formats."""
+        try:
+            doc_id = row["doc_id"]
+            texts = None
+            if "candidates" in row:
+                texts = [c["text"] for c in row["candidates"]]
+                verdicts = [(c["text"], c["verified"]) for c in row["candidates"]]
+            elif "texts" in row:
+                texts, verdicts = row["texts"], []
+            else:
+                verdicts = [(row["text"], row["verified"])]
+        except (KeyError, TypeError) as exc:
+            raise DataError(f"malformed journal record ({exc})") from None
         if not (
             isinstance(doc_id, str)
             and (texts is None or _is_ids(texts))
             and all(isinstance(t, str) and isinstance(v, bool) for t, v in verdicts)
         ):
-            raise TypeError("a field has the wrong type")
+            raise DataError("malformed journal record (a field has the wrong type)")
         if texts is not None:
             self._entries[doc_id] = texts
         for text, verified in verdicts:

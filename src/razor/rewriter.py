@@ -234,14 +234,12 @@ def embed_candidates(
 ) -> None:
     """Give each candidate in ``pairs`` (original document, candidate) that
     the verifier has not rejected its rewritten document and unit vector.
-    Every candidate is tokenized once; each distinct token sequence is
-    embedded once, all of them together against the frozen ``stats``,
-    ``BLOCK_DOCS`` at a time, so candidates with the same tokens tie exactly.
+    Every candidate is tokenized once and embedded against the frozen
+    ``stats``, all of them together, ``BLOCK_DOCS`` at a time; a row's bits do
+    not depend on its block, so candidates with the same tokens tie exactly.
     Candidates that are empty, shorter than 2 tokens, have the original's
     tokens (so the original's embedding: no improvement) or embed to zero
     keep both None and are never scored."""
-    rows: dict[tuple[str, ...], int] = {}  # token sequence -> row of units
-    distinct: list[LabeledDocument] = []
     trials: list[tuple[RewriteCandidate, LabeledDocument]] = []
     for doc, cand in pairs:
         if cand.verified is False:
@@ -252,13 +250,9 @@ def embed_candidates(
             continue
         if len(trial.tokens) < 2 or trial.tokens == doc.tokens:
             continue
-        if trial.tokens not in rows:
-            rows[trial.tokens] = len(distinct)
-            distinct.append(trial)
         trials.append((cand, trial))
-    units = candidate_units(distinct, stats, lam)
-    for cand, trial in trials:
-        unit = units[rows[trial.tokens]]
+    units = candidate_units([trial for _, trial in trials], stats, lam)
+    for (cand, trial), unit in zip(trials, units):
         if unit.any():
             cand.document, cand.unit = trial, unit
 

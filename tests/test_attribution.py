@@ -187,6 +187,13 @@ class TestPositionsAreIntegers:
         assert is_shortcut({np.int32(0)}, rec).is_shortcut
 
 
+class TestFiniteAttributions:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_value_rejected(self, value):
+        with pytest.raises(DataError, match=r"'doc'.*\battributions\b"):
+            record_with([[value, 1.0], [0.5, 0.5]])
+
+
 class TestLoadRecords:
     def write(self, path, rows):
         with open(path, "w", encoding="utf-8") as fh:

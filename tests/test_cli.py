@@ -470,8 +470,25 @@ def subset_lines(**fields):
     return json.dumps(row) + "\n" + json.dumps({**row, **fields}) + "\n"
 
 
-# (files to write: raw text, or a value written as JSON; argv; exit code;
-# optionally, words the one-line error must hold)
+def journal_lines():
+    """Two generate records of a rewrite journal."""
+    return '{"doc_id": "a", "texts": ["x"]}\n{"doc_id": "b", "texts": ["y"]}\n'
+
+
+def not_utf8(lines: str) -> bytes:
+    """``lines`` in UTF-8, but with a Latin-1 "é" (byte 0xE9, which UTF-8
+    does not allow there) opening the second line's first key."""
+    first, rest = lines.encode().split(b"\n", 1)
+    return first + b"\n" + rest.replace(b'{"', b'{"\xe9', 1)
+
+
+def not_object(lines: str) -> str:
+    """The first of ``lines`` and a second line holding a JSON array."""
+    return lines.splitlines()[0] + "\n[1]\n"
+
+
+# (files to write: raw text or bytes, or a value written as JSON; argv; exit
+# code; optionally, words the one-line error must hold)
 ERROR_CASES = {
     "config-malformed": ({"config.json": "{"}, RUN_CONFIG, 2),
     "config-not-object": ({"config.json": [1]}, RUN_CONFIG, 2),
@@ -587,6 +604,39 @@ ERROR_CASES = {
         {"attr.jsonl": attribution(), "subsets.jsonl": subset_lines(doc_id="nosuch")},
         CHECK_SUBSETS, 2, ["subsets", "line 2", "nosuch"],
     ),
+    "attributions-nan": (
+        {"attr.jsonl": attribution(attributions=[[float("nan")], [1.0]])},
+        CHECK, 2, ["line 2", "attributions"],
+    ),
+    "attributions-infinity": (
+        {"attr.jsonl": attribution(attributions=[[1.0], [float("inf")]])},
+        CHECK, 2, ["line 2", "attributions"],
+    ),
+    "attributions-bool": (
+        {"attr.jsonl": attribution(attributions=[[True], [1.0]])},
+        CHECK, 2, ["line 2", "attributions"],
+    ),
+    "data-not-utf8": ({"bad.jsonl": not_utf8(data_lines())}, ANALYZE, 2, ["line 2", "UTF-8"]),
+    "resume-snapshot-not-utf8": (
+        {"ckpt/iteration_000.jsonl": not_utf8(data_lines())}, RESUME, 2, ["line 2", "UTF-8"]
+    ),
+    "resume-journal-not-utf8": (
+        {"ckpt/journal_001.jsonl": not_utf8(journal_lines())}, RESUME, 2, ["line 2", "UTF-8"]
+    ),
+    "attributions-not-utf8": (
+        {"attr.jsonl": not_utf8(attribution())}, CHECK, 2, ["line 2", "UTF-8"]
+    ),
+    "subset-file-not-utf8": (
+        {"attr.jsonl": attribution(), "subsets.jsonl": not_utf8(subset_lines())},
+        CHECK_SUBSETS, 2, ["subsets", "line 2", "UTF-8"],
+    ),
+    "attributions-not-object": (
+        {"attr.jsonl": not_object(attribution())}, CHECK, 2, ["line 2", "JSON object"]
+    ),
+    "subset-file-not-object": (
+        {"attr.jsonl": attribution(), "subsets.jsonl": not_object(subset_lines())},
+        CHECK_SUBSETS, 2, ["subsets", "line 2", "JSON object"],
+    ),
 }
 
 
@@ -597,7 +647,10 @@ def test_bad_file_maps_onto_exit_code(case, single_file, tmp_path, capsys):
     for name, content in files.items():
         path = tmp_path / name
         path.parent.mkdir(exist_ok=True)
-        path.write_text(content if isinstance(content, str) else json.dumps(content))
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content if isinstance(content, str) else json.dumps(content))
     argv = [a.format(tmp=tmp_path, data=single_file) for a in argv]
 
     assert main(argv) == expected

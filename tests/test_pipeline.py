@@ -456,6 +456,50 @@ class TestCheckpointResume:
         with pytest.raises(DataError, match="line 2"):
             RewriteJournal(path)
 
+    # a final line that ends in a newline was written whole: it is not torn
+    @pytest.mark.parametrize("line, problem", [
+        (b'{"doc_id": "\xe9", "texts": []}', "not UTF-8"),
+        (b'{"doc_id": "b", "tex', "malformed JSON"),
+    ])
+    def test_bad_whole_final_journal_line_is_data_error(self, tmp_path, line, problem):
+        path = tmp_path / "journal_001.jsonl"
+        path.write_bytes(b'{"doc_id": "a", "texts": []}\n' + line + b"\n")
+        with pytest.raises(DataError, match=rf"journal_001\.jsonl: line 2: {problem}"):
+            RewriteJournal(path)
+
+    def test_record_without_its_newline_is_cut(self, tmp_path, caplog):
+        path = tmp_path / "journal_001.jsonl"
+        path.write_text('{"doc_id": "a", "texts": ["x"]}\n{"doc_id": "b", "texts": ["y"]}')
+        with caplog.at_level("WARNING", logger="razor"):
+            journal = RewriteJournal(path)
+        assert "a" in journal and "b" not in journal
+        assert any("torn final line 2" in rec.message for rec in caplog.records)
+        assert path.read_text() == '{"doc_id": "a", "texts": ["x"]}\n'
+
+    def test_undecodable_torn_tail_is_cut(self, tmp_path, caplog):
+        dataset, rules = synth(corpus_size=100)
+        config = RunConfig(k=10, max_iterations=10)
+        straight = run_razor(dataset, config, mock_backend(rules))
+
+        ckpt_dir = tmp_path / "ckpt"
+        with pytest.raises(BackendError):
+            run_razor(dataset, config, mock_backend(rules, fail_after_generate_calls=12),
+                      Checkpoint(ckpt_dir))
+        journal_path = Checkpoint(ckpt_dir).journal_path(1)
+        whole = journal_path.read_bytes()
+        with open(journal_path, "ab") as fh:
+            fh.write(b'{"doc_id": "\xe9\xff')
+
+        with caplog.at_level("WARNING", logger="razor"):
+            RewriteJournal(journal_path)
+        assert any("torn final line" in rec.message for rec in caplog.records)
+        assert journal_path.read_bytes() == whole
+
+        resumed = run_razor(dataset, config, mock_backend(rules), Checkpoint(ckpt_dir))
+        assert output_bytes(resumed.dataset, tmp_path / "resumed.jsonl") == output_bytes(
+            straight.dataset, tmp_path / "straight.jsonl"
+        )
+
     def test_mismatched_snapshot_rejected(self, tmp_path):
         dataset, rules = synth(corpus_size=200)
         config = RunConfig(k=10, epsilon=1e-12, max_iterations=2)
