@@ -1,14 +1,16 @@
 """Generation backends: an HTTP chat-completion client and a rules-driven mock.
 
-Both expose the same two calls. ``generate`` produces one rewrite candidate,
-``verify`` produces the raw text the label check parses. Generation and
-verification never share a session: every HTTP request is independent. The
-mock draws its ``replacements`` picks from one seeded RNG that every generate
-call shares, so with such rules its answers depend on the order of the calls
-(under ``--jobs > 1``, and across an abort and resume, where journaled
-documents draw nothing); ROADMAP item 1 gives the mock an RNG per document
-instead. Each backend counts its requests per role, so pipelines can account
-for every request.
+Both expose the same two calls. ``generate`` produces rewrite candidates: one
+text, or with ``n`` a list of 1..n texts from one request (the n choices of
+a chat completion). ``verify`` produces the raw text the label check parses.
+Generation and verification never share a session: every HTTP request is
+independent. The mock draws its ``replacements`` picks from one seeded RNG
+that every generate call shares, so with such rules its answers depend on
+the order of the picks (under ``--jobs > 1``, and across an abort and
+resume, where journaled documents draw nothing); ROADMAP item 1 gives the
+mock an RNG per document instead. Each backend counts its requests per role,
+one per request whatever its ``n``, so pipelines can account for every
+request.
 """
 
 from __future__ import annotations
@@ -55,6 +57,11 @@ class CallLog:
             return self._counts[role]
 
 
+def _refused(status: int) -> bool:
+    """A client error that the same request would get again."""
+    return 400 <= status < 500 and status not in RETRYABLE_4XX
+
+
 def _delta_seconds(value: Optional[str]) -> int:
     """The seconds a ``Retry-After`` header in delta-seconds form asks for;
     0 for an HTTP date, a missing header or anything unparseable."""
@@ -66,13 +73,19 @@ def _delta_seconds(value: Optional[str]) -> int:
 
 class HttpBackend:
     """Chat-completion client. POSTs {"model", "messages", "temperature",
-    "top_p"} to the configured URL and reads the first choice's message
-    content. The endpoint URL comes from RAZOR_API_BASE and the bearer token
-    from RAZOR_API_KEY unless given explicitly. Transport errors, 5xx, 408
-    and 429 are retried; any other 4xx raises BackendError at once. Before
-    the n-th retry the client sleeps ``retry_backoff * n`` seconds, or what a
-    429's ``Retry-After`` asked for when that is longer (at most
-    ``timeout``)."""
+    "top_p"} to the configured URL, with "n" added when more than one choice
+    is asked for, and reads the message content of the first n choices (at
+    least one; extras are dropped). The endpoint URL comes from
+    RAZOR_API_BASE and the bearer token from RAZOR_API_KEY unless given
+    explicitly. Transport errors, 5xx, 408, 429 and 200s of the wrong shape
+    are retried; any other 4xx raises BackendError at once. Before the k-th
+    retry the client sleeps ``retry_backoff * k`` seconds, or what a 429's
+    ``Retry-After`` asked for when that is longer (at most ``timeout``).
+
+    An endpoint that refuses a request carrying "n" with such a 4xx is taken
+    not to support it: the client logs one warning, resends the request
+    without "n" in the same attempt, and sends "n" no more. The caller then
+    gets one text per request and asks again for the rest."""
 
     def __init__(
         self,
@@ -94,16 +107,30 @@ class HttpBackend:
         self.timeout = timeout
         self.retry_backoff = retry_backoff
         self.calls = CallLog()
+        self._sends_n = True  # False once the endpoint refused a request carrying "n"
+        self._lock = threading.Lock()
+
+    def _refused_n(self, status: int) -> None:
+        with self._lock:
+            first, self._sends_n = self._sends_n, False
+        if first:
+            log.warning(
+                "backend refused a request for several choices (HTTP %d); "
+                "asking for one choice per request from now on",
+                status,
+            )
 
     def _complete(
-        self, messages: list[dict], temperature: float, top_p: float, max_retries: int
-    ) -> str:
+        self, messages: list[dict], temperature: float, top_p: float, max_retries: int, n: int = 1
+    ) -> list[str]:
         payload = {
             "model": self.model,
             "messages": messages,
             "temperature": temperature,
             "top_p": top_p,
         }
+        if n > 1 and self._sends_n:
+            payload["n"] = n
         headers = {
             "Authorization": f"Bearer {self.api_key}",
             "Content-Type": "application/json",
@@ -119,9 +146,15 @@ class HttpBackend:
                 resp = requests.post(
                     self.base_url, json=payload, headers=headers, timeout=self.timeout
                 )
+                if "n" in payload and _refused(resp.status_code):
+                    self._refused_n(resp.status_code)
+                    del payload["n"]
+                    resp = requests.post(
+                        self.base_url, json=payload, headers=headers, timeout=self.timeout
+                    )
                 if resp.status_code == 429:
                     retry_after = min(_delta_seconds(resp.headers.get("Retry-After")), self.timeout)
-                if 400 <= resp.status_code < 500 and resp.status_code not in RETRYABLE_4XX:
+                if _refused(resp.status_code):
                     # the same request would be refused again: bad key, bad
                     # model, malformed payload
                     raise BackendError(
@@ -129,11 +162,21 @@ class HttpBackend:
                         f"{resp.text[:200]}"
                     )
                 resp.raise_for_status()
-                content = resp.json()["choices"][0]["message"]["content"]
-                if not isinstance(content, str):
-                    raise TypeError(f"message content is {type(content).__name__}, not text")
-                return content
-            except (requests.RequestException, KeyError, IndexError, TypeError, ValueError) as exc:
+                texts = [choice["message"]["content"] for choice in resp.json()["choices"][:n]]
+                if not texts:
+                    raise ValueError("the response holds no choices")
+                for content in texts:
+                    if not isinstance(content, str):
+                        raise TypeError(f"message content is {type(content).__name__}, not text")
+                return texts
+            except (
+                requests.RequestException,
+                KeyError,
+                IndexError,
+                TypeError,
+                ValueError,
+                RecursionError,  # a body nested too deeply to parse
+            ) as exc:
                 last_error = exc
                 log.warning("backend attempt %d/%d failed: %r", attempt + 1, max_retries + 1, exc)
         raise BackendError(f"backend failed after {max_retries + 1} attempt(s): {last_error}")
@@ -145,11 +188,14 @@ class HttpBackend:
         temperature: float,
         top_p: float,
         max_retries: int,
-    ) -> str:
+        n: Optional[int] = None,
+    ) -> str | list[str]:
+        """One request: its text, or with ``n`` a list of 1..n texts."""
         self.calls.add("generate")
-        return self._complete(
-            [{"role": "user", "content": prompt}], temperature, top_p, max_retries
+        texts = self._complete(
+            [{"role": "user", "content": prompt}], temperature, top_p, max_retries, n or 1
         )
+        return texts[0] if n is None else texts
 
     def verify(
         self,
@@ -161,7 +207,9 @@ class HttpBackend:
         max_retries: int,
     ) -> str:
         self.calls.add("verify")
-        return self._complete([{"role": "user", "content": prompt}], temperature, 1.0, max_retries)
+        return self._complete(
+            [{"role": "user", "content": prompt}], temperature, 1.0, max_retries
+        )[0]
 
 
 class MockBackend:
@@ -169,14 +217,17 @@ class MockBackend:
 
     Generation applies every regex rule to the document's text in order; a
     rule may list several ``replacements``, in which case one seeded RNG,
-    shared by all generate calls, picks one per call: the pick depends on
-    how many picks came before it. Verification follows a fixed policy:
+    shared by all generate calls, picks one per rule and text: the pick
+    depends on how many picks came before it. A call for n texts draws its
+    picks text by text, in one locked step, so it answers exactly what n
+    calls for one text in a row would. Verification follows a fixed policy:
     ``confirm`` echoes the document's label name, ``flip`` answers with a
     different declared name, ``garbled`` answers free text containing no
     label name.
 
     ``fail_after_generate_calls`` injects a transport failure once that many
-    generate calls have been served, for abort/resume testing.
+    generate requests have been served (a request for n texts is one), for
+    abort/resume testing.
     """
 
     def __init__(
@@ -234,7 +285,9 @@ class MockBackend:
         temperature: float,
         top_p: float,
         max_retries: int,
-    ) -> str:
+        n: Optional[int] = None,
+    ) -> str | list[str]:
+        """One request: its text, or with ``n`` a list of n texts."""
         with self._lock:
             served = self.calls.count("generate")
             if (
@@ -245,15 +298,16 @@ class MockBackend:
                     f"mock transport failure injected after {served} generate call(s)"
                 )
             self.calls.add("generate")
-            text = doc.mutable_text
-            for pattern, replacements in self.rules:
-                replacement = (
-                    replacements[0]
-                    if len(replacements) == 1
-                    else self._rng.choice(replacements)
-                )
-                text = pattern.sub(replacement, text)
-            return " ".join(text.split())
+            texts = [self._rewrite(doc.mutable_text) for _ in range(n or 1)]
+        return texts[0] if n is None else texts
+
+    def _rewrite(self, text: str) -> str:
+        for pattern, replacements in self.rules:
+            replacement = (
+                replacements[0] if len(replacements) == 1 else self._rng.choice(replacements)
+            )
+            text = pattern.sub(replacement, text)
+        return " ".join(text.split())
 
     def verify(
         self,

@@ -169,6 +169,8 @@ def read_json(path: str | Path) -> dict:
             data = json.load(fh)
         except ValueError as exc:
             raise DataError(f"{path}: malformed JSON ({exc})") from None
+        except RecursionError:
+            raise DataError(f"{path}: malformed JSON (nested too deeply)") from None
     if not isinstance(data, dict):
         raise DataError(f"{path}: expected a JSON object, got {type(data).__name__}")
     return data
@@ -214,6 +216,8 @@ def read_json_lines(path: str | Path, lines: Iterable[bytes], parse: Callable) -
                 raise DataError(f"not UTF-8 ({exc.reason} at byte {exc.start})") from None
             except json.JSONDecodeError as exc:
                 raise DataError(f"malformed JSON ({exc.msg})") from None
+            except RecursionError:
+                raise DataError("malformed JSON (nested too deeply)") from None
             if not isinstance(row, dict):
                 raise DataError(f"expected a JSON object, got {type(row).__name__}")
             parsed.append(parse(row))

@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, Optional
 import numpy as np
 
 from .corpus import LabeledDocument, is_json_int, is_json_number, replace_text
-from .errors import ConfigError, DataError
+from .errors import BackendError, ConfigError, DataError
 from .surface import (
     ClassLedger,
     TokenTable,
@@ -174,15 +174,25 @@ def generate_candidates(
 ) -> list[str]:
     """Up to ``candidates_per_doc`` distinct non-empty rewrites of ``doc``.
 
-    Candidates identical to the original text are dropped; an empty result
-    signals keep-original. Transport failures surface as BackendError after
-    the backend's retries are exhausted.
+    The backend is asked for all ``candidates_per_doc`` answers in one
+    request, and again for the rest while it returns fewer (an endpoint that
+    ignores ``n`` answers one per request). Candidates identical to the
+    original text are dropped; an empty result signals keep-original.
+    Transport failures surface as BackendError after the backend's retries
+    are exhausted.
     """
     prompt = build_prompt(doc, label_names, schema)
+    answers: list[str] = []
+    while (want := config.candidates_per_doc - len(answers)) > 0:
+        texts = backend.generate(
+            prompt, doc, config.temperature, config.top_p, config.max_retries, n=want
+        )
+        if not texts:
+            raise BackendError(f"backend returned no rewrite for document {doc.id}")
+        answers += texts[:want]
     seen: set[str] = set()
     out: list[str] = []
-    for _ in range(config.candidates_per_doc):
-        raw = backend.generate(prompt, doc, config.temperature, config.top_p, config.max_retries)
+    for raw in answers:
         text = raw.strip()
         if not text or text == doc.mutable_text.strip():
             continue

@@ -54,9 +54,9 @@ class Recording:
         self.calls = backend.calls
         self.entries = []
 
-    def generate(self, prompt, doc, *args):
+    def generate(self, prompt, doc, *args, **kwargs):
         self.entries.append(("generate", doc.id))
-        return self.backend.generate(prompt, doc, *args)
+        return self.backend.generate(prompt, doc, *args, **kwargs)
 
     def verify(self, prompt, candidate, doc, *args):
         self.entries.append(("verify", doc.id))

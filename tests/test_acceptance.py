@@ -244,7 +244,7 @@ def test_criterion_9_determinism_and_resume(tmp_path):
 
         ckpt_dir = tmp_path / "ckpt"
         with pytest.raises(BackendError):
-            run_razor(dataset, config, backend(fail_after_generate_calls=20), Checkpoint(ckpt_dir))
+            run_razor(dataset, config, backend(fail_after_generate_calls=6), Checkpoint(ckpt_dir))
         journaled = set(RewriteJournal(Checkpoint(ckpt_dir).journal_path(1))._entries)
         assert journaled, "abort must land mid-iteration, after some documents completed"
 
@@ -255,7 +255,7 @@ def test_criterion_9_determinism_and_resume(tmp_path):
         assert p3.read_bytes() == p1.read_bytes()
 
         iter1_generate = resumed.traces[0].llm_calls["generate"]
-        assert iter1_generate == first.traces[0].llm_calls["generate"] - 3 * len(journaled)
+        assert iter1_generate == first.traces[0].llm_calls["generate"] - len(journaled)
         first_iter_docs = [d for role, d in fresh.entries if role == "generate"]
         first_iter_docs = set(first_iter_docs[:iter1_generate])
         assert not (first_iter_docs & journaled)

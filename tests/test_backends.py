@@ -1,6 +1,7 @@
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -9,6 +10,7 @@ from razor import backends
 from razor.backends import HttpBackend, MockBackend
 from razor.corpus import make_document
 from razor.errors import BackendError, ConfigError
+from razor.rewriter import GeneratorConfig, generate_candidates
 
 from conftest import Recording
 
@@ -32,10 +34,20 @@ class _Handler(BaseHTTPRequestHandler):
                 self.send_header(name, value)
             self.end_headers()
             return
+        if self.server.refuses_n and "n" in body:
+            self.send_response(400)
+            self.end_headers()
+            return
+        # one choice, or as many as "n" asks for when the stub honours it,
+        # plus any extras; choice i > 0 says "<reply> i"
+        wanted = body.get("n", 1) if self.server.honours_n else 1
+        contents = [self.server.reply] + [
+            f"{self.server.reply} {i}" for i in range(1, wanted + self.server.extra_choices)
+        ]
         payload = self.server.body or {
-            "choices": [{"message": {"role": "assistant", "content": self.server.reply}}]
+            "choices": [{"message": {"role": "assistant", "content": c}} for c in contents]
         }
-        data = json.dumps(payload).encode()
+        data = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
@@ -51,7 +63,10 @@ def stub_server():
     server = HTTPServer(("127.0.0.1", 0), _Handler)
     server.requests = []
     server.reply = "stub reply"
-    server.body = None  # a 200 response body of another shape than the reply's
+    server.body = None  # a 200 response body (bytes, or a value sent as JSON) of another shape
+    server.honours_n = False  # answer "n" choices, not one
+    server.extra_choices = 0  # choices sent beyond those asked for
+    server.refuses_n = False  # answer a request carrying "n" with HTTP 400
     server.fail_next = 0
     server.fail_status = 500
     server.fail_headers = {}
@@ -108,6 +123,8 @@ class TestHttpBackend:
         {"choices": None},
         ["stub reply"],
         {"choices": [{"message": {"role": "assistant", "content": None}}]},
+        {"choices": []},
+        b"[" * 100_000,  # nested deeper than the parser recurses
     ])
     def test_malformed_answer_is_retried_then_backend_error(self, stub_server, body):
         stub_server.body = body
@@ -182,6 +199,74 @@ class TestHttpBackend:
         assert backend.entries == [("generate", "d1"), ("verify", "d1")]
 
 
+def generate_requests(server) -> list:
+    """The "n" of each request the stub received, None where it had none."""
+    return [req["body"].get("n") for req in server.requests]
+
+
+class TestSeveralChoices:
+    """One generate request asks for all of a document's candidates."""
+
+    def test_endpoint_honouring_n_gets_one_request(self, stub_server):
+        stub_server.honours_n = True
+        backend = backend_for(stub_server)
+        out = generate_candidates(DOC, backend, GeneratorConfig(), LABELS)
+        assert out == ["stub reply", "stub reply 1", "stub reply 2"]
+        assert generate_requests(stub_server) == [3]
+        assert backend.calls.count("generate") == 1
+
+    def test_endpoint_ignoring_n_is_asked_for_the_rest(self, stub_server):
+        backend = backend_for(stub_server)
+        out = generate_candidates(DOC, backend, GeneratorConfig(), LABELS)
+        assert out == ["stub reply"]  # three equal answers, collapsed
+        assert generate_requests(stub_server) == [3, 2, None]
+        assert backend.calls.count("generate") == 3
+
+    def test_choices_beyond_n_are_dropped(self, stub_server):
+        stub_server.honours_n = True
+        stub_server.extra_choices = 2
+        backend = backend_for(stub_server)
+        assert backend.generate("p", DOC, 0.7, 0.9, 0, n=2) == ["stub reply", "stub reply 1"]
+        assert backend.generate("p", DOC, 0.7, 0.9, 0) == "stub reply"
+
+    def test_non_text_choice_is_retried_then_backend_error(self, stub_server):
+        stub_server.body = {"choices": [
+            {"message": {"role": "assistant", "content": "fine"}},
+            {"message": {"role": "assistant", "content": 5}},
+        ]}
+        backend = backend_for(stub_server)
+        with pytest.raises(BackendError, match="after 3 attempt"):
+            backend.generate("p", DOC, 0.7, 0.9, max_retries=2, n=2)
+        assert len(stub_server.requests) == 3
+
+    def test_refused_n_falls_back_to_one_choice_per_request(self, stub_server, caplog):
+        stub_server.refuses_n = True
+        backend = backend_for(stub_server)
+        config = GeneratorConfig(max_retries=0)  # the resend needs no retry
+        with caplog.at_level("WARNING", logger="razor"):
+            assert generate_candidates(DOC, backend, config, LABELS) == ["stub reply"]
+            assert generate_requests(stub_server) == [3, None, None, None]
+            # from then on, no request carries "n"
+            stub_server.requests.clear()
+            assert generate_candidates(DOC, backend, config, LABELS) == ["stub reply"]
+            assert generate_requests(stub_server) == [None, None, None]
+        # the refused request was resent, not counted as a call of its own
+        assert backend.calls.count("generate") == 6
+        assert [rec.message for rec in caplog.records if "refused" in rec.message] == [
+            "backend refused a request for several choices (HTTP 400); "
+            "asking for one choice per request from now on"
+        ]
+
+    def test_client_error_to_the_resend_fails_fast(self, stub_server):
+        stub_server.fail_next = 10
+        stub_server.fail_status = 401
+        backend = backend_for(stub_server)
+        with pytest.raises(BackendError, match="HTTP 401"):
+            backend.generate("p", DOC, 0.7, 0.9, max_retries=2, n=3)
+        # the request with "n", then the same without it
+        assert generate_requests(stub_server) == [3, None]
+
+
 class TestMockBackend:
     def test_rules_file_loading(self, tmp_path):
         path = tmp_path / "rules.json"
@@ -215,6 +300,34 @@ class TestMockBackend:
         with pytest.raises(BackendError):
             backend.generate("p", doc, 0.7, 0.9, 0)
         assert backend.calls.count("generate") == 2
+
+    def test_n_texts_are_n_calls_in_one_request(self):
+        rules = [
+            {"pattern": r"\bpoor\b", "replacements": ["bad", "weak", "mediocre", "thin"]},
+            {"pattern": r"\bresult\b", "replacements": ["outcome", "end"]},
+        ]
+        doc = make_document("d", "a poor result", 0)
+        batched, single = MockBackend(rules, seed=3), MockBackend(rules, seed=3)
+        for n in (4, 1, 3):
+            texts = batched.generate("p", doc, 0.7, 0.9, 0, n=n)
+            assert texts == [single.generate("p", doc, 0.7, 0.9, 0) for _ in range(n)]
+        assert batched.calls.count("generate") == 3
+
+    def test_fail_after_generate_calls_counts_requests(self):
+        backend = MockBackend([], fail_after_generate_calls=1)
+        doc = make_document("d", "text here", 0)
+        assert backend.generate("p", doc, 0.7, 0.9, 0, n=3) == ["text here"] * 3
+        with pytest.raises(BackendError):
+            backend.generate("p", doc, 0.7, 0.9, 0, n=3)
+
+    def test_bench_mock_rewrite_returns_text(self, monkeypatch):
+        """The benchmark's stub answers from ``mock_rewrite``, which calls
+        ``generate`` without ``n`` and needs a text back."""
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+        from workloads import mock_rewrite
+
+        rules = [{"pattern": r"\s*\bnot\b", "replacement": ""}]
+        assert mock_rewrite(rules, "it is not fine") == "it is fine"
 
     def test_flip_verdict_names_other_label(self):
         backend = MockBackend([], verdict="flip")

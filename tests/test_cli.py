@@ -482,6 +482,12 @@ def not_utf8(lines: str) -> bytes:
     return first + b"\n" + rest.replace(b'{"', b'{"\xe9', 1)
 
 
+def too_deep(lines: str) -> str:
+    """The first of ``lines`` and a second line opening 100000 JSON arrays,
+    deeper than the parser recurses."""
+    return lines.splitlines()[0] + "\n" + "[" * 100_000 + "\n"
+
+
 def not_object(lines: str) -> str:
     """The first of ``lines`` and a second line holding a JSON array."""
     return lines.splitlines()[0] + "\n[1]\n"
@@ -492,6 +498,7 @@ def not_object(lines: str) -> str:
 ERROR_CASES = {
     "config-malformed": ({"config.json": "{"}, RUN_CONFIG, 2),
     "config-not-object": ({"config.json": [1]}, RUN_CONFIG, 2),
+    "config-too-deep": ({"config.json": "[" * 100_000}, RUN_CONFIG, 2, ["nested"]),
     "config-seed-field": ({"config.json": {"seed": 7}}, RUN_CONFIG, 1),
     "config-bad-k": ({"config.json": {"k": "ten"}}, RUN_CONFIG, 1),
     "config-tokenizer-field": ({"config.json": {"tokenizer": {"lowercase": False}}}, RUN_CONFIG, 1),
@@ -616,6 +623,7 @@ ERROR_CASES = {
         {"attr.jsonl": attribution(attributions=[[True], [1.0]])},
         CHECK, 2, ["line 2", "attributions"],
     ),
+    "data-too-deep": ({"bad.jsonl": too_deep(data_lines())}, ANALYZE, 2, ["line 2", "nested"]),
     "data-not-utf8": ({"bad.jsonl": not_utf8(data_lines())}, ANALYZE, 2, ["line 2", "UTF-8"]),
     "resume-snapshot-not-utf8": (
         {"ckpt/iteration_000.jsonl": not_utf8(data_lines())}, RESUME, 2, ["line 2", "UTF-8"]

@@ -173,7 +173,7 @@ class TestRunIteration:
 
     def test_backend_failure_aborts_cleanly(self):
         dataset, rules = synth(corpus_size=60)
-        backend = mock_backend(rules, fail_after_generate_calls=4)
+        backend = mock_backend(rules, fail_after_generate_calls=1)
         out, trace = run_iteration(dataset, RunConfig(k=10), backend)
         assert out == dataset
         assert trace.error is not None
@@ -184,9 +184,10 @@ class TestRunIteration:
         dataset, rules = synth(corpus_size=60)
         backend = mock_backend(rules)
         _, trace = run_iteration(dataset, RunConfig(k=6), backend)
-        assert trace.llm_calls["generate"] == 6 * 3
-        # one verification per distinct candidate
-        assert trace.llm_calls["verify"] <= trace.llm_calls["generate"]
+        assert trace.llm_calls["generate"] == 6  # one request per selected document
+        # at most one verification per distinct candidate, of which a
+        # request yields up to candidates_per_doc
+        assert trace.llm_calls["verify"] <= 3 * trace.llm_calls["generate"]
 
     def test_parallel_jobs_match_serial(self):
         dataset, rules = synth(corpus_size=60)
@@ -294,7 +295,7 @@ class TestCheckpointResume:
 
         # abort partway through the first iteration's generation phase
         ckpt_dir = tmp_path / "ckpt"
-        failing = mock_backend(rules, fail_after_generate_calls=12)
+        failing = mock_backend(rules, fail_after_generate_calls=4)
         with pytest.raises(BackendError):
             run_razor(dataset, config, failing, Checkpoint(ckpt_dir))
         journaled = RewriteJournal(Checkpoint(ckpt_dir).journal_path(1))
@@ -306,7 +307,7 @@ class TestCheckpointResume:
         assert resumed.dataset == straight.dataset
         # within the resumed iteration, journaled documents are replayed, not
         # re-queried: its generate calls shrink by exactly the journaled share
-        saved = 3 * len(done_before_abort)
+        saved = len(done_before_abort)
         assert resumed.traces[0].llm_calls["generate"] == (
             straight.traces[0].llm_calls["generate"] - saved
         )
@@ -333,7 +334,7 @@ class TestCheckpointResume:
 
         ckpt_dir = tmp_path / "ckpt"
         with pytest.raises(BackendError):
-            run_razor(dataset, config, mock_backend(rules, fail_after_generate_calls=12),
+            run_razor(dataset, config, mock_backend(rules, fail_after_generate_calls=4),
                       Checkpoint(ckpt_dir))
         journal_path = Checkpoint(ckpt_dir).journal_path(1)
         complete = len(RewriteJournal(journal_path)._entries)
@@ -438,7 +439,7 @@ class TestCheckpointResume:
         monkeypatch.setattr("builtins.open", counting_open)
         ckpt = Checkpoint(tmp_path / "ckpt")
         with pytest.raises(BackendError):
-            run_razor(dataset, RunConfig(k=10), mock_backend(rules, fail_after_generate_calls=15),
+            run_razor(dataset, RunConfig(k=10), mock_backend(rules, fail_after_generate_calls=5),
                       ckpt)
         result = run_razor(dataset, RunConfig(k=10, max_iterations=2), mock_backend(rules), ckpt)
         monkeypatch.undo()
@@ -483,7 +484,7 @@ class TestCheckpointResume:
 
         ckpt_dir = tmp_path / "ckpt"
         with pytest.raises(BackendError):
-            run_razor(dataset, config, mock_backend(rules, fail_after_generate_calls=12),
+            run_razor(dataset, config, mock_backend(rules, fail_after_generate_calls=4),
                       Checkpoint(ckpt_dir))
         journal_path = Checkpoint(ckpt_dir).journal_path(1)
         whole = journal_path.read_bytes()
@@ -569,23 +570,26 @@ def accepts(text: str) -> bool:
 
 class ScriptedBackend:
     """A backend whose answers depend only on the request. The i-th of the
-    three generate calls for a prompt (counted modulo 3) drops "zonk" and the
+    texts generated for a prompt (counted modulo 3) drops "zonk" and the
     i-th word of the text; the verifier confirms the label of the candidates
     :func:`accepts`. ``asked`` lists every (role, doc id, prompt or candidate)
-    in call order."""
+    in request order."""
 
     def __init__(self):
         self.calls = CallLog()
         self.asked = []
         self._per_prompt = Counter()
 
-    def generate(self, prompt, doc, temperature, top_p, max_retries):
-        i = self._per_prompt[prompt] % 3
-        self._per_prompt[prompt] += 1
+    def generate(self, prompt, doc, temperature, top_p, max_retries, n=None):
         self.calls.add("generate")
         self.asked.append(("generate", doc.id, prompt))
         words = [w for w in doc.mutable_text.split() if w != "zonk"]
-        return " ".join(words[:i] + words[i + 1 :])
+        texts = []
+        for _ in range(n or 1):
+            i = self._per_prompt[prompt] % 3
+            self._per_prompt[prompt] += 1
+            texts.append(" ".join(words[:i] + words[i + 1 :]))
+        return texts[0] if n is None else texts
 
     def verify(self, prompt, candidate, doc, label_names, temperature, max_retries):
         self.calls.add("verify")
@@ -601,8 +605,8 @@ class FailOnVerify:
         self.backend, self.n, self.calls = backend, n, backend.calls
         self._verifies = 0
 
-    def generate(self, *args):
-        return self.backend.generate(*args)
+    def generate(self, *args, **kwargs):
+        return self.backend.generate(*args, **kwargs)
 
     def verify(self, *args):
         self._verifies += 1
@@ -798,14 +802,16 @@ class PhasedBackend:
         self.iteration = iteration
         self.fail_after = fail_after
 
-    def generate(self, prompt, doc, temperature, top_p, max_retries):
+    def generate(self, prompt, doc, temperature, top_p, max_retries, n=None):
         if self.fail_after is not None and self.calls.count("generate") >= self.fail_after:
             raise BackendError("injected failure")
         self.calls.add("generate")
         words = doc.mutable_text.split()
         if self.iteration == 1:
-            return " ".join(w for w in words if w != "zonk")
-        return " ".join("zonk" if w == "foo" else w for w in words)
+            text = " ".join(w for w in words if w != "zonk")
+        else:
+            text = " ".join("zonk" if w == "foo" else w for w in words)
+        return text if n is None else [text] * n
 
     def verify(self, prompt, candidate, doc, label_names, temperature, max_retries):
         self.calls.add("verify")
@@ -1036,3 +1042,55 @@ class TestIncrementalCounts:
             save_dataset(ds, tmp_path / "full.jsonl")
             expected = (tmp_path / "full.jsonl").read_bytes()
             assert ckpt.snapshot_path(iteration).read_bytes() == expected
+
+
+class SingleTextRequests:
+    """Serves ``generate(..., n)`` by n requests for one text each from the
+    wrapped backend: the traffic of a client that asks once per candidate."""
+
+    def __init__(self, backend):
+        self.backend, self.calls = backend, backend.calls
+
+    def generate(self, *args, n=None):
+        if n is None:
+            return self.backend.generate(*args)
+        return [self.backend.generate(*args) for _ in range(n)]
+
+    def verify(self, *args):
+        return self.backend.verify(*args)
+
+
+class TestOneRequestPerDocument:
+    """Asking for a document's candidates in one request changes the count
+    of requests, not the run: the mock draws its picks in the order that one
+    request per candidate draws them."""
+
+    RULES = [
+        {"pattern": r"\s*\bzonk\b", "replacements": ["", " quite", " the"]},
+        {"pattern": r"\bthe\b", "replacements": ["the", "this", "that", "one"]},
+    ]
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_same_run_with_a_third_of_the_generate_requests(self, tmp_path, seed):
+        dataset, _ = synth(corpus_size=200)
+        config = RunConfig(k=20, epsilon=1e-12, max_iterations=3, jobs=1)
+        runs = []
+        for name, backend in (
+            ("batched", MockBackend(self.RULES, seed=seed)),
+            ("single", SingleTextRequests(MockBackend(self.RULES, seed=seed))),
+        ):
+            ckpt = Checkpoint(tmp_path / name)
+            result = run_razor(dataset, config, backend, ckpt)
+            runs.append({
+                "output": output_bytes(result.dataset, tmp_path / f"{name}.jsonl"),
+                "snapshots": [ckpt.snapshot_path(i).read_bytes() for i in range(4)],
+                "objectives": [t.objective_after for t in result.traces],
+                "replaced": [t.replaced_ids for t in result.traces],
+                "generate": backend.calls.count("generate"),
+                "verify": backend.calls.count("verify"),
+            })
+        batched, single = runs
+        assert len(batched["objectives"]) == 3 and batched["replaced"][0]
+        assert single["generate"] == 3 * batched["generate"]
+        for key in ("output", "snapshots", "objectives", "replaced", "verify"):
+            assert batched[key] == single[key], key

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -71,12 +73,12 @@ class FlakyBackend:
         self.text = text
         self.calls = 0
 
-    def generate(self, prompt, doc, temperature, top_p, max_retries):
+    def generate(self, prompt, doc, temperature, top_p, max_retries, n=None):
         # retries are the backend's responsibility; emulate "always down"
         self.calls += 1
         if self.calls <= self.failures:
             raise BackendError("simulated transport failure")
-        return self.text
+        return self.text if n is None else [self.text] * n
 
 
 class TestGenerateCandidates:
@@ -99,12 +101,17 @@ class TestGenerateCandidates:
         backend = MockBackend([{"pattern": r"\s*\bnot\b", "replacement": ""}])
         out = generate_candidates(doc, backend, self.config(candidates_per_doc=5), LABELS)
         assert out == ["a b"]
-        assert backend.calls.count("generate") == 5
+        assert backend.calls.count("generate") == 1  # one request for all five
 
     def test_transport_failure_propagates(self):
         doc = make_document("d", "some doc text", 0)
         with pytest.raises(BackendError):
             generate_candidates(doc, FlakyBackend(failures=99), self.config(), LABELS)
+
+    def test_backend_answering_no_text_is_backend_error(self):
+        doc = make_document("d", "some doc text", 0)
+        with pytest.raises(BackendError, match="no rewrite"):
+            generate_candidates(doc, SimpleNamespace(generate=lambda *a, n: []), self.config(), LABELS)
 
     def test_seeded_replacement_choice_is_deterministic(self):
         doc = make_document("d", "the outcome was poor overall", 0)
