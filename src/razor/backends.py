@@ -247,12 +247,12 @@ class MockBackend:
                 pattern = re.compile(rule["pattern"])
             except (KeyError, TypeError, re.error) as exc:
                 raise ConfigError(f"bad mock rule {rule!r}: {exc}") from None
-            replacements = rule.get("replacements")
-            if replacements is None:
-                replacements = [rule.get("replacement", "")]
+            replacements = rule.get("replacements", [rule.get("replacement", "")])
             if not isinstance(replacements, list) or not replacements:
                 raise ConfigError(f"bad mock rule {rule!r}: replacements must be a non-empty list")
-            self.rules.append((pattern, [str(r) for r in replacements]))
+            if not all(isinstance(r, str) for r in replacements):
+                raise ConfigError(f"bad mock rule {rule!r}: each replacement must be a string")
+            self.rules.append((pattern, replacements))
         if not is_json_int(seed):
             raise ConfigError(f"mock seed must be an integer, got {seed!r}")
         if fail_after_generate_calls is not None and not (

@@ -146,6 +146,8 @@ def _load_labels(arg):
 
 
 def cmd_analyze(args) -> int:
+    if args.top is not None and args.top < 0:
+        raise ConfigError(f"--top must be >= 0, got {args.top}")
     dataset = load_dataset(args.input, args.schema, _load_labels(args.labels))
     table = corpus_stats(dataset)
     space = compute_embeddings(dataset, table, args.lam)

@@ -164,16 +164,17 @@ _TRACE_FIELD_TYPES = {
 
 
 class RewriteJournal:
-    """Per-iteration record of the backend's answers: the candidate texts
-    generated for each document, and each verifier verdict, keyed by document
-    id (and candidate text).
+    """Per-iteration memo of the backend's answers, keyed by document id (and
+    candidate text): :meth:`texts` and :meth:`verdict` answer any request the
+    journal holds and ask the backend only for the others, so a resumed
+    iteration runs a fresh one's code. A document is handled by one worker at
+    a time, so no request is asked twice.
 
     A ``{"doc_id", "texts"}`` line holds a document's generated candidates,
     a ``{"doc_id", "text", "verified"}`` line one verdict. A line of the
     older ``{"doc_id", "candidates": [{"text", "verified"}]}`` format, written
     when every candidate was verified as it was generated, replays as both.
-    Each record is flushed as it is written, so an aborted run resumes without
-    asking the backend again for anything already answered.
+    Each record is flushed as it is written.
 
     The file is opened at the first record and kept open until :meth:`close`
     (the journal is a context manager). Each record is written as one line in
@@ -227,17 +228,21 @@ class RewriteJournal:
         for text, verified in verdicts:
             self._verdicts[doc_id, text] = verified
 
-    def __contains__(self, doc_id: str) -> bool:
-        return doc_id in self._entries
+    def texts(self, doc_id: str, generate: Callable[[], list[str]]) -> list[str]:
+        """``doc_id``'s candidate texts: journaled, or ``generate()``'s, recorded."""
+        texts = self._entries.get(doc_id)
+        if texts is None:
+            texts = generate()
+            self.record({"doc_id": doc_id, "texts": texts})
+        return texts
 
-    def get(self, doc_id: str) -> list[str]:
-        """The candidate texts generated for ``doc_id``."""
-        return self._entries[doc_id]
-
-    def verdict(self, doc_id: str, text: str) -> Optional[bool]:
-        """The verifier's verdict on candidate ``text`` of ``doc_id``, or None
-        when it was not asked."""
-        return self._verdicts.get((doc_id, text))
+    def verdict(self, doc_id: str, text: str, verify: Callable[[], bool]) -> bool:
+        """Candidate ``text``'s verdict for ``doc_id``: journaled, or ``verify()``'s, recorded."""
+        verified = self._verdicts.get((doc_id, text))
+        if verified is None:
+            verified = verify()
+            self.record({"doc_id": doc_id, "text": text, "verified": verified})
+        return verified
 
     def record(self, row: dict) -> None:
         """Keep a generate record ``{"doc_id", "texts"}`` or a verify record
@@ -289,12 +294,15 @@ def _verify(
     config: RunConfig,
     journal: RewriteJournal,
 ) -> None:
-    """Ask the verifier about ``cand``, a candidate for ``doc``, and journal
-    the verdict."""
-    cand.verified = verify_label(
-        cand.text, doc, backend, config.generator, dataset.label_names, dataset.schema
+    """Set the verdict on ``cand``, a candidate for ``doc``, from the
+    journal or the verifier."""
+    cand.verified = journal.verdict(
+        doc.id,
+        cand.text,
+        lambda: verify_label(
+            cand.text, doc, backend, config.generator, dataset.label_names, dataset.schema
+        ),
     )
-    journal.record({"doc_id": doc.id, "text": cand.text, "verified": cand.verified})
 
 
 def _gather_candidates(
@@ -314,23 +322,22 @@ def _gather_candidates(
        then embed all of them against the frozen ``stats`` in blocks;
     2. for each document, ask the verifier about its likely winner: the
        candidate :func:`select_replacement` returns against the frozen
-       ``ledger``, when it has no verdict yet.
+       ``ledger``.
 
-    Journaled answers are replayed instead of asked again. A document with a
-    journaled verdict skips the second pass: its speculative verdict is known,
-    so the commit walk asks the verifier what it still needs."""
+    Every request goes through the journal, which answers any it holds, so
+    a resumed iteration makes the same decisions as a fresh one and asks the
+    backend only what is still unanswered."""
     docs = dataset.documents
 
     def generate(i: int) -> list[RewriteCandidate]:
         doc = docs[i]
-        if doc.id in journal:
-            texts = journal.get(doc.id)
-        else:
-            texts = generate_candidates(
+        texts = journal.texts(
+            doc.id,
+            lambda: generate_candidates(
                 doc, backend, config.generator, dataset.label_names, dataset.schema
-            )
-            journal.record({"doc_id": doc.id, "texts": texts})
-        return [RewriteCandidate(text, journal.verdict(doc.id, text)) for text in texts]
+            ),
+        )
+        return [RewriteCandidate(text) for text in texts]
 
     candidates = _map(generate, config.jobs, rows)
     embed_candidates(
@@ -340,10 +347,8 @@ def _gather_candidates(
     )
 
     def speculate(i: int, cands: list[RewriteCandidate]) -> None:
-        if any(cand.verified is not None for cand in cands):
-            return
         best = select_replacement(docs[i], cands, ledger, space.units[i])
-        if best is not None and best.verified is None:
+        if best is not None:
             _verify(best, docs[i], dataset, backend, config, journal)
 
     _map(speculate, config.jobs, rows, candidates)

@@ -131,7 +131,7 @@ class GeneratorConfig:
 class RewriteCandidate:
     text: str
     verified: Optional[bool] = None  # None until the verifier is asked
-    # set by embed_candidates for a scoreable candidate not rejected
+    # set by embed_candidates for a scoreable candidate
     document: Optional[LabeledDocument] = None
     unit: Optional[np.ndarray] = field(default=None, compare=False)
 
@@ -242,18 +242,16 @@ def embed_candidates(
     stats: TokenTable,
     lam: int,
 ) -> None:
-    """Give each candidate in ``pairs`` (original document, candidate) that
-    the verifier has not rejected its rewritten document and unit vector.
-    Every candidate is tokenized once and embedded against the frozen
-    ``stats``, all of them together, ``BLOCK_DOCS`` at a time; a row's bits do
-    not depend on its block, so candidates with the same tokens tie exactly.
-    Candidates that are empty, shorter than 2 tokens, have the original's
-    tokens (so the original's embedding: no improvement) or embed to zero
-    keep both None and are never scored."""
+    """Give each candidate in ``pairs`` (original document, candidate) its
+    rewritten document and unit vector. Every candidate is tokenized once and
+    embedded against the frozen ``stats``, all of them together,
+    ``BLOCK_DOCS`` at a time; a row's bits do not depend on its block, so
+    candidates with the same tokens tie exactly. Candidates that are empty,
+    shorter than 2 tokens, have the original's tokens (so the original's
+    embedding: no improvement) or embed to zero keep both None and are never
+    scored."""
     trials: list[tuple[RewriteCandidate, LabeledDocument]] = []
     for doc, cand in pairs:
-        if cand.verified is False:
-            continue
         try:
             trial = replace_text(doc, cand.text)
         except DataError:

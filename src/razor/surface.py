@@ -305,16 +305,20 @@ def _embedded_blocks(lengths: np.ndarray, token_ids: np.ndarray, idf: np.ndarray
             yield start + np.flatnonzero(embeddable), _embed_block(block, block_ids, idf, lam)
 
 
+def _fill_units(units: np.ndarray, blocks) -> np.ndarray:
+    """``units`` (zeros) with the unit vectors of ``blocks``' (rows, embeddings) at their rows."""
+    for rows, vectors in blocks:
+        units[rows] = _unit_rows(vectors)
+    return units
+
+
 def candidate_units(
     docs: Sequence[LabeledDocument], stats: TokenTable, lam: int = DEFAULT_LAMBDA
 ) -> np.ndarray:
     """Unit embeddings of rewrite candidates (each of at least 2 tokens), one
     row each, mapped through the table once and embedded ``BLOCK_DOCS`` at a
     time; a row stays zero for an all-zero embedding."""
-    units = np.zeros((len(docs), lam))
-    for rows, vectors in _embedded_blocks(*_mapped(docs, stats), lam):
-        units[rows] = _unit_rows(vectors)
-    return units
+    return _fill_units(np.zeros((len(docs), lam)), _embedded_blocks(*_mapped(docs, stats), lam))
 
 
 def _mapped_zeros(*shape: int, dtype=np.float64) -> np.ndarray:
@@ -330,29 +334,19 @@ def _mapped_zeros(*shape: int, dtype=np.float64) -> np.ndarray:
 
 
 class SurfaceSpace:
-    """One snapshot's unit embeddings, row i for the i-th document.
-
-    ``embedded[i]`` is False for a document too short to embed; its row stays
-    zero. ``units`` holds each row's unit vector and stays zero for the
-    all-zero embedding, so ``scoreable`` is exactly the non-zero unit rows.
+    """One snapshot's unit embeddings ``units``, row i for the i-th document.
+    A row stays zero for a document too short to embed and for the all-zero
+    embedding, so ``scoreable`` is exactly the non-zero unit rows.
     """
 
-    def __init__(self, ids: Iterable[str], labels: Iterable[int], lam: int):
+    def __init__(self, ids: Iterable[str], labels: Iterable[int], units: np.ndarray):
         self.ids = list(ids)
         self.labels = np.asarray(list(labels), dtype=np.int64)
-        n = len(self.ids)
-        self.units = _mapped_zeros(n, lam)
-        self.embedded = np.zeros(n, dtype=bool)
+        self.units = units
 
     def __len__(self) -> int:
-        """Number of embedded documents."""
-        return int(self.embedded.sum())
-
-    def set_rows(self, rows, vectors: np.ndarray) -> None:
-        """Mark ``rows`` (a row number, or a sequence of them) embedded and
-        store the unit vectors of their embeddings ``vectors``."""
-        self.embedded[rows] = True
-        self.units[rows] = _unit_rows(np.atleast_2d(vectors))
+        """Number of documents (rows); bench/tracer.py counts them as embedded."""
+        return len(self.ids)
 
     @property
     def scoreable(self) -> np.ndarray:
@@ -378,10 +372,8 @@ def compute_embeddings(
     documents too short to embed keep an empty row, and callers treat them as
     unscoreable."""
     blocks = embedding_rows(dataset, stats, lam)
-    space = SurfaceSpace((d.id for d in dataset), (d.label for d in dataset), lam)
-    for rows, vectors in blocks:
-        space.set_rows(rows, vectors)
-    return space
+    units = _fill_units(_mapped_zeros(len(dataset), lam), blocks)
+    return SurfaceSpace((d.id for d in dataset), (d.label for d in dataset), units)
 
 
 class ClassLedger:

@@ -70,11 +70,14 @@ def stub_server():
     server.fail_next = 0
     server.fail_status = 500
     server.fail_headers = {}
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # a short poll interval: shutdown() waits for serve_forever's next poll
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
     thread.start()
     yield server
     server.shutdown()
     thread.join(timeout=2)
+    assert not thread.is_alive()
+    server.server_close()
 
 
 def backend_for(server, **kw):

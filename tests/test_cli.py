@@ -97,7 +97,8 @@ class TestAnalyze:
         assert [r["id"] for r in rows] == [d.id for d in dataset if d.id != "short"]
         space = compute_embeddings(dataset)
         np.testing.assert_array_equal(
-            _unit_rows(np.array([r["vector"] for r in rows])), space.units[space.embedded]
+            _unit_rows(np.array([r["vector"] for r in rows])),
+            space.units[np.array([len(d.tokens) >= 2 for d in dataset])],
         )
 
 
@@ -544,6 +545,22 @@ ERROR_CASES = {
     "rules-replacements-string": (
         {"rules.json": {"generation": [{"pattern": "a", "replacements": "ab"}]}}, RUN, 1
     ),
+    "rules-replacement-null": (
+        {"rules.json": {"generation": [{"pattern": "zonk", "replacement": None}]}},
+        RUN, 1, ["replacement", "zonk"],
+    ),
+    "rules-replacement-number": (
+        {"rules.json": {"generation": [{"pattern": "zonk", "replacement": 3}]}},
+        RUN, 1, ["replacement", "zonk"],
+    ),
+    "rules-replacements-null": (
+        {"rules.json": {"generation": [{"pattern": "zonk", "replacements": None}]}},
+        RUN, 1, ["replacements", "zonk"],
+    ),
+    "rules-replacements-true": (
+        {"rules.json": {"generation": [{"pattern": "zonk", "replacements": ["cat", True]}]}},
+        RUN, 1, ["replacement", "zonk"],
+    ),
     "rules-seed-string": ({"rules.json": {**RULES, "seed": "x"}}, RUN, 1),
     "rules-fail-after-string": (
         {"rules.json": {**RULES, "fail_after_generate_calls": "x"}}, RUN, 1
@@ -552,6 +569,7 @@ ERROR_CASES = {
     "rules-fail-after-bool": (
         {"rules.json": {**RULES, "fail_after_generate_calls": True}}, RUN, 1
     ),
+    "analyze-top-negative": ({}, ["analyze", "--input", "{data}", "--top", "-4"], 1, ["top"]),
     "report-trace-malformed": ({"trace.json": "{"}, REPORT, 2),
     "report-trace-list": ({"trace.json": []}, REPORT, 2),
     "report-trace-unknown-key": ({"trace.json": BAD_ITERATION}, REPORT, 2),

@@ -2,6 +2,7 @@ import json
 import math
 import random
 import sys
+import threading
 import zlib
 from collections import Counter
 from dataclasses import replace
@@ -35,6 +36,7 @@ from razor.surface import (
     BLOCK_DOCS,
     ClassLedger,
     SurfaceSpace,
+    _unit_rows,
     compute_embeddings,
     score_against,
     shortcut_scores,
@@ -58,6 +60,21 @@ def mock_backend(rules, **kw):
 def noop_backend():
     """Mock whose rewrites never change anything."""
     return MockBackend([], verdict="confirm")
+
+
+def unasked():
+    """The ask for a request the journal holds: calling it fails the test."""
+    pytest.fail("the journal asked for a request it holds")
+
+
+class Unanswered(Exception):
+    pass
+
+
+def unanswered():
+    """The ask for a request the journal does not hold: it raises
+    Unanswered, so the journal records nothing."""
+    raise Unanswered
 
 
 class TestRunConfig:
@@ -343,7 +360,9 @@ class TestCheckpointResume:
 
         with caplog.at_level("WARNING", logger="razor"):
             journal = RewriteJournal(journal_path)
-        assert len(journal._entries) == complete and "torn" not in journal
+        assert len(journal._entries) == complete
+        with pytest.raises(Unanswered):
+            journal.texts("torn", unanswered)
         assert any("torn final line" in rec.message for rec in caplog.records)
         assert journal_path.read_text().endswith("}\n")
 
@@ -447,6 +466,31 @@ class TestCheckpointResume:
         assert opened == [str(ckpt.journal_path(1)), str(ckpt.journal_path(1)),
                           str(ckpt.journal_path(2))]
 
+    def test_journal_answers_what_it_holds(self, tmp_path):
+        """Each request is asked once and recorded; a False verdict is an
+        answer like any other; a reloaded journal answers the same."""
+        path = tmp_path / "journal_001.jsonl"
+        asked = []
+
+        def ask(answer):
+            return lambda: asked.append(answer) or answer
+
+        with RewriteJournal(path) as journal:
+            assert journal.texts("a", ask(["x", "y"])) == ["x", "y"]
+            assert journal.verdict("a", "x", ask(False)) is False
+            assert journal.texts("a", unasked) == ["x", "y"]
+            assert journal.verdict("a", "x", unasked) is False
+        assert asked == [["x", "y"], False]
+        assert path.read_text().splitlines() == [
+            '{"doc_id": "a", "texts": ["x", "y"]}',
+            '{"doc_id": "a", "text": "x", "verified": false}',
+        ]
+        replayed = RewriteJournal(path)
+        assert replayed.texts("a", unasked) == ["x", "y"]
+        assert replayed.verdict("a", "x", unasked) is False
+        with pytest.raises(Unanswered):
+            replayed.verdict("a", "y", unanswered)
+
     def test_malformed_inner_journal_line_is_data_error(self, tmp_path):
         path = tmp_path / "journal_001.jsonl"
         path.write_text(
@@ -473,7 +517,9 @@ class TestCheckpointResume:
         path.write_text('{"doc_id": "a", "texts": ["x"]}\n{"doc_id": "b", "texts": ["y"]}')
         with caplog.at_level("WARNING", logger="razor"):
             journal = RewriteJournal(path)
-        assert "a" in journal and "b" not in journal
+        assert journal.texts("a", unasked) == ["x"]
+        with pytest.raises(Unanswered):
+            journal.texts("b", unanswered)
         assert any("torn final line 2" in rec.message for rec in caplog.records)
         assert path.read_text() == '{"doc_id": "a", "texts": ["x"]}\n'
 
@@ -556,7 +602,7 @@ def test_iteration_embeds_in_blocks(monkeypatch):
     backend = MockBackend([{"pattern": "^", "replacement": "fresh "}])
     journal = RewriteJournal()
     _, trace = run_iteration(ds, RunConfig(k=k), backend, journal=journal)
-    candidates = sum(len(journal.get(doc_id)) for doc_id in trace.selected_ids)
+    candidates = sum(len(journal.texts(doc_id, unasked)) for doc_id in trace.selected_ids)
     assert candidates == k
     assert len(sizes) == math.ceil(n_docs / BLOCK_DOCS) + math.ceil(candidates / BLOCK_DOCS)
     assert sum(sizes) == n_docs + candidates
@@ -570,25 +616,20 @@ def accepts(text: str) -> bool:
 
 class ScriptedBackend:
     """A backend whose answers depend only on the request. The i-th of the
-    texts generated for a prompt (counted modulo 3) drops "zonk" and the
-    i-th word of the text; the verifier confirms the label of the candidates
-    :func:`accepts`. ``asked`` lists every (role, doc id, prompt or candidate)
-    in request order."""
+    n texts a request asks for drops "zonk" and the i-th word of the text;
+    the verifier confirms the label of the candidates :func:`accepts`.
+    ``asked`` lists every answered (role, doc id, prompt or candidate) in
+    request order."""
 
     def __init__(self):
         self.calls = CallLog()
         self.asked = []
-        self._per_prompt = Counter()
 
     def generate(self, prompt, doc, temperature, top_p, max_retries, n=None):
         self.calls.add("generate")
         self.asked.append(("generate", doc.id, prompt))
         words = [w for w in doc.mutable_text.split() if w != "zonk"]
-        texts = []
-        for _ in range(n or 1):
-            i = self._per_prompt[prompt] % 3
-            self._per_prompt[prompt] += 1
-            texts.append(" ".join(words[:i] + words[i + 1 :]))
+        texts = [" ".join(words[:i] + words[i + 1 :]) for i in range(n or 1)]
         return texts[0] if n is None else texts
 
     def verify(self, prompt, candidate, doc, label_names, temperature, max_retries):
@@ -598,21 +639,34 @@ class ScriptedBackend:
 
 
 class FailOnVerify:
-    """Wraps a backend: its ``n``-th verify call (1-based) raises
-    BackendError instead of reaching the backend."""
+    """Wraps a backend: its ``n``-th request of ``role`` (1-based) raises
+    BackendError instead of reaching the backend. Requests are counted under
+    a lock, so exactly one fails under parallel workers too."""
+
+    role = "verify"
 
     def __init__(self, backend, n: int):
         self.backend, self.n, self.calls = backend, n, backend.calls
-        self._verifies = 0
+        self._requests = Counter()
+        self._lock = threading.Lock()
+
+    def _reach(self, role: str):
+        with self._lock:
+            self._requests[role] += 1
+            failing = role == self.role and self._requests[role] == self.n
+        if failing:
+            raise BackendError(f"injected failure at {role} call {self.n}")
+        return getattr(self.backend, role)
 
     def generate(self, *args, **kwargs):
-        return self.backend.generate(*args, **kwargs)
+        return self._reach("generate")(*args, **kwargs)
 
     def verify(self, *args):
-        self._verifies += 1
-        if self._verifies == self.n:
-            raise BackendError(f"injected failure at verify call {self.n}")
-        return self.backend.verify(*args)
+        return self._reach("verify")(*args)
+
+
+class FailOnGenerate(FailOnVerify):
+    role = "generate"
 
 
 def output_bytes(dataset, path):
@@ -630,8 +684,9 @@ class TestLazyVerification:
         lam, n, decided = 8, 40, Counter()
         for trial in range(300):
             labels = rng.integers(0, 3, size=n)
-            space = SurfaceSpace((f"d{i}" for i in range(n)), labels, lam)
-            space.set_rows(np.arange(n), rng.standard_normal((n, lam)))
+            space = SurfaceSpace(
+                (f"d{i}" for i in range(n)), labels, _unit_rows(rng.standard_normal((n, lam)))
+            )
             ledger = ClassLedger(space)
             doc = make_document("d0", "some original text", int(labels[0]))
             units = rng.standard_normal((4, lam))
@@ -669,7 +724,7 @@ class TestLazyVerification:
         # the trials reach every outcome, with and without verifier calls
         assert len(decided) == 4
 
-    def straight_run(self, dataset, config, monkeypatch):
+    def straight_run(self, dataset, config, monkeypatch, checkpoint=None):
         """A run through ScriptedBackend, and the number of verify calls its
         first iteration made before the commit walk: the speculative pass."""
         backend = ScriptedBackend()
@@ -682,7 +737,7 @@ class TestLazyVerification:
             return decide(*args)
 
         monkeypatch.setattr(pipeline, "decide_replacement", spy)
-        result = run_razor(dataset, config, backend)
+        result = run_razor(dataset, config, backend, checkpoint)
         monkeypatch.undo()
         return result, backend, speculative[0]
 
@@ -716,6 +771,114 @@ class TestLazyVerification:
         assert resumed.traces[0].llm_calls == {"generate": 0, "verify": first_verifies - (n - 1)}
         assert Counter(failing.backend.asked) + Counter(resumed_backend.asked) == Counter(
             straight_backend.asked
+        )
+
+    # failure point; generate requests answered before a generate failure (None:
+    # three into iteration 2); snapshots left by the abort; whether the last
+    # journal record is then torn
+    CRASHES = {
+        "generate-1": ("generate", 1, 0, False),
+        "generate-5": ("generate", 5, 0, False),
+        "generate-iteration-2": ("generate", None, 1, False),
+        "verify-speculative": ("speculative", None, 0, False),
+        "verify-commit": ("commit", None, 0, False),
+        "torn-generate": ("generate", 5, 0, True),
+        "torn-verify": ("commit", None, 0, True),
+        "snapshot": ("snapshot", None, 1, False),
+    }
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("crash", sorted(CRASHES))
+    def test_crash_and_resume_matrix(self, tmp_path, monkeypatch, crash, jobs):
+        """An abort anywhere, then a resume: the output, every snapshot and
+        the traces are the straight serial run's, and the two runs together
+        ask the backend exactly what the straight run asks. The one exception
+        is a journal record torn by the crash: its request is asked again.
+        A failure comes after j generate requests, in iteration 1 or 2; at a
+        verify request of the speculative pass or the commit walk; or in the
+        snapshot write after iteration 2's trace is written."""
+        dataset, _ = synth(corpus_size=120)
+        config = RunConfig(k=12, epsilon=1e-12, max_iterations=3)
+        point, j, done, torn = self.CRASHES[crash]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            straight_ckpt = Checkpoint(tmp_path / "straight")
+            straight, straight_backend, speculative = self.straight_run(
+                dataset, config, monkeypatch, straight_ckpt
+            )
+            assert len(straight.traces) == 3 and straight.traces[1].replaced_ids
+            config = replace(config, jobs=jobs)
+            ckpt = Checkpoint(tmp_path / "ckpt")
+            backend = ScriptedBackend()
+            if point == "generate":
+                if j is None:  # the fourth request of iteration 2
+                    j = straight.traces[0].llm_calls["generate"] + 3
+                failing = FailOnGenerate(backend, j + 1)
+            elif point == "snapshot":
+                failing = backend
+                write_snapshot = Checkpoint.write_snapshot
+
+                def fail_second(self, ds, iteration):
+                    if iteration == 2:
+                        raise OSError("disk full")
+                    write_snapshot(self, ds, iteration)
+
+                monkeypatch.setattr(Checkpoint, "write_snapshot", fail_second)
+            else:
+                n = speculative // 2 + 1 if point == "speculative" else speculative + 1
+                failing = FailOnVerify(backend, n)
+            with pytest.raises((BackendError, OSError)):
+                run_razor(dataset, config, failing, ckpt)
+            monkeypatch.undo()
+            assert ckpt.completed_iterations() == done
+            aborted = {t.iteration: t.llm_calls for t in read_trace_file(ckpt.trace_path)[0]}
+
+            again = []  # the torn record's request
+            if torn:
+                path = ckpt.journal_path(done + 1)
+                data = path.read_bytes()
+                last = data.splitlines()[-1]
+                path.write_bytes(data[: len(data) - 1 - len(last) // 2])
+                row = json.loads(last)
+                role, text = ("generate", None) if "texts" in row else ("verify", row["text"])
+                again = [
+                    a for a in backend.asked
+                    if a[:2] == (role, row["doc_id"]) and text in (None, a[2])
+                ]
+                assert len(again) == 1
+
+            resumed_backend = ScriptedBackend()
+            resumed = run_razor(dataset, config, resumed_backend, ckpt)
+        finally:
+            sys.setswitchinterval(interval)
+
+        assert output_bytes(resumed.dataset, tmp_path / "resumed.jsonl") == output_bytes(
+            straight.dataset, tmp_path / "straight.jsonl"
+        )
+        def snapshots(checkpoint):
+            paths = sorted(checkpoint.directory.glob("iteration_*.jsonl"))
+            return {path.name: path.read_bytes() for path in paths}
+
+        assert snapshots(ckpt) == snapshots(straight_ckpt)
+
+        def without_counts(path):
+            traces, stop_reason = read_trace_file(path)
+            kept = [{**t.to_dict(), "wall_time": None, "llm_calls": None} for t in traces]
+            return kept, stop_reason
+
+        assert without_counts(ckpt.trace_path) == without_counts(straight_ckpt.trace_path)
+        # each iteration's requests: those of the run that finished it, plus
+        # the aborted run's when the resume repeated it
+        for resumed_trace, straight_trace in zip(resumed.traces, straight.traces):
+            calls = Counter(resumed_trace.llm_calls)
+            if resumed_trace.iteration > done:
+                calls.update(aborted.get(resumed_trace.iteration, {}))
+            if resumed_trace.iteration == done + 1:
+                calls.subtract(role for role, *_ in again)
+            assert calls == Counter(straight_trace.llm_calls)
+        assert Counter(backend.asked) + Counter(resumed_backend.asked) == (
+            Counter(straight_backend.asked) + Counter(again)
         )
 
     def test_journal_of_eager_verification_replays(self, tmp_path):

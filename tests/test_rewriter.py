@@ -242,7 +242,6 @@ class TestSelectReplacement:
     def test_unverified_candidates_ignored(self):
         rejected = RewriteCandidate("the crew painted the fence quickly", False)
         assert select_for_b1([rejected]) is None
-        assert rejected.unit is None
 
     def test_unverified_best_returned_unchanged(self):
         best, runner_up = RewriteCandidate(BEST), RewriteCandidate(RUNNER_UP, True)

@@ -11,10 +11,12 @@ from razor.surface import (
     BLOCK_DOCS,
     ClassLedger,
     SurfaceSpace,
+    _unit_rows,
     candidate_units,
     class_alignment_objective,
     compute_embeddings,
     corpus_stats,
+    embedding_rows,
     positional_encoding,
     score_against,
     shortcut_scores,
@@ -166,7 +168,7 @@ class TestSurfaceEmbedding:
         assert not candidate_units(ds.documents[:1], stats, 4).any()
         assert np.all(vector == 0.0)
         space = compute_embeddings(ds, stats, 4)
-        assert space.embedded[0] and not space.scoreable[0]
+        assert len(ds.documents[0].tokens) >= 2 and not space.scoreable[0]
         assert np.all(space.units[0] == 0.0)
 
     def test_two_token_document_matches_reference(self):
@@ -206,8 +208,8 @@ class TestSurfaceEmbedding:
     def test_compute_embeddings_skips_short_docs(self):
         ds = dataset_from([("d1", "word", 0), ("d2", "two words here", 1), ("d3", "more words", 0)])
         space = compute_embeddings(ds, lam=4)
-        assert space.embedded.tolist() == [False, True, True]
-        assert len(space) == 2
+        assert [rows.tolist() for rows, _ in embedding_rows(ds, lam=4)] == [[1, 2]]
+        assert space.scoreable.tolist() == [False, True, True]
         assert np.all(space.units[0] == 0.0)
         assert np.all(embedding_matrix(ds, lam=4)[0] == 0.0)
 
@@ -252,14 +254,15 @@ class TestBlockEmbedding:
         assert {len(d.tokens) for d in ds} == set(range(1, 41))
         for i, doc in enumerate(ds):
             if len(doc.tokens) < 2:
-                assert not space.embedded[i] and not vectors[i].any()
+                assert not space.units[i].any() and not vectors[i].any()
                 continue
             ref = embed_reference(list(doc.tokens), all_tokens, 8)
             np.testing.assert_allclose(vectors[i], ref, rtol=0, atol=1e-12)
         ubiquitous = BLOCK_DOCS + 5
-        assert space.embedded[ubiquitous] and not vectors[ubiquitous].any()
+        assert len(ds.documents[ubiquitous].tokens) >= 2 and not vectors[ubiquitous].any()
         assert not space.scoreable[ubiquitous]
-        assert len(space) == sum(len(d.tokens) >= 2 for d in ds)
+        embedded = sum(len(rows) for rows, _ in embedding_rows(ds, stats, 8))
+        assert embedded == sum(len(d.tokens) >= 2 for d in ds)
         norms = np.linalg.norm(space.units[space.scoreable], axis=1)
         np.testing.assert_allclose(norms, 1.0, rtol=0, atol=1e-12)
 
@@ -313,7 +316,9 @@ class TestBlockEmbedding:
             assert table.documents is ds.documents
             np.testing.assert_array_equal(embedding_matrix(ds, table, 8), fresh_vectors)
             np.testing.assert_array_equal(space.units, fresh.units)
-            np.testing.assert_array_equal(space.embedded, fresh.embedded)
+            assert [r.tolist() for r, _ in embedding_rows(ds, table, 8)] == [
+                r.tolist() for r, _ in embedding_rows(ds, corpus_stats(ds), 8)
+            ]
 
     def test_transient_memory_independent_of_corpus_size(self):
         def extra_peak(n_docs):
@@ -326,7 +331,7 @@ class TestBlockEmbedding:
                 held, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert len(space) > 0
+            assert space.scoreable.any()
             # freed again before returning: the blocks' temporaries
             return peak - held
 
@@ -385,11 +390,11 @@ def space_from(ds, vectors):
     """A surface space holding the given vectors (id -> list) instead of
     embeddings of the documents' text."""
     lam = len(next(iter(vectors.values())))
-    space = SurfaceSpace((d.id for d in ds), (d.label for d in ds), lam)
+    rows = np.zeros((len(ds), lam))
     for i, doc in enumerate(ds):
         if doc.id in vectors:
-            space.set_rows(i, np.asarray(vectors[doc.id], dtype=np.float64))
-    return space
+            rows[i] = vectors[doc.id]
+    return SurfaceSpace((d.id for d in ds), (d.label for d in ds), _unit_rows(rows))
 
 
 def objective_of(space):
@@ -465,14 +470,15 @@ class TestShortcutScore:
         # "a" and "b" occur in every document, so doc a's weights all vanish
         ds = dataset_from([("a", "a b", 0), ("b", "a b c d", 1), ("c", "a b e f", 1)])
         space = compute_embeddings(ds, lam=4)
-        assert space.embedded[0] and not space.scoreable[0]
+        assert len(ds.documents[0].tokens) >= 2 and not space.scoreable[0]
         assert "a" not in scores_by_id(space)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(3)
         ds, embeddings = random_embedding_dataset(rng, 10)
-        scaled = compute_embeddings(ds, lam=8)
-        scaled.set_rows(0, embedding_matrix(ds, lam=8)[0] * 37.0)
+        vectors = embedding_matrix(ds, lam=8)
+        vectors[0] *= 37.0
+        scaled = space_from(ds, dict(zip(embeddings.ids, vectors.tolist())))
         target = ds.documents[0].id
         assert scores_by_id(scaled)[target] == pytest.approx(scores_by_id(embeddings)[target], rel=1e-12)
 
@@ -530,15 +536,17 @@ class TestObjective:
     def test_scale_invariance(self):
         rng = np.random.default_rng(31)
         ds, embeddings = random_embedding_dataset(rng, 12)
-        scaled = compute_embeddings(ds, lam=8)
-        scaled.set_rows(3, embedding_matrix(ds, lam=8)[3] * 0.001)
+        vectors = embedding_matrix(ds, lam=8)
+        vectors[3] *= 0.001
+        scaled = space_from(ds, dict(zip(embeddings.ids, vectors.tolist())))
         assert objective_of(scaled) == pytest.approx(objective_of(embeddings), rel=1e-12)
 
     def test_class_fully_zero_embedded_undefined(self):
         # every class-0 token occurs in every document, so class 0 is all-zero
         ds = dataset_from([("a", "a b", 0), ("b", "a b", 0), ("c", "a b c d e", 1)])
         space = compute_embeddings(ds, lam=4)
-        assert space.embedded[:2].all() and not space.scoreable[:2].any()
+        assert all(len(d.tokens) >= 2 for d in ds.documents[:2])
+        assert not space.scoreable[:2].any()
         with pytest.raises(ObjectiveUndefinedError):
             objective_of(space)
 
@@ -549,10 +557,11 @@ class TestObjective:
         n, lam = 9000, 8
         labels = rng.choice([0, 1, 2, 3], size=n, p=[0.6, 0.3, 0.1, 0.0])
         labels[17], labels[40] = 3, 4
-        space = SurfaceSpace((f"d{i}" for i in range(n)), labels, lam)
         rows = np.flatnonzero(rng.random(n) > 0.1)
         rows = rows[rows != 40]
-        space.set_rows(rows, rng.standard_normal((len(rows), lam)))
+        units = np.zeros((n, lam))
+        units[rows] = _unit_rows(rng.standard_normal((len(rows), lam)))
+        space = SurfaceSpace((f"d{i}" for i in range(n)), labels, units)
         ledger = ClassLedger(space)
         expected = np.zeros((5, lam))
         np.add.at(expected, labels, space.units)
@@ -568,7 +577,7 @@ class TestObjective:
         ledger = ClassLedger(space)
         new_unit = np.arange(1.0, 9.0) / np.linalg.norm(np.arange(1.0, 9.0))
         ledger.swap(ds.documents[4].label, space.units[4], new_unit)
-        space.set_rows(4, new_unit)
+        space.units[4] = new_unit
         fresh = ClassLedger(space)
         np.testing.assert_allclose(ledger.sums, fresh.sums, atol=1e-12)
         assert class_alignment_objective(ledger) == pytest.approx(
