@@ -10,7 +10,9 @@ the order of the picks (under ``--jobs > 1``, and across an abort and
 resume, where journaled documents draw nothing); ROADMAP item 1 gives the
 mock an RNG per document instead. Each backend counts its requests per role,
 one per request whatever its ``n``, so pipelines can account for every
-request.
+request. The ``requests`` package is imported when the first
+:class:`HttpBackend` is built, so mock runs and the offline commands never
+load it.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ from pathlib import Path
 from random import Random
 from typing import Optional
 
-import requests
-
 from .corpus import LabeledDocument, is_json_int, read_json
 from .errors import BackendError, ConfigError
 
@@ -39,6 +39,17 @@ MOCK_VERDICTS = ("confirm", "flip", "garbled")
 
 # client errors a later attempt can get past: request timeout, rate limit
 RETRYABLE_4XX = (408, 429)
+
+
+def __getattr__(name: str):
+    """``requests`` on first use (PEP 562): importing it binds the global
+    that :class:`HttpBackend` posts through."""
+    if name == "requests":
+        global requests
+        import requests
+
+        return requests
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class CallLog:
@@ -101,6 +112,13 @@ class HttpBackend:
             raise ConfigError(f"no backend URL: set {API_BASE_ENV} or pass base_url")
         if not api_key:
             raise ConfigError(f"no API key: set {API_KEY_ENV} or pass api_key")
+        # only when unbound: a stand-in assigned to this module's ``requests``
+        # (a tracer's) must stay in place
+        if "requests" not in globals():
+            try:
+                __getattr__("requests")
+            except ImportError as exc:
+                raise ConfigError(f"the http backend needs the 'requests' package: {exc}") from None
         self.model = model
         self.base_url = base_url
         self.api_key = api_key

@@ -58,13 +58,15 @@ def tokenize(text: str) -> list[str]:
     Positions are the 0-based indices into the returned list. Empty output
     is legal here; emptiness is rejected at document construction instead.
     Tokens are interned: every document holding a token shares one string.
+
+    One C-level check per text: when every token is all letters and digits
+    there is nothing to strip. Otherwise only the tokens that are not all
+    letters and digits are stripped, one by one.
     """
-    tokens = []
-    for raw in text.lower().split():
-        raw = _strip_punct(raw)
-        if raw:
-            tokens.append(intern(raw))
-    return tokens
+    raw = text.lower().split()
+    if "".join(raw).isalnum():
+        return list(map(intern, raw))
+    return [intern(t) for token in raw if (t := token if token.isalnum() else _strip_punct(token))]
 
 
 @dataclass(frozen=True)

@@ -392,17 +392,27 @@ class ClassLedger:
         for c in range(len(self.classes)):
             self.sums[c] = np.add.reduce(space.units, axis=0, where=(rows == c)[:, None])
         self.counts = np.bincount(rows[space.scoreable], minlength=len(self.classes))
+        self._opposite: dict[int, tuple[np.ndarray, int]] = {}
 
     def opposite(self, label: int) -> tuple[np.ndarray, int]:
-        """Sum and count of the unit vectors of every other class."""
-        c = self._row[label]
-        return self.sums.sum(axis=0) - self.sums[c], int(self.counts.sum() - self.counts[c])
+        """Sum (read-only) and count of the unit vectors of every other
+        class, kept until the next :meth:`swap`; threads reading between
+        swaps can only fill in the same value."""
+        cached = self._opposite.get(label)
+        if cached is None:
+            c = self._row[label]
+            opposite_sum = self.sums.sum(axis=0) - self.sums[c]
+            opposite_sum.flags.writeable = False
+            cached = opposite_sum, int(self.counts.sum() - self.counts[c])
+            self._opposite[label] = cached
+        return cached
 
     def swap(self, label: int, old_unit: np.ndarray, new_unit: np.ndarray) -> None:
         """Replace one document's unit vector in its class sum."""
         row = self.sums[self._row[label]]
         row -= old_unit
         row += new_unit
+        self._opposite.clear()
 
 
 def score_against(

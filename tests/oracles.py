@@ -6,7 +6,24 @@ numpy, where practical) so that agreement between the two is meaningful.
 """
 
 import math
+import unicodedata
 from collections import Counter
+
+
+def tokenize_reference(text: str) -> list[str]:
+    """Lowercase, split on whitespace, strip leading and trailing Unicode
+    punctuation (categories P*) from each token one character at a time,
+    and drop tokens left empty."""
+    tokens = []
+    for raw in text.lower().split():
+        start, end = 0, len(raw)
+        while start < end and unicodedata.category(raw[start]).startswith("P"):
+            start += 1
+        while end > start and unicodedata.category(raw[end - 1]).startswith("P"):
+            end -= 1
+        if start < end:
+            tokens.append(raw[start:end])
+    return tokens
 
 
 def pe_reference(pos: int, k: int, lam: int) -> float:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
@@ -200,6 +203,76 @@ class TestHttpBackend:
         assert backend.calls.count("generate") == 1
         assert backend.calls.count("verify") == 1
         assert backend.entries == [("generate", "d1"), ("verify", "d1")]
+
+
+# Run in a fresh process: this one imported ``requests`` long ago.
+LAZY_IMPORT_SCRIPT = """
+import json
+import sys
+from types import SimpleNamespace
+
+import razor
+import razor.backends
+import razor.cli
+import razor.evalkit
+from razor.backends import HttpBackend, MockBackend
+from razor.corpus import make_document
+from razor.evalkit import BiasSpec, generate_biased_corpus
+from razor.pipeline import RunConfig, run_razor
+
+dataset, rules = generate_biased_corpus(BiasSpec("zonk", corpus_size=100, seed=7))
+backend = MockBackend(rules["generation"], verdict=rules["verdict"], seed=rules["seed"])
+result = run_razor(dataset, RunConfig(k=10, max_iterations=2), backend)
+out = {"mock_run": "requests" in sys.modules, "replaced": len(result.traces[0].replaced_ids)}
+
+
+class StandIn:
+    def __init__(self):
+        self.posted = []
+
+    def post(self, url, **kw):
+        self.posted.append(kw["json"]["n"] if "n" in kw["json"] else None)
+        body = {"choices": [{"message": {"content": "a reply"}}]}
+        return SimpleNamespace(
+            status_code=200, headers={}, text="", json=lambda: body,
+            raise_for_status=lambda: None,
+        )
+
+
+stand_in = razor.backends.requests = StandIn()
+http = HttpBackend("m", base_url="http://127.0.0.1:9/chat", api_key="k")
+doc = make_document("d", "some text", 0)
+http.generate("p", doc, 0.7, 0.9, 0, n=3)
+http.verify("p", "c", doc, {0: "a", 1: "b"}, 0.0, 0)
+out["stand_in_kept"] = razor.backends.requests is stand_in
+out["stand_in_posts"] = stand_in.posted
+out["with_stand_in"] = "requests" in sys.modules
+
+del razor.backends.requests
+HttpBackend("m", base_url="http://127.0.0.1:9/chat", api_key="k")
+out["http_backend"] = "requests" in sys.modules
+out["bound"] = razor.backends.requests is sys.modules.get("requests")
+print(json.dumps(out))
+"""
+
+
+def test_requests_is_imported_by_the_first_http_backend():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", LAZY_IMPORT_SCRIPT],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert out["mock_run"] is False  # importing razor and a mock run never load it
+    assert out["replaced"] > 0
+    # a stand-in assigned before the backend is built stays, and gets every post
+    assert out["stand_in_kept"] is True
+    assert out["stand_in_posts"] == [3, None]
+    assert out["with_stand_in"] is False
+    assert out["http_backend"] is True
+    assert out["bound"] is True
 
 
 def generate_requests(server) -> list:

@@ -1,5 +1,7 @@
 import json
 import os
+import random
+from sys import intern
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from razor.corpus import (
 from razor.errors import DataError, NoContrastError
 
 from conftest import dataset_from
+from oracles import tokenize_reference
 
 
 class TestTokenize:
@@ -44,6 +47,28 @@ class TestTokenize:
     def test_tokens_are_shared_strings(self):
         first, second = tokenize("shared word"), tokenize("".join(["sha", "red"]) + " other")
         assert first[0] is second[0]
+
+    def test_matches_scalar_reference(self):
+        pieces = [
+            "don't", "(a)", "«x»", "¿qué?", "…", "‘x’", "—", "x—y", "--", "?!", "...",
+            "_", "__init__", "snake_case", "$5", "+", "a+b", "e\u0301", "\u0301x", "x\u0301.",
+            "ß", "İ", "İstanbul", "Straße.", "２０２４", "🙂", "x.y", "Word", "42", "ok",
+        ]
+        words = ["alpha", "Beta", "7", "ß", "naïve", "ΣΟΦΙΑ", "２０２４", "x2"]
+        separators = [" ", "  ", "\t", "\n", "\xa0", "\u3000", "\x1c"]
+        rng = random.Random(16)
+        texts = ["", " ", "\t\x1c", "all plain words here"]
+        for _ in range(400):
+            # half the texts hold only letters and digits, half mix in the pieces
+            pool = words if len(texts) % 2 else words + pieces
+            parts = rng.choices(pool, k=rng.randint(0, 12))
+            # an empty joint glues two parts into one token
+            text = "".join(rng.choice(separators + [""]) + part for part in parts)
+            texts.append(text)
+        for text in texts:
+            tokens = tokenize(text)
+            assert tokens == tokenize_reference(text), repr(text)
+            assert all(token is intern(token) for token in tokens)
 
     def test_deterministic(self):
         text = "The  Quick, brown FOX; jumps — over 12 dogs."

@@ -583,3 +583,21 @@ class TestObjective:
         assert class_alignment_objective(ledger) == pytest.approx(
             class_alignment_objective(fresh), rel=1e-12
         )
+
+    def test_opposite_after_swap_equals_a_fresh_ledgers(self):
+        rng = np.random.default_rng(43)
+        ds, space = random_embedding_dataset(rng, 12, n_classes=3)
+        ledger = ClassLedger(space)
+        before = {label: ledger.opposite(label) for label in ledger.classes}
+        assert all(ledger.opposite(label)[0] is before[label][0] for label in ledger.classes)
+        swapped = ds.documents[4].label
+        new_unit = np.arange(1.0, 9.0) / np.linalg.norm(np.arange(1.0, 9.0))
+        ledger.swap(swapped, space.units[4], new_unit)
+        # a ledger holding the swapped sums that has answered nothing yet
+        fresh = ClassLedger(space)
+        fresh.sums = ledger.sums.copy()
+        for label in ledger.classes:
+            (got, got_n), (want, want_n) = ledger.opposite(label), fresh.opposite(label)
+            assert np.array_equal(got, want) and got_n == want_n
+            if label != swapped:
+                assert not np.array_equal(got, before[label][0])
