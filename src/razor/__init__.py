@@ -22,8 +22,6 @@ from .surface import (  # noqa: F401
     SurfaceSpace,
     class_alignment_objective,
     compute_embeddings,
-    positional_encoding,
     shortcut_scores,
     surface_embedding,
-    tfidf_score,
 )

@@ -27,7 +27,7 @@ from .attribution import (
 from .backends import HttpBackend, MockBackend
 from .corpus import SCHEMAS, json_id, load_dataset, parse_label_names, read_json, read_json_lines, save_dataset
 from .errors import BackendError, ConfigError, DataError, RazorError
-from .evalkit import BiasSpec, emit_report, generate_biased_corpus
+from .evalkit import BiasSpec, check_terms, emit_report, generate_biased_corpus
 from .pipeline import Checkpoint, RunConfig, read_trace_file, run_razor, write_trace_file
 from .rewriter import GeneratorConfig
 from .surface import (
@@ -145,6 +145,14 @@ def _load_labels(arg):
     return parse_label_names(arg) if arg else None
 
 
+def _parse_terms(arg) -> list[str]:
+    """The comma-separated ``--terms``, each stripped of spaces, empty ones
+    dropped, each checked to be one token."""
+    terms = [term for term in (piece.strip() for piece in (arg or "").split(",")) if term]
+    check_terms(terms)
+    return terms
+
+
 def cmd_analyze(args) -> int:
     if args.top is not None and args.top < 0:
         raise ConfigError(f"--top must be >= 0, got {args.top}")
@@ -214,6 +222,7 @@ def _make_backend(args, config: RunConfig):
 
 
 def cmd_run(args) -> int:
+    terms = _parse_terms(args.terms)
     config = _build_run_config(args)
     backend = _make_backend(args, config)
     dataset = load_dataset(args.input, args.schema, _load_labels(args.labels))
@@ -221,7 +230,6 @@ def cmd_run(args) -> int:
     result = run_razor(dataset, config, backend, checkpoint)
     save_dataset(result.dataset, args.out)
 
-    terms = [t for t in (args.terms or "").split(",") if t]
     report = emit_report(dataset, result.dataset, result.traces, terms=terms)
     report_path = args.report or f"{args.out}.report.json"
     report.write_json(report_path)
@@ -268,7 +276,7 @@ def cmd_report(args) -> int:
     before = load_dataset(args.before, args.schema, labels)
     after = load_dataset(args.after, args.schema, labels)
     traces = read_trace_file(args.trace)[0] if args.trace else []
-    terms = [t for t in (args.terms or "").split(",") if t]
+    terms = _parse_terms(args.terms)
     report = emit_report(before, after, traces, terms=terms, sample=args.sample, seed=args.seed)
     if args.out_json:
         report.write_json(args.out_json)

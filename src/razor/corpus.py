@@ -144,7 +144,8 @@ class Dataset:
 
 
 def parse_label_names(spec: str) -> dict[int, str]:
-    """Parse a ``"0=refutes,1=supports"`` style declaration."""
+    """Parse a ``"0=refutes,1=supports"`` style declaration; a label id
+    declared twice is a DataError."""
     names: dict[int, str] = {}
     for part in spec.split(","):
         part = part.strip()
@@ -159,6 +160,8 @@ def parse_label_names(spec: str) -> dict[int, str]:
             raise DataError(f"bad label id {key!r}; expected an integer") from None
         if not name:
             raise DataError(f"empty name for label {label}")
+        if label in names:
+            raise DataError(f"label {label} declared twice")
         names[label] = name
     return names
 

@@ -20,7 +20,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .corpus import Dataset, make_document
+from .corpus import Dataset, make_document, tokenize
 from .errors import ConfigError, DataError
 
 _SUBJECTS = [
@@ -110,6 +110,15 @@ def _scan_terms(dataset: Dataset, terms: Sequence[str]) -> _TermScan:
     return scan
 
 
+def check_terms(terms: Sequence[str]) -> None:
+    """Raise ConfigError for a term that is not exactly one token as
+    :func:`tokenize` reads it (``new york``, ``u.s.``): no token matches it,
+    so it would count 0 in every snapshot."""
+    for term in terms:
+        if tokenize(term) != [term.lower()]:
+            raise ConfigError(f"term {term!r} is not a single token")
+
+
 def _term_counts(scan: _TermScan, term: str, label_names) -> dict:
     per_class = {label: scan.occurrences[term.casefold()][label] for label in label_names}
     return {"per_class": per_class, "total": sum(per_class.values())}
@@ -121,15 +130,6 @@ def _gap(scan: _TermScan, term: str) -> float:
     if len(rates) < 2:
         raise DataError("frequency gap needs at least one document in each of two classes")
     return max(rates) - min(rates)
-
-
-def count_terms(dataset: Dataset, terms: Sequence[str]) -> dict[str, dict]:
-    """Whole-token, case-insensitive occurrence counts of each term, per class
-    and in total, over the rewritable texts."""
-    if not terms:
-        raise DataError("terms must be non-empty")
-    scan = _scan_terms(dataset, terms)
-    return {term: _term_counts(scan, term, dataset.label_names) for term in terms}
 
 
 def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
@@ -178,12 +178,6 @@ def corpus_bleu(candidate_corpus: Sequence[str], reference_corpus: Sequence[str]
         log_sum += math.log(match / total) / BLEU_MAX_N
     brevity = 1.0 if cand_len >= ref_len else math.exp(1.0 - ref_len / cand_len)
     return 100.0 * brevity * math.exp(log_sum)
-
-
-def frequency_gap(dataset: Dataset, token: str) -> float:
-    """Largest pairwise difference between classes in the probability that a
-    document contains ``token`` (whole-token, case-insensitive)."""
-    return _gap(_scan_terms(dataset, [token]), token)
 
 
 def generate_biased_corpus(spec: BiasSpec) -> tuple[Dataset, dict]:
@@ -284,6 +278,7 @@ def emit_report(
     trajectory from the iteration traces."""
     if sample is not None and sample < 1:
         raise ConfigError(f"sample must be >= 1, got {sample}")
+    check_terms(terms)
     if before.schema != after.schema:
         raise DataError(f"schema mismatch: {before.schema!r} vs {after.schema!r}")
     before_by_id = {doc.id: doc for doc in before}

@@ -42,6 +42,7 @@ from .errors import BackendError, ConfigError, DataError
 from .rewriter import (
     GeneratorConfig,
     RewriteCandidate,
+    check_label_names,
     embed_candidates,
     generate_candidates,
     select_replacement,
@@ -567,7 +568,10 @@ def run_razor(
     iteration. If the checkpoint directory already holds state, the run
     resumes from it, replaying any partially journaled iteration instead of
     repeating its backend calls. Raises BackendError (checkpoint intact) when
-    the backend gives out mid-run."""
+    the backend gives out mid-run. Raises DataError, before the checkpoint is
+    read or any request is sent, when the verifier cannot tell two label
+    names apart."""
+    check_label_names(dataset.label_names)
     traces: list[IterationTrace] = []
     start_iteration = 1
     if checkpoint is not None:

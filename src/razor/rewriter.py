@@ -203,14 +203,31 @@ def generate_candidates(
     return out
 
 
+def _names(text: str, name: str) -> bool:
+    """Whether ``text`` names a label called ``name``: the verifier's rule, a
+    case-insensitive whole-word match."""
+    return re.search(rf"(?<!\w){re.escape(name)}(?!\w)", text, re.IGNORECASE) is not None
+
+
 def parse_verifier_response(response: str, label_names: Mapping[int, str]) -> Optional[int]:
     """Label whose name occurs in the response, if exactly one does
-    (case-insensitive whole-word match); None otherwise."""
-    hits = []
-    for label, name in label_names.items():
-        if re.search(rf"(?<!\w){re.escape(name)}(?!\w)", response, re.IGNORECASE):
-            hits.append(label)
+    (:func:`_names`); None otherwise."""
+    hits = [label for label, name in label_names.items() if _names(response, name)]
     return hits[0] if len(hits) == 1 else None
+
+
+def check_label_names(label_names: Mapping[int, str]) -> None:
+    """Raise DataError when one label's name names another's: an answer with
+    the longer name names both, so :func:`parse_verifier_response` would
+    reject every candidate of that label."""
+    for label, name in label_names.items():
+        for other, other_name in label_names.items():
+            if other != label and _names(name, other_name):
+                (a, a_name), (b, b_name) = sorted([(label, name), (other, other_name)])
+                raise DataError(
+                    f"labels {a} ({a_name!r}) and {b} ({b_name!r}) cannot be told apart "
+                    f"by the verifier: an answer naming {name!r} also names {other_name!r}"
+                )
 
 
 def verify_label(

@@ -186,53 +186,27 @@ def _mapped(
     return lengths, token_ids, np.concatenate([table.idf, unseen])
 
 
-def tfidf_score(token: str, doc: LabeledDocument, stats: TokenTable) -> float:
-    """Term frequency times inverse document frequency (natural log).
-
-    Zero when the token does not occur in ``doc`` or occurs in every document.
-    """
-    if token not in doc.tokens:
-        return 0.0
-    weights = _block_weights(*_mapped([doc], stats))
-    return float(weights[0, doc.tokens.index(token)])
-
-
 def _check_width(lam: int) -> None:
     if lam <= 0 or lam % 2 != 0:
         raise ConfigError(f"encoding width must be a positive even integer, got {lam}")
-
-
-def positional_encoding(pos: int, lam: int = DEFAULT_LAMBDA) -> np.ndarray:
-    """Sinusoidal encoding of one position: component k is
-    sin(pos / 10000^(2k/lam)) for even k and cos of the same angle for odd k.
-    """
-    _check_width(lam)
-    if pos < 0:
-        raise ConfigError(f"position must be non-negative, got {pos}")
-    return _encoding_matrix(pos + 1, lam)[pos].copy()
-
-
-def _encoding_matrix(n_positions: int, lam: int) -> np.ndarray:
-    """Rows 0..n_positions-1 of the positional encoding, shape (n, lam)."""
-    k = np.arange(lam, dtype=np.float64)
-    denom = np.power(10000.0, 2.0 * k / lam)
-    angles = np.arange(n_positions, dtype=np.float64)[:, None] / denom[None, :]
-    out = np.where(k[None, :] % 2 == 0, np.sin(angles), np.cos(angles))
-    return out
 
 
 _TABLES: dict[int, np.ndarray] = {}
 
 
 def _encoding_table(n_positions: int, lam: int) -> np.ndarray:
-    """The encoding of at least ``n_positions`` positions, cached per width and
-    regrown (doubling) when a longer document arrives. Its rows are the same
-    as a fresh ``_encoding_matrix``'s, since each entry is computed alone, so
-    sharing the cache across callers and threads changes no result."""
+    """The sinusoidal encoding of at least ``n_positions`` positions, shape
+    (n, lam): component k of row j is sin(j / 10000^(2k/lam)) for even k and
+    cos of the same angle for odd k. Cached per width and regrown (doubling)
+    when a longer document arrives; each entry is computed alone, so a row
+    keeps its bits across a regrow, and sharing the cache across callers and
+    threads changes no result."""
     table = _TABLES.get(lam)
     if table is None or len(table) < n_positions:
         grown = n_positions if table is None else max(n_positions, 2 * len(table))
-        table = _TABLES[lam] = _encoding_matrix(grown, lam)
+        k = np.arange(lam, dtype=np.float64)
+        angles = np.arange(grown, dtype=np.float64)[:, None] / np.power(10000.0, 2.0 * k / lam)
+        table = _TABLES[lam] = np.where(k % 2 == 0, np.sin(angles), np.cos(angles))
     return table
 
 

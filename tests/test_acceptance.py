@@ -25,27 +25,25 @@ from razor.attribution import (
 from razor.backends import MockBackend
 from razor.corpus import save_dataset
 from razor.errors import BackendError
-from razor.evalkit import (
-    BiasSpec,
-    corpus_bleu,
-    count_terms,
-    frequency_gap,
-    generate_biased_corpus,
-)
+from razor.evalkit import BiasSpec, corpus_bleu, emit_report, generate_biased_corpus
 from razor.pipeline import Checkpoint, RewriteJournal, RunConfig, run_razor
 from razor.surface import (
     ClassLedger,
     class_alignment_objective,
     compute_embeddings,
-    corpus_stats,
-    positional_encoding,
-    tfidf_score,
+    _encoding_table,
 )
 
 from conftest import Recording, dataset_from, embedding_matrix, scores_by_id
-from oracles import bleu_reference, naive_objective, naive_shortcut_score, pe_reference
+from oracles import (
+    bleu_reference,
+    naive_objective,
+    naive_shortcut_score,
+    pe_reference,
+    tfidf_reference,
+)
 from test_attribution import build_shortcut_instance
-from test_surface import FIVE_DOC_EXPECTED, five_doc_dataset
+from test_surface import FIVE_DOC_EXPECTED, five_doc_dataset, snapshot_weights
 
 
 @contextmanager
@@ -117,25 +115,29 @@ def test_criterion_1_algebraic_identity():
 
 
 def test_criterion_2_positional_encoding_oracle():
-    with criterion(2, "positional encoding matches the independent scalar evaluator"):
+    with criterion(2, "the encoding table matches the independent scalar evaluator"):
         for lam in (8, 64):
+            table = _encoding_table(512, lam)
             for pos in range(512):
-                vec = positional_encoding(pos, lam)
                 for k in range(lam):
-                    assert vec[k] == pytest.approx(pe_reference(pos, k, lam), abs=1e-12)
-        for lam in (8, 64):
-            zero = positional_encoding(0, lam)
-            assert zero.tolist() == [0.0, 1.0] * (lam // 2)
+                    assert table[pos, k] == pytest.approx(pe_reference(pos, k, lam), abs=1e-12)
+            assert table[0].tolist() == [0.0, 1.0] * (lam // 2)
 
 
 def test_criterion_3_tfidf_oracle():
-    with criterion(3, "tf-idf matches hand-computed values on the fixed 5-doc corpus"):
+    with criterion(3, "snapshot tf-idf weights match hand-computed values on the fixed 5-doc corpus"):
         ds = five_doc_dataset()
-        stats = corpus_stats(ds)
+        all_tokens = [list(d.tokens) for d in ds]
         by_id = {d.id: d for d in ds}
+        weights = dict(zip(by_id, snapshot_weights(ds)))
         for token, doc_id, expected in FIVE_DOC_EXPECTED:
-            got = tfidf_score(token, by_id[doc_id], stats)
-            assert got == pytest.approx(expected, abs=1e-12)
+            for t, weight in zip(by_id[doc_id].tokens, weights[doc_id]):
+                if t == token:
+                    assert weight == pytest.approx(expected, abs=1e-12)
+        for doc in ds:
+            for token, weight in zip(doc.tokens, weights[doc.id]):
+                reference = tfidf_reference(token, list(doc.tokens), all_tokens)
+                assert weight == pytest.approx(reference, abs=1e-12)
 
 
 def test_criterion_4_monotone_greedy_ascent():
@@ -156,17 +158,17 @@ def test_criterion_4_monotone_greedy_ascent():
 def test_criterion_5_planted_bias_reduction():
     with criterion(5, "planted-token gap halved and count down 40% on the 1000-doc corpus"):
         dataset, _, backend = synth_setup(1000, seed=7)
-        gap_before = frequency_gap(dataset, "zonk")
-        count_before = count_terms(dataset, ["zonk"])["zonk"]["total"]
-        assert count_before > 0
-
         config = RunConfig(k=0.1, lam=64, epsilon=1e-4, max_iterations=10)
         started = time.monotonic()
         result = run_razor(dataset, config, backend)
         elapsed = time.monotonic() - started
 
-        gap_after = frequency_gap(result.dataset, "zonk")
-        count_after = count_terms(result.dataset, ["zonk"])["zonk"]["total"]
+        report = emit_report(dataset, result.dataset, result.traces, terms=["zonk"])
+        gap_before = report.frequency_gaps["zonk"]["before"]
+        gap_after = report.frequency_gaps["zonk"]["after"]
+        count_before = report.term_counts["zonk"]["before"]["total"]
+        count_after = report.term_counts["zonk"]["after"]["total"]
+        assert count_before > 0
         assert gap_after <= gap_before * 0.5, f"gap {gap_before:.3f} -> {gap_after:.3f}"
         assert count_after <= count_before * 0.6, f"count {count_before} -> {count_after}"
         assert len(result.traces) <= 10

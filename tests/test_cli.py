@@ -278,6 +278,122 @@ class TestSynth:
         assert code == 1
 
 
+def count_backend_requests(monkeypatch):
+    """A list that every mock generate and verify request is appended to."""
+    from razor.backends import MockBackend
+
+    requests = []
+    for name in ("generate", "verify"):
+        call = getattr(MockBackend, name)
+
+        def counted(self, *args, _call=call, _name=name, **kwargs):
+            requests.append(_name)
+            return _call(self, *args, **kwargs)
+
+        monkeypatch.setattr(MockBackend, name, counted)
+    return requests
+
+
+ZONK_RULES = {"generation": [{"pattern": r"\s*\bzonk\b", "replacement": ""}]}
+
+
+def planted_run(tmp_path, n_classes, labels):
+    """``razor run`` argv over 30 documents of ``n_classes`` classes, "zonk"
+    planted in every class-1 text, with mock rules that delete it."""
+    data, rules = tmp_path / "planted.jsonl", tmp_path / "zonk.json"
+    subjects = ["pilot", "farmer", "sailor", "curator", "printer"]
+    rows = []
+    for i in range(30):
+        label = i % n_classes
+        planted = "zonk " if label == 1 else ""
+        text = f"the {subjects[i % 5]} moved the cabinet {planted}today"
+        rows.append({"id": f"d{i}", "text": text, "label": label})
+    write_jsonl(data, rows)
+    rules.write_text(json.dumps(ZONK_RULES))
+    return [
+        "run", "--input", str(data), "--labels", labels, "--rules", str(rules),
+        "--out", str(tmp_path / "out.jsonl"),
+    ]
+
+
+class TestLabelDeclarations:
+    @pytest.mark.parametrize(
+        "labels, named",
+        [
+            ("0=yes,1=Yes", "labels 0 ('yes') and 1 ('Yes')"),
+            ("0=supported,1=not supported", "labels 0 ('supported') and 1 ('not supported')"),
+            ("0=a,0=b,1=c", "label 0 declared twice"),
+        ],
+    )
+    def test_labels_the_verifier_cannot_tell_apart_exit_2(
+        self, labels, named, tmp_path, monkeypatch, capsys
+    ):
+        requests = count_backend_requests(monkeypatch)
+        checkpoint = tmp_path / "ckpt"
+        argv = planted_run(tmp_path, 2, labels) + ["--checkpoint-dir", str(checkpoint)]
+        assert main(argv) == 2
+        assert f"razor: data error: {named}" in capsys.readouterr().err
+        assert requests == []
+        assert not (tmp_path / "out.jsonl").exists()
+        assert list(checkpoint.glob("*")) == []
+
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            "0=SUPPORTS,1=REFUTES,2=NOT ENOUGH INFO",
+            "0=entailment,1=neutral,2=contradiction",
+            "0=entailment,1=not_entailment",
+        ],
+    )
+    def test_distinct_label_names_run(self, labels, tmp_path, monkeypatch, capsys):
+        requests = count_backend_requests(monkeypatch)
+        argv = planted_run(tmp_path, labels.count("="), labels)
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert "verify" in requests
+        assert json.loads(captured.out)["replaced_total"] > 0
+        assert "names no single label" not in captured.err
+
+    @pytest.mark.parametrize("command", ["analyze", "report"])
+    def test_repeated_label_id_exits_2(self, command, single_file, capsys):
+        argv = (
+            ["analyze", "--input", str(single_file)]
+            if command == "analyze"
+            else ["report", "--before", str(single_file), "--after", str(single_file)]
+        )
+        assert main(argv + ["--labels", "0=a,0=b,1=c"]) == 2
+        assert "label 0 declared twice" in capsys.readouterr().err
+
+
+class TestTerms:
+    def test_spaces_around_commas_ignored(self, synth_run, tmp_path, capsys):
+        corpus, rules = synth_run
+        out = tmp_path / "after.jsonl"
+        argv = ["run", "--input", str(corpus), "--rules", str(rules), "--out", str(out)]
+        assert main(argv + ["--terms", "zonk, the"]) == 0
+        report = json.loads((tmp_path / "after.jsonl.report.json").read_text())
+        assert list(report["term_counts"]) == ["zonk", "the"]
+        assert report["term_counts"]["the"]["before"]["total"] == 800
+        capsys.readouterr()
+        code = main(["report", "--before", str(corpus), "--after", str(out), "--terms", " zonk ,the "])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["term_counts"] == report["term_counts"]
+
+    @pytest.mark.parametrize("terms", ["new york", "zonk,u.s."])
+    def test_term_of_several_tokens_exits_1_before_the_run(
+        self, terms, synth_run, tmp_path, monkeypatch, capsys
+    ):
+        requests = count_backend_requests(monkeypatch)
+        corpus, rules = synth_run
+        out = tmp_path / "after.jsonl"
+        argv = ["run", "--input", str(corpus), "--rules", str(rules), "--out", str(out)]
+        assert main(argv + ["--terms", terms]) == 1
+        assert "is not a single token" in capsys.readouterr().err
+        assert requests == [] and not out.exists()
+        code = main(["report", "--before", str(corpus), "--after", str(corpus), "--terms", terms])
+        assert code == 1
+
+
 class TestReport:
     def test_report_outputs(self, synth_run, tmp_path, capsys):
         corpus, rules = synth_run

@@ -406,3 +406,7 @@ class TestParseLabelNames:
     def test_missing_name(self):
         with pytest.raises(DataError):
             parse_label_names("0=")
+
+    def test_repeated_id_rejected(self):
+        with pytest.raises(DataError, match="label 0 declared twice"):
+            parse_label_names("0=a,0=b,1=c")

@@ -7,37 +7,41 @@ import pytest
 
 from razor.corpus import load_dataset, save_dataset
 from razor.errors import ConfigError, DataError
-from razor.evalkit import (
-    BiasSpec,
-    corpus_bleu,
-    count_terms,
-    emit_report,
-    frequency_gap,
-    generate_biased_corpus,
-)
+from razor.evalkit import BiasSpec, corpus_bleu, emit_report, generate_biased_corpus
 from razor.pipeline import IterationTrace
 
 from conftest import dataset_from
 from oracles import bleu_reference
 
 
+def report_counts(ds, terms):
+    """Each term's counts in ``ds``, read from the report of ``ds`` against itself."""
+    report = emit_report(ds, ds, terms=terms)
+    return {term: row["before"] for term, row in report.term_counts.items()}
+
+
+def report_gap(ds, term):
+    """The term's frequency gap in ``ds``, read from the report of ``ds`` against itself."""
+    return emit_report(ds, ds, terms=[term]).frequency_gaps[term]["before"]
+
+
 class TestCountTerms:
     def test_multiple_occurrences(self):
         ds = dataset_from([("a", "not not no", 0), ("b", "fine text", 1)])
-        counts = count_terms(ds, ["no", "not"])
+        counts = report_counts(ds, ["no", "not"])
         assert counts["not"]["total"] == 2
         assert counts["no"]["total"] == 1
         assert counts["not"]["per_class"] == {0: 2, 1: 0}
 
     def test_whole_token_matching(self):
         ds = dataset_from([("a", "Nothing happened then", 0), ("b", "some words", 1)])
-        counts = count_terms(ds, ["no", "not"])
+        counts = report_counts(ds, ["no", "not"])
         assert counts["no"]["total"] == 0
         assert counts["not"]["total"] == 0
 
     def test_case_insensitive(self):
         ds = dataset_from([("a", "Not now", 0), ("b", "later on", 1)])
-        counts = count_terms(ds, ["not", "no"])
+        counts = report_counts(ds, ["not", "no"])
         assert counts["not"]["total"] == 1
         assert counts["no"]["total"] == 0
 
@@ -45,20 +49,16 @@ class TestCountTerms:
         rows = [(f"d{i}", f"token{i % 3} not filler word", i % 2) for i in range(10)]
         ds = dataset_from(rows)
         shuffled = ds.with_documents(reversed(ds.documents))
-        assert count_terms(ds, ["not"]) == count_terms(shuffled, ["not"])
+        assert report_counts(ds, ["not"]) == report_counts(shuffled, ["not"])
 
         first = dataset_from(rows[:5])
         second = dataset_from(rows[5:])
-        total = count_terms(ds, ["not"])["not"]["total"]
+        total = report_counts(ds, ["not"])["not"]["total"]
         assert (
-            count_terms(first, ["not"])["not"]["total"]
-            + count_terms(second, ["not"])["not"]["total"]
+            report_counts(first, ["not"])["not"]["total"]
+            + report_counts(second, ["not"])["not"]["total"]
             == total
         )
-
-    def test_empty_terms_rejected(self, tiny_binary):
-        with pytest.raises(DataError):
-            count_terms(tiny_binary, [])
 
     def test_context_text_not_counted(self):
         ds = dataset_from(
@@ -68,7 +68,7 @@ class TestCountTerms:
             ],
             schema="claim_evidence",
         )
-        assert count_terms(ds, ["not"])["not"]["total"] == 0
+        assert report_counts(ds, ["not"])["not"]["total"] == 0
 
 
 class TestCorpusBleu:
@@ -119,7 +119,7 @@ class TestCorpusBleu:
 class TestFrequencyGap:
     def test_token_everywhere_gap_zero(self):
         ds = dataset_from([("a", "tok here now", 0), ("b", "tok there then", 1)])
-        assert frequency_gap(ds, "tok") == 0.0
+        assert report_gap(ds, "tok") == 0.0
 
     def test_token_only_in_one_class(self):
         ds = dataset_from(
@@ -129,7 +129,7 @@ class TestFrequencyGap:
                 ("c", "five six seven", 1),
             ]
         )
-        assert frequency_gap(ds, "tok") == 1.0
+        assert report_gap(ds, "tok") == 1.0
 
     def test_duplication_invariant(self):
         ds = dataset_from(
@@ -144,7 +144,7 @@ class TestFrequencyGap:
         doubled = dataset_from(
             [(f"{d.id}-{i}", d.mutable_text, d.label) for i in range(2) for d in ds]
         )
-        assert frequency_gap(doubled, "tok") == pytest.approx(frequency_gap(ds, "tok"))
+        assert report_gap(doubled, "tok") == pytest.approx(report_gap(ds, "tok"))
 
     def test_three_class_max_pairwise(self):
         ds = dataset_from(
@@ -157,13 +157,13 @@ class TestFrequencyGap:
             ]
         )
         # rates: class0 = 1.0, class1 = 0.5, class2 = 0.0 -> max gap 1.0
-        assert frequency_gap(ds, "tok") == pytest.approx(1.0)
+        assert report_gap(ds, "tok") == pytest.approx(1.0)
 
     def test_planted_rate_recovered(self):
         spec = BiasSpec("zonk", biased_class=1, bias_rate=0.9, background_rate=0.1,
                         corpus_size=1000, seed=17)
         ds, _ = generate_biased_corpus(spec)
-        gap = frequency_gap(ds, "zonk")
+        gap = report_gap(ds, "zonk")
         # binomial 3-sigma around 0.8 with n=500 per class
         sigma = math.sqrt(0.9 * 0.1 / 500) + math.sqrt(0.1 * 0.9 / 500)
         assert abs(gap - 0.8) <= 3 * sigma
@@ -230,6 +230,11 @@ class TestEmitReport:
         assert report.rewritten_count == 0
         assert report.term_counts["not"]["delta"] == 0
         assert report.frequency_gaps["not"]["delta"] == 0.0
+
+    @pytest.mark.parametrize("term", ["new york", "u.s.", " not"])
+    def test_term_of_other_than_one_token_rejected(self, term, tiny_binary):
+        with pytest.raises(ConfigError, match="is not a single token"):
+            emit_report(tiny_binary, tiny_binary, terms=["not", term])
 
     def test_rewrites_measured(self):
         before = dataset_from(

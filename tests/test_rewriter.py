@@ -5,11 +5,12 @@ import pytest
 
 from razor.backends import MockBackend
 from razor.corpus import make_document, replace_text
-from razor.errors import BackendError, ConfigError
+from razor.errors import BackendError, ConfigError, DataError
 from razor.rewriter import (
     GeneratorConfig,
     RewriteCandidate,
     build_prompt,
+    check_label_names,
     build_verify_prompt,
     embed_candidates,
     generate_candidates,
@@ -148,6 +149,14 @@ class TestVerifyLabel:
         assert parse_verifier_response("no label to be found", LABELS) is None
         # substring of a longer word must not count
         assert parse_verifier_response("he refutesxyz it", LABELS) is None
+
+    @pytest.mark.parametrize(
+        "names", [{0: "yes", 1: "Yes"}, {0: "supported", 1: "not supported"}]
+    )
+    def test_names_the_verifier_cannot_tell_apart_rejected(self, names):
+        with pytest.raises(DataError, match="labels 0 .* and 1 "):
+            check_label_names(names)
+        assert parse_verifier_response(names[1], names) is None
 
 
 def scoring_fixture():

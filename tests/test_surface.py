@@ -5,27 +5,35 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from razor import surface
 from razor.corpus import Dataset, make_document
 from razor.errors import ConfigError, DegenerateDocumentError, ObjectiveUndefinedError
 from razor.surface import (
     BLOCK_DOCS,
     ClassLedger,
     SurfaceSpace,
+    _block_weights,
+    _encoding_table,
+    _mapped,
     _unit_rows,
     candidate_units,
     class_alignment_objective,
     compute_embeddings,
     corpus_stats,
     embedding_rows,
-    positional_encoding,
     score_against,
     shortcut_scores,
     surface_embedding,
-    tfidf_score,
 )
 
 from conftest import dataset_from, doc_frequency, embedding_matrix, scores_by_id
-from oracles import embed_reference, naive_objective, naive_shortcut_score, pe_reference
+from oracles import (
+    embed_reference,
+    naive_objective,
+    naive_shortcut_score,
+    pe_reference,
+    tfidf_reference,
+)
 
 # Hand-evaluated tf-idf values for a fixed 5-document corpus, produced by an
 # independent script before this module was built.
@@ -85,73 +93,107 @@ class TestCorpusStats:
         assert "evidenceonly" not in doc_frequency(stats)
 
 
+def snapshot_weights(ds):
+    """The tf-idf weight at each token position of each document of ``ds``,
+    as the block walk computes them: one :func:`_block_weights` over the
+    snapshot table's token ids and idf. Row i is document i."""
+    table = corpus_stats(ds)
+    weights = _block_weights(np.diff(table.offsets), table.ids, table.idf)
+    return [row[: len(doc.tokens)].tolist() for row, doc in zip(weights, ds)]
+
+
 class TestTfidf:
     def test_frozen_hand_values(self):
         ds = five_doc_dataset()
-        stats = corpus_stats(ds)
+        weights = dict(zip((d.id for d in ds), snapshot_weights(ds)))
         by_id = {d.id: d for d in ds}
         for token, doc_id, expected in FIVE_DOC_EXPECTED:
-            assert tfidf_score(token, by_id[doc_id], stats) == pytest.approx(
-                expected, abs=1e-12
-            )
+            tokens = by_id[doc_id].tokens
+            positions = [j for j, t in enumerate(tokens) if t == token]
+            assert positions or expected == 0.0
+            for j in positions:
+                assert weights[doc_id][j] == pytest.approx(expected, abs=1e-12)
+
+    def test_matches_scalar_reference(self):
+        ds = five_doc_dataset()
+        all_tokens = [list(d.tokens) for d in ds]
+        for doc, row in zip(ds, snapshot_weights(ds)):
+            for token, weight in zip(doc.tokens, row):
+                expected = tfidf_reference(token, list(doc.tokens), all_tokens)
+                assert weight == pytest.approx(expected, abs=1e-12)
 
     def test_two_doc_worked_example(self):
         ds = dataset_from([("d1", "a b", 0), ("d2", "a a c", 1)])
-        stats = corpus_stats(ds)
-        assert tfidf_score("b", ds.documents[0], stats) == pytest.approx(
-            0.34657359027997264, abs=1e-12
-        )
+        assert snapshot_weights(ds)[0][1] == pytest.approx(0.34657359027997264, abs=1e-12)
 
     def test_token_in_every_document_scores_zero(self):
         ds = dataset_from([("d1", "a b", 0), ("d2", "a a c", 1)])
-        stats = corpus_stats(ds)
-        assert tfidf_score("a", ds.documents[1], stats) == 0.0
-
-    def test_absent_token_scores_zero(self):
-        ds = dataset_from([("d1", "a b", 0), ("d2", "a a c", 1)])
-        stats = corpus_stats(ds)
-        assert tfidf_score("zzz", ds.documents[0], stats) == 0.0
+        assert snapshot_weights(ds)[1][:2] == [0.0, 0.0]
 
     def test_zero_iff_absent_or_ubiquitous(self):
+        # a token's weight in a document: the weight at its positions, all
+        # equal, or zero where it has none
         ds = five_doc_dataset()
         stats = corpus_stats(ds)
-        for doc in ds:
+        for doc, row in zip(ds, snapshot_weights(ds)):
+            weights = dict(zip(doc.tokens, row))
             for token in set(doc_frequency(stats)) | {"unseen"}:
-                score = tfidf_score(token, doc, stats)
+                assert {w for t, w in zip(doc.tokens, row) if t == token} <= {weights.get(token)}
                 absent = token not in doc.tokens
                 ubiquitous = doc_frequency(stats).get(token) == len(stats.documents)
-                assert (score == 0.0) == (absent or ubiquitous)
+                assert (weights.get(token, 0.0) == 0.0) == (absent or ubiquitous)
+
+    def test_unseen_candidate_token_takes_df_one(self):
+        ds = five_doc_dataset()
+        candidate = make_document("d1", "the unseen cat sat", 0)
+        weights = _block_weights(*_mapped([candidate], corpus_stats(ds)))[0]
+        all_tokens = [list(d.tokens) for d in ds]
+        for token, weight in zip(candidate.tokens, weights):
+            expected = tfidf_reference(token, list(candidate.tokens), all_tokens, unseen_df=1)
+            assert weight == pytest.approx(expected, abs=1e-12)
+        assert weights[1] > 0.0
 
 
 class TestPositionalEncoding:
+    """The cached table every embedding reads (:func:`_encoding_table`)."""
+
     def test_position_zero_pattern(self):
-        vec = positional_encoding(0, 8)
-        assert vec.tolist() == [0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0]
+        assert _encoding_table(1, 8)[0].tolist() == [0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0]
 
     def test_frozen_spot_values(self):
-        assert positional_encoding(1, 2)[0] == pytest.approx(0.8414709848078965, abs=1e-12)
-        assert positional_encoding(1, 4)[1] == pytest.approx(0.9999500004166653, abs=1e-12)
+        assert _encoding_table(2, 2)[1, 0] == pytest.approx(0.8414709848078965, abs=1e-12)
+        assert _encoding_table(2, 4)[1, 1] == pytest.approx(0.9999500004166653, abs=1e-12)
 
     def test_matches_scalar_reference(self):
         for lam in (2, 4, 8):
+            table = _encoding_table(101, lam)
             for pos in (0, 1, 3, 17, 100):
-                vec = positional_encoding(pos, lam)
                 for k in range(lam):
-                    assert vec[k] == pytest.approx(pe_reference(pos, k, lam), abs=1e-12)
+                    assert table[pos, k] == pytest.approx(pe_reference(pos, k, lam), abs=1e-12)
 
     def test_bounded(self):
         rng = np.random.default_rng(7)
+        table = _encoding_table(10000, 16)
         for pos in rng.integers(0, 10000, size=50):
-            vec = positional_encoding(int(pos), 16)
+            vec = table[int(pos)]
             assert np.all(vec <= 1.0) and np.all(vec >= -1.0)
+
+    def test_regrown_table_keeps_its_rows(self, monkeypatch):
+        monkeypatch.setattr(surface, "_TABLES", {})
+        first = {}
+        for n in (10, 1000, 3):
+            for lam in (8, 64):
+                table = _encoding_table(n, lam)
+                assert len(table) >= n
+                first.setdefault(lam, table[:10].copy())
+                assert table[:10].tobytes() == first[lam].tobytes()
+                for pos in range(n):
+                    expected = [pe_reference(pos, k, lam) for k in range(lam)]
+                    np.testing.assert_allclose(table[pos], expected, rtol=0, atol=1e-12)
 
     def test_odd_width_rejected(self):
         with pytest.raises(ConfigError):
-            positional_encoding(1, 5)
-
-    def test_negative_position_rejected(self):
-        with pytest.raises(ConfigError):
-            positional_encoding(-1, 4)
+            compute_embeddings(five_doc_dataset(), lam=5)
 
 
 class TestSurfaceEmbedding:
