@@ -119,6 +119,38 @@ def bleu_reference(candidates: list[str], references: list[str], max_n: int = 4)
     return 100.0 * score
 
 
+def bleu_scalar(candidate_corpus, reference_corpus, max_n: int = 4) -> float:
+    """Corpus BLEU counted one pair and one order at a time with a Counter of
+    tuple slices, ending in the package's own float steps (log-sum, brevity
+    penalty, 0-100 scale), so the package must equal it bit for bit."""
+    matches = [0] * max_n
+    totals = [0] * max_n
+    cand_len = 0
+    ref_len = 0
+    for cand_text, ref_text in zip(candidate_corpus, reference_corpus):
+        cand = cand_text.split()
+        ref = ref_text.split()
+        cand_len += len(cand)
+        ref_len += len(ref)
+        for n in range(1, max_n + 1):
+            cand_ngrams = Counter(tuple(cand[i : i + n]) for i in range(len(cand) - n + 1))
+            ref_ngrams = Counter(tuple(ref[i : i + n]) for i in range(len(ref) - n + 1))
+            totals[n - 1] += sum(cand_ngrams.values())
+            matches[n - 1] += sum(
+                min(count, ref_ngrams.get(gram, 0)) for gram, count in cand_ngrams.items()
+            )
+
+    if cand_len == 0:
+        return 0.0
+    log_sum = 0.0
+    for match, total in zip(matches, totals):
+        if match == 0 or total == 0:
+            return 0.0
+        log_sum += math.log(match / total) / max_n
+    brevity = 1.0 if cand_len >= ref_len else math.exp(1.0 - ref_len / cand_len)
+    return 100.0 * brevity * math.exp(log_sum)
+
+
 def eager_replacement(candidates, original_score, verdict):
     """The replacement rule with every candidate verified first. Among the
     (text, score) pairs, score None for an unscoreable candidate, that

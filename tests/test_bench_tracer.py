@@ -17,12 +17,13 @@ from tracer import Tracer, layer_metrics
 tracer = Tracer()
 tracer.install()
 from razor.backends import MockBackend
-from razor.evalkit import BiasSpec, generate_biased_corpus
+from razor.evalkit import BiasSpec, emit_report, generate_biased_corpus
 from razor.pipeline import RunConfig, run_razor
 dataset, rules = generate_biased_corpus(BiasSpec("zonk", corpus_size=120, seed=7))
 backend = MockBackend(rules["generation"], verdict=rules["verdict"], seed=rules["seed"])
 tracer.wrap_backend(backend)
 result = run_razor(dataset, RunConfig(k=10, max_iterations=2), backend)
+report = emit_report(dataset, result.dataset, result.traces, terms=["zonk"])
 traces = [t.to_dict() for t in result.traces]
 calls = {}
 for span in tracer.spans:
@@ -30,6 +31,7 @@ for span in tracer.spans:
     calls[key] = calls.get(key, 0) + 1
 generated = sum(span.value for span in tracer.spans if span.name == "rewriter.generate")
 print(json.dumps({"calls": calls, "generated": generated,
+                  "rewritten": report.rewritten_count,
                   "layers": layer_metrics(tracer.spans, traces)}))
 """
 
@@ -78,3 +80,6 @@ def test_tracer_installs_and_sees_every_layer():
     assert calls["rewriter.generate > backends.generate"] == layers["pipeline.selected"]
     assert calls["rewriter.verify > backends.verify"] == layers["backends.verify_calls"]
     assert layers["surface.embed_docs"] == iterations * 120
+    # emit_report calls corpus_bleu once, through the module global
+    assert calls[" > evalkit.bleu"] == 1
+    assert layers["evalkit.bleu_pairs"] == out["rewritten"] > 0

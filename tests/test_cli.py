@@ -447,6 +447,14 @@ class TestReport:
         )
         assert code == 2
 
+    def test_after_with_other_labels_is_data_error(self, single_file, tmp_path, capsys):
+        flipped = tmp_path / "flipped.jsonl"
+        rows = [json.loads(line) for line in single_file.read_text().splitlines()]
+        write_jsonl(flipped, [{**row, "label": 1 - row["label"]} for row in rows])
+        code = main(["report", "--before", str(single_file), "--after", str(flipped)])
+        assert code == 2
+        assert "document 'd0': label or context differs" in capsys.readouterr().err
+
 
 class TestCheckShortcut:
     def attribution_file(self, tmp_path, rows):

@@ -7,11 +7,17 @@ import pytest
 
 from razor.corpus import load_dataset, save_dataset
 from razor.errors import ConfigError, DataError
-from razor.evalkit import BiasSpec, corpus_bleu, emit_report, generate_biased_corpus
+from razor.evalkit import (
+    BLEU_BLOCK_PAIRS,
+    BiasSpec,
+    corpus_bleu,
+    emit_report,
+    generate_biased_corpus,
+)
 from razor.pipeline import IterationTrace
 
 from conftest import dataset_from
-from oracles import bleu_reference
+from oracles import bleu_reference, bleu_scalar
 
 
 def report_counts(ds, terms):
@@ -114,6 +120,72 @@ class TestCorpusBleu:
     def test_empty_corpora_rejected(self):
         with pytest.raises(DataError):
             corpus_bleu([], [])
+
+    @pytest.mark.parametrize(
+        "candidates, references",
+        [
+            pytest.param(["", "a b c d e"], ["a b c d e", ""], id="empty-text-either-side"),
+            pytest.param(["", " ", "\t"], ["a b c d", "e f g h", "i j k l"], id="all-empty-candidates"),
+            pytest.param(["a b", "a b c d e"], ["a b", "a b c d e"], id="shorter-than-n"),
+            pytest.param(
+                ["the the the the the the", "x y x y x y"],
+                ["the the cat the the the", "x y x y"],
+                id="clipped-repeats",
+            ),
+            pytest.param(
+                ["x y z w a b c d", "p q r s"],
+                ["x y z w", "p q r s a b c d"],
+                id="other-pairs-reference",
+            ),
+            pytest.param(
+                ["a\tb\xa0c\u3000d e", "f  g\u3000h i"],
+                ["a b c d e", "f g h i"],
+                id="unicode-separators",
+            ),
+        ],
+    )
+    def test_edge_cases_equal_scalar_scorer(self, candidates, references):
+        assert corpus_bleu(candidates, references) == bleu_scalar(candidates, references)
+
+    def test_all_empty_candidates_score_zero(self):
+        assert corpus_bleu(["", " "], ["a b c d", "e f g h"]) == 0.0
+
+    def test_seeded_corpora_equal_scalar_scorer(self):
+        separators = [" ", "  ", "\t", "\xa0", "\u3000"]
+        for seed in range(60):
+            rng = random.Random(seed)
+            vocab = [f"w{i}" for i in range(rng.randint(1, 25))]
+            candidates, references = [], []
+            for _ in range(rng.randint(1, 40)):
+                ref = [rng.choice(vocab) for _ in range(rng.randint(0, 14))]
+                cand = list(ref)
+                for _ in range(rng.randint(0, 4)):
+                    if cand:
+                        cand[rng.randrange(len(cand))] = rng.choice(vocab)
+                if rng.random() < 0.3:
+                    cand = cand[: rng.randint(0, len(cand))]
+                candidates.append(rng.choice(separators).join(cand))
+                references.append(" ".join(ref))
+            assert corpus_bleu(candidates, references) == bleu_scalar(candidates, references), seed
+
+    def test_many_distinct_tokens_across_blocks(self):
+        rng = random.Random(5)
+        n_pairs = 5000
+        assert n_pairs > BLEU_BLOCK_PAIRS
+        references = [" ".join(f"t{i}x{j}" for j in range(15)) for i in range(n_pairs)]
+        candidates = []
+        for ref in references:
+            words = ref.split()
+            words[rng.randrange(len(words))] = f"new{rng.randrange(50)}"
+            candidates.append(" ".join(words[: rng.randint(10, 15)]))
+        assert len(set(" ".join(references).split())) > 70_000
+        assert corpus_bleu(candidates, references) == bleu_scalar(candidates, references)
+
+    def test_identical_texts_under_four_tokens_score_zero(self):
+        # unsmoothed BLEU-4 has no 4-gram to count
+        assert corpus_bleu(["a b c"], ["a b c"]) == 0.0
+        ds = dataset_from([("a", "the cat sat", 0), ("b", "a dog ran", 1)])
+        assert emit_report(ds, ds).corpus_bleu == 0.0
 
 
 class TestFrequencyGap:
@@ -263,6 +335,20 @@ class TestEmitReport:
         )
         with pytest.raises(DataError, match="schema"):
             emit_report(tiny_binary, other)
+
+    def test_label_change_rejected(self):
+        before = dataset_from([("a", "the cat sat", 0), ("b", "a cat ran", 0), ("c", "dogs bark", 1)])
+        after = dataset_from([("a", "the cat sat", 1), ("b", "a cat ran", 1), ("c", "dogs bark", 0)])
+        with pytest.raises(DataError, match="document 'a': label or context differs"):
+            emit_report(before, after, terms=["cat"])
+
+    def test_context_change_rejected(self):
+        rows = [("a", "claim one here", 0, "ev one"), ("b", "claim two here", 1, "ev two")]
+        before = dataset_from(rows, schema="claim_evidence")
+        after = dataset_from(rows[:1] + [("b", "claim two here", 1, "ev changed")],
+                             schema="claim_evidence")
+        with pytest.raises(DataError, match="document 'b': label or context differs"):
+            emit_report(before, after)
 
     def test_json_and_csv_written(self, tmp_path, tiny_binary):
         report = emit_report(tiny_binary, tiny_binary, self.plain_traces(), terms=["not", "no"])
