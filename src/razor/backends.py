@@ -4,15 +4,12 @@ Both expose the same two calls. ``generate`` produces rewrite candidates: one
 text, or with ``n`` a list of 1..n texts from one request (the n choices of
 a chat completion). ``verify`` produces the raw text the label check parses.
 Generation and verification never share a session: every HTTP request is
-independent. The mock draws its ``replacements`` picks from one seeded RNG
-that every generate call shares, so with such rules its answers depend on
-the order of the picks (under ``--jobs > 1``, and across an abort and
-resume, where journaled documents draw nothing); ROADMAP item 1 gives the
-mock an RNG per document instead. Each backend counts its requests per role,
-one per request whatever its ``n``, so pipelines can account for every
-request. The ``requests`` package is imported when the first
-:class:`HttpBackend` is built, so mock runs and the offline commands never
-load it.
+independent. The mock answers from the request alone, so its answers do not
+depend on the order of requests (under ``--jobs > 1``, or across an abort
+and resume). Each backend counts its requests per role, one per request
+whatever its ``n``, so pipelines can account for every request. The
+``requests`` package is imported when the first :class:`HttpBackend` is
+built, so mock runs and the offline commands never load it.
 """
 
 from __future__ import annotations
@@ -36,6 +33,8 @@ API_BASE_ENV = "RAZOR_API_BASE"
 API_KEY_ENV = "RAZOR_API_KEY"
 
 MOCK_VERDICTS = ("confirm", "flip", "garbled")
+RULES_FILE_KEYS = ("generation", "verdict", "seed")
+RULE_KEYS = ("pattern", "replacement", "replacements")
 
 # client errors a later attempt can get past: request timeout, rate limit
 RETRYABLE_4XX = (408, 429)
@@ -66,6 +65,13 @@ class CallLog:
     def count(self, role: str) -> int:
         with self._lock:
             return self._counts[role]
+
+
+def _reject_unknown_keys(spec: dict, known: tuple[str, ...], what: str) -> None:
+    """A misspelt key would silently fall back to its default."""
+    for key in spec:
+        if key not in known:
+            raise ConfigError(f"{what}: unknown key {key!r}; use one of {known}")
 
 
 def _refused(status: int) -> bool:
@@ -234,27 +240,17 @@ class MockBackend:
     """Deterministic stand-in driven by a rules file.
 
     Generation applies every regex rule to the document's text in order; a
-    rule may list several ``replacements``, in which case one seeded RNG,
-    shared by all generate calls, picks one per rule and text: the pick
-    depends on how many picks came before it. A call for n texts draws its
-    picks text by text, in one locked step, so it answers exactly what n
-    calls for one text in a row would. Verification follows a fixed policy:
-    ``confirm`` echoes the document's label name, ``flip`` answers with a
-    different declared name, ``garbled`` answers free text containing no
-    label name.
-
-    ``fail_after_generate_calls`` injects a transport failure once that many
-    generate requests have been served (a request for n texts is one), for
-    abort/resume testing.
+    rule may list several ``replacements``, in which case one is picked per
+    rule and text by an RNG seeded from (``seed``, the document's id, its
+    text): the same request gets the same answer from any instance, in any
+    order, on any thread. A request for n texts draws its picks text by
+    text, so its first texts are those of a request for fewer. Verification
+    follows a fixed policy: ``confirm`` echoes the document's label name,
+    ``flip`` answers with a different declared name, ``garbled`` answers
+    free text containing no label name.
     """
 
-    def __init__(
-        self,
-        rules: list[dict],
-        verdict: str = "confirm",
-        seed: int = 0,
-        fail_after_generate_calls: Optional[int] = None,
-    ):
+    def __init__(self, rules: list[dict], verdict: str = "confirm", seed: int = 0):
         if verdict not in MOCK_VERDICTS:
             raise ConfigError(f"unknown mock verdict policy {verdict!r}; use one of {MOCK_VERDICTS}")
         if not isinstance(rules, list):
@@ -265,6 +261,7 @@ class MockBackend:
                 pattern = re.compile(rule["pattern"])
             except (KeyError, TypeError, re.error) as exc:
                 raise ConfigError(f"bad mock rule {rule!r}: {exc}") from None
+            _reject_unknown_keys(rule, RULE_KEYS, f"mock rule {rule!r}")
             replacements = rule.get("replacements", [rule.get("replacement", "")])
             if not isinstance(replacements, list) or not replacements:
                 raise ConfigError(f"bad mock rule {rule!r}: replacements must be a non-empty list")
@@ -273,27 +270,20 @@ class MockBackend:
             self.rules.append((pattern, replacements))
         if not is_json_int(seed):
             raise ConfigError(f"mock seed must be an integer, got {seed!r}")
-        if fail_after_generate_calls is not None and not (
-            is_json_int(fail_after_generate_calls) and fail_after_generate_calls >= 0
-        ):
-            raise ConfigError(
-                "fail_after_generate_calls must be a non-negative integer, "
-                f"got {fail_after_generate_calls!r}"
-            )
         self.verdict = verdict
-        self.fail_after_generate_calls = fail_after_generate_calls
+        self.seed = seed
         self.calls = CallLog()
-        self._rng = Random(seed)
-        self._lock = threading.Lock()
+        # seeding costs more than a rewrite: only rules with a choice need it
+        self._draws = any(len(replacements) > 1 for _, replacements in self.rules)
 
     @classmethod
     def from_rules_file(cls, path: str | Path) -> "MockBackend":
         spec = read_json(path)
+        _reject_unknown_keys(spec, RULES_FILE_KEYS, f"rules file {path}")
         return cls(
             rules=spec.get("generation", []),
             verdict=spec.get("verdict", "confirm"),
             seed=spec.get("seed", 0),
-            fail_after_generate_calls=spec.get("fail_after_generate_calls"),
         )
 
     def generate(
@@ -306,24 +296,14 @@ class MockBackend:
         n: Optional[int] = None,
     ) -> str | list[str]:
         """One request: its text, or with ``n`` a list of n texts."""
-        with self._lock:
-            served = self.calls.count("generate")
-            if (
-                self.fail_after_generate_calls is not None
-                and served >= self.fail_after_generate_calls
-            ):
-                raise BackendError(
-                    f"mock transport failure injected after {served} generate call(s)"
-                )
-            self.calls.add("generate")
-            texts = [self._rewrite(doc.mutable_text) for _ in range(n or 1)]
+        self.calls.add("generate")
+        rng = Random(f"{self.seed}\0{doc.id}\0{doc.mutable_text}") if self._draws else None
+        texts = [self._rewrite(doc.mutable_text, rng) for _ in range(n or 1)]
         return texts[0] if n is None else texts
 
-    def _rewrite(self, text: str) -> str:
+    def _rewrite(self, text: str, rng: Optional[Random]) -> str:
         for pattern, replacements in self.rules:
-            replacement = (
-                replacements[0] if len(replacements) == 1 else self._rng.choice(replacements)
-            )
+            replacement = replacements[0] if len(replacements) == 1 else rng.choice(replacements)
             text = pattern.sub(replacement, text)
         return " ".join(text.split())
 

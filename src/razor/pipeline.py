@@ -539,8 +539,8 @@ class Checkpoint:
         """Resume point: (current dataset, completed traces, stop reason, last
         completed iteration). Falls back to the given input dataset when the
         directory holds no snapshots. Raises DataError when the last
-        snapshot's ids or labels, in order, differ from the input's: it
-        belongs to another input, or it was cut short."""
+        snapshot's ids, labels or contexts, in order, differ from the input's:
+        it belongs to another input, or it was cut short."""
         self._saved = None
         last = self.completed_iterations()
         traces, stop_reason = read_trace_file(self.trace_path) if self.trace_path.exists() else ([], None)
@@ -549,10 +549,11 @@ class Checkpoint:
             return dataset, [], None, -1
         path = self.snapshot_path(last)
         current = load_dataset(path, dataset.schema, dataset.label_names)
-        if [(d.id, d.label) for d in current] != [(d.id, d.label) for d in dataset]:
+        kept = [(d.id, d.label, d.context_text) for d in current]
+        if kept != [(d.id, d.label, d.context_text) for d in dataset]:
             raise DataError(
                 f"{path}: snapshot does not match the input ({len(current)} vs "
-                f"{len(dataset)} documents, or different ids or labels); "
+                f"{len(dataset)} documents, or different ids, labels or contexts); "
                 "use a fresh checkpoint directory"
             )
         return current, traces, stop_reason, last

@@ -157,6 +157,12 @@ def _blocks(lengths: np.ndarray, token_ids: np.ndarray):
         yield start, lengths[start:stop], token_ids[offsets[start] : offsets[stop]]
 
 
+def _doc_token_keys(lengths: np.ndarray, token_ids: np.ndarray, size: int) -> np.ndarray:
+    """The (document, token) key of every token position of a block of
+    documents: the document's row in the block times ``size``, plus the id."""
+    return np.repeat(np.arange(len(lengths)) * size, lengths) + token_ids
+
+
 def _doc_counts(lengths: np.ndarray, token_ids: np.ndarray, size: int) -> np.ndarray:
     """How many of the documents (their lengths, and their token ids in
     reading order) hold each id below ``size``. Each block of ``BLOCK_DOCS``
@@ -164,8 +170,7 @@ def _doc_counts(lengths: np.ndarray, token_ids: np.ndarray, size: int) -> np.nda
     ``np.unique``, with one ``np.bincount``."""
     counts = np.zeros(size, dtype=np.int64)
     for _, block, block_ids in _blocks(lengths, token_ids):
-        keys = np.repeat(np.arange(len(block)) * size, block)
-        keys += block_ids
+        keys = _doc_token_keys(block, block_ids, size)
         # return_inverse: the argsort the embedding blocks use. A plain
         # np.unique sorts in place, which loads 1.5 MB more of numpy's code.
         pairs = np.unique(keys, return_inverse=True)[0]
@@ -220,7 +225,7 @@ def _block_weights(lengths: np.ndarray, token_ids: np.ndarray, idf: np.ndarray) 
     * ``idf[its id]``. The count of each occurrence comes from one
     ``np.unique`` over (document, token) keys.
     """
-    keys = np.repeat(np.arange(len(lengths)) * len(idf), lengths) + token_ids
+    keys = _doc_token_keys(lengths, token_ids, len(idf))
     _, occurrence, counts = np.unique(keys, return_inverse=True, return_counts=True)
     # a boolean mask fills row by row, in the order the tokens were read
     filled = np.arange(lengths.max()) < lengths[:, None]

@@ -1,4 +1,6 @@
 import sys
+import threading
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from razor.corpus import Dataset, make_document
+from razor.errors import BackendError
 from razor.surface import DEFAULT_LAMBDA, ClassLedger, embedding_rows, shortcut_scores
 
 
@@ -61,6 +64,37 @@ class Recording:
     def verify(self, prompt, candidate, doc, *args):
         self.entries.append(("verify", doc.id))
         return self.backend.verify(prompt, candidate, doc, *args)
+
+
+class FailOnVerify:
+    """Wraps a backend: its ``n``-th request of ``role`` (1-based) raises
+    BackendError instead of reaching the backend. Requests are counted under
+    a lock, so exactly one fails under parallel workers too."""
+
+    role = "verify"
+
+    def __init__(self, backend, n: int):
+        self.backend, self.n, self.calls = backend, n, backend.calls
+        self._requests = Counter()
+        self._lock = threading.Lock()
+
+    def _reach(self, role: str):
+        with self._lock:
+            self._requests[role] += 1
+            failing = role == self.role and self._requests[role] == self.n
+        if failing:
+            raise BackendError(f"injected failure at {role} call {self.n}")
+        return getattr(self.backend, role)
+
+    def generate(self, *args, **kwargs):
+        return self._reach("generate")(*args, **kwargs)
+
+    def verify(self, *args):
+        return self._reach("verify")(*args)
+
+
+class FailOnGenerate(FailOnVerify):
+    role = "generate"
 
 
 @pytest.fixture

@@ -34,7 +34,7 @@ from razor.surface import (
     _encoding_table,
 )
 
-from conftest import Recording, dataset_from, embedding_matrix, scores_by_id
+from conftest import FailOnGenerate, Recording, dataset_from, embedding_matrix, scores_by_id
 from oracles import (
     bleu_reference,
     naive_objective,
@@ -232,10 +232,8 @@ def test_criterion_9_determinism_and_resume(tmp_path):
         dataset, rules, _ = synth_setup(300, seed=5)
         config = RunConfig(k=0.1, max_iterations=10)
 
-        def backend(**kw):
-            return MockBackend(
-                rules["generation"], verdict=rules["verdict"], seed=rules["seed"], **kw
-            )
+        def backend():
+            return MockBackend(rules["generation"], verdict=rules["verdict"], seed=rules["seed"])
 
         first = run_razor(dataset, config, backend())
         second = run_razor(dataset, config, backend())
@@ -246,7 +244,7 @@ def test_criterion_9_determinism_and_resume(tmp_path):
 
         ckpt_dir = tmp_path / "ckpt"
         with pytest.raises(BackendError):
-            run_razor(dataset, config, backend(fail_after_generate_calls=6), Checkpoint(ckpt_dir))
+            run_razor(dataset, config, FailOnGenerate(backend(), 7), Checkpoint(ckpt_dir))
         journaled = set(RewriteJournal(Checkpoint(ckpt_dir).journal_path(1))._entries)
         assert journaled, "abort must land mid-iteration, after some documents completed"
 

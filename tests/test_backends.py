@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 from types import SimpleNamespace
@@ -368,33 +369,43 @@ class TestMockBackend:
         with pytest.raises(ConfigError):
             MockBackend([{"pattern": "("}])
 
-    def test_fail_after_generate_calls(self):
-        backend = MockBackend([], fail_after_generate_calls=2)
-        doc = make_document("d", "text here", 0)
-        backend.generate("p", doc, 0.7, 0.9, 0)
-        backend.generate("p", doc, 0.7, 0.9, 0)
-        with pytest.raises(BackendError):
-            backend.generate("p", doc, 0.7, 0.9, 0)
-        assert backend.calls.count("generate") == 2
+    RULES = [
+        {"pattern": r"\bpoor\b", "replacements": ["bad", "weak", "mediocre", "thin"]},
+        {"pattern": r"\bresult\b", "replacements": ["outcome", "end"]},
+    ]
 
-    def test_n_texts_are_n_calls_in_one_request(self):
-        rules = [
-            {"pattern": r"\bpoor\b", "replacements": ["bad", "weak", "mediocre", "thin"]},
-            {"pattern": r"\bresult\b", "replacements": ["outcome", "end"]},
-        ]
+    def test_same_request_same_answer(self):
+        """An answer depends on the request alone: another instance, asked
+        in another order from several threads, answers the same."""
+        docs = [make_document(f"d{i}", f"a poor result number {i}", 0) for i in range(40)]
+        first = MockBackend(self.RULES, seed=3)
+        answers = [first.generate("p", doc, 0.7, 0.9, 0, n=4) for doc in docs]
+        # the picks differ between requests and between a request's texts,
+        # so this checks something
+        assert len({texts[0].split()[1] for texts in answers}) > 1
+        assert all(len(set(texts)) > 1 for texts in answers[:5])
+
+        second = MockBackend(self.RULES, seed=3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                again = list(pool.map(lambda d: second.generate("p", d, 0.7, 0.9, 0, n=4),
+                                      reversed(docs)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert again[::-1] == answers
+        assert second.calls.count("generate") == len(docs)
+
+    def test_fewer_texts_are_the_first_texts(self):
+        backend = MockBackend(self.RULES, seed=3)
         doc = make_document("d", "a poor result", 0)
-        batched, single = MockBackend(rules, seed=3), MockBackend(rules, seed=3)
-        for n in (4, 1, 3):
-            texts = batched.generate("p", doc, 0.7, 0.9, 0, n=n)
-            assert texts == [single.generate("p", doc, 0.7, 0.9, 0) for _ in range(n)]
-        assert batched.calls.count("generate") == 3
-
-    def test_fail_after_generate_calls_counts_requests(self):
-        backend = MockBackend([], fail_after_generate_calls=1)
-        doc = make_document("d", "text here", 0)
-        assert backend.generate("p", doc, 0.7, 0.9, 0, n=3) == ["text here"] * 3
-        with pytest.raises(BackendError):
-            backend.generate("p", doc, 0.7, 0.9, 0, n=3)
+        assert backend.generate("p", doc, 0.7, 0.9, 0, n=2) == backend.generate(
+            "p", doc, 0.7, 0.9, 0, n=3
+        )[:2]
+        assert backend.generate("p", doc, 0.7, 0.9, 0) == backend.generate(
+            "p", doc, 0.7, 0.9, 0, n=1
+        )[0]
 
     def test_bench_mock_rewrite_returns_text(self, monkeypatch):
         """The benchmark's stub answers from ``mock_rewrite``, which calls

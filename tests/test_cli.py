@@ -5,11 +5,12 @@ import sys
 import numpy as np
 import pytest
 
+from razor import cli
 from razor.cli import main
 from razor.corpus import load_dataset
 from razor.surface import _unit_rows, compute_embeddings
 
-from conftest import dataset_from
+from conftest import FailOnGenerate, dataset_from
 from razor.corpus import save_dataset
 
 
@@ -181,18 +182,18 @@ class TestRun:
         )
         assert code == 1
 
-    def test_backend_abort_exits_3_with_checkpoint(self, synth_run, tmp_path, capsys):
+    def test_backend_abort_exits_3_with_checkpoint(self, synth_run, tmp_path, monkeypatch):
         corpus, rules = synth_run
-        broken = tmp_path / "broken-rules.json"
-        spec = json.loads(rules.read_text())
-        spec["fail_after_generate_calls"] = 5
-        broken.write_text(json.dumps(spec))
+        make_backend = cli._make_backend
+        monkeypatch.setattr(
+            cli, "_make_backend", lambda *args: FailOnGenerate(make_backend(*args), 6)
+        )
         ckpt = tmp_path / "ckpt3"
         code = main(
             [
                 "run",
                 "--input", str(corpus),
-                "--rules", str(broken),
+                "--rules", str(rules),
                 "--out", str(tmp_path / "out.jsonl"),
                 "--checkpoint-dir", str(ckpt),
             ]
@@ -200,8 +201,9 @@ class TestRun:
         assert code == 3
         assert (ckpt / "iteration_000.jsonl").exists()
         assert (ckpt / "journal_001.jsonl").exists()
+        monkeypatch.undo()
 
-        # resume with working rules completes from the checkpoint
+        # resume with a working backend completes from the checkpoint
         code = main(
             [
                 "run",
@@ -710,12 +712,15 @@ ERROR_CASES = {
         RUN, 1, ["replacement", "zonk"],
     ),
     "rules-seed-string": ({"rules.json": {**RULES, "seed": "x"}}, RUN, 1),
-    "rules-fail-after-string": (
-        {"rules.json": {**RULES, "fail_after_generate_calls": "x"}}, RUN, 1
-    ),
     "rules-seed-bool": ({"rules.json": {**RULES, "seed": True}}, RUN, 1),
-    "rules-fail-after-bool": (
-        {"rules.json": {**RULES, "fail_after_generate_calls": True}}, RUN, 1
+    "rules-unknown-key": ({"rules.json": {"generaton": []}}, RUN, 1, ["generaton"]),
+    "rules-removed-key": (
+        {"rules.json": {**RULES, "fail_after_generate_calls": 5}}, RUN, 1,
+        ["fail_after_generate_calls"],
+    ),
+    "rules-rule-unknown-key": (
+        {"rules.json": {"generation": [{"pattern": "zonk", "replacment": "dog"}]}},
+        RUN, 1, ["replacment", "zonk"],
     ),
     "analyze-top-negative": ({}, ["analyze", "--input", "{data}", "--top", "-4"], 1, ["top"]),
     "report-trace-malformed": ({"trace.json": "{"}, REPORT, 2),

@@ -2,7 +2,6 @@ import json
 import math
 import random
 import sys
-import threading
 import zlib
 from collections import Counter
 from dataclasses import replace
@@ -42,7 +41,15 @@ from razor.surface import (
     shortcut_scores,
 )
 
-from conftest import Recording, dataset_from, doc_frequency, embedding_matrix, scores_by_id
+from conftest import (
+    FailOnGenerate,
+    FailOnVerify,
+    Recording,
+    dataset_from,
+    doc_frequency,
+    embedding_matrix,
+    scores_by_id,
+)
 from oracles import eager_replacement
 
 
@@ -53,8 +60,8 @@ def synth(corpus_size=200, seed=7, **spec_kw):
     return dataset, rules
 
 
-def mock_backend(rules, **kw):
-    return MockBackend(rules["generation"], verdict=rules["verdict"], seed=rules["seed"], **kw)
+def mock_backend(rules):
+    return MockBackend(rules["generation"], verdict=rules["verdict"], seed=rules["seed"])
 
 
 def noop_backend():
@@ -190,7 +197,7 @@ class TestRunIteration:
 
     def test_backend_failure_aborts_cleanly(self):
         dataset, rules = synth(corpus_size=60)
-        backend = mock_backend(rules, fail_after_generate_calls=1)
+        backend = FailOnGenerate(mock_backend(rules), 2)
         out, trace = run_iteration(dataset, RunConfig(k=10), backend)
         assert out == dataset
         assert trace.error is not None
@@ -312,7 +319,7 @@ class TestCheckpointResume:
 
         # abort partway through the first iteration's generation phase
         ckpt_dir = tmp_path / "ckpt"
-        failing = mock_backend(rules, fail_after_generate_calls=4)
+        failing = FailOnGenerate(mock_backend(rules), 5)
         with pytest.raises(BackendError):
             run_razor(dataset, config, failing, Checkpoint(ckpt_dir))
         journaled = RewriteJournal(Checkpoint(ckpt_dir).journal_path(1))
@@ -351,7 +358,7 @@ class TestCheckpointResume:
 
         ckpt_dir = tmp_path / "ckpt"
         with pytest.raises(BackendError):
-            run_razor(dataset, config, mock_backend(rules, fail_after_generate_calls=4),
+            run_razor(dataset, config, FailOnGenerate(mock_backend(rules), 5),
                       Checkpoint(ckpt_dir))
         journal_path = Checkpoint(ckpt_dir).journal_path(1)
         complete = len(RewriteJournal(journal_path)._entries)
@@ -458,7 +465,7 @@ class TestCheckpointResume:
         monkeypatch.setattr("builtins.open", counting_open)
         ckpt = Checkpoint(tmp_path / "ckpt")
         with pytest.raises(BackendError):
-            run_razor(dataset, RunConfig(k=10), mock_backend(rules, fail_after_generate_calls=5),
+            run_razor(dataset, RunConfig(k=10), FailOnGenerate(mock_backend(rules), 6),
                       ckpt)
         result = run_razor(dataset, RunConfig(k=10, max_iterations=2), mock_backend(rules), ckpt)
         monkeypatch.undo()
@@ -530,7 +537,7 @@ class TestCheckpointResume:
 
         ckpt_dir = tmp_path / "ckpt"
         with pytest.raises(BackendError):
-            run_razor(dataset, config, mock_backend(rules, fail_after_generate_calls=4),
+            run_razor(dataset, config, FailOnGenerate(mock_backend(rules), 5),
                       Checkpoint(ckpt_dir))
         journal_path = Checkpoint(ckpt_dir).journal_path(1)
         whole = journal_path.read_bytes()
@@ -567,6 +574,20 @@ class TestCheckpointResume:
         )
         with pytest.raises(DataError, match="does not match the input"):
             run_razor(flipped, config, mock_backend(rules), checkpoint)
+
+    def test_changed_context_rejected_before_any_request(self, tmp_path):
+        rows = [(f"c{i}", f"claim {i} holds zonk", i % 2, f"evidence {i}") for i in range(8)]
+        dataset = dataset_from(rows, schema="claim_evidence")
+        checkpoint = Checkpoint(tmp_path / "ckpt")
+        run_razor(dataset, RunConfig(k=2, max_iterations=1), noop_backend(), checkpoint)
+        changed = dataset.with_documents(
+            replace(doc, context_text="other evidence") if i == 3 else doc
+            for i, doc in enumerate(dataset)
+        )
+        backend = Recording(noop_backend())
+        with pytest.raises(DataError, match="does not match the input"):
+            run_razor(changed, RunConfig(k=2, max_iterations=2), backend, checkpoint)
+        assert backend.entries == []
 
 
 class TestIterationTraceSerialization:
@@ -638,35 +659,34 @@ class ScriptedBackend:
         return label_names[doc.label] if accepts(candidate) else "cannot tell"
 
 
-class FailOnVerify:
-    """Wraps a backend: its ``n``-th request of ``role`` (1-based) raises
-    BackendError instead of reaching the backend. Requests are counted under
-    a lock, so exactly one fails under parallel workers too."""
-
-    role = "verify"
-
-    def __init__(self, backend, n: int):
-        self.backend, self.n, self.calls = backend, n, backend.calls
-        self._requests = Counter()
-        self._lock = threading.Lock()
-
-    def _reach(self, role: str):
-        with self._lock:
-            self._requests[role] += 1
-            failing = role == self.role and self._requests[role] == self.n
-        if failing:
-            raise BackendError(f"injected failure at {role} call {self.n}")
-        return getattr(self.backend, role)
-
-    def generate(self, *args, **kwargs):
-        return self._reach("generate")(*args, **kwargs)
-
-    def verify(self, *args):
-        return self._reach("verify")(*args)
+# rules whose replacements the mock picks from, per request
+CHOICE_RULES = [
+    {"pattern": r"\s*\bzonk\b", "replacements": ["", " quite", " the"]},
+    {"pattern": r"\bcarefully\b", "replacements": ["gently", "slowly", "early"]},
+]
 
 
-class FailOnGenerate(FailOnVerify):
-    role = "generate"
+def choice_mock():
+    return MockBackend(CHOICE_RULES, seed=3)
+
+
+class AskedMock(MockBackend):
+    """MockBackend with ``CHOICE_RULES``, listing its requests in ``asked``
+    as ScriptedBackend does. Its verifier confirms only the candidates
+    :func:`accepts`, so that the commit walk has candidates to verify."""
+
+    def __init__(self):
+        super().__init__(CHOICE_RULES, seed=3)
+        self.asked = []
+
+    def generate(self, prompt, doc, *args, **kwargs):
+        self.asked.append(("generate", doc.id, prompt))
+        return super().generate(prompt, doc, *args, **kwargs)
+
+    def verify(self, prompt, candidate, doc, *args):
+        self.asked.append(("verify", doc.id, candidate))
+        answer = super().verify(prompt, candidate, doc, *args)
+        return answer if accepts(candidate) else "cannot tell"
 
 
 def output_bytes(dataset, path):
@@ -724,10 +744,11 @@ class TestLazyVerification:
         # the trials reach every outcome, with and without verifier calls
         assert len(decided) == 4
 
-    def straight_run(self, dataset, config, monkeypatch, checkpoint=None):
-        """A run through ScriptedBackend, and the number of verify calls its
-        first iteration made before the commit walk: the speculative pass."""
-        backend = ScriptedBackend()
+    def straight_run(self, dataset, config, monkeypatch, checkpoint=None, make=ScriptedBackend):
+        """A run through a backend ``make`` builds (ScriptedBackend by
+        default), and the number of verify calls its first iteration made
+        before the commit walk: the speculative pass."""
+        backend = make()
         speculative = []
         decide = pipeline.decide_replacement
 
@@ -790,13 +811,22 @@ class TestLazyVerification:
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("crash", sorted(CRASHES))
     def test_crash_and_resume_matrix(self, tmp_path, monkeypatch, crash, jobs):
-        """An abort anywhere, then a resume: the output, every snapshot and
-        the traces are the straight serial run's, and the two runs together
-        ask the backend exactly what the straight run asks. The one exception
-        is a journal record torn by the crash: its request is asked again.
-        A failure comes after j generate requests, in iteration 1 or 2; at a
-        verify request of the speculative pass or the commit walk; or in the
-        snapshot write after iteration 2's trace is written."""
+        self.crash_and_resume(tmp_path, monkeypatch, crash, jobs, ScriptedBackend)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("crash", sorted(CRASHES))
+    def test_crash_and_resume_matrix_with_mock(self, tmp_path, monkeypatch, crash, jobs):
+        self.crash_and_resume(tmp_path, monkeypatch, crash, jobs, AskedMock)
+
+    def crash_and_resume(self, tmp_path, monkeypatch, crash, jobs, make):
+        """An abort anywhere, then a resume, through backends ``make`` builds:
+        the output, every snapshot and the traces are the straight serial
+        run's, and the two runs together ask the backend exactly what the
+        straight run asks. The one exception is a journal record torn by the
+        crash: its request is asked again. A failure comes after j generate
+        requests, in iteration 1 or 2; at a verify request of the speculative
+        pass or the commit walk; or in the snapshot write after iteration 2's
+        trace is written."""
         dataset, _ = synth(corpus_size=120)
         config = RunConfig(k=12, epsilon=1e-12, max_iterations=3)
         point, j, done, torn = self.CRASHES[crash]
@@ -805,12 +835,12 @@ class TestLazyVerification:
         try:
             straight_ckpt = Checkpoint(tmp_path / "straight")
             straight, straight_backend, speculative = self.straight_run(
-                dataset, config, monkeypatch, straight_ckpt
+                dataset, config, monkeypatch, straight_ckpt, make
             )
             assert len(straight.traces) == 3 and straight.traces[1].replaced_ids
             config = replace(config, jobs=jobs)
             ckpt = Checkpoint(tmp_path / "ckpt")
-            backend = ScriptedBackend()
+            backend = make()
             if point == "generate":
                 if j is None:  # the fourth request of iteration 2
                     j = straight.traces[0].llm_calls["generate"] + 3
@@ -848,7 +878,7 @@ class TestLazyVerification:
                 ]
                 assert len(again) == 1
 
-            resumed_backend = ScriptedBackend()
+            resumed_backend = make()
             resumed = run_razor(dataset, config, resumed_backend, ckpt)
         finally:
             sys.setswitchinterval(interval)
@@ -1207,53 +1237,35 @@ class TestIncrementalCounts:
             assert ckpt.snapshot_path(iteration).read_bytes() == expected
 
 
-class SingleTextRequests:
-    """Serves ``generate(..., n)`` by n requests for one text each from the
-    wrapped backend: the traffic of a client that asks once per candidate."""
+class TestRequestPureMock:
+    """MockBackend answers from the request alone, so neither the order of
+    requests nor the requests a journal answers change a run."""
 
-    def __init__(self, backend):
-        self.backend, self.calls = backend, backend.calls
+    def test_jobs_give_the_serial_bytes(self, tmp_path):
+        dataset, _ = synth(corpus_size=600)
+        config = RunConfig(k=0.3, epsilon=1e-12, max_iterations=3)
+        serial = run_razor(dataset, config, choice_mock())
+        expected = output_bytes(serial.dataset, tmp_path / "serial.jsonl")
+        assert serial.traces[-1].replaced_ids
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for attempt in range(3):
+                result = run_razor(dataset, replace(config, jobs=2), choice_mock())
+                path = tmp_path / f"jobs2-{attempt}.jsonl"
+                assert output_bytes(result.dataset, path) == expected
+        finally:
+            sys.setswitchinterval(interval)
 
-    def generate(self, *args, n=None):
-        if n is None:
-            return self.backend.generate(*args)
-        return [self.backend.generate(*args) for _ in range(n)]
-
-    def verify(self, *args):
-        return self.backend.verify(*args)
-
-
-class TestOneRequestPerDocument:
-    """Asking for a document's candidates in one request changes the count
-    of requests, not the run: the mock draws its picks in the order that one
-    request per candidate draws them."""
-
-    RULES = [
-        {"pattern": r"\s*\bzonk\b", "replacements": ["", " quite", " the"]},
-        {"pattern": r"\bthe\b", "replacements": ["the", "this", "that", "one"]},
-    ]
-
-    @pytest.mark.parametrize("seed", [1, 2])
-    def test_same_run_with_a_third_of_the_generate_requests(self, tmp_path, seed):
-        dataset, _ = synth(corpus_size=200)
-        config = RunConfig(k=20, epsilon=1e-12, max_iterations=3, jobs=1)
-        runs = []
-        for name, backend in (
-            ("batched", MockBackend(self.RULES, seed=seed)),
-            ("single", SingleTextRequests(MockBackend(self.RULES, seed=seed))),
-        ):
-            ckpt = Checkpoint(tmp_path / name)
-            result = run_razor(dataset, config, backend, ckpt)
-            runs.append({
-                "output": output_bytes(result.dataset, tmp_path / f"{name}.jsonl"),
-                "snapshots": [ckpt.snapshot_path(i).read_bytes() for i in range(4)],
-                "objectives": [t.objective_after for t in result.traces],
-                "replaced": [t.replaced_ids for t in result.traces],
-                "generate": backend.calls.count("generate"),
-                "verify": backend.calls.count("verify"),
-            })
-        batched, single = runs
-        assert len(batched["objectives"]) == 3 and batched["replaced"][0]
-        assert single["generate"] == 3 * batched["generate"]
-        for key in ("output", "snapshots", "objectives", "replaced", "verify"):
-            assert batched[key] == single[key], key
+    def test_abort_and_resume_give_the_straight_bytes(self, tmp_path):
+        dataset, _ = synth(corpus_size=200, seed=3)
+        config = RunConfig(k=20, epsilon=1e-12, max_iterations=3)
+        straight = run_razor(dataset, config, choice_mock())
+        ckpt = Checkpoint(tmp_path / "ckpt")
+        with pytest.raises(BackendError):
+            run_razor(dataset, config, FailOnGenerate(choice_mock(), 31), ckpt)
+        assert ckpt.completed_iterations() == 1
+        resumed = run_razor(dataset, config, choice_mock(), ckpt)
+        assert output_bytes(resumed.dataset, tmp_path / "resumed.jsonl") == output_bytes(
+            straight.dataset, tmp_path / "straight.jsonl"
+        )
