@@ -267,6 +267,13 @@ class MockBackend:
                 raise ConfigError(f"bad mock rule {rule!r}: replacements must be a non-empty list")
             if not all(isinstance(r, str) for r in replacements):
                 raise ConfigError(f"bad mock rule {rule!r}: each replacement must be a string")
+            for replacement in replacements:
+                try:  # a template's group references are checked on any text
+                    pattern.sub(replacement, "")
+                except (IndexError, re.error) as exc:
+                    raise ConfigError(
+                        f"bad mock rule {rule!r}: replacement {replacement!r}: {exc}"
+                    ) from None
             self.rules.append((pattern, replacements))
         if not is_json_int(seed):
             raise ConfigError(f"mock seed must be an integer, got {seed!r}")

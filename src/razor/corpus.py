@@ -16,16 +16,13 @@ from __future__ import annotations
 import json
 import logging
 import math
-import os
 import unicodedata
-from contextlib import nullcontext
 from dataclasses import dataclass, field
+from itertools import compress, zip_longest
 from operator import is_not
 from pathlib import Path
 from sys import intern
 from typing import Callable, Iterable, Mapping, Optional
-
-import numpy as np
 
 from .errors import DataError, NoContrastError
 
@@ -231,20 +228,21 @@ def read_json_lines(path: str | Path, lines: Iterable[bytes], parse: Callable) -
     return parsed
 
 
-def load_dataset(
+def read_documents(
     path: str | Path,
     schema: str,
     label_names: Optional[Mapping[int, str]] = None,
-) -> Dataset:
-    """Load a JSONL dataset, enforcing all invariants. Line order is preserved.
-    A bad line is a DataError naming the file and the line (see :func:`read_json_lines`)."""
+) -> list[LabeledDocument]:
+    """The documents of the JSONL file at ``path``, in line order, each with
+    a unique id and, when ``label_names`` is given, a declared label. A bad
+    line is a DataError naming the file and the line (see
+    :func:`read_json_lines`). A file of any size or label mix is read: the
+    checks on the whole dataset are :class:`Dataset`'s."""
     if schema not in SCHEMAS:
         raise DataError(f"unknown schema {schema!r}")
     text_field, context_field = SCHEMAS[schema]
     texts = (text_field, context_field) if context_field else (text_field,)
-    declared = dict(label_names) if label_names else None
     seen_ids: set[str] = set()
-    seen_labels: set[int] = set()
 
     def parse(row: dict) -> LabeledDocument:
         for name in ("id", "label", *texts):
@@ -259,19 +257,28 @@ def load_dataset(
         for name in texts:
             if not isinstance(row[name], str):
                 raise DataError(f"field {name!r} is not a string ({type(row[name]).__name__})")
-        if declared is not None and label not in declared:
+        if label_names is not None and label not in label_names:
             raise DataError(f"label {label} not in declared label set")
         context = row[context_field] if context_field else None
-        doc = make_document(doc_id, row[text_field], label, context)
         seen_ids.add(doc_id)
-        seen_labels.add(label)
-        return doc
+        return make_document(doc_id, row[text_field], label, context)
 
     with open(path, "rb") as fh:
-        documents = read_json_lines(path, fh, parse)
+        return read_json_lines(path, fh, parse)
 
+
+def load_dataset(
+    path: str | Path,
+    schema: str,
+    label_names: Optional[Mapping[int, str]] = None,
+) -> Dataset:
+    """Load a JSONL dataset with :func:`read_documents`, enforcing all
+    invariants. Line order is preserved. Without ``label_names`` the label
+    set is inferred from the data, with a warning."""
+    declared = dict(label_names) if label_names else None
+    documents = read_documents(path, schema, declared)
     if declared is None:
-        declared = {label: str(label) for label in sorted(seen_labels)}
+        declared = {label: str(label) for label in sorted({d.label for d in documents})}
         log.warning(
             "%s: no label set declared; inferred %d labels from data: %s",
             path,
@@ -279,23 +286,6 @@ def load_dataset(
             sorted(declared),
         )
     return Dataset(tuple(documents), declared, schema)
-
-
-@dataclass(frozen=True, eq=False)
-class SavedLines:
-    """Where a JSONL file written by :func:`save_dataset` holds each line:
-    line i, written for ``documents[i]`` under ``schema``, ends at byte
-    ``ends[i]``. ``mtime_ns`` is the file's modification time when written."""
-
-    path: Path
-    schema: str
-    documents: tuple[LabeledDocument, ...]
-    ends: np.ndarray
-    mtime_ns: int
-
-
-# bytes read at a time when copying unchanged lines from an earlier file
-_COPY_CHUNK = 1 << 16
 
 
 def _line_format(schema: str) -> Callable[[LabeledDocument], str]:
@@ -322,79 +312,31 @@ def _line_format(schema: str) -> Callable[[LabeledDocument], str]:
 
 
 def save_dataset(
-    dataset: Dataset, path: str | Path, previous: Optional[SavedLines] = None
-) -> SavedLines:
+    dataset: Dataset, path: str | Path, since: Optional[tuple[LabeledDocument, ...]] = None
+) -> None:
     """Write a dataset back to JSONL (UTF-8), mirroring its input schema
-    exactly, and return where each line went.
+    exactly.
 
-    With ``previous``, the lines of an earlier file this function wrote, the
-    documents that are the very objects that file was written for are copied
-    from its bytes, and only the others are formatted. The file must still
-    be as written (its size and modification time are checked). Otherwise,
-    or for another schema or size, the same walk patches n empty lines:
-    every document is formatted and nothing is copied."""
+    With ``since``, an earlier tuple of the dataset's documents, only the
+    documents that are not the objects at their row in ``since`` are
+    written, in row order: the lines that changed. A ``since`` of another
+    length, or none, writes every document."""
     docs = dataset.documents
-    with open(path, "wb") as out:
-        source = _unchanged_source(previous, dataset)
-        if source is None:
-            empty = np.zeros(len(docs), dtype=np.int64)
-            source = nullcontext()
-            previous = SavedLines(Path(path), dataset.schema, (None,) * len(docs), empty, 0)
-        with source as lines:
-            sizes = _patch_lines(lines, out, previous, docs, _line_format(dataset.schema))
-        out.flush()
-        mtime_ns = os.fstat(out.fileno()).st_mtime_ns
-    return SavedLines(Path(path), dataset.schema, docs, np.cumsum(sizes), mtime_ns)
+    if since is None or len(since) != len(docs):
+        since = (None,) * len(docs)
+    with open(path, "w", encoding="utf-8", newline="") as out:
+        out.writelines(map(_line_format(dataset.schema), compress(docs, map(is_not, docs, since))))
 
 
-def _unchanged_source(previous: Optional[SavedLines], dataset: Dataset):
-    """The file ``previous`` describes, open for reading, when its lines can
-    be copied for ``dataset``; else None."""
-    if (
-        previous is None
-        or previous.schema != dataset.schema
-        or len(previous.documents) != len(dataset.documents)
-    ):
-        return None
-    try:
-        source = open(previous.path, "rb")
-    except OSError:
-        return None
-    stat = os.fstat(source.fileno())
-    if stat.st_size != previous.ends[-1] or stat.st_mtime_ns != previous.mtime_ns:
-        source.close()
-        return None
-    return source
-
-
-def _patch_lines(source, out, previous: SavedLines, docs, format_line) -> np.ndarray:
-    """Write ``docs``' lines to ``out``: each run of documents unchanged since
-    ``previous`` as the bytes of its lines in ``source``, read in bounded
-    chunks, and each changed document formatted. Returns every line's
-    length."""
-    sizes = np.diff(previous.ends, prepend=0)
-    old_ends = previous.ends.tolist()
-    changed = np.flatnonzero(np.fromiter(map(is_not, docs, previous.documents), bool, len(docs)))
-    start = 0  # first row not yet written
-    for row in [*changed.tolist(), len(docs)]:
-        if row > start:
-            first = old_ends[start - 1] if start else 0
-            _copy_bytes(source, out, first, old_ends[row - 1] - first)
-        if row < len(docs):
-            data = format_line(docs[row]).encode("utf-8")
-            sizes[row] = len(data)
-            out.write(data)
-        start = row + 1
-    return sizes
-
-
-def _copy_bytes(source, out, offset: int, size: int) -> None:
-    """Copy ``size`` bytes of ``source`` from ``offset`` to ``out``."""
-    source.seek(offset)
-    end = offset + size
-    while size > 0:
-        chunk = source.read(min(size, _COPY_CHUNK))
-        if not chunk:
-            raise DataError(f"{source.name}: ended before byte {end}")
-        out.write(chunk)
-        size -= len(chunk)
+def mismatched_line(dataset: Dataset, path: str | Path) -> Optional[int]:
+    """The number of the first line of the file at ``path`` that differs
+    from the line :func:`save_dataset` writes for the document at that row
+    (a line past the last document differs, and so does a missing one), or
+    None when the file holds exactly ``save_dataset(dataset)``'s bytes. The
+    file's bytes are compared, not parsed."""
+    format_line = _line_format(dataset.schema)
+    with open(path, "rb") as fh:
+        for lineno, (line, doc) in enumerate(zip_longest(fh, dataset.documents), start=1):
+            if doc is None or line != format_line(doc).encode("utf-8"):
+                return lineno
+    return None

@@ -71,8 +71,8 @@ class BiasSpec:
             raise ConfigError(f"corpus_size must be >= 2, got {self.corpus_size}")
         if self.biased_class not in (0, 1):
             raise ConfigError(f"biased_class must be 0 or 1, got {self.biased_class}")
-        if not self.planted_token.strip():
-            raise ConfigError("planted_token must be non-empty")
+        # synth's rule, \s*\b<token>\b, matches a single token only, and never ""
+        check_terms([self.planted_token], "planted_token")
 
 
 @dataclass
@@ -112,13 +112,13 @@ def _scan_terms(dataset: Dataset, terms: Sequence[str]) -> _TermScan:
     return scan
 
 
-def check_terms(terms: Sequence[str]) -> None:
-    """Raise ConfigError for a term that is not exactly one token as
-    :func:`tokenize` reads it (``new york``, ``u.s.``): no token matches it,
-    so it would count 0 in every snapshot."""
+def check_terms(terms: Sequence[str], what: str = "term") -> None:
+    """Raise ConfigError, naming ``what``, for a term that is not exactly one
+    token as :func:`tokenize` reads it (``new york``, ``u.s.``): no token
+    matches it, so it would count 0 in every snapshot."""
     for term in terms:
         if tokenize(term) != [term.lower()]:
-            raise ConfigError(f"term {term!r} is not a single token")
+            raise ConfigError(f"{what} {term!r} is not a single token")
 
 
 def _term_counts(scan: _TermScan, term: str, label_names) -> dict:

@@ -20,7 +20,7 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -29,10 +29,10 @@ import numpy as np
 from .corpus import (
     Dataset,
     LabeledDocument,
-    SavedLines,
     is_json_int,
     is_json_number,
-    load_dataset,
+    mismatched_line,
+    read_documents,
     read_json,
     read_json_lines,
     replace_text,  # noqa: F401  (see below)
@@ -172,10 +172,8 @@ class RewriteJournal:
     a time, so no request is asked twice.
 
     A ``{"doc_id", "texts"}`` line holds a document's generated candidates,
-    a ``{"doc_id", "text", "verified"}`` line one verdict. A line of the
-    older ``{"doc_id", "candidates": [{"text", "verified"}]}`` format, written
-    when every candidate was verified as it was generated, replays as both.
-    Each record is flushed as it is written.
+    a ``{"doc_id", "text", "verified"}`` line one verdict. Each record is
+    flushed as it is written.
 
     The file is opened at the first record and kept open until :meth:`close`
     (the journal is a context manager). Each record is written as one line in
@@ -204,20 +202,16 @@ class RewriteJournal:
         read_json_lines(path, lines, self._apply)
 
     def _apply(self, row: dict) -> None:
-        """Keep one record. Raises DataError when it is none of the three
-        formats."""
+        """Keep one record. Raises DataError when it is neither format."""
         try:
             doc_id = row["doc_id"]
             texts = None
-            if "candidates" in row:
-                texts = [c["text"] for c in row["candidates"]]
-                verdicts = [(c["text"], c["verified"]) for c in row["candidates"]]
-            elif "texts" in row:
+            if "texts" in row:
                 texts, verdicts = row["texts"], []
             else:
                 verdicts = [(row["text"], row["verified"])]
-        except (KeyError, TypeError) as exc:
-            raise DataError(f"malformed journal record ({exc})") from None
+        except KeyError as exc:
+            raise DataError(f"malformed journal record (no field {exc})") from None
         if not (
             isinstance(doc_id, str)
             and (texts is None or _is_ids(texts))
@@ -496,14 +490,16 @@ class Checkpoint:
     rewrite journals, and a trace file with the accumulated iteration traces
     and stop reason.
 
-    Each snapshot after the first one this object writes copies the lines of
-    unchanged documents from the snapshot before it (see
-    :func:`save_dataset`); :meth:`load_state` starts over from a full write."""
+    Snapshot 0 is the whole input. Each later snapshot holds the lines of
+    the documents that are not the objects of the dataset this object last
+    wrote or loaded (see :func:`save_dataset`): those its iteration
+    replaced. :meth:`load_state` applies them to the input in order."""
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self._saved: Optional[SavedLines] = None  # the last snapshot written
+        # the documents last written or loaded; None until then
+        self._since: Optional[tuple[LabeledDocument, ...]] = None
 
     def snapshot_path(self, iteration: int) -> Path:
         return self.directory / f"iteration_{iteration:03d}.jsonl"
@@ -517,9 +513,8 @@ class Checkpoint:
 
     def write_snapshot(self, dataset: Dataset, iteration: int) -> None:
         path = self.snapshot_path(iteration)
-        previous, self._saved = self._saved, None
-        saved = _write_replacing(path, lambda tmp: save_dataset(dataset, tmp, previous))
-        self._saved = replace(saved, path=path)
+        _write_replacing(path, lambda tmp: save_dataset(dataset, tmp, self._since))
+        self._since = dataset.documents
 
     def write_traces(self, traces: list[IterationTrace], stop_reason: Optional[str]) -> None:
         _write_replacing(self.trace_path, lambda tmp: write_trace_file(tmp, traces, stop_reason))
@@ -538,25 +533,69 @@ class Checkpoint:
     ) -> tuple[Dataset, list[IterationTrace], Optional[str], int]:
         """Resume point: (current dataset, completed traces, stop reason, last
         completed iteration). Falls back to the given input dataset when the
-        directory holds no snapshots. Raises DataError when the last
-        snapshot's ids, labels or contexts, in order, differ from the input's:
-        it belongs to another input, or it was cut short."""
-        self._saved = None
+        directory holds no snapshots. Otherwise snapshot 0 must hold the
+        input's bytes as :func:`save_dataset` writes them, and snapshots
+        1..last are applied to the input in order, by id (see
+        :func:`_apply_snapshot`). Raises DataError, naming the file and the
+        line or document, when a snapshot is missing or does not fit the
+        input: it belongs to another input, or it was cut short."""
+        self._since = None
         last = self.completed_iterations()
         traces, stop_reason = read_trace_file(self.trace_path) if self.trace_path.exists() else ([], None)
         traces = [t for t in traces if t.error is None and t.iteration <= last]
         if last < 0:
             return dataset, [], None, -1
-        path = self.snapshot_path(last)
-        current = load_dataset(path, dataset.schema, dataset.label_names)
-        kept = [(d.id, d.label, d.context_text) for d in current]
-        if kept != [(d.id, d.label, d.context_text) for d in dataset]:
-            raise DataError(
-                f"{path}: snapshot does not match the input ({len(current)} vs "
-                f"{len(dataset)} documents, or different ids, labels or contexts); "
-                "use a fresh checkpoint directory"
-            )
+        replaced = {t.iteration: t.replaced_ids for t in traces}
+        rows = {doc.id: row for row, doc in enumerate(dataset.documents)}
+        docs = list(dataset.documents)
+        for iteration in range(last + 1):
+            path = self.snapshot_path(iteration)
+            if not path.exists():
+                raise DataError(f"{path}: snapshot missing; use a fresh checkpoint directory")
+            if iteration == 0:
+                if (line := mismatched_line(dataset, path)) is not None:
+                    raise DataError(
+                        f"{path}: line {line} does not match the input as saved; "
+                        "use a fresh checkpoint directory"
+                    )
+                continue
+            written = _apply_snapshot(path, dataset, rows, docs)
+            if iteration not in replaced:
+                raise DataError(f"{self.trace_path}: no trace of iteration {iteration}")
+            for doc_id in replaced[iteration]:
+                if doc_id not in written:
+                    raise DataError(
+                        f"{path}: lacks document {doc_id!r}, which iteration {iteration} "
+                        "replaced; the snapshot was cut short"
+                    )
+        current = dataset.with_documents(docs)
+        self._since = current.documents
         return current, traces, stop_reason, last
+
+
+def _apply_snapshot(
+    path: Path, dataset: Dataset, rows: dict[str, int], docs: list[LabeledDocument]
+) -> set[str]:
+    """Put the documents of the snapshot at ``path`` into ``docs`` at their
+    ``rows`` in ``dataset``, the input, and return their ids. Raises
+    DataError, naming the file and the document, when one has no input id,
+    comes before a row already written, or has another label or context
+    than the input's."""
+    last = -1
+    written = read_documents(path, dataset.schema, dataset.label_names)
+    for doc in written:
+        row = rows.get(doc.id, -1)
+        if row < 0:
+            raise DataError(f"{path}: document {doc.id!r} is not in the input")
+        if row <= last:
+            raise DataError(f"{path}: document {doc.id!r} is out of the input's order")
+        kept = dataset.documents[row]
+        if (doc.label, doc.context_text) != (kept.label, kept.context_text):
+            raise DataError(
+                f"{path}: document {doc.id!r} does not match the input's label or context"
+            )
+        docs[row], last = doc, row
+    return {doc.id for doc in written}
 
 
 def run_razor(

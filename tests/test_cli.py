@@ -20,16 +20,16 @@ def write_jsonl(path, rows):
             fh.write(json.dumps(row) + "\n")
 
 
+SINGLE_ROWS = [
+    {"id": f"d{i}", "text": f"sample number {i} with words token{i % 4}", "label": i % 2}
+    for i in range(12)
+]
+
+
 @pytest.fixture
 def single_file(tmp_path):
     path = tmp_path / "data.jsonl"
-    write_jsonl(
-        path,
-        [
-            {"id": f"d{i}", "text": f"sample number {i} with words token{i % 4}", "label": i % 2}
-            for i in range(12)
-        ],
-    )
+    write_jsonl(path, SINGLE_ROWS)
     return path
 
 
@@ -215,6 +215,20 @@ class TestRun:
         )
         assert code == 0
 
+    def test_missing_middle_snapshot_exits_2(self, synth_run, tmp_path, capsys):
+        corpus, rules = synth_run
+        ckpt = tmp_path / "ckpt"
+        argv = ["run", "--input", str(corpus), "--rules", str(rules),
+                "--out", str(tmp_path / "out.jsonl"), "--checkpoint-dir", str(ckpt),
+                "--k", "20", "--epsilon", "1e-12"]
+        assert main(argv + ["--max-iterations", "3"]) == 0
+        (ckpt / "iteration_002.jsonl").unlink()
+        capsys.readouterr()
+        assert main(argv + ["--max-iterations", "4"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()[-1]
+        assert err.startswith("razor: data error:")
+        assert f"{ckpt / 'iteration_002.jsonl'}: snapshot missing" in err
+
     def test_config_file_with_flag_overrides(self, synth_run, tmp_path, capsys):
         corpus, rules = synth_run
         config = tmp_path / "config.json"
@@ -269,6 +283,18 @@ class TestSynth:
             assert code == 0
             outs.append(corpus.read_bytes())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("token", ["zonk!", "new york", "zonk-", ""])
+    def test_planted_token_of_other_than_one_token_exits_1(self, token, tmp_path, capsys):
+        """Its rule, \\s*\\b<token>\\b, would never match such a token."""
+        code = main(
+            ["synth", "--planted-token", token,
+             "--out-corpus", str(tmp_path / "c.jsonl"),
+             "--out-rules", str(tmp_path / "r.json")]
+        )
+        assert code == 1
+        assert f"planted_token {token!r} is not a single token" in capsys.readouterr().err
+        assert not (tmp_path / "c.jsonl").exists()
 
     def test_bad_rates_usage_error(self, tmp_path):
         code = main(
@@ -603,6 +629,10 @@ ANALYZE_CLAIMS = ANALYZE + ["--schema", "claim_evidence"]
 CHECK_SUBSETS = CHECK + ["--subset-file", "{tmp}/subsets.jsonl"]
 
 
+def jsonl(rows):
+    return "".join(json.dumps(row) + "\n" for row in rows)
+
+
 def data_lines(**fields):
     """Two dataset lines, the second with ``fields`` replaced."""
     good = {"id": "a", "text": "alpha beta", "claim": "alpha beta", "evidence": "gamma", "label": 0}
@@ -718,6 +748,14 @@ ERROR_CASES = {
         {"rules.json": {**RULES, "fail_after_generate_calls": 5}}, RUN, 1,
         ["fail_after_generate_calls"],
     ),
+    "rules-replacement-bad-group": (
+        {"rules.json": {"generation": [{"pattern": "zonk", "replacement": "\\9"}]}},
+        RUN, 1, ["replacement", "zonk", "group"],
+    ),
+    "rules-replacement-unknown-group-name": (
+        {"rules.json": {"generation": [{"pattern": "zonk", "replacements": ["", "\\g<x>"]}]}},
+        RUN, 1, ["replacement", "zonk", "group"],
+    ),
     "rules-rule-unknown-key": (
         {"rules.json": {"generation": [{"pattern": "zonk", "replacment": "dog"}]}},
         RUN, 1, ["replacment", "zonk"],
@@ -797,7 +835,13 @@ ERROR_CASES = {
     "data-too-deep": ({"bad.jsonl": too_deep(data_lines())}, ANALYZE, 2, ["line 2", "nested"]),
     "data-not-utf8": ({"bad.jsonl": not_utf8(data_lines())}, ANALYZE, 2, ["line 2", "UTF-8"]),
     "resume-snapshot-not-utf8": (
-        {"ckpt/iteration_000.jsonl": not_utf8(data_lines())}, RESUME, 2, ["line 2", "UTF-8"]
+        {"ckpt/iteration_000.jsonl": jsonl(SINGLE_ROWS),
+         "ckpt/iteration_001.jsonl": not_utf8(data_lines())},
+        RESUME, 2, ["iteration_001", "line 2", "UTF-8"],
+    ),
+    "resume-snapshot-0-differs": (
+        {"ckpt/iteration_000.jsonl": jsonl(SINGLE_ROWS[:5] + SINGLE_ROWS[6:])},
+        RESUME, 2, ["iteration_000", "line 6", "input"],
     ),
     "resume-journal-not-utf8": (
         {"ckpt/journal_001.jsonl": not_utf8(journal_lines())}, RESUME, 2, ["line 2", "UTF-8"]

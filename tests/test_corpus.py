@@ -1,9 +1,7 @@
 import json
-import os
 import random
 from sys import intern
 
-import numpy as np
 import pytest
 
 from razor import corpus
@@ -11,7 +9,9 @@ from razor.corpus import (
     Dataset,
     load_dataset,
     make_document,
+    mismatched_line,
     parse_label_names,
+    read_documents,
     replace_text,
     save_dataset,
     tokenize,
@@ -342,57 +342,79 @@ def formatted(monkeypatch):
     return calls
 
 
-class TestPatchedSave:
-    """save_dataset with the lines of an earlier file copies the unchanged
-    documents' bytes; the file must equal a full save of the same dataset."""
+class TestSaveSince:
+    """save_dataset with ``since``, an earlier tuple of the dataset's
+    documents, writes the lines of the documents that are not those objects,
+    in row order, each with the bytes of a full save's line."""
 
     @pytest.mark.parametrize("schema", ["single", "claim_evidence", "premise_hypothesis"])
-    def test_patched_snapshots_equal_full_saves(self, tmp_path, schema, formatted):
+    def test_writes_exactly_the_changed_documents(self, tmp_path, schema, formatted):
         ds = tricky_dataset(schema)
-        saved = save_dataset(ds, tmp_path / "s0.jsonl")
+        full, delta = tmp_path / "full.jsonl", tmp_path / "delta.jsonl"
         # first, last and adjacent rows; texts of other byte lengths than before
         steps = [({0, 3, 4, 11}, "ẞ 東京東京 🙂🙂"), ({4, 5, 6}, "x"), (set(), ""), ({1}, "y é")]
-        for step, (rows, text) in enumerate(steps, start=1):
-            ds = rewritten(ds, rows, text)
-            saved = save_dataset(ds, tmp_path / f"s{step}.jsonl", saved)
-            save_dataset(ds, tmp_path / "full.jsonl")
-            data = (tmp_path / f"s{step}.jsonl").read_bytes()
-            assert data == (tmp_path / "full.jsonl").read_bytes()
+        for rows, text in steps:
+            since, ds = ds.documents, rewritten(ds, rows, text)
+            save_dataset(ds, delta, since)
+            save_dataset(ds, full)
+            lines = full.read_bytes().splitlines(keepends=True)
+            assert len(lines) == len(ds)
+            assert delta.read_bytes() == b"".join(lines[i] for i in sorted(rows))
             assert formatted[-2] == [ds.documents[i].id for i in sorted(rows)]
-            ends = np.cumsum([len(line) for line in data.splitlines(keepends=True)])
-            assert saved.ends.tolist() == ends.tolist()
-            assert load_dataset(tmp_path / f"s{step}.jsonl", schema, ds.label_names) == ds
+            assert read_documents(delta, schema) == [ds.documents[i] for i in sorted(rows)]
 
-    @pytest.mark.parametrize("change", ["longer", "shorter", "touched"])
-    def test_altered_previous_file_is_written_in_full(self, tmp_path, formatted, change):
+    def test_since_of_another_length_writes_every_document(self, tmp_path, formatted):
         ds = tricky_dataset("claim_evidence")
-        path = tmp_path / "s0.jsonl"
-        saved = save_dataset(ds, path)
-        data = path.read_bytes()
-        if change == "longer":
-            path.write_bytes(data.replace(b"context", b"context!", 1))
-        elif change == "shorter":
-            path.write_bytes(data.replace(b"context", b"contex", 1))
-        else:  # same bytes, rewritten later
-            stat = path.stat()
-            os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 1_000_000_000))
-        ds = rewritten(ds, {2}, "new text")
-        save_dataset(ds, tmp_path / "s1.jsonl", saved)
         save_dataset(ds, tmp_path / "full.jsonl")
-        assert (tmp_path / "s1.jsonl").read_bytes() == (tmp_path / "full.jsonl").read_bytes()
-        assert len(formatted[1]) == len(ds)
+        for since in (ds.documents[:-1], ds.documents + ds.documents[:1], ()):
+            save_dataset(ds, tmp_path / "s.jsonl", since)
+            assert (tmp_path / "s.jsonl").read_bytes() == (tmp_path / "full.jsonl").read_bytes()
+        assert [len(ids) for ids in formatted] == [len(ds)] * 4
 
-    def test_other_schema_or_size_is_written_in_full(self, tmp_path, formatted):
-        ds = tricky_dataset("claim_evidence")
-        saved = save_dataset(ds, tmp_path / "s0.jsonl")
-        other = Dataset(ds.documents, ds.label_names, "premise_hypothesis")
-        save_dataset(other, tmp_path / "s1.jsonl", saved)
-        smaller = ds.with_documents(ds.documents[:-1])
-        save_dataset(smaller, tmp_path / "s2.jsonl", saved)
-        assert [len(ids) for ids in formatted] == [len(ds), len(ds), len(ds) - 1]
-        for path, dataset in (("s1.jsonl", other), ("s2.jsonl", smaller)):
-            save_dataset(dataset, tmp_path / "full.jsonl")
-            assert (tmp_path / path).read_bytes() == (tmp_path / "full.jsonl").read_bytes()
+
+class TestMismatchedLine:
+    """The byte check of a file against the lines save_dataset writes."""
+
+    @pytest.mark.parametrize("edit, line", [
+        (lambda lines: lines, None),
+        (lambda lines: lines[:2] + [lines[2].replace(b"context", b"contexts")] + lines[3:], 3),
+        (lambda lines: lines[:-1], 12),
+        (lambda lines: lines + lines[:1], 13),
+        (lambda lines: lines[:-1] + [lines[-1].rstrip(b"\n")], 12),
+        (lambda lines: lines[1:], 1),
+    ])
+    def test_first_differing_line(self, tmp_path, edit, line, formatted):
+        ds = tricky_dataset("premise_hypothesis")
+        path = tmp_path / "saved.jsonl"
+        save_dataset(ds, path)
+        path.write_bytes(b"".join(edit(path.read_bytes().splitlines(keepends=True))))
+        assert mismatched_line(ds, path) == line
+        # one formatter, and no line formatted past the first that differs
+        assert len(formatted) == 2 and len(formatted[1]) == min(line or len(ds), len(ds))
+
+
+class TestReadDocuments:
+    def test_reads_what_a_dataset_may_not_hold(self, tmp_path):
+        """One label, or no lines at all: the checks on the whole dataset are
+        load_dataset's."""
+        ds = tricky_dataset("single")
+        one_label = [d for d in ds if d.label == 2]
+        path = tmp_path / "part.jsonl"
+        path.write_text("".join(corpus._line_format("single")(d) for d in one_label))
+        assert read_documents(path, "single", ds.label_names) == one_label
+        with pytest.raises(NoContrastError):
+            load_dataset(path, "single", ds.label_names)
+        path.write_text("")
+        assert read_documents(path, "single") == []
+
+    def test_line_checks_name_the_line(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        for second, problem in (("b", "label 1 not in declared label set"),
+                                ("a", "duplicate id 'a'")):
+            path.write_text('{"id": "a", "text": "alpha", "label": 0}\n'
+                            f'{{"id": "{second}", "text": "beta", "label": 1}}\n')
+            with pytest.raises(DataError, match=rf"bad\.jsonl: line 2: {problem}"):
+                read_documents(path, "single", {0: "zero"})
 
 
 class TestParseLabelNames:

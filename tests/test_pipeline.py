@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from razor.backends import CallLog, MockBackend
-from razor.corpus import load_dataset, make_document, save_dataset
+from razor.corpus import make_document, replace_text, save_dataset
 from razor.errors import BackendError, ConfigError, DataError
 from razor.evalkit import BiasSpec, generate_biased_corpus
 from razor.pipeline import (
@@ -30,7 +30,7 @@ from razor.pipeline import (
     run_razor,
 )
 from razor import corpus, pipeline, rewriter, surface
-from razor.rewriter import GeneratorConfig, RewriteCandidate, generate_candidates, verify_label
+from razor.rewriter import GeneratorConfig, RewriteCandidate
 from razor.surface import (
     BLOCK_DOCS,
     ClassLedger,
@@ -296,10 +296,8 @@ class TestCheckpointResume:
         assert (tmp_path / "ckpt" / "iteration_000.jsonl").exists()
         assert (tmp_path / "ckpt" / "iteration_001.jsonl").exists()
         assert (tmp_path / "ckpt" / "trace.json").exists()
-        # final snapshot equals returned dataset
-        last = checkpoint.completed_iterations()
-        snap = load_dataset(checkpoint.snapshot_path(last), "single", dataset.label_names)
-        assert snap == result.dataset
+        # the snapshots, applied to the input, give the returned dataset
+        assert Checkpoint(tmp_path / "ckpt").load_state(dataset)[0] == result.dataset
 
     def test_finished_checkpoint_short_circuits(self, tmp_path):
         dataset, rules = synth(corpus_size=60)
@@ -501,9 +499,9 @@ class TestCheckpointResume:
     def test_malformed_inner_journal_line_is_data_error(self, tmp_path):
         path = tmp_path / "journal_001.jsonl"
         path.write_text(
-            '{"doc_id": "a", "candidates": []}\n'
+            '{"doc_id": "a", "texts": []}\n'
             'not json\n'
-            '{"doc_id": "b", "candidates": []}\n'
+            '{"doc_id": "b", "texts": []}\n'
         )
         with pytest.raises(DataError, match="line 2"):
             RewriteJournal(path)
@@ -555,25 +553,112 @@ class TestCheckpointResume:
         )
 
     def test_mismatched_snapshot_rejected(self, tmp_path):
+        """Snapshot 0 cut short, a later snapshot cut short at a line boundary
+        or inside a line, or an input whose label changed: each is a data
+        error naming the file and the line or document."""
         dataset, rules = synth(corpus_size=200)
         config = RunConfig(k=10, epsilon=1e-12, max_iterations=2)
         checkpoint = Checkpoint(tmp_path / "ckpt")
-        run_razor(dataset, RunConfig(k=10, epsilon=1e-12, max_iterations=1),
-                  mock_backend(rules), checkpoint)
-        snapshot = checkpoint.snapshot_path(1)
-        lines = snapshot.read_text().splitlines(keepends=True)
-        snapshot.write_text("".join(lines[:30]))
-        with pytest.raises(DataError, match="does not match the input"):
-            run_razor(dataset, config, mock_backend(rules), checkpoint)
+        result = run_razor(dataset, RunConfig(k=10, epsilon=1e-12, max_iterations=1),
+                           mock_backend(rules), checkpoint)
+        replaced = result.traces[0].replaced_ids
+        assert len(replaced) > 1
+        first, later = checkpoint.snapshot_path(0), checkpoint.snapshot_path(1)
+        whole = {path: path.read_bytes() for path in (first, later)}
 
-        # same size, but the input's labels differ from the snapshot's
-        snapshot.write_text("".join(lines))
+        def rejected(path, data, match, input_dataset=dataset):
+            path.write_bytes(data)
+            with pytest.raises(DataError, match=match):
+                run_razor(input_dataset, config, mock_backend(rules), checkpoint)
+            path.write_bytes(whole[path])
+
+        lines = whole[first].splitlines(keepends=True)
+        rejected(first, b"".join(lines[:30]), r"iteration_000\.jsonl: line 31 does not match")
+        lines = whole[later].splitlines(keepends=True)
+        last_id = json.loads(lines[-1])["id"]
+        rejected(later, b"".join(lines[:-1]),
+                 rf"iteration_001\.jsonl: lacks document '{last_id}', which iteration 1 replaced")
+        rejected(later, b"".join(lines)[:-5], r"iteration_001\.jsonl: line \d+: malformed JSON")
         flipped = dataset.with_documents(
             replace(doc, label=1 - doc.label) if i == 0 else doc
             for i, doc in enumerate(dataset)
         )
-        with pytest.raises(DataError, match="does not match the input"):
-            run_razor(flipped, config, mock_backend(rules), checkpoint)
+        rejected(first, whole[first], r"line 1 does not match the input", flipped)
+
+    @pytest.mark.parametrize("edit", ["not-in-input", "out-of-order", "other-label"])
+    def test_later_snapshot_must_fit_the_input(self, tmp_path, edit):
+        dataset, rules = synth(corpus_size=100)
+        checkpoint = Checkpoint(tmp_path / "ckpt")
+        run_razor(dataset, RunConfig(k=10, epsilon=1e-12, max_iterations=1),
+                  mock_backend(rules), checkpoint)
+        path = checkpoint.snapshot_path(1)
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        assert len(rows) > 1
+        if edit == "not-in-input":
+            rows[0]["id"], problem = "nosuch", "document 'nosuch' is not in the input"
+        elif edit == "out-of-order":
+            rows[:2] = rows[1], rows[0]
+            problem = f"document '{rows[1]['id']}' is out of the input's order"
+        else:
+            rows[0]["label"] = 1 - rows[0]["label"]
+            problem = f"document '{rows[0]['id']}' does not match the input's label or context"
+        path.write_text("".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows))
+        backend = Recording(mock_backend(rules))
+        with pytest.raises(DataError, match=rf"iteration_001\.jsonl: {problem}"):
+            run_razor(dataset, RunConfig(k=10, max_iterations=2), backend, checkpoint)
+        assert backend.entries == []
+
+    def test_edited_input_text_rejected_before_any_request(self, tmp_path):
+        """A document no iteration replaced takes its text from the input, so
+        an input edited since the run cannot resume."""
+        dataset, rules = synth(corpus_size=200, seed=3)
+        config = RunConfig(k=20, epsilon=1e-12, max_iterations=3)
+        checkpoint = Checkpoint(tmp_path / "ckpt")
+        result = run_razor(dataset, replace(config, max_iterations=2), mock_backend(rules),
+                           checkpoint)
+        replaced = {doc_id for t in result.traces for doc_id in t.replaced_ids}
+        row = next(i for i, doc in enumerate(dataset) if doc.id not in replaced)
+        edited = dataset.with_documents(
+            replace_text(doc, doc.mutable_text + " again") if i == row else doc
+            for i, doc in enumerate(dataset)
+        )
+        backend = Recording(mock_backend(rules))
+        with pytest.raises(DataError, match=rf"iteration_000\.jsonl: line {row + 1} does not match"):
+            run_razor(edited, config, backend, checkpoint)
+        assert backend.entries == []
+
+    def test_checkpoint_of_full_snapshots_resumes(self, tmp_path, monkeypatch):
+        """A checkpoint whose every snapshot is a full save of its dataset
+        resumes to the straight run's bytes, and its first snapshot after the
+        resume holds only the documents that iteration replaced."""
+        dataset, rules = synth(corpus_size=150, seed=3)
+        config = RunConfig(k=10, epsilon=1e-12, max_iterations=4)
+        straight_ckpt = Checkpoint(tmp_path / "straight")
+        straight = run_razor(dataset, config, mock_backend(rules), straight_ckpt)
+        assert len(straight.traces) == 4
+
+        written = {}
+        write_snapshot = Checkpoint.write_snapshot
+
+        def full(self, ds, iteration):
+            written[iteration] = ds
+            write_snapshot(self, ds, iteration)
+
+        monkeypatch.setattr(Checkpoint, "write_snapshot", full)
+        ckpt = Checkpoint(tmp_path / "ckpt")
+        run_razor(dataset, replace(config, max_iterations=2), mock_backend(rules), ckpt)
+        monkeypatch.undo()
+        for iteration, ds in written.items():
+            save_dataset(ds, ckpt.snapshot_path(iteration))
+        assert len(ckpt.snapshot_path(2).read_text().splitlines()) == len(dataset)
+
+        resumed = run_razor(dataset, config, mock_backend(rules), ckpt)
+        assert output_bytes(resumed.dataset, tmp_path / "resumed.jsonl") == output_bytes(
+            straight.dataset, tmp_path / "straight.jsonl"
+        )
+        for iteration in (3, 4):
+            assert (ckpt.snapshot_path(iteration).read_bytes()
+                    == straight_ckpt.snapshot_path(iteration).read_bytes())
 
     def test_changed_context_rejected_before_any_request(self, tmp_path):
         rows = [(f"c{i}", f"claim {i} holds zonk", i % 2, f"evidence {i}") for i in range(8)]
@@ -911,34 +996,26 @@ class TestLazyVerification:
             Counter(straight_backend.asked) + Counter(again)
         )
 
-    def test_journal_of_eager_verification_replays(self, tmp_path):
-        """A journal in the format of a run that verified every candidate as
-        it was generated resumes without a backend call for its documents."""
+    def test_journal_of_eager_verification_refused(self, tmp_path):
+        """A journal line of the format no run writes any longer, which
+        verified every candidate as it was generated, is a data error naming
+        the journal and the line, raised before any request."""
         dataset, _ = synth(corpus_size=120)
         config = RunConfig(k=12, epsilon=1e-12, max_iterations=2)
-        straight = run_razor(dataset, config, ScriptedBackend())
+        ckpt = Checkpoint(tmp_path / "ckpt")
+        run_razor(dataset, replace(config, max_iterations=1), ScriptedBackend(), ckpt)
+        doc_id = dataset.documents[0].id
+        old = {"doc_id": doc_id, "candidates": [{"text": "some text", "verified": True}]}
+        ckpt.snapshot_path(1).unlink()
+        with open(ckpt.journal_path(1), "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(old) + "\n")
+        lines = len(ckpt.journal_path(1).read_text().splitlines())
 
         backend = ScriptedBackend()
-        label_names = dict(dataset.label_names)
-        lines, by_id = [], {doc.id: doc for doc in dataset}
-        for doc_id in straight.traces[0].selected_ids:
-            doc = by_id[doc_id]
-            texts = generate_candidates(doc, backend, config.generator, label_names)
-            candidates = [
-                {"text": t, "verified": verify_label(t, doc, backend, config.generator, label_names)}
-                for t in texts
-            ]
-            lines.append(json.dumps({"doc_id": doc_id, "candidates": candidates}) + "\n")
-        assert any(not c["verified"] for line in lines for c in json.loads(line)["candidates"])
-        ckpt = Checkpoint(tmp_path / "ckpt")
-        ckpt.journal_path(1).write_text("".join(lines), encoding="utf-8")
-
-        resumed = run_razor(dataset, config, ScriptedBackend(), ckpt)
-        assert resumed.traces[0].llm_calls == {"generate": 0, "verify": 0}
-        assert resumed.traces[1].llm_calls == straight.traces[1].llm_calls
-        assert output_bytes(resumed.dataset, tmp_path / "resumed.jsonl") == output_bytes(
-            straight.dataset, tmp_path / "straight.jsonl"
-        )
+        with pytest.raises(DataError, match=rf"journal_001\.jsonl: line {lines}: malformed "
+                                            r"journal record \(no field 'text'\)"):
+            run_razor(dataset, config, backend, ckpt)
+        assert backend.asked == []
 
     @pytest.mark.parametrize("jobs", [2, 8])
     def test_parallel_run_with_one_candidate_matches_serial(self, tmp_path, jobs):
@@ -1202,16 +1279,18 @@ class TestIncrementalCounts:
             assert ids == [d.id for d in dataset if d.id in trace.replaced_ids]
 
     def test_snapshots_equal_full_saves_across_a_resume(self, tmp_path, monkeypatch):
-        """Every snapshot equals ``save_dataset`` of its dataset; the first
-        one and the first one after a resume are formatted in full."""
+        """Snapshot 0 is a full save of the input; snapshots 0..i applied to
+        the input give iteration i's dataset; each later snapshot formats
+        only the documents its iteration replaced, the first one after a
+        resume too, and holds their lines as a full save writes them."""
         spec = BiasSpec("zönk", biased_class=1, bias_rate=0.9, background_rate=0.1,
                         corpus_size=200, seed=5)
         dataset, rules = generate_biased_corpus(spec)
-        written, formatted = [], []
+        written, formatted = {}, []
         write_snapshot, line_format = Checkpoint.write_snapshot, corpus._line_format
 
         def recording(self, ds, iteration):
-            written.append((iteration, ds))
+            written[iteration] = ds
             write_snapshot(self, ds, iteration)
 
         def counting_format(schema):
@@ -1224,17 +1303,29 @@ class TestIncrementalCounts:
         ckpt = Checkpoint(tmp_path / "ckpt")
         run_razor(dataset, RunConfig(k=10, epsilon=1e-12, max_iterations=2), mock_backend(rules),
                   ckpt)
-        run_razor(dataset, RunConfig(k=10, epsilon=1e-12, max_iterations=4), mock_backend(rules),
-                  ckpt)
+        result = run_razor(dataset, RunConfig(k=10, epsilon=1e-12, max_iterations=4),
+                           mock_backend(rules), ckpt)
         monkeypatch.undo()
 
-        assert [i for i, _ in written] == [0, 1, 2, 3, 4]
-        full = [len(ids) == len(dataset) for ids in formatted]
-        assert full == [True, False, False, True, False]
-        for iteration, ds in written:
-            save_dataset(ds, tmp_path / "full.jsonl")
-            expected = (tmp_path / "full.jsonl").read_bytes()
-            assert ckpt.snapshot_path(iteration).read_bytes() == expected
+        assert sorted(written) == [0, 1, 2, 3, 4] and len(result.traces) == 4
+        # the writes of snapshots 0, 1 and 2, the resume's byte check of
+        # snapshot 0 against the input, and the writes of snapshots 3 and 4
+        assert [len(ids) for ids in formatted[::3]] == [len(dataset)] * 2
+        ids = formatted[1:3] + formatted[4:]
+        for trace, formatted_ids in zip(result.traces, ids):
+            assert formatted_ids == [d.id for d in dataset if d.id in trace.replaced_ids]
+        assert ckpt.snapshot_path(0).read_bytes() == output_bytes(dataset, tmp_path / "full.jsonl")
+        current = list(dataset.documents)
+        rows = {doc.id: row for row, doc in enumerate(dataset)}
+        for trace in result.traces:
+            path = ckpt.snapshot_path(trace.iteration)
+            for doc in corpus.read_documents(path, "single"):
+                current[rows[doc.id]] = doc
+            ds = written[trace.iteration]
+            assert current == list(ds.documents)
+            lines = output_bytes(ds, tmp_path / "full.jsonl").splitlines(keepends=True)
+            changed = sorted(rows[doc_id] for doc_id in trace.replaced_ids)
+            assert path.read_bytes() == b"".join(lines[row] for row in changed)
 
 
 class TestRequestPureMock:
