@@ -244,10 +244,11 @@ class MockBackend:
     rule and text by an RNG seeded from (``seed``, the document's id, its
     text): the same request gets the same answer from any instance, in any
     order, on any thread. A request for n texts draws its picks text by
-    text, so its first texts are those of a request for fewer. Verification
-    follows a fixed policy: ``confirm`` echoes the document's label name,
-    ``flip`` answers with a different declared name, ``garbled`` answers
-    free text containing no label name.
+    text, so its first texts are those of a request for fewer. Without a
+    rule that offers a choice, every text of a request is the same rewrite,
+    made once. Verification follows a fixed policy: ``confirm`` echoes the
+    document's label name, ``flip`` answers with a different declared name,
+    ``garbled`` answers free text containing no label name.
     """
 
     def __init__(self, rules: list[dict], verdict: str = "confirm", seed: int = 0):
@@ -304,8 +305,11 @@ class MockBackend:
     ) -> str | list[str]:
         """One request: its text, or with ``n`` a list of n texts."""
         self.calls.add("generate")
-        rng = Random(f"{self.seed}\0{doc.id}\0{doc.mutable_text}") if self._draws else None
-        texts = [self._rewrite(doc.mutable_text, rng) for _ in range(n or 1)]
+        if self._draws:
+            rng = Random(f"{self.seed}\0{doc.id}\0{doc.mutable_text}")
+            texts = [self._rewrite(doc.mutable_text, rng) for _ in range(n or 1)]
+        else:  # without a choice, every text is the same rewrite
+            texts = [self._rewrite(doc.mutable_text, None)] * (n or 1)
         return texts[0] if n is None else texts
 
     def _rewrite(self, text: str, rng: Optional[Random]) -> str:

@@ -172,8 +172,9 @@ class RewriteJournal:
     a time, so no request is asked twice.
 
     A ``{"doc_id", "texts"}`` line holds a document's generated candidates,
-    a ``{"doc_id", "text", "verified"}`` line one verdict. Each record is
-    flushed as it is written.
+    a ``{"doc_id", "text", "verified"}`` line one verdict. :meth:`record`
+    formats each line directly, as the text ``json.dumps`` gives, and
+    flushes it as it is written; only loading checks the fields' types.
 
     The file is opened at the first record and kept open until :meth:`close`
     (the journal is a context manager). Each record is written as one line in
@@ -202,26 +203,26 @@ class RewriteJournal:
         read_json_lines(path, lines, self._apply)
 
     def _apply(self, row: dict) -> None:
-        """Keep one record. Raises DataError when it is neither format."""
+        """Keep one loaded record. Raises DataError when it is neither format."""
         try:
             doc_id = row["doc_id"]
-            texts = None
             if "texts" in row:
-                texts, verdicts = row["texts"], []
+                typed = _is_ids(row["texts"])
             else:
-                verdicts = [(row["text"], row["verified"])]
+                text, verified = row["text"], row["verified"]
+                typed = isinstance(text, str) and isinstance(verified, bool)
         except KeyError as exc:
             raise DataError(f"malformed journal record (no field {exc})") from None
-        if not (
-            isinstance(doc_id, str)
-            and (texts is None or _is_ids(texts))
-            and all(isinstance(t, str) and isinstance(v, bool) for t, v in verdicts)
-        ):
+        if not (typed and isinstance(doc_id, str)):
             raise DataError("malformed journal record (a field has the wrong type)")
-        if texts is not None:
-            self._entries[doc_id] = texts
-        for text, verified in verdicts:
-            self._verdicts[doc_id, text] = verified
+        self._keep(row)
+
+    def _keep(self, row: dict) -> None:
+        """Memo one record of either format."""
+        if "texts" in row:
+            self._entries[row["doc_id"]] = row["texts"]
+        else:
+            self._verdicts[row["doc_id"], row["text"]] = row["verified"]
 
     def texts(self, doc_id: str, generate: Callable[[], list[str]]) -> list[str]:
         """``doc_id``'s candidate texts: journaled, or ``generate()``'s, recorded."""
@@ -241,13 +242,24 @@ class RewriteJournal:
 
     def record(self, row: dict) -> None:
         """Keep a generate record ``{"doc_id", "texts"}`` or a verify record
-        ``{"doc_id", "text", "verified"}`` and append it to the file."""
+        ``{"doc_id", "text", "verified"}`` and append it to the file as the
+        line ``json.dumps(row)`` gives, formatted directly with the string
+        encoder json.dumps uses."""
+        quote = json.encoder.encode_basestring_ascii
+        doc_id = quote(row["doc_id"])
+        if "texts" in row:
+            line = '{"doc_id": %s, "texts": [%s]}\n' % (doc_id, ", ".join(map(quote, row["texts"])))
+        else:
+            verified = "true" if row["verified"] else "false"
+            line = '{"doc_id": %s, "text": %s, "verified": %s}\n' % (
+                doc_id, quote(row["text"]), verified
+            )
         with self._lock:
-            self._apply(row)
+            self._keep(row)
             if self.path is not None:
                 if self._fh is None:
                     self._fh = open(self.path, "a", encoding="utf-8")
-                self._fh.write(json.dumps(row) + "\n")
+                self._fh.write(line)
                 self._fh.flush()
 
     def close(self) -> None:

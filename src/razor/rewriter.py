@@ -17,6 +17,7 @@ candidate first, with fewer verifier calls.
 
 from __future__ import annotations
 
+import functools
 import logging
 import re
 from dataclasses import dataclass, field
@@ -203,10 +204,16 @@ def generate_candidates(
     return out
 
 
+@functools.cache
+def _matcher(name: str) -> re.Pattern:
+    """The compiled pattern of :func:`_names` for ``name``, built once per name."""
+    return re.compile(rf"(?<!\w){re.escape(name)}(?!\w)", re.IGNORECASE)
+
+
 def _names(text: str, name: str) -> bool:
     """Whether ``text`` names a label called ``name``: the verifier's rule, a
     case-insensitive whole-word match."""
-    return re.search(rf"(?<!\w){re.escape(name)}(?!\w)", text, re.IGNORECASE) is not None
+    return _matcher(name).search(text) is not None
 
 
 def parse_verifier_response(response: str, label_names: Mapping[int, str]) -> Optional[int]:

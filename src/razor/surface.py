@@ -6,14 +6,15 @@ sinusoidal encodings of its token positions, divided by (token count - 1).
 Documents with fewer than 2 tokens, or whose weights are all zero, are
 excluded from scoring rather than patched.
 
-A run numbers its tokens once, in one :class:`TokenTable` that follows the
-snapshots by the documents each iteration replaces (:func:`corpus_stats`).
-One block walk embeds a snapshot from the table's token ids and idf
-(:func:`embedding_rows`) and rewrite candidates read through the same table
-(:func:`candidate_units`), where a token it never saw takes df 1, as it would
-have once inserted. A snapshot keeps only its unit vectors, a
-:class:`SurfaceSpace`, and their per-class sums, a :class:`ClassLedger`. Both
-cosine sums the paper defines reduce to dots with those class sums: a
+A run numbers and counts its tokens once, in one :class:`TokenTable` that
+follows the snapshots by the documents each iteration replaces
+(:func:`corpus_stats`). One block walk embeds a snapshot from the table's
+token ids, term counts and idf (:func:`embedding_rows`), counting nothing,
+and rewrite candidates read through the same table
+(:func:`candidate_units`), where a token it never saw takes df 1, as it
+would have once inserted. A snapshot keeps only its unit vectors, a
+:class:`SurfaceSpace`, and their per-class sums, a :class:`ClassLedger`.
+Both cosine sums the paper defines reduce to dots with those class sums: a
 document's shortcut score (:func:`score_against`) and the cross-class
 objective (:func:`class_alignment_objective`).
 """
@@ -45,20 +46,23 @@ class TokenTable:
 
     ``vocab`` numbers every token the run has seen and only grows. Document i
     of ``documents`` holds the ids ``ids[offsets[i]:offsets[i + 1]]`` in
-    reading order. ``df`` counts the documents holding each token, and
+    reading order, and ``counts``, laid out as ``ids``, holds at each token
+    position how often its token occurs in its document (the term count of
+    tf). ``df`` counts the documents holding each token, and
     ``idf`` is log(n / df) per entry, log(n / 1) where df is 0: a token no
     document holds any more scores as an unseen one.
 
     :meth:`update` moves the table to a later snapshot. Only the documents
     that are not the objects it numbered before are mapped from their
-    strings, and df moves by their exact integer deltas, so each idf entry
-    keeps the bits a count from nothing gives. A first build is the same
-    update, from n empty documents."""
+    strings and counted, and df moves by their exact integer deltas, so each
+    idf entry keeps the bits a count from nothing gives. A first build is the
+    same update, from n empty documents."""
 
     def __init__(self):
         self.vocab: dict[str, int] = {}
         self.documents: tuple[Optional[LabeledDocument], ...] = ()
         self.ids = np.zeros(0, dtype=np.int32)
+        self.counts = np.zeros(0, dtype=np.int32)
         self.offsets = np.zeros(1, dtype=np.int64)
         self.df = np.zeros(0, dtype=np.int64)
         self.idf = np.zeros(0)
@@ -72,6 +76,7 @@ class TokenTable:
         if len(docs) != len(self.documents):
             self.documents = (None,) * len(docs)
             self.ids = np.zeros(0, dtype=np.int32)
+            self.counts = np.zeros(0, dtype=np.int32)
             self.offsets = np.zeros(len(docs) + 1, dtype=np.int64)
             self.df = np.zeros(len(self.vocab), dtype=np.int64)
             self.idf = _idf(len(docs), self.df)
@@ -81,9 +86,9 @@ class TokenTable:
         self.documents = docs
 
     def _replace(self, docs: tuple[LabeledDocument, ...], changed: np.ndarray) -> None:
-        """Renumber the documents where ``changed`` is True, splice their ids
-        in place of their old ones, and move df by their exact deltas; idf
-        is recomputed only where df moved."""
+        """Renumber and count the documents where ``changed`` is True, splice
+        their ids and counts in place of their old ones, and move df by their
+        exact deltas; idf is recomputed only where df moved."""
         rows = np.flatnonzero(changed)
         new_ids, new_lengths, grown = _token_ids([docs[i] for i in rows.tolist()], self.vocab)
         if len(grown) > len(self.vocab):
@@ -100,8 +105,11 @@ class TokenTable:
         ids[new_taken] = new_ids
 
         size = len(self.vocab)
-        delta = _doc_counts(new_lengths, new_ids, size)
-        delta[: len(self.df)] -= _doc_counts(old_lengths[rows], old_ids, len(self.df))
+        delta, new_counts = _doc_counts(new_lengths, new_ids, size)
+        delta[: len(self.df)] -= _doc_counts(old_lengths[rows], old_ids, len(self.df))[0]
+        counts = _mapped_zeros(offsets[-1], dtype=np.int32)
+        counts[~new_taken] = self.counts[~old_taken]
+        counts[new_taken] = new_counts
         df = np.zeros(size, dtype=np.int64)
         df[: len(self.df)] = self.df
         df += delta
@@ -109,7 +117,7 @@ class TokenTable:
         idf[: len(self.idf)] = self.idf
         moved = np.flatnonzero(delta)
         idf[moved] = _idf(len(docs), df[moved])
-        self.ids, self.offsets, self.df, self.idf = ids, offsets, df, idf
+        self.ids, self.counts, self.offsets, self.df, self.idf = ids, counts, offsets, df, idf
 
 
 def _idf(n: int, df: np.ndarray) -> np.ndarray:
@@ -148,47 +156,50 @@ def _token_ids(
     return token_ids, lengths, grown
 
 
-def _blocks(lengths: np.ndarray, token_ids: np.ndarray):
-    """The one block walk: documents (their lengths, and their token ids in
-    reading order) ``BLOCK_DOCS`` at a time, as (first row, lengths, ids)."""
+def _blocks(lengths: np.ndarray, *positions: np.ndarray):
+    """The one block walk: documents (their lengths, and arrays of one entry
+    per token position in reading order, such as their token ids)
+    ``BLOCK_DOCS`` at a time, as (first row, lengths, each array's entries)."""
     offsets = np.concatenate([[0], np.cumsum(lengths)])
     for start in range(0, len(lengths), BLOCK_DOCS):
         stop = min(start + BLOCK_DOCS, len(lengths))
-        yield start, lengths[start:stop], token_ids[offsets[start] : offsets[stop]]
+        yield start, lengths[start:stop], *(a[offsets[start] : offsets[stop]] for a in positions)
 
 
-def _doc_token_keys(lengths: np.ndarray, token_ids: np.ndarray, size: int) -> np.ndarray:
-    """The (document, token) key of every token position of a block of
-    documents: the document's row in the block times ``size``, plus the id."""
-    return np.repeat(np.arange(len(lengths)) * size, lengths) + token_ids
-
-
-def _doc_counts(lengths: np.ndarray, token_ids: np.ndarray, size: int) -> np.ndarray:
+def _doc_counts(
+    lengths: np.ndarray, token_ids: np.ndarray, size: int
+) -> tuple[np.ndarray, np.ndarray]:
     """How many of the documents (their lengths, and their token ids in
-    reading order) hold each id below ``size``. Each block of ``BLOCK_DOCS``
-    documents adds its distinct (document, token) pairs, found with one
-    ``np.unique``, with one ``np.bincount``."""
-    counts = np.zeros(size, dtype=np.int64)
+    reading order) hold each id below ``size``, and the term counts of the
+    documents: at each token position, how often its token occurs in its
+    document (int32, laid out as ``token_ids``). Each block of
+    ``BLOCK_DOCS`` documents finds its distinct (document, token) pairs and
+    their counts with one ``np.unique``, adds the pairs to df with one
+    ``np.bincount`` and scatters the counts through the inverse."""
+    df = np.zeros(size, dtype=np.int64)
+    counts = np.empty(len(token_ids), dtype=np.int32)
+    position = 0
     for _, block, block_ids in _blocks(lengths, token_ids):
-        keys = _doc_token_keys(block, block_ids, size)
-        # return_inverse: the argsort the embedding blocks use. A plain
-        # np.unique sorts in place, which loads 1.5 MB more of numpy's code.
-        pairs = np.unique(keys, return_inverse=True)[0]
-        counts += np.bincount(pairs % size, minlength=size)
-    return counts
+        keys = np.repeat(np.arange(len(block)) * size, block) + block_ids
+        pairs, occurrence, pair_counts = np.unique(keys, return_inverse=True, return_counts=True)
+        df += np.bincount(pairs % size, minlength=size)
+        counts[position : position + len(keys)] = pair_counts[occurrence]
+        position += len(keys)
+    return df, counts
 
 
 def _mapped(
     docs: Sequence[LabeledDocument], table: TokenTable
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The lengths and token ids of ``docs``, numbered from their strings
-    through the table's vocabulary, and the idf table to read them with. A
-    token the table never saw takes an id past it and the idf of df 0, which
-    reads as df 1: the idf the table holds for a token no document holds any
-    more."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The lengths, token ids and term counts of ``docs``, numbered from
+    their strings through the table's vocabulary and counted as the table
+    counts its own, and the idf table to read them with. A token the table
+    never saw takes an id past it and the idf of df 0, which reads as df 1:
+    the idf the table holds for a token no document holds any more."""
     token_ids, lengths, vocab = _token_ids(docs, table.vocab)
     unseen = _idf(len(table.documents), np.zeros(len(vocab) - len(table.idf), dtype=np.int64))
-    return lengths, token_ids, np.concatenate([table.idf, unseen])
+    counts = _doc_counts(lengths, token_ids, len(vocab))[1]
+    return lengths, token_ids, counts, np.concatenate([table.idf, unseen])
 
 
 def _check_width(lam: int) -> None:
@@ -215,27 +226,26 @@ def _encoding_table(n_positions: int, lam: int) -> np.ndarray:
     return table
 
 
-def _block_weights(lengths: np.ndarray, token_ids: np.ndarray, idf: np.ndarray) -> np.ndarray:
+def _block_weights(
+    lengths: np.ndarray, token_ids: np.ndarray, counts: np.ndarray, idf: np.ndarray
+) -> np.ndarray:
     """The tf-idf weight of every token position of a block of documents,
-    given as their lengths and their token ids in reading order: a (B, M)
-    matrix, row b holding document b's weights and zero past its length,
-    where M is the longest length.
+    given as their lengths, and their token ids and term counts in reading
+    order: a (B, M) matrix, row b holding document b's weights and zero past
+    its length, where M is the longest length.
 
     A token's weight is (its count in the document / the document's length)
-    * ``idf[its id]``. The count of each occurrence comes from one
-    ``np.unique`` over (document, token) keys.
+    * ``idf[its id]``.
     """
-    keys = _doc_token_keys(lengths, token_ids, len(idf))
-    _, occurrence, counts = np.unique(keys, return_inverse=True, return_counts=True)
     # a boolean mask fills row by row, in the order the tokens were read
     filled = np.arange(lengths.max()) < lengths[:, None]
     weights = np.zeros(filled.shape)
-    weights[filled] = (counts[occurrence] / np.repeat(lengths, lengths)) * idf[token_ids]
+    weights[filled] = (counts / np.repeat(lengths, lengths)) * idf[token_ids]
     return weights
 
 
 def _embed_block(
-    lengths: np.ndarray, token_ids: np.ndarray, idf: np.ndarray, lam: int
+    lengths: np.ndarray, token_ids: np.ndarray, counts: np.ndarray, idf: np.ndarray, lam: int
 ) -> np.ndarray:
     """Embeddings of a block of documents (each of at least 2 tokens, given
     as for :func:`_block_weights`), one row each: one product of the block's
@@ -244,7 +254,7 @@ def _embed_block(
     A lone row goes in paired with itself: a one-row product takes the
     matrix-vector routine, which rounds otherwise than the matrix product,
     and a document's row keeps its bits whatever its block."""
-    weights = _block_weights(lengths, token_ids, idf)
+    weights = _block_weights(lengths, token_ids, counts, idf)
     width = weights.shape[1]
     if len(weights) == 1:
         weights = np.repeat(weights, 2, axis=0)
@@ -272,16 +282,20 @@ def _unit_rows(vectors: np.ndarray) -> np.ndarray:
     return np.divide(vectors, norms, out=np.zeros_like(vectors), where=norms > 0)
 
 
-def _embedded_blocks(lengths: np.ndarray, token_ids: np.ndarray, idf: np.ndarray, lam: int):
+def _embedded_blocks(
+    lengths: np.ndarray, token_ids: np.ndarray, counts: np.ndarray, idf: np.ndarray, lam: int
+):
     """Per block of :func:`_blocks`, the row numbers of its documents of at
     least 2 tokens and their embeddings."""
-    for start, block, block_ids in _blocks(lengths, token_ids):
+    for start, block, block_ids, block_counts in _blocks(lengths, token_ids, counts):
         embeddable = block >= 2
         if not embeddable.all():
-            block_ids = block_ids[np.repeat(embeddable, block)]
+            taken = np.repeat(embeddable, block)
+            block_ids, block_counts = block_ids[taken], block_counts[taken]
             block = block[embeddable]
         if len(block):
-            yield start + np.flatnonzero(embeddable), _embed_block(block, block_ids, idf, lam)
+            vectors = _embed_block(block, block_ids, block_counts, idf, lam)
+            yield start + np.flatnonzero(embeddable), vectors
 
 
 def _fill_units(units: np.ndarray, blocks) -> np.ndarray:
@@ -333,13 +347,15 @@ class SurfaceSpace:
 
 
 def embedding_rows(dataset: Dataset, stats: Optional[TokenTable] = None, lam: int = DEFAULT_LAMBDA):
-    """The embeddings of ``dataset``'s documents from the token ids and idf of
-    ``stats`` (the run's table, moved to ``dataset`` first; a table of its
-    own when None), ``BLOCK_DOCS`` documents at a time: per block, the row
-    numbers of its documents of at least 2 tokens and their embeddings."""
+    """The embeddings of ``dataset``'s documents from the token ids, term
+    counts and idf of ``stats`` (the run's table, moved to ``dataset`` first;
+    a table of its own when None), ``BLOCK_DOCS`` documents at a time: per
+    block, the row numbers of its documents of at least 2 tokens and their
+    embeddings. Nothing is counted here: the table counted each document
+    when it was numbered."""
     _check_width(lam)
     table = corpus_stats(dataset, stats)
-    return _embedded_blocks(np.diff(table.offsets), table.ids, table.idf, lam)
+    return _embedded_blocks(np.diff(table.offsets), table.ids, table.counts, table.idf, lam)
 
 
 def compute_embeddings(

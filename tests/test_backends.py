@@ -407,6 +407,35 @@ class TestMockBackend:
             "p", doc, 0.7, 0.9, 0, n=1
         )[0]
 
+    def test_draws_are_pinned(self):
+        backend = MockBackend(self.RULES, seed=3)
+        answers = [
+            backend.generate("p", make_document(f"d{i}", "a poor result", 0), 0.7, 0.9, 0, n=4)
+            for i in range(3)
+        ]
+        assert answers == [
+            ["a weak end", "a thin end", "a mediocre end", "a mediocre outcome"],
+            ["a bad end", "a bad outcome", "a weak end", "a weak end"],
+            ["a thin end", "a mediocre end", "a thin end", "a bad end"],
+        ]
+
+    def test_choice_free_request_rewrites_once(self, monkeypatch):
+        """Without a rule offering a choice, a request for n texts is n copies
+        of the text a request without n gets, from one rewrite and one
+        counted request."""
+        backend = MockBackend([
+            {"pattern": r"\bnot\b\s*", "replacement": ""},
+            {"pattern": r"\bfine\b", "replacements": ["good"]},
+        ])
+        doc = make_document("d", "it is not fine", 0)
+        rewrites, rewrite = [], backend._rewrite
+        monkeypatch.setattr(
+            backend, "_rewrite", lambda text, rng: rewrites.append(rng) or rewrite(text, rng)
+        )
+        assert backend.generate("p", doc, 0.7, 0.9, 0, n=3) == ["it is good"] * 3
+        assert rewrites == [None] and backend.calls.count("generate") == 1
+        assert backend.generate("p", doc, 0.7, 0.9, 0) == "it is good"
+
     def test_bench_mock_rewrite_returns_text(self, monkeypatch):
         """The benchmark's stub answers from ``mock_rewrite``, which calls
         ``generate`` without ``n`` and needs a text back."""

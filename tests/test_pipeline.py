@@ -51,6 +51,7 @@ from conftest import (
     scores_by_id,
 )
 from oracles import eager_replacement
+from test_corpus import TRICKY_TEXTS
 
 
 def synth(corpus_size=200, seed=7, **spec_kw):
@@ -72,6 +73,9 @@ def noop_backend():
 def unasked():
     """The ask for a request the journal holds: calling it fails the test."""
     pytest.fail("the journal asked for a request it holds")
+
+
+WRONG_TYPE = r"malformed journal record \(a field has the wrong type\)"
 
 
 class Unanswered(Exception):
@@ -496,6 +500,32 @@ class TestCheckpointResume:
         with pytest.raises(Unanswered):
             replayed.verdict("a", "y", unanswered)
 
+    def test_journal_lines_are_json_dumps_lines(self, tmp_path):
+        """Each line :meth:`RewriteJournal.record` formats is the line
+        ``json.dumps`` writes, for non-ASCII and astral text, quotes,
+        backslashes, control characters, a lone surrogate and an empty
+        ``texts`` list; a reloaded journal answers the same."""
+        path = tmp_path / "journal_001.jsonl"
+        texts = TRICKY_TEXTS + ["lone \ud800 surrogate", ""]
+        rows = [{"doc_id": "empty", "texts": []}, {"doc_id": 'id "ü" \ud83d', "texts": texts}]
+        rows += [
+            {"doc_id": f"{text} {i}", "text": text, "verified": i % 2 == 0}
+            for i, text in enumerate(texts)
+        ]
+        with RewriteJournal(path) as journal:
+            for row in rows:
+                if "texts" in row:
+                    journal.texts(row["doc_id"], lambda: row["texts"])
+                else:
+                    journal.verdict(row["doc_id"], row["text"], lambda: row["verified"])
+        assert path.read_text(encoding="utf-8") == "".join(json.dumps(row) + "\n" for row in rows)
+        replayed = RewriteJournal(path)
+        for row in rows:
+            if "texts" in row:
+                assert replayed.texts(row["doc_id"], unasked) == row["texts"]
+            else:
+                assert replayed.verdict(row["doc_id"], row["text"], unasked) is row["verified"]
+
     def test_malformed_inner_journal_line_is_data_error(self, tmp_path):
         path = tmp_path / "journal_001.jsonl"
         path.write_text(
@@ -510,6 +540,12 @@ class TestCheckpointResume:
     @pytest.mark.parametrize("line, problem", [
         (b'{"doc_id": "\xe9", "texts": []}', "not UTF-8"),
         (b'{"doc_id": "b", "tex', "malformed JSON"),
+        (b'{"texts": []}', r"malformed journal record \(no field 'doc_id'\)"),
+        (b'{"doc_id": "b", "text": "x"}', r"malformed journal record \(no field 'verified'\)"),
+        (b'{"doc_id": 1, "texts": []}', WRONG_TYPE),
+        (b'{"doc_id": "b", "texts": [1]}', WRONG_TYPE),
+        (b'{"doc_id": "b", "text": 1, "verified": true}', WRONG_TYPE),
+        (b'{"doc_id": "b", "text": "x", "verified": 1}', WRONG_TYPE),
     ])
     def test_bad_whole_final_journal_line_is_data_error(self, tmp_path, line, problem):
         path = tmp_path / "journal_001.jsonl"
@@ -1107,7 +1143,9 @@ def assert_stats_equal_fresh(stats, dataset):
     """``stats`` (read from a run's token table) against a fresh count of
     ``dataset``: the same df and bit-identical idf for every token the
     snapshot holds, the unseen idf log(n / 1) for every other token of the
-    table, and ids that spell the documents' tokens."""
+    table, ids that spell the documents' tokens, and at each token position
+    the count of its token in its document, as a fresh table and a
+    per-document Counter have it."""
     fresh = surface.corpus_stats(dataset)
     assert doc_frequency(stats) == doc_frequency(fresh)
     n = len(dataset)
@@ -1119,6 +1157,10 @@ def assert_stats_equal_fresh(stats, dataset):
     names = list(stats.vocab)
     for doc, start, stop in zip(dataset, stats.offsets[:-1], stats.offsets[1:]):
         assert [names[t] for t in stats.ids[start:stop]] == list(doc.tokens)
+        per_doc = Counter(doc.tokens)
+        assert stats.counts[start:stop].tolist() == [per_doc[t] for t in doc.tokens]
+    assert stats.counts.dtype == np.int32
+    np.testing.assert_array_equal(stats.counts, fresh.counts)
     return fresh
 
 
@@ -1277,6 +1319,52 @@ class TestIncrementalCounts:
             assert mapped.get(trace.iteration + 1, 0) == sum(len(d.tokens) for d in replaced)
         for trace, ids in zip(result.traces, formatted[1:]):
             assert ids == [d.id for d in dataset if d.id in trace.replaced_ids]
+
+    def test_iteration_counts_terms_only_where_the_table_changed(self, monkeypatch):
+        """The term counts (``np.unique`` over (document, token) keys) of an
+        iteration cover the tokens its table update moves, every token at
+        the first build and the replaced documents' old and new tokens
+        after it, and the tokens of its rewrite candidates: embedding a
+        snapshot reads the table's counts."""
+        dataset, rules = synth(corpus_size=300, seed=3)
+        counted, expected, snapshots = Counter(), Counter(), {}
+        stamp = [0]
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def unique(self, keys, **kwargs):
+                counted[stamp[0]] += len(keys)
+                return np.unique(keys, **kwargs)
+
+        def stats_of(ds, table=None):
+            stamp[0] += 1  # one call per iteration
+            snapshots[stamp[0]] = ds.documents
+            return corpus_stats(ds, table)
+
+        def units_of(docs, stats, lam):
+            expected[stamp[0]] += sum(len(d.tokens) for d in docs)
+            return candidate_units(docs, stats, lam)
+
+        corpus_stats, candidate_units = pipeline.corpus_stats, rewriter.candidate_units
+        monkeypatch.setattr(surface, "np", CountingNumpy())
+        monkeypatch.setattr(pipeline, "corpus_stats", stats_of)
+        monkeypatch.setattr(rewriter, "candidate_units", units_of)
+        config = RunConfig(k=20, epsilon=1e-12, max_iterations=3)
+        result = run_razor(dataset, config, mock_backend(rules))
+        monkeypatch.undo()
+
+        assert len(result.traces) == 3
+        expected[1] += sum(len(d.tokens) for d in dataset)
+        for trace in result.traces[:-1]:
+            before, after = snapshots[trace.iteration], snapshots[trace.iteration + 1]
+            rows = [i for i, doc in enumerate(before) if doc.id in trace.replaced_ids]
+            assert rows
+            expected[trace.iteration + 1] += sum(
+                len(before[i].tokens) + len(after[i].tokens) for i in rows
+            )
+        assert counted == expected
 
     def test_snapshots_equal_full_saves_across_a_resume(self, tmp_path, monkeypatch):
         """Snapshot 0 is a full save of the input; snapshots 0..i applied to

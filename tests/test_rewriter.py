@@ -32,6 +32,8 @@ from conftest import dataset_from, doc_frequency
 from oracles import embed_reference
 
 LABELS = {0: "supports", 1: "refutes"}
+META_LABELS = {0: "n/a", 1: "c++", 2: "(x)"}
+FEVER_LABELS = {0: "SUPPORTS", 1: "REFUTES", 2: "NOT ENOUGH INFO"}
 
 
 class TestBuildPrompt:
@@ -149,6 +151,37 @@ class TestVerifyLabel:
         assert parse_verifier_response("no label to be found", LABELS) is None
         # substring of a longer word must not count
         assert parse_verifier_response("he refutesxyz it", LABELS) is None
+
+    # whole-word, case-insensitive matches of names holding regex
+    # metacharacters, of mixed case, and of FEVER's several-word label
+    @pytest.mark.parametrize("names, response, label", [
+        (META_LABELS, "n/a", 0),
+        (META_LABELS, "N/A.", 0),
+        (META_LABELS, "the answer is c++", 1),
+        (META_LABELS, "C++!", 1),
+        (META_LABELS, "(x)", 2),
+        (META_LABELS, "(X) surely", 2),
+        (META_LABELS, "[(x)]", 2),
+        (META_LABELS, "n/a or c++", None),
+        (META_LABELS, "na", None),
+        (META_LABELS, "c+", None),
+        (META_LABELS, "x", None),
+        (META_LABELS, "x)", None),
+        (META_LABELS, "abc++", None),
+        (META_LABELS, "c++d", None),
+        (META_LABELS, "n/ab", None),
+        (FEVER_LABELS, "not enough info", 2),
+        (FEVER_LABELS, "Not Enough Info.", 2),
+        (FEVER_LABELS, "NOT ENOUGH INFORMATION", None),
+        (FEVER_LABELS, "not  enough info", None),
+        (FEVER_LABELS, "refutes, not enough info", None),
+        (FEVER_LABELS, "supports", 0),
+        (FEVER_LABELS, "it REFUTES", 1),
+        (FEVER_LABELS, "Supported", None),
+    ])
+    def test_verdict_table(self, names, response, label):
+        check_label_names(names)
+        assert parse_verifier_response(response, names) == label
 
     @pytest.mark.parametrize(
         "names", [{0: "yes", 1: "Yes"}, {0: "supported", 1: "not supported"}]

@@ -96,9 +96,9 @@ class TestCorpusStats:
 def snapshot_weights(ds):
     """The tf-idf weight at each token position of each document of ``ds``,
     as the block walk computes them: one :func:`_block_weights` over the
-    snapshot table's token ids and idf. Row i is document i."""
+    snapshot table's token ids, term counts and idf. Row i is document i."""
     table = corpus_stats(ds)
-    weights = _block_weights(np.diff(table.offsets), table.ids, table.idf)
+    weights = _block_weights(np.diff(table.offsets), table.ids, table.counts, table.idf)
     return [row[: len(doc.tokens)].tolist() for row, doc in zip(weights, ds)]
 
 
