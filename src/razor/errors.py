@@ -21,10 +21,6 @@ class NoContrastError(DataError):
     """No opposite-label documents exist; scoring is undefined."""
 
 
-class DegenerateDocumentError(RazorError):
-    """Document too short to embed (fewer than 2 tokens)."""
-
-
 class ObjectiveUndefinedError(RazorError):
     """A class has no non-zero embeddings; the alignment objective is undefined."""
 

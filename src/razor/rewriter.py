@@ -27,17 +27,7 @@ import numpy as np
 
 from .corpus import LabeledDocument, is_json_int, is_json_number, replace_text
 from .errors import BackendError, ConfigError, DataError
-from .surface import (
-    ClassLedger,
-    TokenTable,
-    candidate_units,
-    score_against,
-    surface_embedding,  # noqa: F401  (see below)
-)
-
-# surface_embedding is not called here (candidates are embedded in blocks by
-# candidate_units). It is imported because bench/tracer.py wraps it by its
-# name in this module.
+from .surface import ClassLedger, TokenTable, score_against, surface_embedding
 
 log = logging.getLogger("razor")
 
@@ -283,7 +273,7 @@ def embed_candidates(
         if len(trial.tokens) < 2 or trial.tokens == doc.tokens:
             continue
         trials.append((cand, trial))
-    units = candidate_units([trial for _, trial in trials], stats, lam)
+    units = surface_embedding([trial for _, trial in trials], stats, lam)
     for (cand, trial), unit in zip(trials, units):
         if unit.any():
             cand.document, cand.unit = trial, unit

@@ -10,9 +10,9 @@ A run numbers and counts its tokens once, in one :class:`TokenTable` that
 follows the snapshots by the documents each iteration replaces
 (:func:`corpus_stats`). One block walk embeds a snapshot from the table's
 token ids, term counts and idf (:func:`embedding_rows`), counting nothing,
-and rewrite candidates read through the same table
-(:func:`candidate_units`), where a token it never saw takes df 1, as it
-would have once inserted. A snapshot keeps only its unit vectors, a
+and any other text, such as rewrite candidates, reads through the same
+table (:func:`surface_embedding`), where a token it never saw takes df 1,
+as it would have once inserted. A snapshot keeps only its unit vectors, a
 :class:`SurfaceSpace`, and their per-class sums, a :class:`ClassLedger`.
 Both cosine sums the paper defines reduce to dots with those class sums: a
 document's shortcut score (:func:`score_against`) and the cross-class
@@ -31,7 +31,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from .corpus import Dataset, LabeledDocument
-from .errors import ConfigError, DegenerateDocumentError, ObjectiveUndefinedError
+from .errors import ConfigError, ObjectiveUndefinedError
 
 DEFAULT_LAMBDA = 64
 
@@ -188,20 +188,6 @@ def _doc_counts(
     return df, counts
 
 
-def _mapped(
-    docs: Sequence[LabeledDocument], table: TokenTable
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The lengths, token ids and term counts of ``docs``, numbered from
-    their strings through the table's vocabulary and counted as the table
-    counts its own, and the idf table to read them with. A token the table
-    never saw takes an id past it and the idf of df 0, which reads as df 1:
-    the idf the table holds for a token no document holds any more."""
-    token_ids, lengths, vocab = _token_ids(docs, table.vocab)
-    unseen = _idf(len(table.documents), np.zeros(len(vocab) - len(table.idf), dtype=np.int64))
-    counts = _doc_counts(lengths, token_ids, len(vocab))[1]
-    return lengths, token_ids, counts, np.concatenate([table.idf, unseen])
-
-
 def _check_width(lam: int) -> None:
     if lam <= 0 or lam % 2 != 0:
         raise ConfigError(f"encoding width must be a positive even integer, got {lam}")
@@ -262,20 +248,6 @@ def _embed_block(
     return product[: len(lengths)] / (lengths - 1)[:, None]
 
 
-def surface_embedding(
-    doc: LabeledDocument, stats: TokenTable, lam: int = DEFAULT_LAMBDA
-) -> np.ndarray:
-    """Embed one document: sum of weight(token_j) * encoding(j) over 0-based
-    positions j, divided by (token count - 1)."""
-    _check_width(lam)
-    m = len(doc.tokens)
-    if m < 2:
-        raise DegenerateDocumentError(
-            f"document {doc.id!r} has {m} token(s); at least 2 are required"
-        )
-    return _embed_block(*_mapped([doc], stats), lam)[0]
-
-
 def _unit_rows(vectors: np.ndarray) -> np.ndarray:
     """Each row scaled to length 1; all-zero rows stay zero."""
     norms = np.linalg.norm(vectors, axis=1, keepdims=True)
@@ -305,13 +277,24 @@ def _fill_units(units: np.ndarray, blocks) -> np.ndarray:
     return units
 
 
-def candidate_units(
+def surface_embedding(
     docs: Sequence[LabeledDocument], stats: TokenTable, lam: int = DEFAULT_LAMBDA
 ) -> np.ndarray:
-    """Unit embeddings of rewrite candidates (each of at least 2 tokens), one
-    row each, mapped through the table once and embedded ``BLOCK_DOCS`` at a
-    time; a row stays zero for an all-zero embedding."""
-    return _fill_units(np.zeros((len(docs), lam)), _embedded_blocks(*_mapped(docs, stats), lam))
+    """Unit embeddings of ``docs`` against the table's snapshot (a run's
+    rewrite candidates, or any other text), one row each: numbered from
+    their strings through the table's vocabulary once, counted as the table
+    counts its own and embedded ``BLOCK_DOCS`` at a time, so a row has the
+    bits of the same document's snapshot row, whatever its block or batch. A token the table never saw takes an id past
+    it and the idf of df 0, which reads as df 1: the idf the table holds for
+    a token no document holds any more. A row stays zero for a document of
+    fewer than 2 tokens and for an all-zero embedding."""
+    _check_width(lam)
+    token_ids, lengths, vocab = _token_ids(docs, stats.vocab)
+    unseen = _idf(len(stats.documents), np.zeros(len(vocab) - len(stats.idf), dtype=np.int64))
+    counts = _doc_counts(lengths, token_ids, len(vocab))[1]
+    idf = np.concatenate([stats.idf, unseen])
+    blocks = _embedded_blocks(lengths, token_ids, counts, idf, lam)
+    return _fill_units(np.zeros((len(docs), lam)), blocks)
 
 
 def _mapped_zeros(*shape: int, dtype=np.float64) -> np.ndarray:

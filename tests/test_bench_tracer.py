@@ -69,9 +69,11 @@ def test_tracer_installs_and_sees_every_layer():
         layers["backends.verify_calls"]
     )
     # every generated candidate is tokenized once, in the gather, and
-    # embedded in blocks (no surface_embedding call); selection only scores
+    # embedded there with the iteration's others in one surface_embedding
+    # call; selection only scores
     assert layers["pipeline.replaced"] > 0
-    assert layers["surface.candidate_embed_calls"] == 0
+    assert layers["surface.candidate_embed_calls"] == iterations
+    assert calls["pipeline.gather > surface.candidate_embed"] == iterations
     assert calls["pipeline.gather > corpus.replace_text"] == out["generated"]
     assert "pipeline.iteration > corpus.replace_text" not in calls
     assert not [key for key in calls if key.startswith("rewriter.select >")]

@@ -1175,7 +1175,7 @@ class TestTokenTable:
         config = RunConfig(k=40, epsilon=1e-12, max_iterations=4)
         backends, checked = [], []
         zonk_df, zonk_candidates = {}, set()
-        corpus_stats, candidate_units = pipeline.corpus_stats, rewriter.candidate_units
+        corpus_stats, surface_embedding = pipeline.corpus_stats, rewriter.surface_embedding
 
         def checked_stats(ds, table=None):
             backend = backends[-1]
@@ -1188,15 +1188,15 @@ class TestTokenTable:
             return stats
 
         def checked_units(docs, stats, lam):
-            units = candidate_units(docs, stats, lam)
+            units = surface_embedding(docs, stats, lam)
             fresh = surface.corpus_stats(dataset.with_documents(stats.documents))
-            np.testing.assert_array_equal(units, candidate_units(docs, fresh, lam))
+            np.testing.assert_array_equal(units, surface_embedding(docs, fresh, lam))
             if any("zonk" in d.tokens for d in docs):
                 zonk_candidates.add(backends[-1].iteration)
             return units
 
         monkeypatch.setattr(pipeline, "corpus_stats", checked_stats)
-        monkeypatch.setattr(rewriter, "candidate_units", checked_units)
+        monkeypatch.setattr(rewriter, "surface_embedding", checked_units)
         backends.append(PhasedBackend())
         straight = run_razor(dataset, config, backends[-1])
         assert zonk_df[1] > 0 and zonk_df[2] == 0 and 2 in zonk_candidates
@@ -1249,14 +1249,9 @@ class TestTokenTable:
             if stamp == 1:
                 assert stats.df[stats.vocab["rareword"]] == 0
                 novel = [make_document("c", "rareword common w1", 1)]
-                np.testing.assert_array_equal(
-                    surface.candidate_units(novel, stats, 16),
-                    surface.candidate_units(novel, fresh, 16),
-                )
-                np.testing.assert_array_equal(
-                    surface.surface_embedding(novel[0], stats, 16),
-                    surface.surface_embedding(novel[0], fresh, 16),
-                )
+                units = surface.surface_embedding(novel, stats, 16)
+                assert units.any()
+                np.testing.assert_array_equal(units, surface.surface_embedding(novel, fresh, 16))
             if size == smaller:
                 # "newer" is only in the last row, "brand" only in row 0
                 assert stats.df[stats.vocab["newer"]] == 0 and "newer" not in fresh.vocab
@@ -1345,12 +1340,12 @@ class TestIncrementalCounts:
 
         def units_of(docs, stats, lam):
             expected[stamp[0]] += sum(len(d.tokens) for d in docs)
-            return candidate_units(docs, stats, lam)
+            return surface_embedding(docs, stats, lam)
 
-        corpus_stats, candidate_units = pipeline.corpus_stats, rewriter.candidate_units
+        corpus_stats, surface_embedding = pipeline.corpus_stats, rewriter.surface_embedding
         monkeypatch.setattr(surface, "np", CountingNumpy())
         monkeypatch.setattr(pipeline, "corpus_stats", stats_of)
-        monkeypatch.setattr(rewriter, "candidate_units", units_of)
+        monkeypatch.setattr(rewriter, "surface_embedding", units_of)
         config = RunConfig(k=20, epsilon=1e-12, max_iterations=3)
         result = run_razor(dataset, config, mock_backend(rules))
         monkeypatch.undo()

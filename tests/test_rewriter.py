@@ -21,7 +21,6 @@ from razor.rewriter import (
 from razor.surface import (
     BLOCK_DOCS,
     ClassLedger,
-    _unit_rows,
     compute_embeddings,
     corpus_stats,
     score_against,
@@ -272,8 +271,7 @@ class TestSelectReplacement:
         ds, stats, _ = scoring_fixture()
         expected = replace_text({d.id: d for d in ds}["b1"], text)
         assert chosen.verified and chosen.document == expected
-        vector = surface_embedding(expected, stats, 16)
-        np.testing.assert_array_equal(chosen.unit, _unit_rows(vector[None])[0])
+        np.testing.assert_array_equal(chosen.unit, surface_embedding([expected], stats, 16)[0])
 
     def test_original_tokens_never_replace(self):
         # the original's tokens in other case: its own embedding, no improvement

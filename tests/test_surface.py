@@ -7,16 +7,14 @@ import pytest
 
 from razor import surface
 from razor.corpus import Dataset, make_document
-from razor.errors import ConfigError, DegenerateDocumentError, ObjectiveUndefinedError
+from razor.errors import ConfigError, ObjectiveUndefinedError
 from razor.surface import (
     BLOCK_DOCS,
     ClassLedger,
     SurfaceSpace,
     _block_weights,
     _encoding_table,
-    _mapped,
     _unit_rows,
-    candidate_units,
     class_alignment_objective,
     compute_embeddings,
     corpus_stats,
@@ -144,14 +142,15 @@ class TestTfidf:
                 assert (weights.get(token, 0.0) == 0.0) == (absent or ubiquitous)
 
     def test_unseen_candidate_token_takes_df_one(self):
+        # against the rule that weights an unseen token zero (df n), which
+        # the row must not match
         ds = five_doc_dataset()
         candidate = make_document("d1", "the unseen cat sat", 0)
-        weights = _block_weights(*_mapped([candidate], corpus_stats(ds)))[0]
+        unit = surface_embedding([candidate], corpus_stats(ds), 8)[0]
         all_tokens = [list(d.tokens) for d in ds]
-        for token, weight in zip(candidate.tokens, weights):
-            expected = tfidf_reference(token, list(candidate.tokens), all_tokens, unseen_df=1)
-            assert weight == pytest.approx(expected, abs=1e-12)
-        assert weights[1] > 0.0
+        for unseen_df, matches in ((1, True), (len(all_tokens), False)):
+            ref = np.array(embed_reference(list(candidate.tokens), all_tokens, 8, unseen_df))
+            assert np.allclose(unit, ref / np.linalg.norm(ref), rtol=0, atol=1e-12) == matches
 
 
 class TestPositionalEncoding:
@@ -197,18 +196,19 @@ class TestPositionalEncoding:
 
 
 class TestSurfaceEmbedding:
-    def test_single_token_document_degenerate(self):
+    def test_single_token_document_gets_zero_row(self):
         ds = dataset_from([("d1", "word", 0), ("d2", "two words", 1)])
         stats = corpus_stats(ds)
-        with pytest.raises(DegenerateDocumentError):
-            surface_embedding(ds.documents[0], stats, 4)
+        units = surface_embedding(ds.documents, stats, 4)
+        assert units.shape == (2, 4)
+        assert not units[0].any() and units[1].any()
+        np.testing.assert_array_equal(units, compute_embeddings(ds, stats, 4).units)
 
     def test_all_ubiquitous_tokens_zero_marker(self):
         ds = dataset_from([("d1", "a b", 0), ("d2", "a b", 1), ("d3", "b a", 0)])
         stats = corpus_stats(ds)
-        vector = surface_embedding(ds.documents[0], stats, 4)
-        assert not candidate_units(ds.documents[:1], stats, 4).any()
-        assert np.all(vector == 0.0)
+        assert not surface_embedding(ds.documents[:1], stats, 4).any()
+        assert np.all(embedding_matrix(ds, stats, 4)[0] == 0.0)
         space = compute_embeddings(ds, stats, 4)
         assert len(ds.documents[0].tokens) >= 2 and not space.scoreable[0]
         assert np.all(space.units[0] == 0.0)
@@ -217,7 +217,7 @@ class TestSurfaceEmbedding:
         # frozen from an independent scalar evaluation of the same corpus
         ds = dataset_from([("d1", "x y", 0), ("d2", "x z w", 1), ("d3", "y q", 0)])
         stats = corpus_stats(ds)
-        vector = surface_embedding(ds.documents[0], stats, 4)
+        vector = embedding_matrix(ds, stats, 4)[0]
         expected = [
             0.17059356191250866,
             0.40545497156493326,
@@ -226,7 +226,7 @@ class TestSurfaceEmbedding:
         ]
         np.testing.assert_allclose(vector, expected, atol=1e-12)
         np.testing.assert_allclose(
-            candidate_units(ds.documents[:1], stats, 4)[0],
+            surface_embedding(ds.documents[:1], stats, 4)[0],
             [0.28515637910279906, 0.6777399468332874, 3.3887844474237956e-05, 0.6777568906141844],
             atol=1e-12,
         )
@@ -236,9 +236,10 @@ class TestSurfaceEmbedding:
         stats = corpus_stats(ds)
         all_tokens = [list(d.tokens) for d in ds]
         vectors = embedding_matrix(ds, stats, 8)
+        units = surface_embedding(ds.documents, stats, 8)
         for i, doc in enumerate(ds):
-            ref = embed_reference(list(doc.tokens), all_tokens, 8)
-            np.testing.assert_allclose(surface_embedding(doc, stats, 8), ref, atol=1e-12)
+            ref = np.array(embed_reference(list(doc.tokens), all_tokens, 8))
+            np.testing.assert_allclose(units[i], ref / np.linalg.norm(ref), atol=1e-12)
             np.testing.assert_allclose(vectors[i], ref, atol=1e-12)
 
     def test_unit_norm_within_tolerance(self):
@@ -259,11 +260,10 @@ class TestSurfaceEmbedding:
         ds = dataset_from([("d1", "a b", 0), ("d2", "a c", 1)])
         stats = corpus_stats(ds)
         novel = make_document("d1", "a brandnew", 0)
-        vector = surface_embedding(novel, stats, 4)
-        assert vector.any()
-        np.testing.assert_array_equal(
-            vector / np.linalg.norm(vector), candidate_units([novel], stats, 4)[0]
-        )
+        unit = surface_embedding([novel], stats, 4)[0]
+        ref = np.array(embed_reference(list(novel.tokens), [["a", "b"], ["a", "c"]], 4, 1))
+        assert ref.any()
+        np.testing.assert_allclose(unit, ref / np.linalg.norm(ref), atol=1e-12)
 
 
 def block_corpus(n_docs, seed=0):
@@ -312,11 +312,9 @@ class TestBlockEmbedding:
         ds = block_corpus(2 * BLOCK_DOCS + 37)
         stats = corpus_stats(ds)
         space = compute_embeddings(ds, stats, 8)
-        vectors = embedding_matrix(ds, stats, 8)
         rows = [1, BLOCK_DOCS - 1, BLOCK_DOCS, 2 * BLOCK_DOCS + 36]
-        units = candidate_units([ds.documents[i] for i in rows], stats, 8)
+        units = surface_embedding([ds.documents[i] for i in rows], stats, 8)
         for i, unit in zip(rows, units):
-            np.testing.assert_array_equal(surface_embedding(ds.documents[i], stats, 8), vectors[i])
             np.testing.assert_array_equal(unit, space.units[i])
 
     def test_candidate_rows_independent_of_batch_size(self):
@@ -325,10 +323,10 @@ class TestBlockEmbedding:
         ds = block_corpus(2 * BLOCK_DOCS + 37)
         stats = corpus_stats(ds)
         docs = [d for d in ds if len(d.tokens) >= 2][: BLOCK_DOCS + 1]
-        whole = candidate_units(docs, stats, 8)
+        whole = surface_embedding(docs, stats, 8)
         for size in (1, 2, BLOCK_DOCS, BLOCK_DOCS + 1):
             starts = range(0, len(docs), size)
-            batches = [candidate_units(docs[i : i + size], stats, 8) for i in starts]
+            batches = [surface_embedding(docs[i : i + size], stats, 8) for i in starts]
             np.testing.assert_array_equal(np.concatenate(batches), whole)
 
     def test_candidates_take_the_snapshot_walk(self):
@@ -339,7 +337,7 @@ class TestBlockEmbedding:
         assert len(ds) > 2 * BLOCK_DOCS
         table = corpus_stats(ds)
         np.testing.assert_array_equal(
-            candidate_units(ds.documents, table, 8), compute_embeddings(ds, table, 8).units
+            surface_embedding(ds.documents, table, 8), compute_embeddings(ds, table, 8).units
         )
 
     def test_table_of_another_snapshot_is_moved(self):
