@@ -18,11 +18,10 @@ import logging
 import math
 import unicodedata
 from dataclasses import dataclass, field
-from itertools import compress, zip_longest
-from operator import is_not
+from itertools import zip_longest
 from pathlib import Path
 from sys import intern
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Collection, Iterable, Mapping, Optional
 
 from .errors import DataError, NoContrastError
 
@@ -311,21 +310,19 @@ def _line_format(schema: str) -> Callable[[LabeledDocument], str]:
     return format_line
 
 
-def save_dataset(
-    dataset: Dataset, path: str | Path, since: Optional[tuple[LabeledDocument, ...]] = None
-) -> None:
+def save_dataset(dataset: Dataset, path: str | Path, ids: Optional[Collection[str]] = None) -> None:
     """Write a dataset back to JSONL (UTF-8), mirroring its input schema
     exactly.
 
-    With ``since``, an earlier tuple of the dataset's documents, only the
-    documents that are not the objects at their row in ``since`` are
-    written, in row order: the lines that changed. A ``since`` of another
-    length, or none, writes every document."""
+    With ``ids``, only the documents whose id is in ``ids`` are written, in
+    row order, each with the bytes of a full save's line; without, every
+    document is."""
     docs = dataset.documents
-    if since is None or len(since) != len(docs):
-        since = (None,) * len(docs)
+    if ids is not None:
+        ids = set(ids)
+        docs = [doc for doc in docs if doc.id in ids]
     with open(path, "w", encoding="utf-8", newline="") as out:
-        out.writelines(map(_line_format(dataset.schema), compress(docs, map(is_not, docs, since))))
+        out.writelines(map(_line_format(dataset.schema), docs))
 
 
 def mismatched_line(dataset: Dataset, path: str | Path) -> Optional[int]:

@@ -503,15 +503,12 @@ class Checkpoint:
     and stop reason.
 
     Snapshot 0 is the whole input. Each later snapshot holds the lines of
-    the documents that are not the objects of the dataset this object last
-    wrote or loaded (see :func:`save_dataset`): those its iteration
-    replaced. :meth:`load_state` applies them to the input in order."""
+    the documents its iteration replaced, the ``replaced_ids`` of its trace,
+    in row order. :meth:`load_state` applies them to the input in order."""
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        # the documents last written or loaded; None until then
-        self._since: Optional[tuple[LabeledDocument, ...]] = None
 
     def snapshot_path(self, iteration: int) -> Path:
         return self.directory / f"iteration_{iteration:03d}.jsonl"
@@ -523,10 +520,13 @@ class Checkpoint:
     def trace_path(self) -> Path:
         return self.directory / "trace.json"
 
-    def write_snapshot(self, dataset: Dataset, iteration: int) -> None:
+    def write_snapshot(
+        self, dataset: Dataset, iteration: int, replaced_ids: Optional[list[str]] = None
+    ) -> None:
+        """Write the documents named by ``replaced_ids``, or every document
+        when it is None (snapshot 0), as the snapshot of ``iteration``."""
         path = self.snapshot_path(iteration)
-        _write_replacing(path, lambda tmp: save_dataset(dataset, tmp, self._since))
-        self._since = dataset.documents
+        _write_replacing(path, lambda tmp: save_dataset(dataset, tmp, replaced_ids))
 
     def write_traces(self, traces: list[IterationTrace], stop_reason: Optional[str]) -> None:
         _write_replacing(self.trace_path, lambda tmp: write_trace_file(tmp, traces, stop_reason))
@@ -551,7 +551,6 @@ class Checkpoint:
         :func:`_apply_snapshot`). Raises DataError, naming the file and the
         line or document, when a snapshot is missing or does not fit the
         input: it belongs to another input, or it was cut short."""
-        self._since = None
         last = self.completed_iterations()
         traces, stop_reason = read_trace_file(self.trace_path) if self.trace_path.exists() else ([], None)
         traces = [t for t in traces if t.error is None and t.iteration <= last]
@@ -580,9 +579,7 @@ class Checkpoint:
                         f"{path}: lacks document {doc_id!r}, which iteration {iteration} "
                         "replaced; the snapshot was cut short"
                     )
-        current = dataset.with_documents(docs)
-        self._since = current.documents
-        return current, traces, stop_reason, last
+        return dataset.with_documents(docs), traces, stop_reason, last
 
 
 def _apply_snapshot(
@@ -658,7 +655,7 @@ def run_razor(
             # snapshot and replays that iteration from its journal, while a
             # snapshot without its trace would lose the trace for good
             checkpoint.write_traces(traces, None)
-            checkpoint.write_snapshot(dataset, iteration)
+            checkpoint.write_snapshot(dataset, iteration, trace.replaced_ids)
         if not trace.replaced_ids:
             stop_reason = STOP_NO_REPLACEMENTS
             break

@@ -342,20 +342,19 @@ def formatted(monkeypatch):
     return calls
 
 
-class TestSaveSince:
-    """save_dataset with ``since``, an earlier tuple of the dataset's
-    documents, writes the lines of the documents that are not those objects,
-    in row order, each with the bytes of a full save's line."""
+class TestSaveIds:
+    """save_dataset with ``ids`` writes the lines of the documents whose id
+    is in ``ids``, in row order, each with the bytes of a full save's line."""
 
     @pytest.mark.parametrize("schema", ["single", "claim_evidence", "premise_hypothesis"])
-    def test_writes_exactly_the_changed_documents(self, tmp_path, schema, formatted):
+    def test_writes_exactly_the_listed_documents(self, tmp_path, schema, formatted):
         ds = tricky_dataset(schema)
         full, delta = tmp_path / "full.jsonl", tmp_path / "delta.jsonl"
         # first, last and adjacent rows; texts of other byte lengths than before
         steps = [({0, 3, 4, 11}, "ẞ 東京東京 🙂🙂"), ({4, 5, 6}, "x"), (set(), ""), ({1}, "y é")]
         for rows, text in steps:
-            since, ds = ds.documents, rewritten(ds, rows, text)
-            save_dataset(ds, delta, since)
+            ds = rewritten(ds, rows, text)
+            save_dataset(ds, delta, [ds.documents[i].id for i in rows])
             save_dataset(ds, full)
             lines = full.read_bytes().splitlines(keepends=True)
             assert len(lines) == len(ds)
@@ -363,13 +362,26 @@ class TestSaveSince:
             assert formatted[-2] == [ds.documents[i].id for i in sorted(rows)]
             assert read_documents(delta, schema) == [ds.documents[i] for i in sorted(rows)]
 
-    def test_since_of_another_length_writes_every_document(self, tmp_path, formatted):
+    def test_ids_out_of_order_are_written_in_row_order(self, tmp_path, formatted):
         ds = tricky_dataset("claim_evidence")
         save_dataset(ds, tmp_path / "full.jsonl")
-        for since in (ds.documents[:-1], ds.documents + ds.documents[:1], ()):
-            save_dataset(ds, tmp_path / "s.jsonl", since)
-            assert (tmp_path / "s.jsonl").read_bytes() == (tmp_path / "full.jsonl").read_bytes()
-        assert [len(ids) for ids in formatted] == [len(ds)] * 4
+        lines = (tmp_path / "full.jsonl").read_bytes().splitlines(keepends=True)
+        save_dataset(ds, tmp_path / "s.jsonl", [ds.documents[i].id for i in (9, 2, 5, 0)])
+        assert (tmp_path / "s.jsonl").read_bytes() == b"".join(lines[i] for i in (0, 2, 5, 9))
+        assert formatted[-1] == [ds.documents[i].id for i in (0, 2, 5, 9)]
+
+    def test_id_of_no_document_writes_nothing(self, tmp_path, formatted):
+        ds = tricky_dataset("premise_hypothesis")
+        save_dataset(ds, tmp_path / "s.jsonl", ["no-such-id"])
+        assert (tmp_path / "s.jsonl").read_bytes() == b""
+        assert formatted == [[]]
+
+    def test_no_ids_writes_every_document(self, tmp_path, formatted):
+        ds = tricky_dataset("single")
+        save_dataset(ds, tmp_path / "full.jsonl")
+        save_dataset(ds, tmp_path / "s.jsonl", None)
+        assert (tmp_path / "s.jsonl").read_bytes() == (tmp_path / "full.jsonl").read_bytes()
+        assert [len(ids) for ids in formatted] == [len(ds)] * 2
 
 
 class TestMismatchedLine:

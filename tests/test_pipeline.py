@@ -676,7 +676,7 @@ class TestCheckpointResume:
         written = {}
         write_snapshot = Checkpoint.write_snapshot
 
-        def full(self, ds, iteration):
+        def full(self, ds, iteration, replaced_ids=None):
             written[iteration] = ds
             write_snapshot(self, ds, iteration)
 
@@ -970,10 +970,10 @@ class TestLazyVerification:
                 failing = backend
                 write_snapshot = Checkpoint.write_snapshot
 
-                def fail_second(self, ds, iteration):
+                def fail_second(self, ds, iteration, replaced_ids=None):
                     if iteration == 2:
                         raise OSError("disk full")
-                    write_snapshot(self, ds, iteration)
+                    write_snapshot(self, ds, iteration, replaced_ids)
 
                 monkeypatch.setattr(Checkpoint, "write_snapshot", fail_second)
             else:
@@ -1372,9 +1372,9 @@ class TestIncrementalCounts:
         written, formatted = {}, []
         write_snapshot, line_format = Checkpoint.write_snapshot, corpus._line_format
 
-        def recording(self, ds, iteration):
+        def recording(self, ds, iteration, replaced_ids=None):
             written[iteration] = ds
-            write_snapshot(self, ds, iteration)
+            write_snapshot(self, ds, iteration, replaced_ids)
 
         def counting_format(schema):
             fmt, ids = line_format(schema), []
@@ -1409,6 +1409,67 @@ class TestIncrementalCounts:
             lines = output_bytes(ds, tmp_path / "full.jsonl").splitlines(keepends=True)
             changed = sorted(rows[doc_id] for doc_id in trace.replaced_ids)
             assert path.read_bytes() == b"".join(lines[row] for row in changed)
+
+
+class TestSnapshotIsItsTrace:
+    """Snapshot i >= 1 holds the documents ``traces[i-1].replaced_ids``
+    names, in input-row order, with the bytes ``save_dataset`` writes for
+    them given those ids: after a straight run, an abort-and-resume and a
+    resume from full snapshots alike."""
+
+    CONFIG = RunConfig(k=20, epsilon=1e-12, max_iterations=4)
+
+    def straight_run(self, dataset, tmp_path, monkeypatch):
+        """The straight run's checkpoint and the dataset each iteration made."""
+        datasets = {}
+
+        def recording(ds, config, backend, iteration, *args):
+            datasets[iteration], trace = run_iteration(ds, config, backend, iteration, *args)
+            return datasets[iteration], trace
+
+        run_iteration = pipeline.run_iteration
+        monkeypatch.setattr(pipeline, "run_iteration", recording)
+        ckpt = Checkpoint(tmp_path / "straight")
+        result = run_razor(dataset, self.CONFIG, choice_mock(), ckpt)
+        monkeypatch.undo()
+        assert len(result.traces) == 4 and all(t.replaced_ids for t in result.traces)
+        return ckpt, datasets
+
+    def assert_snapshots_are_traces(self, ckpt, dataset, datasets, tmp_path, first=1):
+        traces, _ = read_trace_file(ckpt.trace_path)
+        assert [t.iteration for t in traces] == [1, 2, 3, 4]
+        rows = {doc.id: row for row, doc in enumerate(dataset)}
+        for trace in traces[first - 1:]:
+            path = ckpt.snapshot_path(trace.iteration)
+            ids = [doc.id for doc in corpus.read_documents(path, "single")]
+            assert ids == sorted(trace.replaced_ids, key=rows.__getitem__)
+            save_dataset(datasets[trace.iteration], tmp_path / "ids.jsonl", trace.replaced_ids)
+            assert path.read_bytes() == (tmp_path / "ids.jsonl").read_bytes()
+
+    def test_straight_run(self, tmp_path, monkeypatch):
+        dataset, _ = synth(corpus_size=200, seed=3)
+        ckpt, datasets = self.straight_run(dataset, tmp_path, monkeypatch)
+        self.assert_snapshots_are_traces(ckpt, dataset, datasets, tmp_path)
+
+    def test_abort_and_resume(self, tmp_path, monkeypatch):
+        dataset, _ = synth(corpus_size=200, seed=3)
+        _, datasets = self.straight_run(dataset, tmp_path, monkeypatch)
+        ckpt = Checkpoint(tmp_path / "ckpt")
+        with pytest.raises(BackendError):
+            run_razor(dataset, self.CONFIG, FailOnGenerate(choice_mock(), 31), ckpt)
+        assert ckpt.completed_iterations() == 1
+        run_razor(dataset, self.CONFIG, choice_mock(), ckpt)
+        self.assert_snapshots_are_traces(ckpt, dataset, datasets, tmp_path)
+
+    def test_resume_from_full_snapshots(self, tmp_path, monkeypatch):
+        dataset, _ = synth(corpus_size=200, seed=3)
+        _, datasets = self.straight_run(dataset, tmp_path, monkeypatch)
+        ckpt = Checkpoint(tmp_path / "ckpt")
+        run_razor(dataset, replace(self.CONFIG, max_iterations=2), choice_mock(), ckpt)
+        for iteration in (1, 2):
+            save_dataset(datasets[iteration], ckpt.snapshot_path(iteration))
+        run_razor(dataset, self.CONFIG, choice_mock(), ckpt)
+        self.assert_snapshots_are_traces(ckpt, dataset, datasets, tmp_path, first=3)
 
 
 class TestRequestPureMock:
