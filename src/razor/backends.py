@@ -3,13 +3,12 @@
 Both expose the same two calls. ``generate`` produces rewrite candidates: one
 text, or with ``n`` a list of 1..n texts from one request (the n choices of
 a chat completion). ``verify`` produces the raw text the label check parses.
-Generation and verification never share a session: every HTTP request is
-independent. The mock answers from the request alone, so its answers do not
-depend on the order of requests (under ``--jobs > 1``, or across an abort
-and resume). Each backend counts its requests per role, one per request
-whatever its ``n``, so pipelines can account for every request. The
-``requests`` package is imported when the first :class:`HttpBackend` is
-built, so mock runs and the offline commands never load it.
+HTTP requests share nothing: each attempt is one ``http.client`` POST on a
+connection of its own, and mock runs never import ``http.client``. The mock
+answers from the request alone, so its answers do not depend on the order of
+requests (under ``--jobs > 1``, or across an abort and resume). Each backend
+counts its requests per role, one per request whatever its ``n``, so
+pipelines can account for every request.
 """
 
 from __future__ import annotations
@@ -20,9 +19,12 @@ import re
 import threading
 import time
 from collections import Counter
+from json import dumps, loads
 from pathlib import Path
 from random import Random
+from types import SimpleNamespace
 from typing import Optional
+from urllib.parse import urlsplit
 
 from .corpus import LabeledDocument, is_json_int, read_json
 from .errors import BackendError, ConfigError
@@ -40,15 +42,25 @@ RULE_KEYS = ("pattern", "replacement", "replacements")
 RETRYABLE_4XX = (408, 429)
 
 
-def __getattr__(name: str):
-    """``requests`` on first use (PEP 562): importing it binds the global
-    that :class:`HttpBackend` posts through."""
-    if name == "requests":
-        global requests
-        import requests
+def _post(url: str, json: dict, headers: dict, timeout: float) -> SimpleNamespace:
+    """One POST on a connection of its own; https checks certificates (the
+    default SSL context). The reply: ``status_code``, ``headers``, ``content``."""
+    import http.client
 
-        return requests
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    parts = urlsplit(url)
+    opener = http.client.HTTPSConnection if parts.scheme == "https" else http.client.HTTPConnection
+    conn = opener(parts.netloc, timeout=timeout)
+    try:
+        path = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+        conn.request("POST", path, dumps(json).encode(), headers)
+        with conn.getresponse() as r:
+            return SimpleNamespace(status_code=r.status, headers=r.headers, content=r.read())
+    finally:
+        conn.close()
+
+
+# HttpBackend's transport, named ``requests`` only for bench/tracer.py's stand-in
+requests = SimpleNamespace(post=_post)
 
 
 class CallLog:
@@ -95,9 +107,10 @@ class HttpBackend:
     least one; extras are dropped). The endpoint URL comes from
     RAZOR_API_BASE and the bearer token from RAZOR_API_KEY unless given
     explicitly. Transport errors, 5xx, 408, 429 and 200s of the wrong shape
-    are retried; any other 4xx raises BackendError at once. Before the k-th
-    retry the client sleeps ``retry_backoff * k`` seconds, or what a 429's
-    ``Retry-After`` asked for when that is longer (at most ``timeout``).
+    are retried; a 3xx (redirects are not followed) or any other 4xx raises
+    BackendError at once. Before the k-th retry the client sleeps
+    ``retry_backoff * k`` seconds, or what a 429's ``Retry-After`` asked for
+    when that is longer (at most ``timeout``).
 
     An endpoint that refuses a request carrying "n" with such a 4xx is taken
     not to support it: the client logs one warning, resends the request
@@ -114,17 +127,10 @@ class HttpBackend:
     ):
         base_url = base_url or os.environ.get(API_BASE_ENV, "").strip()
         api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV, "").strip()
-        if not base_url:
-            raise ConfigError(f"no backend URL: set {API_BASE_ENV} or pass base_url")
+        if urlsplit(base_url).scheme not in ("http", "https"):
+            raise ConfigError(f"no http(s) backend URL: set {API_BASE_ENV} or pass base_url")
         if not api_key:
             raise ConfigError(f"no API key: set {API_KEY_ENV} or pass api_key")
-        # only when unbound: a stand-in assigned to this module's ``requests``
-        # (a tracer's) must stay in place
-        if "requests" not in globals():
-            try:
-                __getattr__("requests")
-            except ImportError as exc:
-                raise ConfigError(f"the http backend needs the 'requests' package: {exc}") from None
         self.model = model
         self.base_url = base_url
         self.api_key = api_key
@@ -147,6 +153,8 @@ class HttpBackend:
     def _complete(
         self, messages: list[dict], temperature: float, top_p: float, max_retries: int, n: int = 1
     ) -> list[str]:
+        import http.client
+
         payload = {
             "model": self.model,
             "messages": messages,
@@ -178,15 +186,21 @@ class HttpBackend:
                     )
                 if resp.status_code == 429:
                     retry_after = min(_delta_seconds(resp.headers.get("Retry-After")), self.timeout)
+                if 300 <= resp.status_code < 400:  # redirects are not followed
+                    raise BackendError(
+                        f"backend redirected the request (HTTP {resp.status_code}) "
+                        f"to {resp.headers.get('Location')!r}"
+                    )
                 if _refused(resp.status_code):
                     # the same request would be refused again: bad key, bad
                     # model, malformed payload
                     raise BackendError(
                         f"backend refused the request (HTTP {resp.status_code}): "
-                        f"{resp.text[:200]}"
+                        f"{resp.content[:200].decode(errors='replace')}"
                     )
-                resp.raise_for_status()
-                texts = [choice["message"]["content"] for choice in resp.json()["choices"][:n]]
+                if resp.status_code >= 400:
+                    raise http.client.HTTPException(f"HTTP {resp.status_code}")
+                texts = [c["message"]["content"] for c in loads(resp.content)["choices"][:n]]
                 if not texts:
                     raise ValueError("the response holds no choices")
                 for content in texts:
@@ -194,7 +208,8 @@ class HttpBackend:
                         raise TypeError(f"message content is {type(content).__name__}, not text")
                 return texts
             except (
-                requests.RequestException,
+                OSError,  # refused, reset, timed out, TLS
+                http.client.HTTPException,  # a reply cut short or malformed
                 KeyError,
                 IndexError,
                 TypeError,

@@ -1,8 +1,11 @@
+import gc
 import json
 import os
+import socket
 import subprocess
 import sys
 import threading
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
@@ -12,6 +15,7 @@ import pytest
 
 from razor import backends
 from razor.backends import HttpBackend, MockBackend
+from razor.cli import main
 from razor.corpus import make_document
 from razor.errors import BackendError, ConfigError
 from razor.rewriter import GeneratorConfig, generate_candidates
@@ -34,6 +38,7 @@ class _Handler(BaseHTTPRequestHandler):
         if self.server.fail_next > 0:
             self.server.fail_next -= 1
             self.send_response(self.server.fail_status)
+            self.send_header("Content-Length", "0")
             for name, value in self.server.fail_headers.items():
                 self.send_header(name, value)
             self.end_headers()
@@ -52,14 +57,21 @@ class _Handler(BaseHTTPRequestHandler):
             "choices": [{"message": {"role": "assistant", "content": c}} for c in contents]
         }
         data = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
+        cut = self.server.cut_next > 0  # promise more bytes than are sent, then close
+        self.server.cut_next -= cut
+        self.close_connection |= cut
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
+        self.send_header("Content-Length", str(len(data) + 100 * cut))
         self.end_headers()
         self.wfile.write(data)
 
     def log_message(self, fmt, *args):
         pass
+
+
+class _KeepAliveHandler(_Handler):
+    protocol_version = "HTTP/1.1"  # a connection stays open until the client closes it
 
 
 @pytest.fixture
@@ -74,6 +86,7 @@ def stub_server():
     server.fail_next = 0
     server.fail_status = 500
     server.fail_headers = {}
+    server.cut_next = 0  # 200s whose body is cut short
     # a short poll interval: shutdown() waits for serve_forever's next poll
     thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
     thread.start()
@@ -206,10 +219,110 @@ class TestHttpBackend:
         assert backend.entries == [("generate", "d1"), ("verify", "d1")]
 
 
-# Run in a fresh process: this one imported ``requests`` long ago.
-LAZY_IMPORT_SCRIPT = """
+class TestTransportFailures:
+    """What the standard-library transport does when the connection or the
+    reply goes wrong."""
+
+    def test_refused_connection_is_retried_then_backend_error(self, monkeypatch):
+        posts = []
+        real = backends.requests
+
+        def post(*args, **kw):
+            posts.append(args)
+            return real.post(*args, **kw)
+
+        monkeypatch.setattr(backends, "requests", SimpleNamespace(post=post))
+        backend = HttpBackend(
+            "m", base_url=f"http://127.0.0.1:{closed_port()}/chat", api_key="k", retry_backoff=0.0
+        )
+        with pytest.raises(BackendError, match="after 3 attempt"):
+            backend.generate("p", DOC, 0.7, 0.9, max_retries=2)
+        assert len(posts) == 3
+
+    def test_refused_connection_makes_razor_run_exit_3(self, tmp_path, monkeypatch):
+        data = tmp_path / "data.jsonl"
+        data.write_text("".join(
+            json.dumps({"id": f"d{i}", "text": f"some words {i} tok{i % 3}", "label": i % 2})
+            + "\n" for i in range(12)
+        ))
+        monkeypatch.setenv("RAZOR_API_BASE", f"http://127.0.0.1:{closed_port()}/chat")
+        monkeypatch.setenv("RAZOR_API_KEY", "k")
+        monkeypatch.setattr(backends, "time", SimpleNamespace(sleep=lambda s: None))
+        code = main([
+            "run", "--input", str(data), "--backend", "http", "--model", "m",
+            "--out", str(tmp_path / "out.jsonl"),
+        ])
+        assert code == 3
+
+    def test_body_cut_short_is_retried(self, stub_server):
+        stub_server.cut_next = 2
+        backend = backend_for(stub_server)
+        assert backend.generate("prompt", DOC, 0.7, 0.9, max_retries=2) == "stub reply"
+        assert len(stub_server.requests) == 3
+
+    def test_https_to_a_plain_http_server_fails(self, stub_server):
+        # the TLS handshake fails against a server that speaks plain HTTP
+        url = f"https://127.0.0.1:{stub_server.server_address[1]}/chat"
+        backend = HttpBackend("m", base_url=url, api_key="k", retry_backoff=0.0)
+        with pytest.raises(BackendError, match="after 2 attempt"):
+            backend.generate("prompt", DOC, 0.7, 0.9, max_retries=1)
+        assert stub_server.requests == []  # no request got through in clear
+
+    def test_redirect_fails_at_once_naming_its_location(self, stub_server):
+        stub_server.fail_next = 10
+        stub_server.fail_status = 301
+        stub_server.fail_headers = {"Location": "https://elsewhere.example/v2/chat"}
+        backend = backend_for(stub_server)
+        with pytest.raises(BackendError, match="HTTP 301.*https://elsewhere.example/v2/chat"):
+            backend.generate("prompt", DOC, 0.7, 0.9, max_retries=2)
+        assert len(stub_server.requests) == 1
+
+    def test_not_an_http_url_is_config_error(self):
+        with pytest.raises(ConfigError, match="RAZOR_API_BASE"):
+            HttpBackend("m", base_url="ftp://127.0.0.1/chat", api_key="k")
+
+    def test_no_path_leaves_a_socket_open(self, stub_server):
+        # a server that keeps connections: only the client's close ends one
+        stub_server.RequestHandlerClass = _KeepAliveHandler
+        backend = backend_for(stub_server, timeout=5.0)
+        https = HttpBackend(
+            "m", base_url=f"https://127.0.0.1:{stub_server.server_address[1]}/chat",
+            api_key="k", retry_backoff=0.0, timeout=5.0,
+        )
+        refused = HttpBackend(
+            "m", base_url=f"http://127.0.0.1:{closed_port()}/chat", api_key="k", retry_backoff=0.0
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert backend.generate("p", DOC, 0.7, 0.9, 0) == "stub reply"
+            stub_server.fail_next = 1
+            assert backend.generate("p", DOC, 0.7, 0.9, 1) == "stub reply"  # a 500, retried
+            stub_server.cut_next = 1
+            assert backend.generate("p", DOC, 0.7, 0.9, 1) == "stub reply"
+            stub_server.body = b"[" * 100_000
+            for client in (backend, https, refused):
+                with pytest.raises(BackendError):
+                    client.generate("p", DOC, 0.7, 0.9, 0)
+            stub_server.body = None
+            stub_server.fail_next, stub_server.fail_status = 1, 301
+            with pytest.raises(BackendError, match="HTTP 301"):
+                backend.generate("p", DOC, 0.7, 0.9, 0)
+            gc.collect()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+def closed_port() -> int:
+    """A loopback port nothing listens on."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+# Run in a fresh process: this one imports ``http.client`` for its stub server.
+IMPORTS_SCRIPT = """
 import json
 import sys
+import threading
 from types import SimpleNamespace
 
 import razor
@@ -224,7 +337,10 @@ from razor.pipeline import RunConfig, run_razor
 dataset, rules = generate_biased_corpus(BiasSpec("zonk", corpus_size=100, seed=7))
 backend = MockBackend(rules["generation"], verdict=rules["verdict"], seed=rules["seed"])
 result = run_razor(dataset, RunConfig(k=10, max_iterations=2), backend)
-out = {"mock_run": "requests" in sys.modules, "replaced": len(result.traces[0].replaced_ids)}
+out = {
+    "mock_run": sorted({"requests", "http.client"} & set(sys.modules)),
+    "replaced": len(result.traces[0].replaced_ids),
+}
 
 
 class StandIn:
@@ -234,46 +350,62 @@ class StandIn:
     def post(self, url, **kw):
         self.posted.append(kw["json"]["n"] if "n" in kw["json"] else None)
         body = {"choices": [{"message": {"content": "a reply"}}]}
-        return SimpleNamespace(
-            status_code=200, headers={}, text="", json=lambda: body,
-            raise_for_status=lambda: None,
-        )
+        return SimpleNamespace(status_code=200, headers={}, content=json.dumps(body).encode())
 
 
+real = razor.backends.requests
 stand_in = razor.backends.requests = StandIn()
 http = HttpBackend("m", base_url="http://127.0.0.1:9/chat", api_key="k")
 doc = make_document("d", "some text", 0)
 http.generate("p", doc, 0.7, 0.9, 0, n=3)
 http.verify("p", "c", doc, {0: "a", 1: "b"}, 0.0, 0)
-out["stand_in_kept"] = razor.backends.requests is stand_in
 out["stand_in_posts"] = stand_in.posted
-out["with_stand_in"] = "requests" in sys.modules
+razor.backends.requests = real
 
-del razor.backends.requests
-HttpBackend("m", base_url="http://127.0.0.1:9/chat", api_key="k")
-out["http_backend"] = "requests" in sys.modules
-out["bound"] = razor.backends.requests is sys.modules.get("requests")
+from http.server import BaseHTTPRequestHandler, HTTPServer
+
+
+class Handler(BaseHTTPRequestHandler):
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        data = json.dumps({"choices": [{"message": {"content": "no label here"}}]}).encode()
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+        self.server.posts += 1
+
+    def log_message(self, *args):
+        pass
+
+
+server = HTTPServer(("127.0.0.1", 0), Handler)
+server.posts = 0
+threading.Thread(target=server.serve_forever, daemon=True).start()
+url = f"http://127.0.0.1:{server.server_address[1]}/chat"
+http = HttpBackend("m", base_url=url, api_key="k", retry_backoff=0.0)
+run_razor(dataset, RunConfig(k=5, max_iterations=1), http)
+out["http_posts"] = server.posts
+out["http_run"] = "requests" in sys.modules
 print(json.dumps(out))
 """
 
 
-def test_requests_is_imported_by_the_first_http_backend():
+def test_no_run_imports_requests():
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     proc = subprocess.run(
-        [sys.executable, "-c", LAZY_IMPORT_SCRIPT],
+        [sys.executable, "-c", IMPORTS_SCRIPT],
         cwd=root, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert out["mock_run"] is False  # importing razor and a mock run never load it
+    assert out["mock_run"] == []  # importing razor and a mock run load neither
     assert out["replaced"] > 0
-    # a stand-in assigned before the backend is built stays, and gets every post
-    assert out["stand_in_kept"] is True
+    # a stand-in assigned to ``razor.backends.requests`` gets every post
     assert out["stand_in_posts"] == [3, None]
-    assert out["with_stand_in"] is False
-    assert out["http_backend"] is True
-    assert out["bound"] is True
+    assert out["http_posts"] > 0
+    assert out["http_run"] is False
 
 
 def generate_requests(server) -> list:

@@ -1,6 +1,5 @@
 import json
 import re
-import sys
 
 import numpy as np
 import pytest
@@ -144,29 +143,6 @@ class TestRun:
         )
         assert code == 1
         assert "RAZOR_API_KEY" in capsys.readouterr().err
-
-    def test_http_backend_without_requests_package(
-        self, single_file, tmp_path, monkeypatch, capsys
-    ):
-        # the http backend imports ``requests`` when it is built: a missing
-        # package is a configuration error naming it, not a traceback
-        from razor import backends
-
-        monkeypatch.setenv("RAZOR_API_KEY", "k")
-        monkeypatch.setenv("RAZOR_API_BASE", "http://127.0.0.1:9/chat")
-        monkeypatch.delattr(backends, "requests", raising=False)
-        monkeypatch.setitem(sys.modules, "requests", None)
-        code = main(
-            [
-                "run",
-                "--input", str(single_file),
-                "--backend", "http",
-                "--model", "m",
-                "--out", str(tmp_path / "out.jsonl"),
-            ]
-        )
-        assert code == 1
-        assert "'requests' package" in capsys.readouterr().err
 
     def test_mock_without_rules_is_usage_error(self, single_file, tmp_path):
         code = main(
