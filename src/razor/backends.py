@@ -100,6 +100,20 @@ def _delta_seconds(value: Optional[str]) -> int:
         return 0
 
 
+def _check_url(url: str) -> None:
+    """Raise ConfigError for a URL every attempt would fail on: not http(s),
+    no host, or a port that is not a number in 0..65535."""
+    try:
+        parts = urlsplit(url)
+        parts.port  # raises for a port that is not a number or out of range
+    except ValueError as exc:  # also for a bracketed host left open
+        raise ConfigError(f"bad backend URL {url!r}: {exc}") from None
+    if parts.scheme not in ("http", "https"):
+        raise ConfigError(f"no http(s) backend URL: set {API_BASE_ENV} or pass base_url")
+    if not parts.hostname:
+        raise ConfigError(f"bad backend URL {url!r}: no host")
+
+
 class HttpBackend:
     """Chat-completion client. POSTs {"model", "messages", "temperature",
     "top_p"} to the configured URL, with "n" added when more than one choice
@@ -127,10 +141,11 @@ class HttpBackend:
     ):
         base_url = base_url or os.environ.get(API_BASE_ENV, "").strip()
         api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV, "").strip()
-        if urlsplit(base_url).scheme not in ("http", "https"):
-            raise ConfigError(f"no http(s) backend URL: set {API_BASE_ENV} or pass base_url")
+        _check_url(base_url)
         if not api_key:
             raise ConfigError(f"no API key: set {API_KEY_ENV} or pass api_key")
+        if not re.fullmatch(r"[\x21-\x7e]+", api_key):  # it goes into a header line
+            raise ConfigError("the API key must be visible ASCII, without spaces or line breaks")
         self.model = model
         self.base_url = base_url
         self.api_key = api_key

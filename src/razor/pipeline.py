@@ -3,8 +3,8 @@
 Each iteration freezes corpus statistics and embeddings, selects the k
 highest-scoring documents, generates rewrite candidates for them, verifies
 each document's likely winner, and commits replacements one at a time against
-a live per-class unit-vector ledger, verifying a candidate only when the live
-order reaches it without a verdict. Gated on strict per-document improvement, every commit
+a live per-class unit-vector ledger: the first confirmed candidate in live
+(score, text) order. Gated on strict per-document improvement, every commit
 raises the cross-class alignment objective, so the objective measured on the
 iteration's own embeddings never decreases.
 
@@ -242,25 +242,27 @@ class RewriteJournal:
 
     def record(self, row: dict) -> None:
         """Keep a generate record ``{"doc_id", "texts"}`` or a verify record
-        ``{"doc_id", "text", "verified"}`` and append it to the file as the
-        line ``json.dumps(row)`` gives, formatted directly with the string
-        encoder json.dumps uses."""
-        quote = json.encoder.encode_basestring_ascii
-        doc_id = quote(row["doc_id"])
-        if "texts" in row:
-            line = '{"doc_id": %s, "texts": [%s]}\n' % (doc_id, ", ".join(map(quote, row["texts"])))
-        else:
-            verified = "true" if row["verified"] else "false"
-            line = '{"doc_id": %s, "text": %s, "verified": %s}\n' % (
-                doc_id, quote(row["text"]), verified
-            )
+        ``{"doc_id", "text", "verified"}`` and, when the journal has a file,
+        append it as the line ``json.dumps(row)`` gives, formatted directly
+        with the string encoder json.dumps uses."""
         with self._lock:
             self._keep(row)
-            if self.path is not None:
-                if self._fh is None:
-                    self._fh = open(self.path, "a", encoding="utf-8")
-                self._fh.write(line)
-                self._fh.flush()
+            if self.path is None:
+                return
+            quote = json.encoder.encode_basestring_ascii
+            doc_id = quote(row["doc_id"])
+            if "texts" in row:
+                texts = ", ".join(map(quote, row["texts"]))
+                line = '{"doc_id": %s, "texts": [%s]}\n' % (doc_id, texts)
+            else:
+                verified = "true" if row["verified"] else "false"
+                line = '{"doc_id": %s, "text": %s, "verified": %s}\n' % (
+                    doc_id, quote(row["text"]), verified
+                )
+            if self._fh is None:
+                self._fh = open(self.path, "a", encoding="utf-8")
+            self._fh.write(line)
+            self._fh.flush()
 
     def close(self) -> None:
         with self._lock:
@@ -293,17 +295,16 @@ def _map(fn, jobs: int, *iterables) -> list:
     return list(map(fn, *iterables))
 
 
-def _verify(
+def _confirms(
     cand: RewriteCandidate,
     doc: LabeledDocument,
     dataset: Dataset,
     backend,
     config: RunConfig,
     journal: RewriteJournal,
-) -> None:
-    """Set the verdict on ``cand``, a candidate for ``doc``, from the
-    journal or the verifier."""
-    cand.verified = journal.verdict(
+) -> bool:
+    """``cand``'s verdict for ``doc``: journaled, or the verifier's, recorded."""
+    return journal.verdict(
         doc.id,
         cand.text,
         lambda: verify_label(
@@ -322,13 +323,14 @@ def _gather_candidates(
     config: RunConfig,
     journal: RewriteJournal,
 ) -> list[list[RewriteCandidate]]:
-    """The embedded rewrite candidates of the documents at ``rows``, from two
-    passes over the documents, each parallel under ``config.jobs``:
+    """The scoreable rewrite candidates of the documents at ``rows``, from
+    two passes over the documents, each parallel under ``config.jobs``:
 
-    1. generate every document's candidates (in ``rows`` order when serial),
-       then embed all of them against the frozen ``stats`` in blocks;
+    1. generate every document's candidate texts (in ``rows`` order when
+       serial), then embed all of them against the frozen ``stats`` in
+       blocks;
     2. for each document, ask the verifier about its likely winner: the
-       candidate :func:`select_replacement` returns against the frozen
+       first candidate :func:`select_replacement` lists against the frozen
        ``ledger``.
 
     Every request goes through the journal, which answers any it holds, so
@@ -336,27 +338,22 @@ def _gather_candidates(
     backend only what is still unanswered."""
     docs = dataset.documents
 
-    def generate(i: int) -> list[RewriteCandidate]:
+    def generate(i: int) -> list[str]:
         doc = docs[i]
-        texts = journal.texts(
+        return journal.texts(
             doc.id,
             lambda: generate_candidates(
                 doc, backend, config.generator, dataset.label_names, dataset.schema
             ),
         )
-        return [RewriteCandidate(text) for text in texts]
 
-    candidates = _map(generate, config.jobs, rows)
-    embed_candidates(
-        ((docs[i], cand) for i, cands in zip(rows, candidates) for cand in cands),
-        stats,
-        config.lam,
-    )
+    texts = _map(generate, config.jobs, rows)
+    candidates = embed_candidates([docs[i] for i in rows], texts, stats, config.lam)
 
     def speculate(i: int, cands: list[RewriteCandidate]) -> None:
-        best = select_replacement(docs[i], cands, ledger, space.units[i])
-        if best is not None:
-            _verify(best, docs[i], dataset, backend, config, journal)
+        ranked = select_replacement(docs[i], cands, ledger, space.units[i])
+        if ranked:
+            _confirms(ranked[0], docs[i], dataset, backend, config, journal)
 
     _map(speculate, config.jobs, rows, candidates)
     return candidates
@@ -367,19 +364,15 @@ def decide_replacement(
     candidates: list[RewriteCandidate],
     ledger: ClassLedger,
     doc_unit: np.ndarray,
-    verify: Callable[[RewriteCandidate], None],
+    confirms: Callable[[RewriteCandidate], bool],
 ) -> Optional[RewriteCandidate]:
-    """The verified candidate that replaces ``doc``, or None to keep it:
-    :func:`select_replacement` against the live ``ledger``, calling
-    ``verify(candidate)`` (which sets its verdict) on each candidate it
-    returns without a verdict, then selecting again. Those candidates come in
-    (score, text) order, each at most once, and the first verified one wins:
-    the winner of verifying every candidate first."""
-    best = select_replacement(doc, candidates, ledger, doc_unit)
-    while best is not None and best.verified is None:
-        verify(best)
-        best = select_replacement(doc, candidates, ledger, doc_unit)
-    return best
+    """The candidate that replaces ``doc``, or None to keep it: the first of
+    :func:`select_replacement`'s list against the live ``ledger`` that
+    ``confirms``. Candidates are asked in (score, text) order, each at most
+    once, and the walk stops at the first confirmed one: the winner of
+    verifying every candidate first."""
+    ranked = select_replacement(doc, candidates, ledger, doc_unit)
+    return next((cand for cand in ranked if confirms(cand)), None)
 
 
 def run_iteration(
@@ -421,7 +414,7 @@ def run_iteration(
             doc = docs[i]
             winner = decide_replacement(
                 doc, cands, ledger, space.units[i],
-                lambda cand: _verify(cand, doc, dataset, backend, config, journal),
+                lambda cand: _confirms(cand, doc, dataset, backend, config, journal),
             )
             if winner is not None:
                 ledger.swap(doc.label, space.units[i], winner.unit)

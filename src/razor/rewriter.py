@@ -6,13 +6,11 @@ before it can replace the original. Among verified candidates, the one with
 the lowest shortcut score wins, and only if it strictly improves on the
 original; otherwise the original is kept.
 
-Verification is lazy: a candidate's verdict is None until the verifier is
-asked. :func:`select_replacement` returns the one candidate to act on: the
-winner when it is verified, or the candidate whose verdict decides the
-outcome when it is not, which the caller verifies before selecting again.
-Walking the strictly-improving candidates in (score, text) order and
-stopping at the first verified one picks the same winner as verifying every
-candidate first, with fewer verifier calls.
+Verification is lazy. :func:`select_replacement` scores a document's
+candidates once and lists those that strictly improve on the original, best
+first by (score, text); the first of them that the verifier confirms wins.
+Walking that list and stopping at the first confirmed candidate picks the
+same winner as verifying every candidate first, with fewer verifier calls.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ import functools
 import logging
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -118,13 +116,13 @@ class GeneratorConfig:
             raise ConfigError(f"max_retries must be >= 0, got {self.max_retries}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RewriteCandidate:
+    """A scoreable rewrite: its text, the document with that text, and its unit."""
+
     text: str
-    verified: Optional[bool] = None  # None until the verifier is asked
-    # set by embed_candidates for a scoreable candidate
-    document: Optional[LabeledDocument] = None
-    unit: Optional[np.ndarray] = field(default=None, compare=False)
+    document: LabeledDocument
+    unit: np.ndarray = field(compare=False)
 
 
 def _bindings(doc: LabeledDocument, label_names: Mapping[int, str], schema: str):
@@ -252,31 +250,34 @@ def verify_label(
 
 
 def embed_candidates(
-    pairs: Iterable[tuple[LabeledDocument, RewriteCandidate]],
+    docs: list[LabeledDocument],
+    texts: list[list[str]],
     stats: TokenTable,
     lam: int,
-) -> None:
-    """Give each candidate in ``pairs`` (original document, candidate) its
-    rewritten document and unit vector. Every candidate is tokenized once and
-    embedded against the frozen ``stats``, all of them together,
-    ``BLOCK_DOCS`` at a time; a row's bits do not depend on its block, so
-    candidates with the same tokens tie exactly. Candidates that are empty,
-    shorter than 2 tokens, have the original's tokens (so the original's
-    embedding: no improvement) or embed to zero keep both None and are never
-    scored."""
-    trials: list[tuple[RewriteCandidate, LabeledDocument]] = []
-    for doc, cand in pairs:
-        try:
-            trial = replace_text(doc, cand.text)
-        except DataError:
-            continue
-        if len(trial.tokens) < 2 or trial.tokens == doc.tokens:
-            continue
-        trials.append((cand, trial))
-    units = surface_embedding([trial for _, trial in trials], stats, lam)
-    for (cand, trial), unit in zip(trials, units):
+) -> list[list[RewriteCandidate]]:
+    """The scoreable candidates among each document's rewrite ``texts``
+    (``texts[j]`` for ``docs[j]``), in ``texts`` order. Every text is
+    tokenized once and embedded against the frozen ``stats``, all of them
+    together, ``BLOCK_DOCS`` at a time; a row's bits do not depend on its
+    block, so candidates with the same tokens tie exactly. A text that is
+    empty, shorter than 2 tokens, has the original's tokens (so the
+    original's embedding: no improvement) or embeds to zero makes no
+    candidate."""
+    trials: list[tuple[int, str, LabeledDocument]] = []
+    for j, (doc, doc_texts) in enumerate(zip(docs, texts)):
+        for text in doc_texts:
+            try:
+                trial = replace_text(doc, text)
+            except DataError:
+                continue
+            if len(trial.tokens) >= 2 and trial.tokens != doc.tokens:
+                trials.append((j, text, trial))
+    units = surface_embedding([trial for _, _, trial in trials], stats, lam)
+    candidates: list[list[RewriteCandidate]] = [[] for _ in docs]
+    for (j, text, trial), unit in zip(trials, units):
         if unit.any():
-            cand.document, cand.unit = trial, unit
+            candidates[j].append(RewriteCandidate(text, trial, unit))
+    return candidates
 
 
 def select_replacement(
@@ -284,24 +285,14 @@ def select_replacement(
     candidates: list[RewriteCandidate],
     ledger: ClassLedger,
     doc_unit: np.ndarray,
-) -> Optional[RewriteCandidate]:
-    """The candidate not rejected by the verifier with the lowest shortcut
-    score against the ledger's current opposite-class sum, ties to the
-    lexicographically smallest text, when that score is strictly below the
-    original's (unit vector ``doc_unit``); None to keep the original. Only
-    candidates given a unit by :func:`embed_candidates` are scored.
-
-    A returned candidate that is verified replaces the original with its
-    document and unit. One whose verdict is still None decides the outcome:
-    the caller asks the verifier and selects again. No backend call is made
-    here.
-    """
+) -> list[RewriteCandidate]:
+    """The candidates whose shortcut score against the ledger's current
+    opposite-class sum is strictly below the original's (unit vector
+    ``doc_unit``), lowest score first, ties to the smaller text. The first
+    one the verifier confirms replaces the original with its document and
+    unit; if none does, the original is kept. No backend call is made here."""
     opposite_sum, opposite_count = ledger.opposite(doc.label)
-    best, best_score = None, score_against(doc_unit, opposite_sum, opposite_count)
-    for cand in sorted(candidates, key=lambda c: c.text):
-        if cand.unit is None or cand.verified is False:
-            continue
-        score = score_against(cand.unit, opposite_sum, opposite_count)
-        if score < best_score:
-            best, best_score = cand, score
-    return best
+    bound = score_against(doc_unit, opposite_sum, opposite_count)
+    scored = [(score_against(c.unit, opposite_sum, opposite_count), c.text, c) for c in candidates]
+    scored.sort(key=lambda entry: entry[:2])
+    return [cand for score, _, cand in scored if score < bound]

@@ -26,6 +26,17 @@ LABELS = {0: "supports", 1: "refutes"}
 DOC = make_document("d1", "the claim text", 1, context_text="the evidence")
 
 
+# URLs every attempt would fail on: each is refused when the backend is built
+MALFORMED_URLS = {
+    "open-ipv6-bracket": ("http://[::1/v1", "Invalid IPv6 URL"),
+    "port-not-a-number": ("http://127.0.0.1:notaport/v1", "notaport"),
+    "port-out-of-range": ("http://127.0.0.1:99999/v1", "out of range"),
+    "no-host": ("http:///v1", "no host"),
+}
+# keys that are not all visible ASCII, as a bearer token is
+BAD_KEYS = {"newline": "sek\nret", "return": "sek\rret", "space": "sek ret", "non-ascii": "sekr\u00e9t"}
+
+
 class _Handler(BaseHTTPRequestHandler):
     server_version = "stub"
 
@@ -210,6 +221,17 @@ class TestHttpBackend:
         with pytest.raises(ConfigError, match="RAZOR_API_BASE"):
             HttpBackend("m", api_key="k")
 
+    @pytest.mark.parametrize("url, reason", MALFORMED_URLS.values(), ids=MALFORMED_URLS.keys())
+    def test_malformed_url_is_config_error(self, url, reason):
+        with pytest.raises(ConfigError, match=rf"bad backend URL .*{reason}"):
+            HttpBackend("m", base_url=url, api_key="k")
+
+    @pytest.mark.parametrize("key", BAD_KEYS.values(), ids=BAD_KEYS.keys())
+    def test_key_unfit_for_a_header_is_config_error(self, key):
+        with pytest.raises(ConfigError, match="API key must be visible ASCII") as caught:
+            HttpBackend("m", base_url="http://127.0.0.1:1/x", api_key=key)
+        assert key not in str(caught.value)  # the key is not echoed
+
     def test_call_log_counts(self, stub_server):
         backend = Recording(backend_for(stub_server))
         backend.generate("p", DOC, 0.7, 0.9, 0)
@@ -240,11 +262,7 @@ class TestTransportFailures:
         assert len(posts) == 3
 
     def test_refused_connection_makes_razor_run_exit_3(self, tmp_path, monkeypatch):
-        data = tmp_path / "data.jsonl"
-        data.write_text("".join(
-            json.dumps({"id": f"d{i}", "text": f"some words {i} tok{i % 3}", "label": i % 2})
-            + "\n" for i in range(12)
-        ))
+        data = small_input(tmp_path)
         monkeypatch.setenv("RAZOR_API_BASE", f"http://127.0.0.1:{closed_port()}/chat")
         monkeypatch.setenv("RAZOR_API_KEY", "k")
         monkeypatch.setattr(backends, "time", SimpleNamespace(sleep=lambda s: None))
@@ -309,6 +327,36 @@ class TestTransportFailures:
                 backend.generate("p", DOC, 0.7, 0.9, 0)
             gc.collect()
         assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+@pytest.mark.parametrize(
+    "url, key",
+    [(url, "k") for url, _ in MALFORMED_URLS.values()] + [("http://127.0.0.1:1/x", "sek\nret")],
+    ids=[*MALFORMED_URLS, "key-newline"],
+)
+def test_malformed_endpoint_makes_razor_run_exit_1(tmp_path, monkeypatch, capsys, url, key):
+    """One line on stderr, exit 1, and no request sent."""
+    posts = []
+    monkeypatch.setattr(backends, "requests", SimpleNamespace(post=lambda *a, **kw: posts.append(a)))
+    monkeypatch.setenv("RAZOR_API_BASE", url)
+    monkeypatch.setenv("RAZOR_API_KEY", key)
+    code = main([
+        "run", "--input", str(small_input(tmp_path)), "--backend", "http", "--model", "m",
+        "--out", str(tmp_path / "out.jsonl"),
+    ])
+    err = capsys.readouterr().err
+    assert code == 1 and posts == []
+    assert err.startswith("razor: configuration error:") and err.count("\n") == 1
+
+
+def small_input(tmp_path) -> Path:
+    """A 12-document single-text input file."""
+    data = tmp_path / "data.jsonl"
+    data.write_text("".join(
+        json.dumps({"id": f"d{i}", "text": f"some words {i} tok{i % 3}", "label": i % 2})
+        + "\n" for i in range(12)
+    ))
+    return data
 
 
 def closed_port() -> int:

@@ -500,6 +500,19 @@ class TestCheckpointResume:
         with pytest.raises(Unanswered):
             replayed.verdict("a", "y", unanswered)
 
+    def test_journal_without_a_file_formats_nothing(self, monkeypatch):
+        """A journal without a path keeps its answers but formats no line."""
+        quoted = []
+        quote = json.encoder.encode_basestring_ascii
+        monkeypatch.setattr(json.encoder, "encode_basestring_ascii",
+                            lambda s: quoted.append(s) or quote(s))
+        journal = RewriteJournal()
+        assert journal.texts("a", lambda: ["x", "y"]) == ["x", "y"]
+        assert journal.verdict("a", "x", lambda: True) is True
+        assert journal.texts("a", unasked) == ["x", "y"]
+        assert journal.verdict("a", "x", unasked) is True
+        assert quoted == []
+
     def test_journal_lines_are_json_dumps_lines(self, tmp_path):
         """Each line :meth:`RewriteJournal.record` formats is the line
         ``json.dumps`` writes, for non-ASCII and astral text, quotes,
@@ -830,40 +843,70 @@ class TestLazyVerification:
             )
             ledger = ClassLedger(space)
             doc = make_document("d0", "some original text", int(labels[0]))
+            opposite_sum, count = ledger.opposite(doc.label)
             units = rng.standard_normal((4, lam))
             units /= np.linalg.norm(units, axis=1, keepdims=True)
-            cands = []
+            # an unscoreable text is scored None and makes no candidate
+            cands, scored, known = [], [], {}
             for j in range(int(rng.integers(0, 7))):
-                cand = RewriteCandidate(f"t{trial}-{rng.integers(0, 1000)}-{j}")
+                text = f"t{trial}-{rng.integers(0, 1000)}-{j}"
                 kind = rng.integers(0, 6)
+                score = None
                 if kind > 0:  # kinds 1-5 share four units, so scores tie
-                    cand.unit = space.units[0] if kind == 5 else units[kind - 1]
-                if rng.random() < 0.3:
-                    cand.verified = accepts(cand.text)
-                cands.append(cand)
-            opposite_sum, count = ledger.opposite(doc.label)
-            scored = [
-                (c.text, None if c.unit is None else score_against(c.unit, opposite_sum, count))
-                for c in cands
-            ]
-            known = {c.text for c in cands if c.verified is not None}
+                    unit = space.units[0] if kind == 5 else units[kind - 1]
+                    cands.append(RewriteCandidate(text, doc, unit))
+                    score = score_against(unit, opposite_sum, count)
+                scored.append((text, score))
+                if rng.random() < 0.3:  # journaled by a speculative pass
+                    known[text] = accepts(text)
             asked = []
 
-            def verify(cand):
+            def confirms(cand):
+                if cand.text in known:
+                    return known[cand.text]
                 asked.append(cand.text)
-                cand.verified = accepts(cand.text)
+                return accepts(cand.text)
 
-            chosen = decide_replacement(doc, cands, ledger, space.units[0], verify)
-            winner, eager_calls = eager_replacement(
-                scored, score_against(space.units[0], opposite_sum, count), accepts
-            )
+            chosen = decide_replacement(doc, cands, ledger, space.units[0], confirms)
+            original = score_against(space.units[0], opposite_sum, count)
+            winner, eager_calls = eager_replacement(scored, original, accepts)
             assert (None if chosen is None else chosen.text) == winner
-            assert chosen is None or chosen.verified is True
-            assert len(asked) == len(set(asked)) and not set(asked) & known
-            assert len(asked) + len(known) <= eager_calls == len(cands)
+            assert chosen is None or (accepts(chosen.text) and chosen in cands)
+            assert len(asked) == len(set(asked)) and not set(asked) & set(known)
+            assert len(asked) + len(known) <= eager_calls == len(scored)
+            # asked: the improving candidates without a verdict, in (score,
+            # text) order, up to the winner
+            improving = sorted((score, text) for text, score in scored
+                               if score is not None and score < original)
+            order = [text for _, text in improving]
+            reached = order if winner is None else order[: order.index(winner) + 1]
+            assert asked == [text for text in reached if text not in known]
             decided[chosen is not None, bool(asked)] += 1
         # the trials reach every outcome, with and without verifier calls
         assert len(decided) == 4
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_each_pass_selects_once_per_document(self, monkeypatch, jobs):
+        """The speculative pass and the commit walk each call
+        select_replacement once per selected document, however many of its
+        candidates the verifier rejects."""
+        dataset, _ = synth(corpus_size=120)
+        selected = []
+        select = pipeline.select_replacement
+
+        def counted(doc, *args):
+            selected.append(doc.id)
+            return select(doc, *args)
+
+        monkeypatch.setattr(pipeline, "select_replacement", counted)
+        backend = ScriptedBackend()
+        _, trace = run_iteration(dataset, RunConfig(k=12, jobs=jobs), backend)
+        ids = trace.selected_ids
+        assert sorted(selected[: len(ids)]) == sorted(ids) and selected[len(ids) :] == ids
+        # some document's walk went past a rejected candidate
+        verified = [(doc_id, text) for role, doc_id, text in backend.asked if role == "verify"]
+        assert len(verified) > len({doc_id for doc_id, _ in verified})
+        assert any(not accepts(text) for _, text in verified)
 
     def straight_run(self, dataset, config, monkeypatch, checkpoint=None, make=ScriptedBackend):
         """A run through a backend ``make`` builds (ScriptedBackend by

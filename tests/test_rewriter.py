@@ -6,9 +6,9 @@ import pytest
 from razor.backends import MockBackend
 from razor.corpus import make_document, replace_text
 from razor.errors import BackendError, ConfigError, DataError
+from razor.pipeline import decide_replacement
 from razor.rewriter import (
     GeneratorConfig,
-    RewriteCandidate,
     build_prompt,
     check_label_names,
     build_verify_prompt,
@@ -206,14 +206,20 @@ def scoring_fixture():
     return ds, stats, space
 
 
-def select_for_b1(candidates):
-    """embed_candidates, then select_replacement for doc b1 of the scoring
-    fixture, against a fresh ledger of the fixture's space."""
+def b1_selection(texts):
+    """Doc b1 of the scoring fixture, its candidates among ``texts`` from
+    embed_candidates, a fresh ledger of the fixture's space and b1's unit:
+    the arguments of select_replacement."""
     ds, stats, space = scoring_fixture()
     doc = {d.id: d for d in ds}["b1"]
-    embed_candidates([(doc, cand) for cand in candidates], stats, 16)
-    i = space.ids.index("b1")
-    return select_replacement(doc, candidates, ClassLedger(space), space.units[i])
+    [candidates] = embed_candidates([doc], [texts], stats, 16)
+    return doc, candidates, ClassLedger(space), space.units[space.ids.index("b1")]
+
+
+def select_for_b1(texts):
+    """(b1's candidates among ``texts``, the list select_replacement returns)."""
+    args = b1_selection(texts)
+    return args[1], select_replacement(*args)
 
 
 def b1_score(unit=None):
@@ -232,79 +238,80 @@ RUNNER_UP = "crew painted the fence quickly zonk"
 
 class TestSelectReplacement:
     def test_argmin_strict_improvement(self):
-        accepted = [
-            RewriteCandidate("the crew painted the fence quickly", True),
-            RewriteCandidate("zonk zonk the crew painted the fence quickly", True),
-        ]
-        chosen = select_for_b1(accepted)
-        assert chosen is accepted[0]
-        assert b1_score(chosen.unit) < b1_score()
+        worse = "zonk zonk the crew painted the fence quickly"
+        candidates, ranked = select_for_b1([worse, BEST])
+        assert [c.text for c in candidates] == [worse, BEST]
+        assert ranked == [candidates[1]]
+        assert b1_score(ranked[0].unit) < b1_score() <= b1_score(candidates[0].unit)
 
     def test_keep_original_when_no_candidate_improves(self):
-        accepted = [RewriteCandidate("zonk zonk zonk the crew painted fences", True)]
-        assert select_for_b1(accepted) is None
+        candidates, ranked = select_for_b1(["zonk zonk zonk the crew painted fences"])
+        assert len(candidates) == 1 and ranked == []
 
     def test_empty_accepted_keeps_original(self):
-        assert select_for_b1([]) is None
+        assert select_for_b1([]) == ([], [])
 
     def test_tie_breaks_lexicographically(self):
         # identical token sequences under normalization, so identical scores
-        accepted = [
-            RewriteCandidate("THE crew painted the fence quickly", True),
-            RewriteCandidate("The crew painted the fence quickly", True),
-        ]
-        chosen = select_for_b1(accepted)
-        assert chosen.text == "THE crew painted the fence quickly"
-        assert np.array_equal(accepted[0].unit, accepted[1].unit)
+        texts = ["The crew painted the fence quickly", "THE crew painted the fence quickly"]
+        candidates, ranked = select_for_b1(texts)
+        assert [c.text for c in ranked] == sorted(texts)
+        assert np.array_equal(candidates[0].unit, candidates[1].unit)
 
     def test_unscoreable_candidates_skipped(self):
-        short = RewriteCandidate("word", True)
-        empty = RewriteCandidate("?!", True)
-        good = RewriteCandidate("the crew painted the fence quickly", True)
-        assert select_for_b1([short, empty, good]) is good
-        assert short.unit is None and short.document is None
-        assert empty.unit is None and empty.document is None
+        # too short, no tokens at all, and only tokens every document holds
+        # (idf 0, so a zero embedding): no candidate, never listed
+        candidates, ranked = select_for_b1(["word", "?!", "the crew the", BEST])
+        assert [c.text for c in candidates] == [c.text for c in ranked] == [BEST]
 
     def test_replacement_carries_document_and_unit(self):
-        text = "the crew painted the fence quickly"
-        chosen = select_for_b1([RewriteCandidate(text, True)])
+        _, [chosen] = select_for_b1([BEST])
         ds, stats, _ = scoring_fixture()
-        expected = replace_text({d.id: d for d in ds}["b1"], text)
-        assert chosen.verified and chosen.document == expected
+        expected = replace_text({d.id: d for d in ds}["b1"], BEST)
+        assert chosen.document == expected
         np.testing.assert_array_equal(chosen.unit, surface_embedding([expected], stats, 16)[0])
 
     def test_original_tokens_never_replace(self):
         # the original's tokens in other case: its own embedding, no improvement
-        same = RewriteCandidate("ZONK the crew painted the fence quickly", True)
-        assert select_for_b1([same]) is None
-        assert same.unit is None
+        assert select_for_b1(["ZONK the crew painted the fence quickly"]) == ([], [])
 
     def test_unverified_candidates_ignored(self):
-        rejected = RewriteCandidate("the crew painted the fence quickly", False)
-        assert select_for_b1([rejected]) is None
+        # the commit walk over the list: a rejected candidate never replaces
+        asked = []
+
+        def rejects(cand):
+            asked.append(cand.text)
+            return False
+
+        assert decide_replacement(*b1_selection([RUNNER_UP, BEST]), rejects) is None
+        assert asked == [BEST, RUNNER_UP]
 
     def test_unverified_best_returned_unchanged(self):
-        best, runner_up = RewriteCandidate(BEST), RewriteCandidate(RUNNER_UP, True)
-        chosen = select_for_b1([runner_up, best])
-        assert chosen is best and best.verified is None
-        assert b1_score(best.unit) < b1_score(runner_up.unit) < b1_score()
+        # listed by score alone, given in either order; no verdict is asked
+        for texts in ([RUNNER_UP, BEST], [BEST, RUNNER_UP]):
+            candidates, ranked = select_for_b1(texts)
+            assert [c.text for c in ranked] == [BEST, RUNNER_UP]
+            assert all(any(c is r for c in candidates) for r in ranked)
+            assert b1_score(ranked[0].unit) < b1_score(ranked[1].unit) < b1_score()
 
     def test_rejected_best_passed_over(self):
-        best, runner_up = RewriteCandidate(BEST), RewriteCandidate(RUNNER_UP)
-        assert select_for_b1([best, runner_up]) is best
-        # rejected after it was embedded: selection itself passes it over
-        best.verified = False
-        assert select_for_b1([best, runner_up]) is runner_up
-        assert best.unit is not None and runner_up.verified is None
+        asked = []
+
+        def confirms(cand):
+            asked.append(cand.text)
+            return cand.text != BEST
+
+        chosen = decide_replacement(*b1_selection([BEST, RUNNER_UP]), confirms)
+        assert chosen.text == RUNNER_UP and asked == [BEST, RUNNER_UP]
 
     def test_none_when_nothing_improves_even_unverified(self):
         worse = [
-            RewriteCandidate("zonk zonk zonk the crew painted fences"),
-            RewriteCandidate("the crew painted the fence slowly"),
-            RewriteCandidate("zonk zonk the crew painted the fence quickly", True),
+            "zonk zonk zonk the crew painted fences",
+            "the crew painted the fence slowly",
+            "zonk zonk the crew painted the fence quickly",
         ]
-        assert select_for_b1(worse) is None
-        assert all(cand.unit is not None for cand in worse)
+        candidates, ranked = select_for_b1(worse)
+        assert len(candidates) == len(worse) and ranked == []
 
 
 class TestEmbedCandidates:
@@ -316,13 +323,12 @@ class TestEmbedCandidates:
         originals = list(ds)
         rng = np.random.default_rng(3)
         words = sorted(doc_frequency(stats)) + ["unseen", "novel"]
-        pairs = []
+        docs, texts = [], []
         for j in range(BLOCK_DOCS + 40):
-            text = " ".join(words[w] for w in rng.integers(0, len(words), size=2 + j % 9))
-            pairs.append((originals[j % len(originals)], RewriteCandidate(text, True)))
-        embed_candidates(pairs, stats, 16)
+            docs.append(originals[j % len(originals)])
+            texts.append([" ".join(words[w] for w in rng.integers(0, len(words), size=2 + j % 9))])
+        embedded = [cand for cands in embed_candidates(docs, texts, stats, 16) for cand in cands]
         all_tokens = [set(d.tokens) for d in ds]
-        embedded = [cand for _, cand in pairs if cand.unit is not None]
         assert len({cand.document.tokens for cand in embedded}) > BLOCK_DOCS
         assert any("unseen" in cand.document.tokens for cand in embedded)
         for cand in embedded:
@@ -335,11 +341,13 @@ class TestEmbedCandidates:
         # embedded in different blocks
         ds, stats, _ = scoring_fixture()
         docs = {d.id: d for d in ds}
-        a1, b1 = docs["a1"], docs["b1"]
-        first = RewriteCandidate("the crew painted a fence", True)
-        second = RewriteCandidate("The crew painted a FENCE.", True)
-        fillers = [RewriteCandidate(f"the crew painted fence {i}", True) for i in range(BLOCK_DOCS)]
-        embed_candidates([(a1, first)] + [(a1, c) for c in fillers] + [(b1, second)], stats, 16)
+        fillers = [f"the crew painted fence {i}" for i in range(BLOCK_DOCS)]
+        [first, *_], [second] = embed_candidates(
+            [docs["a1"], docs["b1"]],
+            [["the crew painted a fence"] + fillers, ["The crew painted a FENCE."]],
+            stats,
+            16,
+        )
         assert first.document.id == "a1" and second.document.id == "b1"
         assert np.array_equal(first.unit, second.unit)
 
