@@ -3,12 +3,12 @@
 Both expose the same two calls. ``generate`` produces rewrite candidates: one
 text, or with ``n`` a list of 1..n texts from one request (the n choices of
 a chat completion). ``verify`` produces the raw text the label check parses.
-HTTP requests share nothing: each attempt is one ``http.client`` POST on a
-connection of its own, and mock runs never import ``http.client``. The mock
-answers from the request alone, so its answers do not depend on the order of
-requests (under ``--jobs > 1``, or across an abort and resume). Each backend
-counts its requests per role, one per request whatever its ``n``, so
-pipelines can account for every request.
+An HTTP backend parses its URL once, when built; each attempt is one
+``http.client`` POST on a connection of its own, and mock runs never import
+``http.client``. The mock answers from the request alone, so its answers do
+not depend on the order of requests (under ``--jobs > 1``, or across an
+abort and resume). Each backend counts its requests per role, one per
+request whatever its ``n``, so pipelines can account for every request.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import re
 import threading
 import time
 from collections import Counter
+from functools import partial
 from json import dumps, loads
 from pathlib import Path
 from random import Random
@@ -42,17 +43,17 @@ RULE_KEYS = ("pattern", "replacement", "replacements")
 RETRYABLE_4XX = (408, 429)
 
 
-def _post(url: str, json: dict, headers: dict, timeout: float) -> SimpleNamespace:
-    """One POST on a connection of its own; https checks certificates (the
-    default SSL context). The reply: ``status_code``, ``headers``, ``content``."""
-    import http.client
+def _post(target: SimpleNamespace, json: dict, headers: dict, timeout: float) -> SimpleNamespace:
+    """One POST to ``target`` (see :func:`_endpoint`) on a connection of its
+    own. The reply: ``status_code``, ``headers``, ``content``."""
+    from http.client import HTTPConnection, HTTPSConnection
 
-    parts = urlsplit(url)
-    opener = http.client.HTTPSConnection if parts.scheme == "https" else http.client.HTTPConnection
-    conn = opener(parts.netloc, timeout=timeout)
+    if target.tls is None:
+        conn = HTTPConnection(target.host, target.port, timeout=timeout)
+    else:
+        conn = HTTPSConnection(target.host, target.port, timeout=timeout, context=target.tls)
     try:
-        path = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
-        conn.request("POST", path, dumps(json).encode(), headers)
+        conn.request("POST", target.path, dumps(json).encode(), headers)
         with conn.getresponse() as r:
             return SimpleNamespace(status_code=r.status, headers=r.headers, content=r.read())
     finally:
@@ -100,18 +101,36 @@ def _delta_seconds(value: Optional[str]) -> int:
         return 0
 
 
-def _check_url(url: str) -> None:
-    """Raise ConfigError for a URL every attempt would fail on: not http(s),
-    no host, or a port that is not a number in 0..65535."""
+def _endpoint(url: str) -> SimpleNamespace:
+    """The target of every attempt: ``host``, ``port``, ``path`` with its query,
+    and for https ``tls``, one SSL context checking certificates against the
+    system's CA store. Raise ConfigError for a URL that no attempt can use."""
     try:
         parts = urlsplit(url)
-        parts.port  # raises for a port that is not a number or out of range
+        port = parts.port  # raises for a port that is not a number or out of range
     except ValueError as exc:  # also for a bracketed host left open
         raise ConfigError(f"bad backend URL {url!r}: {exc}") from None
     if parts.scheme not in ("http", "https"):
         raise ConfigError(f"no http(s) backend URL: set {API_BASE_ENV} or pass base_url")
-    if not parts.hostname:
-        raise ConfigError(f"bad backend URL {url!r}: no host")
+    path = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+    problem = (
+        "no host" if not parts.hostname
+        else f"credentials in the URL; the key goes in {API_KEY_ENV}" if "@" in parts.netloc
+        else "port 0" if port == 0
+        # characters http.client refuses in a request line, and a path it cannot encode
+        else "a space or control character, or a path that is not ASCII"
+        if re.search(r"[\x00-\x20\x7f]", parts.hostname + path) or not path.isascii()
+        else None
+    )
+    if problem:
+        raise ConfigError(f"bad backend URL {url!r}: {problem}")
+    tls = None
+    if parts.scheme == "https":
+        import ssl
+
+        tls = ssl.create_default_context()
+        tls.set_alpn_protocols(["http/1.1"])  # as http.client's own default context
+    return SimpleNamespace(host=parts.hostname, port=port or (443 if tls else 80), path=path, tls=tls)
 
 
 class HttpBackend:
@@ -139,16 +158,14 @@ class HttpBackend:
         timeout: float = 60.0,
         retry_backoff: float = 1.0,
     ):
-        base_url = base_url or os.environ.get(API_BASE_ENV, "").strip()
+        self.target = _endpoint(base_url or os.environ.get(API_BASE_ENV, "").strip())
         api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV, "").strip()
-        _check_url(base_url)
         if not api_key:
             raise ConfigError(f"no API key: set {API_KEY_ENV} or pass api_key")
         if not re.fullmatch(r"[\x21-\x7e]+", api_key):  # it goes into a header line
             raise ConfigError("the API key must be visible ASCII, without spaces or line breaks")
         self.model = model
-        self.base_url = base_url
-        self.api_key = api_key
+        self.headers = {"Authorization": f"Bearer {api_key}", "Content-Type": "application/json"}
         self.timeout = timeout
         self.retry_backoff = retry_backoff
         self.calls = CallLog()
@@ -178,10 +195,7 @@ class HttpBackend:
         }
         if n > 1 and self._sends_n:
             payload["n"] = n
-        headers = {
-            "Authorization": f"Bearer {self.api_key}",
-            "Content-Type": "application/json",
-        }
+        post = partial(requests.post, self.target, headers=self.headers, timeout=self.timeout)
         last_error: Exception | None = None
         retry_after = 0.0  # the wait a 429 answer asked for
         for attempt in range(max_retries + 1):
@@ -190,15 +204,11 @@ class HttpBackend:
                 time.sleep(delay)
             retry_after = 0.0
             try:
-                resp = requests.post(
-                    self.base_url, json=payload, headers=headers, timeout=self.timeout
-                )
+                resp = post(json=payload)
                 if "n" in payload and _refused(resp.status_code):
                     self._refused_n(resp.status_code)
                     del payload["n"]
-                    resp = requests.post(
-                        self.base_url, json=payload, headers=headers, timeout=self.timeout
-                    )
+                    resp = post(json=payload)
                 if resp.status_code == 429:
                     retry_after = min(_delta_seconds(resp.headers.get("Retry-After")), self.timeout)
                 if 300 <= resp.status_code < 400:  # redirects are not followed

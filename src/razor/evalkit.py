@@ -129,8 +129,6 @@ def _term_counts(scan: _TermScan, term: str, label_names) -> dict:
 def _gap(scan: _TermScan, term: str) -> float:
     holding = scan.holding[term.casefold()]
     rates = [holding[label] / n for label, n in sorted(scan.documents.items())]
-    if len(rates) < 2:
-        raise DataError("frequency gap needs at least one document in each of two classes")
     return max(rates) - min(rates)
 
 

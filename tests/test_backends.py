@@ -2,9 +2,11 @@ import gc
 import json
 import os
 import socket
+import ssl
 import subprocess
 import sys
 import threading
+import urllib.parse
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -32,6 +34,12 @@ MALFORMED_URLS = {
     "port-not-a-number": ("http://127.0.0.1:notaport/v1", "notaport"),
     "port-out-of-range": ("http://127.0.0.1:99999/v1", "out of range"),
     "no-host": ("http:///v1", "no host"),
+    "port-zero": ("http://127.0.0.1:0/v1", "port 0"),
+    "credentials": ("http://u:p@127.0.0.1:9/v1", "credentials"),
+    "space-in-host": ("http://bad host/v1", "space or control character"),
+    "space-in-path": ("http://127.0.0.1:9/v 1", "space or control character"),
+    "control-character-in-path": ("http://127.0.0.1:9/v\x7f1", "space or control character"),
+    "non-ascii-path": ("http://127.0.0.1:9/v\u00e91", "not ASCII"),
 }
 # keys that are not all visible ASCII, as a bearer token is
 BAD_KEYS = {"newline": "sek\nret", "return": "sek\rret", "space": "sek ret", "non-ascii": "sekr\u00e9t"}
@@ -278,6 +286,58 @@ class TestTransportFailures:
         assert backend.generate("prompt", DOC, 0.7, 0.9, max_retries=2) == "stub reply"
         assert len(stub_server.requests) == 3
 
+    def test_attempts_parse_no_url(self, stub_server, monkeypatch):
+        backend = backend_for(stub_server)
+
+        def urlsplit(*args, **kw):
+            raise AssertionError("a URL was parsed after the backend was built")
+
+        monkeypatch.setattr(backends, "urlsplit", urlsplit)
+        monkeypatch.setattr(urllib.parse, "urlsplit", urlsplit)
+        assert backend.generate("p", DOC, 0.7, 0.9, max_retries=0) == "stub reply"
+        assert stub_server.requests[-1]["path"] == "/v1/chat/completions"
+
+    def test_query_is_sent_with_the_path(self, stub_server):
+        url = f"http://127.0.0.1:{stub_server.server_address[1]}/chat?api-version=2"
+        backend = HttpBackend("m", base_url=url, api_key="k", retry_backoff=0.0)
+        backend.generate("p", DOC, 0.7, 0.9, max_retries=0)
+        assert stub_server.requests[-1]["path"] == "/chat?api-version=2"
+
+    def test_workers_share_one_backend(self, stub_server):
+        """Worker threads share the backend's target and headers: each
+        request arrives whole, with its own prompt and the key."""
+        backend = backend_for(stub_server, timeout=10.0)
+        prompts = [f"prompt {i}" for i in range(24)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                out = list(pool.map(lambda p: backend.generate(p, DOC, 0.7, 0.9, 0), prompts,
+                                    timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert out == ["stub reply"] * len(prompts)
+        received = stub_server.requests
+        assert sorted(r["body"]["messages"][0]["content"] for r in received) == sorted(prompts)
+        assert {r["auth"] for r in received} == {"Bearer sekret"}
+        assert {r["path"] for r in received} == {"/v1/chat/completions"}
+
+    def test_https_backend_loads_its_ca_store_once(self, monkeypatch):
+        loads = []
+        real = ssl.SSLContext.load_default_certs
+
+        def load_default_certs(context, *args, **kw):
+            loads.append(context)
+            return real(context, *args, **kw)
+
+        monkeypatch.setattr(ssl.SSLContext, "load_default_certs", load_default_certs)
+        backend = HttpBackend(
+            "m", base_url=f"https://127.0.0.1:{closed_port()}/chat", api_key="k", retry_backoff=0.0
+        )
+        with pytest.raises(BackendError, match="after 3 attempt"):
+            backend.generate("p", DOC, 0.7, 0.9, max_retries=2)
+        assert len(loads) == 1  # at construction, shared by the three attempts
+
     def test_https_to_a_plain_http_server_fails(self, stub_server):
         # the TLS handshake fails against a server that speaks plain HTTP
         url = f"https://127.0.0.1:{stub_server.server_address[1]}/chat"
@@ -386,7 +446,7 @@ dataset, rules = generate_biased_corpus(BiasSpec("zonk", corpus_size=100, seed=7
 backend = MockBackend(rules["generation"], verdict=rules["verdict"], seed=rules["seed"])
 result = run_razor(dataset, RunConfig(k=10, max_iterations=2), backend)
 out = {
-    "mock_run": sorted({"requests", "http.client"} & set(sys.modules)),
+    "mock_run": sorted({"requests", "http.client", "ssl"} & set(sys.modules)),
     "replaced": len(result.traces[0].replaced_ids),
 }
 
@@ -395,7 +455,7 @@ class StandIn:
     def __init__(self):
         self.posted = []
 
-    def post(self, url, **kw):
+    def post(self, target, **kw):
         self.posted.append(kw["json"]["n"] if "n" in kw["json"] else None)
         body = {"choices": [{"message": {"content": "a reply"}}]}
         return SimpleNamespace(status_code=200, headers={}, content=json.dumps(body).encode())
@@ -404,6 +464,7 @@ class StandIn:
 real = razor.backends.requests
 stand_in = razor.backends.requests = StandIn()
 http = HttpBackend("m", base_url="http://127.0.0.1:9/chat", api_key="k")
+out["http_built"] = sorted({"http.client", "ssl"} & set(sys.modules))
 doc = make_document("d", "some text", 0)
 http.generate("p", doc, 0.7, 0.9, 0, n=3)
 http.verify("p", "c", doc, {0: "a", 1: "b"}, 0.0, 0)
@@ -448,7 +509,8 @@ def test_no_run_imports_requests():
     )
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert out["mock_run"] == []  # importing razor and a mock run load neither
+    assert out["mock_run"] == []  # importing razor and a mock run load none of them
+    assert out["http_built"] == []  # nor does building an http backend
     assert out["replaced"] > 0
     # a stand-in assigned to ``razor.backends.requests`` gets every post
     assert out["stand_in_posts"] == [3, None]

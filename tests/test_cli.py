@@ -597,12 +597,17 @@ STRING_ITERATION = {
 }
 RUN = ["run", "--input", "{data}", "--rules", "{tmp}/rules.json", "--out", "{tmp}/out.jsonl"]
 REPORT = ["report", "--before", "{data}", "--after", "{data}", "--trace", "{tmp}/trace.json"]
+REPORT_AFTER = ["report", "--before", "{data}", "--after", "{tmp}/after.jsonl"]
 RESUME = RUN + ["--checkpoint-dir", "{tmp}/ckpt"]
 RUN_CONFIG = RUN + ["--config", "{tmp}/config.json"]
 CHECK = ["check-shortcut", "--attributions", "{tmp}/attr.jsonl"]
 ANALYZE = ["analyze", "--input", "{tmp}/bad.jsonl", "--out", "{tmp}/ranking.jsonl"]
 ANALYZE_CLAIMS = ANALYZE + ["--schema", "claim_evidence"]
 CHECK_SUBSETS = CHECK + ["--subset-file", "{tmp}/subsets.jsonl"]
+SYNTH = [
+    "synth", "--planted-token", "zonk", "--out-corpus", "{tmp}/c.jsonl", "--out-rules", "{tmp}/r.json"
+]
+STOP_REASON_NUMBER = {"iterations": [], "stop_reason": 5}
 
 
 def jsonl(rows):
@@ -682,6 +687,14 @@ ERROR_CASES = {
         {"config.json": {"generator": {"verifier_temperature": "x"}}}, RUN_CONFIG, 1
     ),
     "config-model-number": ({"config.json": {"generator": {"model": 5}}}, RUN_CONFIG, 1),
+    "config-unknown-backend": (
+        {"config.json": {"generator": {"backend": "nosuch"}}}, RUN_CONFIG, 1, ["nosuch"]
+    ),
+    "run-jobs-0": ({}, RUN + ["--jobs", "0"], 1, ["jobs"]),
+    "run-max-iterations-0": ({}, RUN + ["--max-iterations", "0"], 1, ["max_iterations"]),
+    "run-candidates-per-doc-0": ({}, RUN + ["--candidates-per-doc", "0"], 1, ["candidates_per_doc"]),
+    "run-max-retries-negative": ({}, RUN + ["--max-retries", "-1"], 1, ["max_retries"]),
+    "synth-corpus-size-1": ({}, SYNTH + ["--corpus-size", "1"], 1, ["corpus_size"]),
     "data-label-float": ({"bad.jsonl": data_lines(label=0.7)}, ANALYZE, 2, ["line 2", "label"]),
     "data-label-bool": ({"bad.jsonl": data_lines(label=True)}, ANALYZE, 2, ["line 2", "label"]),
     "data-label-string": ({"bad.jsonl": data_lines(label="1")}, ANALYZE, 2, ["line 2", "label"]),
@@ -741,10 +754,26 @@ ERROR_CASES = {
     "report-trace-list": ({"trace.json": []}, REPORT, 2),
     "report-trace-unknown-key": ({"trace.json": BAD_ITERATION}, REPORT, 2),
     "report-trace-field-type": ({"trace.json": STRING_ITERATION}, REPORT, 2),
+    "report-trace-stop-reason-number": (
+        {"trace.json": STOP_REASON_NUMBER}, REPORT, 2, ["stop_reason"]
+    ),
+    "report-after-other-size": ({"after.jsonl": jsonl(SINGLE_ROWS[:11])}, REPORT_AFTER, 2, ["size"]),
+    "report-after-unknown-id": (
+        {"after.jsonl": jsonl(SINGLE_ROWS[:11] + [{**SINGLE_ROWS[11], "id": "dx"}])},
+        REPORT_AFTER, 2, ["dx"],
+    ),
     "resume-trace-malformed": ({"ckpt/trace.json": "{"}, RESUME, 2),
     "resume-trace-list": ({"ckpt/trace.json": []}, RESUME, 2),
     "resume-trace-unknown-key": ({"ckpt/trace.json": BAD_ITERATION}, RESUME, 2),
     "resume-trace-field-type": ({"ckpt/trace.json": STRING_ITERATION}, RESUME, 2),
+    "resume-trace-stop-reason-number": (
+        {"ckpt/trace.json": STOP_REASON_NUMBER}, RESUME, 2, ["stop_reason"]
+    ),
+    "resume-snapshot-without-trace": (
+        {"ckpt/iteration_000.jsonl": jsonl(SINGLE_ROWS),
+         "ckpt/iteration_001.jsonl": jsonl(SINGLE_ROWS[:1])},
+        RESUME, 2, ["trace.json", "iteration 1"],
+    ),
     "attributions-not-nested": ({"attr.jsonl": attribution(attributions=[1.0, 2.0])}, CHECK, 2),
     "attributions-not-numbers": ({"attr.jsonl": attribution(attributions=[[{}]])}, CHECK, 2),
     "subsets-not-list": ({"attr.jsonl": attribution(subsets=5)}, CHECK, 2),
