@@ -87,14 +87,28 @@ def make_document(
     label: int,
     context_text: Optional[str] = None,
 ) -> LabeledDocument:
+    """A document razor can write back: its id, text and context encode as
+    UTF-8 (a lone surrogate, such as JSON's ``"\\ud800"``, does not), its
+    label fits in 64 bits and its text holds a token. Raises DataError,
+    naming the document, otherwise."""
     tokens = tuple(tokenize(mutable_text))
     if not tokens:
         raise DataError(f"document {doc_id!r}: text is empty after normalization")
+    label = int(label)
+    if not -(2**63) <= label < 2**63:
+        raise DataError(f"document {doc_id!r}: label {label} does not fit in 64 bits")
+    # isascii reads a flag, not the string: only non-ASCII strings are encoded
+    if not (doc_id.isascii() and mutable_text.isascii() and (context_text or "").isascii()):
+        for name, text in (("id", doc_id), ("text", mutable_text), ("context", context_text)):
+            try:
+                (text or "").encode("utf-8")
+            except UnicodeEncodeError:
+                raise DataError(f"document {doc_id!r}: {name} holds a lone surrogate") from None
     return LabeledDocument(
         id=doc_id,
         mutable_text=mutable_text,
         context_text=context_text,
-        label=int(label),
+        label=label,
         tokens=tokens,
     )
 

@@ -1,6 +1,10 @@
 """Measurement harness: term counting, corpus-level BLEU, class-conditional
 frequency gaps, a planted-bias corpus generator, and before/after reports.
 
+A report counts its terms from token ids: a snapshot's tokens are numbered
+where the surface space numbers them, a block of documents at a time, grouped
+by their casefolded form, and counted per (term, class) with array operations.
+
 The synthetic generator plants a token into one class at a high rate and into
 the rest at a low rate, mimicking a spurious token-label association, and
 emits matching mock-rewriter rules that delete the token so the full loop can
@@ -14,7 +18,6 @@ import json
 import math
 import random
 import re
-from collections import Counter
 from dataclasses import asdict, dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -24,6 +27,7 @@ import numpy as np
 
 from .corpus import Dataset, make_document, tokenize
 from .errors import ConfigError, DataError
+from .surface import _token_ids
 
 _SUBJECTS = [
     "engineer", "gardener", "pilot", "teacher", "violinist",
@@ -75,41 +79,49 @@ class BiasSpec:
         check_terms([self.planted_token], "planted_token")
 
 
-@dataclass
-class _TermScan:
-    """One casefolded pass over a snapshot's rewritable texts: per folded
-    term, its occurrences per class and the documents holding it per class,
-    and the documents per class."""
-
-    occurrences: dict[str, Counter]
-    holding: dict[str, Counter]
-    documents: Counter
+# documents per block of the term count: a block's arrays, not the snapshot's,
+# bound its memory (one block for 100k documents, each holding a term twice,
+# raised the peak RSS of `razor report` by 17 MB; blocks of 8192, by 1.6 MB)
+TERM_BLOCK_DOCS = 8192
 
 
-def _scan_terms(dataset: Dataset, terms: Sequence[str]) -> _TermScan:
-    folded_terms = {term.casefold() for term in terms}
-    scan = _TermScan(
-        {f: Counter() for f in folded_terms},
-        {f: Counter() for f in folded_terms},
-        Counter(doc.label for doc in dataset),
-    )
-    if not folded_terms:
-        return scan
-    # each distinct token is casefolded once, and only the documents holding
-    # a token that folds to a term are read token by token
-    distinct = set(chain.from_iterable(doc.tokens for doc in dataset))
-    fold = {tok: f for tok in distinct if (f := tok.casefold()) in folded_terms}
-    for doc in dataset:
-        if fold.keys().isdisjoint(doc.tokens):
-            continue
-        held = set()
-        for tok in doc.tokens:
-            if tok in fold:
-                scan.occurrences[fold[tok]][doc.label] += 1
-                held.add(fold[tok])
-        for f in held:
-            scan.holding[f][doc.label] += 1
-    return scan
+def _term_rows(dataset: Dataset, terms: Sequence[str]) -> dict[str, tuple[dict, float]]:
+    """Each term's report row in one snapshot: its occurrences per class, in
+    ``label_names`` order, with their total, and its frequency gap, the
+    spread (max - min) over the classes present of the share of their
+    documents holding it. A token counts for the term its casefolded form
+    names: each block of ``TERM_BLOCK_DOCS`` documents is numbered once
+    (``_token_ids``), each vocabulary entry maps to its term's row or to
+    none, and each (term, class) table grows by one ``np.bincount``."""
+    if not terms:
+        return {}
+    term_row = {f: i for i, f in enumerate(dict.fromkeys(term.casefold() for term in terms))}
+    labels = list(dataset.label_names)
+    column = {label: i for i, label in enumerate(labels)}
+    classes = np.fromiter((column[doc.label] for doc in dataset), np.int64, len(dataset))
+    size = len(term_row) * len(labels)
+    # occurrences, then documents holding the term, per (term, class) cell
+    tables = np.zeros((2, size), dtype=np.int64)
+    for start in range(0, len(dataset), TERM_BLOCK_DOCS):
+        ids, lengths, vocab = _token_ids(dataset.documents[start : start + TERM_BLOCK_DOCS], {})
+        row_of = np.fromiter((term_row.get(t.casefold(), -1) for t in vocab), np.int32, len(vocab))
+        # each token position holding a term, as its document and its cell
+        at = np.flatnonzero(row_of[ids] >= 0)
+        docs = np.searchsorted(np.cumsum(lengths), at, side="right")
+        cells = row_of[ids[at]] * len(labels) + classes[start + docs]
+        tables[0] += np.bincount(cells, minlength=size)
+        tables[1] += np.bincount(np.unique(docs * size + cells) % size, minlength=size)
+    occurrences, holding = tables.reshape(2, len(term_row), -1).tolist()
+    documents = np.bincount(classes, minlength=len(labels)).tolist()
+    present = sorted((label, i) for i, label in enumerate(labels) if documents[i])
+    result = {}
+    for term in terms:
+        row = term_row[term.casefold()]
+        per_class = dict(zip(labels, occurrences[row]))
+        counts = {"per_class": per_class, "total": sum(per_class.values())}
+        rates = [holding[row][i] / documents[i] for _, i in present]
+        result[term] = (counts, max(rates) - min(rates))
+    return result
 
 
 def check_terms(terms: Sequence[str], what: str = "term") -> None:
@@ -119,17 +131,6 @@ def check_terms(terms: Sequence[str], what: str = "term") -> None:
     for term in terms:
         if tokenize(term) != [term.lower()]:
             raise ConfigError(f"{what} {term!r} is not a single token")
-
-
-def _term_counts(scan: _TermScan, term: str, label_names) -> dict:
-    per_class = {label: scan.occurrences[term.casefold()][label] for label in label_names}
-    return {"per_class": per_class, "total": sum(per_class.values())}
-
-
-def _gap(scan: _TermScan, term: str) -> float:
-    holding = scan.holding[term.casefold()]
-    rates = [holding[label] / n for label, n in sorted(scan.documents.items())]
-    return max(rates) - min(rates)
 
 
 BLEU_MAX_N = 4
@@ -270,26 +271,12 @@ class BiasReport:
             writer = csv.writer(fh)
             writer.writerow(["section", "key", "class", "before", "after", "delta"])
             for term, row in self.term_counts.items():
-                for label in row["before"]["per_class"]:
-                    writer.writerow(
-                        [
-                            "term_count",
-                            term,
-                            label,
-                            row["before"]["per_class"][label],
-                            row["after"]["per_class"][label],
-                            row["after"]["per_class"][label] - row["before"]["per_class"][label],
-                        ]
-                    )
+                before, after = row["before"], row["after"]
+                for label, count in before["per_class"].items():
+                    count_after = after["per_class"][label]
+                    writer.writerow(["term_count", term, label, count, count_after, count_after - count])
                 writer.writerow(
-                    [
-                        "term_count",
-                        term,
-                        "total",
-                        row["before"]["total"],
-                        row["after"]["total"],
-                        row["delta"],
-                    ]
+                    ["term_count", term, "total", before["total"], after["total"], row["delta"]]
                 )
             for term, row in self.frequency_gaps.items():
                 writer.writerow(
@@ -330,22 +317,11 @@ def emit_report(
             raise DataError(f"document {doc.id!r}: label or context differs between snapshots")
 
     report = BiasReport()
-    scan_before, scan_after = _scan_terms(before, terms), _scan_terms(after, terms)
+    rows_before, rows_after = _term_rows(before, terms), _term_rows(after, terms)
     for term in terms:
-        b = _term_counts(scan_before, term, before.label_names)
-        a = _term_counts(scan_after, term, after.label_names)
-        report.term_counts[term] = {
-            "before": b,
-            "after": a,
-            "delta": a["total"] - b["total"],
-        }
-        gap_before = _gap(scan_before, term)
-        gap_after = _gap(scan_after, term)
-        report.frequency_gaps[term] = {
-            "before": gap_before,
-            "after": gap_after,
-            "delta": gap_after - gap_before,
-        }
+        (b, gap_b), (a, gap_a) = rows_before[term], rows_after[term]
+        report.term_counts[term] = {"before": b, "after": a, "delta": a["total"] - b["total"]}
+        report.frequency_gaps[term] = {"before": gap_b, "after": gap_a, "delta": gap_a - gap_b}
 
     rewritten_pairs = [
         (doc.mutable_text, before_by_id[doc.id].mutable_text)

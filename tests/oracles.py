@@ -151,6 +151,23 @@ def bleu_scalar(candidate_corpus, reference_corpus, max_n: int = 4) -> float:
     return 100.0 * brevity * math.exp(log_sum)
 
 
+def term_report_reference(docs, labels, term: str) -> tuple[dict, dict, dict]:
+    """A term's report numbers, one document at a time: per label of
+    ``labels``, the occurrences of tokens whose casefolded form is the
+    term's, the documents holding one, and the documents. ``docs`` is a list
+    of (text, label); a text is tokenized with :func:`tokenize_reference`."""
+    folded = term.casefold()
+    occurrences = dict.fromkeys(labels, 0)
+    holding = dict.fromkeys(labels, 0)
+    documents = dict.fromkeys(labels, 0)
+    for text, label in docs:
+        found = [tok for tok in tokenize_reference(text) if tok.casefold() == folded]
+        occurrences[label] += len(found)
+        holding[label] += 1 if found else 0
+        documents[label] += 1
+    return occurrences, holding, documents
+
+
 def eager_replacement(candidates, original_score, verdict):
     """The replacement rule with every candidate verified first. Among the
     (text, score) pairs, score None for an unscoreable candidate, that

@@ -70,6 +70,23 @@ class TestAnalyze:
         assert len(lines) == 5
         assert {"id", "label", "score"} <= set(json.loads(lines[0]))
 
+    def test_every_row_to_stdout_without_out_or_top(self, single_file, capsys):
+        assert main(["analyze", "--input", str(single_file)]) == 0
+        rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert sorted(row["id"] for row in rows) == sorted(row["id"] for row in SINGLE_ROWS)
+
+    def test_class_without_scoreable_documents_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "short.jsonl"
+        write_jsonl(path, [
+            {"id": "a", "text": "two tokens", "label": 0},
+            {"id": "b", "text": "more tokens here", "label": 0},
+            {"id": "c", "text": "one", "label": 1},
+        ])
+        assert main(["analyze", "--input", str(path)]) == 2
+        assert capsys.readouterr().err.strip().splitlines()[-1] == (
+            "razor: error: class 1 has no non-zero surface embeddings; objective undefined"
+        )
+
     def test_single_label_file_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "bad.jsonl"
         write_jsonl(path, [{"id": "a", "text": "one text here", "label": 0}])
@@ -128,6 +145,41 @@ class TestRun:
         assert gap["after"] < gap["before"] * 0.5
         final = load_dataset(out, "single")
         assert len(final) == 400
+
+    @pytest.mark.parametrize("checkpoint", [False, True])
+    def test_rewrite_with_a_lone_surrogate_is_dropped(
+        self, checkpoint, synth_run, tmp_path, monkeypatch
+    ):
+        """A rewrite holding "\\ud800" (valid JSON, but no UTF-8 file can
+        hold it) makes no candidate: the run keeps the documents, and a
+        resume replays the journaled answer to the same end."""
+        corpus, _ = synth_run
+        rules = tmp_path / "surrogate.json"
+        rule = {"pattern": "zonk", "replacement": "w\ud800"}
+        rules.write_text(json.dumps({"generation": [rule]}))
+        out = tmp_path / "out.jsonl"
+        argv = ["run", "--input", str(corpus), "--rules", str(rules), "--out", str(out)]
+        if checkpoint:
+            ckpt = tmp_path / "ckpt"
+            argv += ["--checkpoint-dir", str(ckpt)]
+            make_backend = cli._make_backend
+            monkeypatch.setattr(
+                cli, "_make_backend", lambda *args: FailOnGenerate(make_backend(*args), 6)
+            )
+            assert main(argv) == 3
+            assert "\\ud800" in (ckpt / "journal_001.jsonl").read_text()
+            monkeypatch.undo()
+        assert main(argv) == 0
+        assert out.read_bytes() == corpus.read_bytes()
+
+    def test_report_path_without_json_suffix_gets_csv_appended(self, synth_run, tmp_path):
+        corpus, rules = synth_run
+        report = tmp_path / "r.out"
+        argv = ["run", "--input", str(corpus), "--rules", str(rules),
+                "--out", str(tmp_path / "out.jsonl"), "--report", str(report)]
+        assert main(argv) == 0
+        assert json.loads(report.read_text())["rewritten_count"] > 0
+        assert (tmp_path / "r.out.csv").read_text().startswith("section,key,class,")
 
     def test_missing_api_key_with_http_backend(self, single_file, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv("RAZOR_API_KEY", raising=False)
@@ -347,6 +399,7 @@ class TestLabelDeclarations:
             "0=SUPPORTS,1=REFUTES,2=NOT ENOUGH INFO",
             "0=entailment,1=neutral,2=contradiction",
             "0=entailment,1=not_entailment",
+            "0=a,,1=b",
         ],
     )
     def test_distinct_label_names_run(self, labels, tmp_path, monkeypatch, capsys):
@@ -695,6 +748,20 @@ ERROR_CASES = {
     "run-candidates-per-doc-0": ({}, RUN + ["--candidates-per-doc", "0"], 1, ["candidates_per_doc"]),
     "run-max-retries-negative": ({}, RUN + ["--max-retries", "-1"], 1, ["max_retries"]),
     "synth-corpus-size-1": ({}, SYNTH + ["--corpus-size", "1"], 1, ["corpus_size"]),
+    "synth-biased-class-2": ({}, SYNTH + ["--biased-class", "2"], 1, ["biased_class"]),
+    "labels-entry-without-name": (
+        {"bad.jsonl": data_lines()}, ANALYZE + ["--labels", "0=a,1"], 2, ["bad label declaration"]
+    ),
+    "data-text-lone-surrogate": (
+        {"bad.jsonl": data_lines(text="bad \ud800 x y zonk")},
+        ANALYZE, 2, ["line 2", "text", "surrogate"],
+    ),
+    "data-id-lone-surrogate": (
+        {"bad.jsonl": data_lines(id="b\ud800")}, ANALYZE, 2, ["line 2", "id", "surrogate"]
+    ),
+    "data-label-2-63": (
+        {"bad.jsonl": data_lines(label=2**63)}, ANALYZE, 2, ["line 2", "label", "64 bits"]
+    ),
     "data-label-float": ({"bad.jsonl": data_lines(label=0.7)}, ANALYZE, 2, ["line 2", "label"]),
     "data-label-bool": ({"bad.jsonl": data_lines(label=True)}, ANALYZE, 2, ["line 2", "label"]),
     "data-label-string": ({"bad.jsonl": data_lines(label="1")}, ANALYZE, 2, ["line 2", "label"]),
@@ -820,6 +887,10 @@ ERROR_CASES = {
     "subset-file-position-bool": (
         {"attr.jsonl": attribution(), "subsets.jsonl": subset_lines(positions=[True])},
         CHECK_SUBSETS, 2, ["line 2", "positions"],
+    ),
+    "subset-file-positions-missing": (
+        {"attr.jsonl": attribution(), "subsets.jsonl": jsonl([{"doc_id": "d"}])},
+        CHECK_SUBSETS, 2, ["subsets", "line 1", "positions"],
     ),
     "subset-file-doc-id-unknown": (
         {"attr.jsonl": attribution(), "subsets.jsonl": subset_lines(doc_id="nosuch")},

@@ -419,6 +419,12 @@ class TestReadDocuments:
         path.write_text("")
         assert read_documents(path, "single") == []
 
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "blank.jsonl"
+        path.write_text('{"id": "a", "text": "alpha", "label": 0}\n\n  \t\n'
+                        '{"id": "b", "text": "beta", "label": 1}\n\n')
+        assert [doc.id for doc in read_documents(path, "single")] == ["a", "b"]
+
     def test_line_checks_name_the_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         for second, problem in (("b", "label 1 not in declared label set"),

@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from razor import evalkit
 from razor.corpus import load_dataset, save_dataset
 from razor.errors import ConfigError, DataError
 from razor.evalkit import (
@@ -17,7 +18,7 @@ from razor.evalkit import (
 from razor.pipeline import IterationTrace
 
 from conftest import dataset_from
-from oracles import bleu_reference, bleu_scalar
+from oracles import bleu_reference, bleu_scalar, term_report_reference
 
 
 def report_counts(ds, terms):
@@ -239,6 +240,60 @@ class TestFrequencyGap:
         # binomial 3-sigma around 0.8 with n=500 per class
         sigma = math.sqrt(0.9 * 0.1 / 500) + math.sqrt(0.1 * 0.9 / 500)
         assert abs(gap - 0.8) <= 3 * sigma
+
+
+# tokens in several cases, with punctuation, and the sharp s: "ß" and "ẞ"
+# lowercase to "ß", which casefolds to "ss"
+ORACLE_WORDS = [
+    "zonk", "Zonk", "ZONK", "zonk!", "ß", "ẞ", "ss", "SS", "«ß»", "Straße", "STRASSE",
+    "the", "The", "gigi", "blick", "word", "more",
+]
+# a repeated term, terms that fold together, and a term no token holds
+ORACLE_TERMS = ["zonk", "ZONK", "zonk", "ß", "ẞ", "ss", "strasse", "the", "gigi", "nosuch"]
+
+
+class TestTermReportOracle:
+    @staticmethod
+    def random_text(rng):
+        return " ".join(rng.choice(ORACLE_WORDS) for _ in range(rng.randint(1, 8)))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_counts_and_gaps_equal_reference(self, seed):
+        self.check_against_reference(seed)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_counts_and_gaps_summed_over_blocks(self, seed, monkeypatch):
+        # blocks of 3 documents: every corpus spans several
+        monkeypatch.setattr(evalkit, "TERM_BLOCK_DOCS", 3)
+        self.check_against_reference(seed)
+
+    def check_against_reference(self, seed):
+        rng = random.Random(seed)
+        # 2-4 labels hold documents; one more is declared and holds none
+        labels = rng.sample(range(-3, 12), rng.randint(2, 4) + 1)
+        label_names = {label: f"class{label}" for label in labels}
+        used = labels[1:]
+        rows = [
+            (f"d{i}", self.random_text(rng), used[i % len(used)])
+            for i in range(rng.randint(len(used), 40))
+        ]
+        before = dataset_from(rows, label_names)
+        after = dataset_from(
+            [(doc_id, self.random_text(rng), label) for doc_id, _, label in rows], label_names
+        )
+        report = emit_report(before, after, terms=ORACLE_TERMS)
+        assert list(report.term_counts) == list(dict.fromkeys(ORACLE_TERMS))
+        for side, ds in (("before", before), ("after", after)):
+            docs = [(doc.mutable_text, doc.label) for doc in ds]
+            for term in ORACLE_TERMS:
+                occurrences, holding, documents = term_report_reference(docs, labels, term)
+                counts = report.term_counts[term][side]
+                assert list(counts["per_class"]) == labels
+                assert counts == {"per_class": occurrences, "total": sum(occurrences.values())}
+                assert {type(n) for n in [counts["total"], *counts["per_class"].values()]} == {int}
+                rates = [holding[c] / documents[c] for c in sorted(labels) if documents[c]]
+                gap = report.frequency_gaps[term][side]
+                assert type(gap) is float and gap.hex() == (max(rates) - min(rates)).hex()
 
 
 class TestGenerateBiasedCorpus:

@@ -417,8 +417,10 @@ class TestCheckpointResume:
         assert files == sorted(snapshots + ["journal_001.jsonl", "journal_002.jsonl", "trace.json"])
         traces, _ = read_trace_file(ckpt.trace_path)
         assert [t.iteration for t in traces] == ([1, 2] if target == "snapshot" else [1])
-        # a temporary file left by a killed write is not a snapshot
+        # a temporary file left by a killed write is not a snapshot, nor is a
+        # stray file whose name holds no iteration number
         (ckpt.directory / "iteration_009.jsonl.tmp").write_text('{"id": "torn", "te')
+        (ckpt.directory / "iteration_x.jsonl").write_text('{"id": "stray"}\n')
         assert ckpt.completed_iterations() == len(snapshots) - 1
 
         resumed = run_razor(dataset, config, mock_backend(rules), ckpt)
