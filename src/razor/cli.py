@@ -5,7 +5,7 @@ pass), run (full loop with checkpointing), synth (planted-bias corpus),
 report (before/after measurements), check-shortcut (attribution verdicts).
 
 Exit codes: 0 success, 1 usage/configuration error, 2 data error, 3 backend
-error. Data goes to stdout, diagnostics to stderr.
+error, 130 interrupted. Data goes to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import json
 import logging
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 from . import __version__
 from .attribution import (
@@ -197,7 +198,9 @@ def _build_run_config(args) -> RunConfig:
     dest is the name of its RunConfig or GeneratorConfig field."""
     data = read_json(args.config) if args.config else {}
     try:
-        gen = dict(data.pop("generator", {}))
+        gen = data.pop("generator", {})
+        if not isinstance(gen, dict):
+            raise ConfigError(f"generator must be a JSON object, got {gen!r}")
         for fields_of, target in ((RunConfig, data), (GeneratorConfig, gen)):
             for f in fields(fields_of):
                 if (value := getattr(args, f.name, None)) is not None:
@@ -221,26 +224,36 @@ def _make_backend(args, config: RunConfig):
     raise ConfigError(f"unknown backend {config.generator.backend!r}")
 
 
+def _check_output_path(path: str) -> None:
+    """Raise DataError naming ``path`` when it cannot be written as a file:
+    its directory does not exist, or it is a directory."""
+    target = Path(path)
+    if target.is_dir():
+        raise DataError(f"{path}: is a directory")
+    if not target.parent.is_dir():
+        raise DataError(f"{path}: its directory does not exist")
+
+
 def cmd_run(args) -> int:
     terms = _parse_terms(args.terms)
     config = _build_run_config(args)
     backend = _make_backend(args, config)
+    report_path = args.report or f"{args.out}.report.json"
+    csv_path = report_path.removesuffix(".json") + ".csv"
+    trace_path = None if args.checkpoint_dir else f"{args.out}.trace.json"
+    for path in (args.out, report_path, csv_path, trace_path):
+        if path is not None:
+            _check_output_path(path)
     dataset = load_dataset(args.input, args.schema, _load_labels(args.labels))
     checkpoint = Checkpoint(args.checkpoint_dir) if args.checkpoint_dir else None
     result = run_razor(dataset, config, backend, checkpoint)
     save_dataset(result.dataset, args.out)
 
     report = emit_report(dataset, result.dataset, result.traces, terms=terms)
-    report_path = args.report or f"{args.out}.report.json"
     report.write_json(report_path)
-    csv_path = (
-        report_path[: -len(".json")] + ".csv"
-        if report_path.endswith(".json")
-        else report_path + ".csv"
-    )
     report.write_csv(csv_path)
-    if checkpoint is None:
-        write_trace_file(f"{args.out}.trace.json", result.traces, result.stop_reason)
+    if trace_path is not None:
+        write_trace_file(trace_path, result.traces, result.stop_reason)
     summary = {
         "stop_reason": result.stop_reason,
         "iterations": len(result.traces),
@@ -351,6 +364,9 @@ def main(argv=None) -> int:
     except RazorError as exc:
         print(f"razor: error: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print("razor: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -21,6 +21,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
+from functools import partial
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -105,6 +106,8 @@ class RunConfig:
         if self.max_iterations < 1:
             raise ConfigError(f"max_iterations must be >= 1, got {self.max_iterations}")
         _check_width(self.lam)
+        if not isinstance(self.generator, GeneratorConfig):
+            raise ConfigError(f"generator must be a GeneratorConfig, got {self.generator!r}")
         if self.jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
 
@@ -295,65 +298,32 @@ def _map(fn, jobs: int, *iterables) -> list:
     return list(map(fn, *iterables))
 
 
-def _confirms(
-    cand: RewriteCandidate,
-    doc: LabeledDocument,
-    dataset: Dataset,
-    backend,
-    config: RunConfig,
-    journal: RewriteJournal,
-) -> bool:
-    """``cand``'s verdict for ``doc``: journaled, or the verifier's, recorded."""
-    return journal.verdict(
-        doc.id,
-        cand.text,
-        lambda: verify_label(
-            cand.text, doc, backend, config.generator, dataset.label_names, dataset.schema
-        ),
-    )
-
-
 def _gather_candidates(
-    dataset: Dataset,
+    docs: tuple[LabeledDocument, ...],
     rows: list[int],
     space: SurfaceSpace,
     ledger: ClassLedger,
     stats: TokenTable,
-    backend,
     config: RunConfig,
-    journal: RewriteJournal,
+    texts: Callable[[LabeledDocument], list[str]],
+    confirms: Callable[[LabeledDocument, RewriteCandidate], bool],
 ) -> list[list[RewriteCandidate]]:
-    """The scoreable rewrite candidates of the documents at ``rows``, from
+    """The scoreable rewrite candidates of the ``docs`` at ``rows``, from
     two passes over the documents, each parallel under ``config.jobs``:
 
-    1. generate every document's candidate texts (in ``rows`` order when
-       serial), then embed all of them against the frozen ``stats`` in
+    1. ask ``texts`` for every document's candidate texts (in ``rows`` order
+       when serial), then embed all of them against the frozen ``stats`` in
        blocks;
-    2. for each document, ask the verifier about its likely winner: the
+    2. for each document, ask ``confirms`` about its likely winner: the
        first candidate :func:`select_replacement` lists against the frozen
-       ``ledger``.
-
-    Every request goes through the journal, which answers any it holds, so
-    a resumed iteration makes the same decisions as a fresh one and asks the
-    backend only what is still unanswered."""
-    docs = dataset.documents
-
-    def generate(i: int) -> list[str]:
-        doc = docs[i]
-        return journal.texts(
-            doc.id,
-            lambda: generate_candidates(
-                doc, backend, config.generator, dataset.label_names, dataset.schema
-            ),
-        )
-
-    texts = _map(generate, config.jobs, rows)
-    candidates = embed_candidates([docs[i] for i in rows], texts, stats, config.lam)
+       ``ledger``."""
+    selected = [docs[i] for i in rows]
+    candidates = embed_candidates(selected, _map(texts, config.jobs, selected), stats, config.lam)
 
     def speculate(i: int, cands: list[RewriteCandidate]) -> None:
         ranked = select_replacement(docs[i], cands, ledger, space.units[i])
         if ranked:
-            _confirms(ranked[0], docs[i], dataset, backend, config, journal)
+            confirms(docs[i], ranked[0])
 
     _map(speculate, config.jobs, rows, candidates)
     return candidates
@@ -396,15 +366,24 @@ def run_iteration(
     k = resolve_k(config.k, len(dataset))
     rows = rank_and_select(space, ledger, k)
 
+    # Every request goes through the journal, which answers any it holds, so
+    # a resumed iteration makes the same decisions as a fresh one and asks the
+    # backend only what is still unanswered.
+    context = (backend, config.generator, dataset.label_names, dataset.schema)
+
+    def texts(doc: LabeledDocument) -> list[str]:
+        return journal.texts(doc.id, lambda: generate_candidates(doc, *context))
+
+    def confirms(doc: LabeledDocument, cand: RewriteCandidate) -> bool:
+        return journal.verdict(doc.id, cand.text, lambda: verify_label(cand.text, doc, *context))
+
     roles = ("generate", "verify")
     calls_before = [backend.calls.count(role) for role in roles]
     docs = dataset.documents
     replaced: dict[int, LabeledDocument] = {}  # row -> its replacement
     error = None
     try:
-        candidates = _gather_candidates(
-            dataset, rows, space, ledger, stats, backend, config, journal
-        )
+        candidates = _gather_candidates(docs, rows, space, ledger, stats, config, texts, confirms)
         # Replacements are committed one at a time against the live class
         # ledger: each strict improvement raises the pair objective, so the
         # whole iteration is monotone even when both sides of a class pair
@@ -412,10 +391,7 @@ def run_iteration(
         # is verified here, serially.
         for i, cands in zip(rows, candidates):
             doc = docs[i]
-            winner = decide_replacement(
-                doc, cands, ledger, space.units[i],
-                lambda cand: _confirms(cand, doc, dataset, backend, config, journal),
-            )
+            winner = decide_replacement(doc, cands, ledger, space.units[i], partial(confirms, doc))
             if winner is not None:
                 ledger.swap(doc.label, space.units[i], winner.unit)
                 replaced[i] = winner.document

@@ -1,5 +1,7 @@
 import json
 import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from razor import cli
 from razor.cli import main
 from razor.corpus import load_dataset
+from razor.pipeline import read_trace_file
 from razor.surface import _unit_rows, compute_embeddings
 
 from conftest import FailOnGenerate, dataset_from
@@ -242,6 +245,44 @@ class TestRun:
             ]
         )
         assert code == 0
+
+    def test_interrupt_exits_130_and_the_rerun_resumes(
+        self, synth_run, tmp_path, monkeypatch, capsys
+    ):
+        """Ctrl-C mid-run is one stderr line and exit 130; the journal is
+        closed, so a rerun over the checkpoint ends with the straight run's
+        output bytes."""
+        from razor.backends import MockBackend
+
+        corpus, rules = synth_run
+
+        def run(name: str) -> int:
+            return main(["run", "--input", str(corpus), "--rules", str(rules),
+                         "--out", str(tmp_path / f"{name}.jsonl"),
+                         "--checkpoint-dir", str(tmp_path / f"ckpt-{name}")])
+
+        assert run("straight") == 0
+        generate, requests = MockBackend.generate, []
+
+        def interrupted(self, *args, **kwargs):
+            requests.append(args)
+            if len(requests) == 6:
+                raise KeyboardInterrupt
+            return generate(self, *args, **kwargs)
+
+        monkeypatch.setattr(MockBackend, "generate", interrupted)
+        capsys.readouterr()
+        assert run("resumed") == 130
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("razor:")] == [
+            "razor: interrupted"
+        ]
+        assert "Traceback" not in err
+        assert (tmp_path / "ckpt-resumed" / "journal_001.jsonl").exists()
+        assert not (tmp_path / "resumed.jsonl").exists()
+        monkeypatch.undo()
+        assert run("resumed") == 0
+        assert (tmp_path / "resumed.jsonl").read_bytes() == (tmp_path / "straight.jsonl").read_bytes()
 
     def test_missing_middle_snapshot_exits_2(self, synth_run, tmp_path, capsys):
         corpus, rules = synth_run
@@ -653,6 +694,9 @@ REPORT = ["report", "--before", "{data}", "--after", "{data}", "--trace", "{tmp}
 REPORT_AFTER = ["report", "--before", "{data}", "--after", "{tmp}/after.jsonl"]
 RESUME = RUN + ["--checkpoint-dir", "{tmp}/ckpt"]
 RUN_CONFIG = RUN + ["--config", "{tmp}/config.json"]
+# a run that checkpoints into a directory no case file makes (a repeated
+# flag's last value wins)
+RUN_CHECKPOINTED = RUN + ["--checkpoint-dir", "{tmp}/new-ckpt"]
 CHECK = ["check-shortcut", "--attributions", "{tmp}/attr.jsonl"]
 ANALYZE = ["analyze", "--input", "{tmp}/bad.jsonl", "--out", "{tmp}/ranking.jsonl"]
 ANALYZE_CLAIMS = ANALYZE + ["--schema", "claim_evidence"]
@@ -740,10 +784,20 @@ ERROR_CASES = {
         {"config.json": {"generator": {"verifier_temperature": "x"}}}, RUN_CONFIG, 1
     ),
     "config-model-number": ({"config.json": {"generator": {"model": 5}}}, RUN_CONFIG, 1),
+    "config-generator-list": ({"config.json": {"generator": []}}, RUN_CONFIG, 1),
+    "config-generator-pairs": (
+        {"config.json": {"generator": [["candidates_per_doc", 2]]}}, RUN_CONFIG, 1
+    ),
     "config-unknown-backend": (
         {"config.json": {"generator": {"backend": "nosuch"}}}, RUN_CONFIG, 1, ["nosuch"]
     ),
     "run-jobs-0": ({}, RUN + ["--jobs", "0"], 1, ["jobs"]),
+    "run-out-directory-missing": (
+        {}, RUN_CHECKPOINTED + ["--out", "{tmp}/nodir/out.jsonl"], 2, ["nodir/out.jsonl"]
+    ),
+    "run-report-directory-missing": (
+        {}, RUN_CHECKPOINTED + ["--report", "{tmp}/nodir/r.json"], 2, ["nodir/r.json"]
+    ),
     "run-max-iterations-0": ({}, RUN + ["--max-iterations", "0"], 1, ["max_iterations"]),
     "run-candidates-per-doc-0": ({}, RUN + ["--candidates-per-doc", "0"], 1, ["candidates_per_doc"]),
     "run-max-retries-negative": ({}, RUN + ["--max-retries", "-1"], 1, ["max_retries"]),
@@ -962,7 +1016,41 @@ def test_bad_file_maps_onto_exit_code(case, single_file, tmp_path, capsys):
     config = files.get("config.json")
     if isinstance(config, dict):
         # a rejected run config names the field it rejects
-        name = next(iter(config.get("generator", config)))
+        fields = config.get("generator", config)
+        name = next(iter(fields)) if isinstance(fields, dict) else "generator"
         assert re.search(rf"\b{name}\b", lines[-1])
+    # a run that fails before its first request makes no checkpoint directory
+    assert not (tmp_path / "new-ckpt").exists()
     for word in named[0] if named else ():
         assert re.search(rf"\b{word}\b", lines[-1])
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_block(heading: str, language: str) -> str:
+    """The first ``language`` code block after ``heading`` in the README."""
+    text = README.read_text(encoding="utf-8")
+    start = text.index(f"```{language}\n", text.index(heading)) + len(language) + 4
+    return text[start : text.index("```", start)]
+
+
+def test_readme_quick_start(tmp_path, monkeypatch, capsys):
+    """The quick start's commands, run as written, do what the README says
+    they do, and the Reports example shows their report."""
+    monkeypatch.chdir(tmp_path)
+    script = readme_block("## Quick start", "bash").replace("\\\n", " ")
+    commands = [shlex.split(line) for line in script.splitlines() if line.startswith("razor ")]
+    assert [argv[1] for argv in commands] == ["synth", "analyze", "run", "report"]
+    assert [main(argv[1:]) for argv in commands] == [0] * len(commands)
+    report = json.loads(Path("report.json").read_text())
+    gap = report["frequency_gaps"]["zonk"]
+    assert (gap["before"], gap["after"]) == (0.808, 0.0)
+    traces, _ = read_trace_file("ckpt/trace.json")
+    assert len(traces) <= 6
+
+    example = json.loads(readme_block("**Reports**", "json"))
+    for key in ("term_counts", "frequency_gaps", "rewritten_count"):
+        assert example[key] == report[key]
+    assert example["corpus_bleu"] == round(report["corpus_bleu"], 2)
+    assert example["objective_trace"] == [round(v, 1) for v in report["objective_trace"]]

@@ -108,6 +108,10 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig(lam=7)
 
+    def test_generator_must_be_a_generator_config(self):
+        with pytest.raises(ConfigError, match="generator"):
+            RunConfig(generator={"candidates_per_doc": 2})
+
     def test_resolve_k(self):
         assert resolve_k(0.1, 1000) == 100
         assert resolve_k(0.1, 5) == 1
