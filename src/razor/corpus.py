@@ -13,6 +13,7 @@ verbatim and never tokenized or scored.
 
 from __future__ import annotations
 
+import copy
 import json
 import logging
 import math
@@ -149,8 +150,22 @@ class Dataset:
     def __iter__(self):
         return iter(self.documents)
 
-    def with_documents(self, documents: Iterable[LabeledDocument]) -> "Dataset":
-        return Dataset(tuple(documents), self.label_names, self.schema)
+    def replacing(self, rows: Mapping[int, LabeledDocument]) -> "Dataset":
+        """This dataset with the document at each row of ``rows`` replaced by
+        the row's value. Raises DataError, naming the document, when one does
+        not keep its row's id, label and context. ``__post_init__``'s checks
+        read no more than that, so they still hold and are not run again."""
+        documents = list(self.documents)
+        for row, doc in rows.items():
+            was = documents[row]
+            if doc.id != was.id:
+                raise DataError(f"document {doc.id!r} is not the input's {was.id!r} at row {row}")
+            if (doc.label, doc.context_text) != (was.label, was.context_text):
+                raise DataError(f"document {doc.id!r} does not match the input's label or context")
+            documents[row] = doc
+        patched = copy.copy(self)
+        object.__setattr__(patched, "documents", tuple(documents))
+        return patched
 
 
 def parse_label_names(spec: str) -> dict[int, str]:

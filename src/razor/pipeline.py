@@ -20,7 +20,7 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from pathlib import Path
 from typing import Callable, Optional
@@ -413,7 +413,7 @@ def run_iteration(
         wall_time=time.monotonic() - start,
         error=error,
     )
-    return dataset.with_documents(replaced.get(i, doc) for i, doc in enumerate(docs)), trace
+    return dataset.replacing(replaced), trace
 
 
 @dataclass
@@ -466,10 +466,24 @@ def _write_replacing(path: Path, write):
         tmp.unlink(missing_ok=True)
 
 
+MANIFEST_FORMAT = 1
+# a resume may change these: a raised cap extends a run, jobs and max_retries
+# change no request's content, and epsilon only decides when the run stops
+_RESUMABLE = {"max_iterations", "jobs", "epsilon", "generator.max_retries"}
+
+
+def _fixed_settings(config: dict) -> dict:
+    """The fields of ``config``, a RunConfig as :func:`dataclasses.asdict`
+    gives it, that a resume must keep, by name (``generator.top_p``)."""
+    settings = {f"generator.{name}": value for name, value in config["generator"].items()}
+    settings.update((name, value) for name, value in config.items() if name != "generator")
+    return {name: value for name, value in settings.items() if name not in _RESUMABLE}
+
+
 class Checkpoint:
-    """Run state on disk: iteration-numbered dataset snapshots, per-iteration
-    rewrite journals, and a trace file with the accumulated iteration traces
-    and stop reason.
+    """Run state on disk: a manifest with the run's config, iteration-numbered
+    dataset snapshots, per-iteration rewrite journals, and a trace file with
+    the accumulated iteration traces and stop reason.
 
     Snapshot 0 is the whole input. Each later snapshot holds the lines of
     the documents its iteration replaced, the ``replaced_ids`` of its trace,
@@ -488,6 +502,43 @@ class Checkpoint:
     @property
     def trace_path(self) -> Path:
         return self.directory / "trace.json"
+
+    @property
+    def manifest_path(self) -> Path:
+        return self.directory / "manifest.json"
+
+    def write_manifest(self, config: RunConfig) -> None:
+        """Write the format and ``config`` as the checkpoint's manifest."""
+        line = json.dumps({"format": MANIFEST_FORMAT, "config": asdict(config)}) + "\n"
+        _write_replacing(self.manifest_path, lambda tmp: tmp.write_text(line, encoding="utf-8"))
+
+    def check_manifest(self, config: RunConfig) -> None:
+        """Check that a checkpoint with snapshots was made by a run with
+        ``config``'s fixed settings (all but ``_RESUMABLE``). Raises
+        ConfigError naming the first field that differs and both values, and
+        DataError when the snapshots have no manifest, as an older razor wrote
+        them, or a malformed one."""
+        if self.completed_iterations() < 0:
+            return
+        path = self.manifest_path
+        if not path.exists():
+            raise DataError(
+                f"{self.directory}: holds snapshots but no manifest.json, so an older razor "
+                "wrote it; use a fresh checkpoint directory"
+            )
+        manifest = read_json(path)
+        saved = manifest.get("config")
+        if manifest.get("format") != MANIFEST_FORMAT or not (
+            isinstance(saved, dict) and isinstance(saved.get("generator"), dict)
+        ):
+            raise DataError(f"{path}: not a manifest of format {MANIFEST_FORMAT}")
+        saved = _fixed_settings(saved)
+        for name, value in _fixed_settings(asdict(config)).items():
+            if saved.get(name) != value:
+                raise ConfigError(
+                    f"{path}: the checkpoint's run has {name} {saved.get(name)!r}, this run "
+                    f"{value!r}; resume with the same {name} or use a fresh checkpoint directory"
+                )
 
     def write_snapshot(
         self, dataset: Dataset, iteration: int, replaced_ids: Optional[list[str]] = None
@@ -516,8 +567,8 @@ class Checkpoint:
         completed iteration). Falls back to the given input dataset when the
         directory holds no snapshots. Otherwise snapshot 0 must hold the
         input's bytes as :func:`save_dataset` writes them, and snapshots
-        1..last are applied to the input in order, by id (see
-        :func:`_apply_snapshot`). Raises DataError, naming the file and the
+        1..last are applied to the input in order, by id, through
+        :meth:`Dataset.replacing`. Raises DataError, naming the file and the
         line or document, when a snapshot is missing or does not fit the
         input: it belongs to another input, or it was cut short."""
         last = self.completed_iterations()
@@ -527,7 +578,6 @@ class Checkpoint:
             return dataset, [], None, -1
         replaced = {t.iteration: t.replaced_ids for t in traces}
         rows = {doc.id: row for row, doc in enumerate(dataset.documents)}
-        docs = list(dataset.documents)
         for iteration in range(last + 1):
             path = self.snapshot_path(iteration)
             if not path.exists():
@@ -539,41 +589,36 @@ class Checkpoint:
                         "use a fresh checkpoint directory"
                     )
                 continue
-            written = _apply_snapshot(path, dataset, rows, docs)
+            written = _read_snapshot(path, dataset, rows)
+            try:
+                dataset = dataset.replacing(written)
+            except DataError as exc:
+                raise DataError(f"{path}: {exc}") from None
             if iteration not in replaced:
                 raise DataError(f"{self.trace_path}: no trace of iteration {iteration}")
             for doc_id in replaced[iteration]:
-                if doc_id not in written:
+                if rows.get(doc_id) not in written:
                     raise DataError(
                         f"{path}: lacks document {doc_id!r}, which iteration {iteration} "
                         "replaced; the snapshot was cut short"
                     )
-        return dataset.with_documents(docs), traces, stop_reason, last
+        return dataset, traces, stop_reason, last
 
 
-def _apply_snapshot(
-    path: Path, dataset: Dataset, rows: dict[str, int], docs: list[LabeledDocument]
-) -> set[str]:
-    """Put the documents of the snapshot at ``path`` into ``docs`` at their
-    ``rows`` in ``dataset``, the input, and return their ids. Raises
-    DataError, naming the file and the document, when one has no input id,
-    comes before a row already written, or has another label or context
-    than the input's."""
+def _read_snapshot(path: Path, dataset: Dataset, rows: dict[str, int]) -> dict[int, LabeledDocument]:
+    """The documents of the snapshot at ``path`` by their ``rows`` in
+    ``dataset``. Raises DataError, naming the file and the document, when one
+    has no input id or comes before a row already read."""
+    written: dict[int, LabeledDocument] = {}
     last = -1
-    written = read_documents(path, dataset.schema, dataset.label_names)
-    for doc in written:
+    for doc in read_documents(path, dataset.schema, dataset.label_names):
         row = rows.get(doc.id, -1)
         if row < 0:
             raise DataError(f"{path}: document {doc.id!r} is not in the input")
         if row <= last:
             raise DataError(f"{path}: document {doc.id!r} is out of the input's order")
-        kept = dataset.documents[row]
-        if (doc.label, doc.context_text) != (kept.label, kept.context_text):
-            raise DataError(
-                f"{path}: document {doc.id!r} does not match the input's label or context"
-            )
-        docs[row], last = doc, row
-    return {doc.id for doc in written}
+        written[row], last = doc, row
+    return written
 
 
 def run_razor(
@@ -593,6 +638,7 @@ def run_razor(
     traces: list[IterationTrace] = []
     start_iteration = 1
     if checkpoint is not None:
+        checkpoint.check_manifest(config)
         dataset, traces, stop_reason, last = checkpoint.load_state(dataset)
         if stop_reason == STOP_MAX_ITERATIONS and config.max_iterations > last:
             log.info("checkpoint stopped at its iteration cap (%d); continuing", last)
@@ -600,6 +646,7 @@ def run_razor(
             log.info("checkpoint already finished (%s); returning its result", stop_reason)
             return RunResult(dataset, traces, stop_reason)
         if last < 0:
+            checkpoint.write_manifest(config)
             checkpoint.write_snapshot(dataset, 0)
             last = 0
         start_iteration = last + 1

@@ -258,8 +258,9 @@ def embed_candidates(
     """The scoreable candidates among each document's rewrite ``texts``
     (``texts[j]`` for ``docs[j]``), in ``texts`` order. Every text is
     tokenized once and embedded against the frozen ``stats``, all of them
-    together, ``BLOCK_DOCS`` at a time; a row's bits do not depend on its
-    block, so candidates with the same tokens tie exactly. A text that is
+    together, ``BLOCK_DOCS`` at a time. Where a row's bits do not depend on
+    its block (a BLAS kernel matter; see ``surface._embed_block``),
+    candidates with the same tokens tie exactly. A text that is
     empty, shorter than 2 tokens, has the original's tokens (so the
     original's embedding: no improvement) or embeds to zero makes no
     candidate."""

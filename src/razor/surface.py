@@ -238,8 +238,10 @@ def _embed_block(
     weights with the encoding table.
 
     A lone row goes in paired with itself: a one-row product takes the
-    matrix-vector routine, which rounds otherwise than the matrix product,
-    and a document's row keeps its bits whatever its block."""
+    matrix-vector routine, which rounds otherwise than the matrix product. A
+    document's row keeps its bits whatever its block only under a BLAS
+    kernel whose product does not depend on the block's padded width
+    (OpenBLAS SkylakeX, not Haswell; ROADMAP item 17)."""
     weights = _block_weights(lengths, token_ids, counts, idf)
     width = weights.shape[1]
     if len(weights) == 1:
@@ -283,8 +285,10 @@ def surface_embedding(
     """Unit embeddings of ``docs`` against the table's snapshot (a run's
     rewrite candidates, or any other text), one row each: numbered from
     their strings through the table's vocabulary once, counted as the table
-    counts its own and embedded ``BLOCK_DOCS`` at a time, so a row has the
-    bits of the same document's snapshot row, whatever its block or batch. A token the table never saw takes an id past
+    counts its own and embedded ``BLOCK_DOCS`` at a time. Where the BLAS
+    kernel allows it (see :func:`_embed_block`), a row has the bits of the
+    same document's snapshot row, whatever its block or batch. A token the
+    table never saw takes an id past
     it and the idf of df 0, which reads as df 1: the idf the table holds for
     a token no document holds any more. A row stays zero for a document of
     fewer than 2 tokens and for an all-zero embedding."""

@@ -127,6 +127,11 @@ class TestIsShortcut:
         verdict = is_shortcut({0, 1}, rec)
         assert verdict.is_shortcut and verdict.reason is None
 
+    def test_verdict_is_true_only_for_a_shortcut(self):
+        rec = self.base({frozenset({0, 1}): 1, frozenset({0}): 0})
+        assert bool(is_shortcut({0, 1}, rec)) is True
+        assert bool(is_shortcut({0}, rec)) is False
+
     def test_subset_prediction_differs(self):
         rec = self.base({frozenset({0, 1}): 0})
         verdict = is_shortcut({0, 1}, rec)

@@ -607,6 +607,12 @@ class TestMockBackend:
         with pytest.raises(ConfigError):
             MockBackend([], verdict="maybe")
 
+    def test_flip_without_another_label_names_the_original(self):
+        backend = MockBackend([], verdict="flip")
+        doc = make_document("d", "it is fine", 1)
+        assert backend.verify("p", "c", doc, LABELS, 0.0, 0) == LABELS[0]
+        assert backend.verify("p", "c", doc, {1: LABELS[1]}, 0.0, 0) == LABELS[1]
+
     def test_bad_rule_rejected(self):
         with pytest.raises(ConfigError):
             MockBackend([{"pattern": "("}])

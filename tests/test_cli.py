@@ -1,6 +1,9 @@
 import json
 import re
+import runpy
 import shlex
+import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +12,7 @@ import pytest
 from razor import cli
 from razor.cli import main
 from razor.corpus import load_dataset
-from razor.pipeline import read_trace_file
+from razor.pipeline import RunConfig, read_trace_file
 from razor.surface import _unit_rows, compute_embeddings
 
 from conftest import FailOnGenerate, dataset_from
@@ -297,6 +300,24 @@ class TestRun:
         err = capsys.readouterr().err.strip().splitlines()[-1]
         assert err.startswith("razor: data error:")
         assert f"{ckpt / 'iteration_002.jsonl'}: snapshot missing" in err
+
+    def test_resume_may_change_the_cap_jobs_epsilon_and_retries(self, synth_run, tmp_path):
+        """A resume may raise --max-iterations, which extends the run, and
+        change --jobs, --epsilon and --max-retries: it ends with the straight
+        run's output bytes."""
+        corpus, rules = synth_run
+
+        def run(name: str, *flags: str) -> int:
+            return main(["run", "--input", str(corpus), "--rules", str(rules), "--k", "20",
+                         "--out", str(tmp_path / f"{name}.jsonl"),
+                         "--checkpoint-dir", str(tmp_path / f"ckpt-{name}"), *flags])
+
+        assert run("straight", "--max-iterations", "3", "--epsilon", "1e-12") == 0
+        assert run("resumed", "--max-iterations", "1", "--epsilon", "1e-9", "--jobs", "2",
+                   "--max-retries", "0") == 0
+        assert run("resumed", "--max-iterations", "3", "--epsilon", "1e-12") == 0
+        assert len(read_trace_file(tmp_path / "ckpt-resumed" / "trace.json")[0]) == 3
+        assert (tmp_path / "resumed.jsonl").read_bytes() == (tmp_path / "straight.jsonl").read_bytes()
 
     def test_config_file_with_flag_overrides(self, synth_run, tmp_path, capsys):
         corpus, rules = synth_run
@@ -671,6 +692,17 @@ class TestUsage:
         assert exc.value.code == 0
         assert "razor" in capsys.readouterr().out
 
+    def test_module_runs_main(self, single_file, monkeypatch, capsys):
+        """``python -m razor.cli`` exits with main's code."""
+        argv = ["razor", "analyze", "--input", str(single_file), "--top", "1"]
+        monkeypatch.setattr(sys, "argv", argv)
+        # run as __main__ only, as python -m does, not over the imported module
+        monkeypatch.delitem(sys.modules, "razor.cli")
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("razor.cli", run_name="__main__")
+        assert exc.value.code == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1
+
 
 RULES = {"generation": [{"pattern": "token0", "replacement": "word"}]}
 BAD_ITERATION = {"iterations": [{"iteration": 1, "bogus": 0}]}
@@ -693,6 +725,8 @@ RUN = ["run", "--input", "{data}", "--rules", "{tmp}/rules.json", "--out", "{tmp
 REPORT = ["report", "--before", "{data}", "--after", "{data}", "--trace", "{tmp}/trace.json"]
 REPORT_AFTER = ["report", "--before", "{data}", "--after", "{tmp}/after.jsonl"]
 RESUME = RUN + ["--checkpoint-dir", "{tmp}/ckpt"]
+# the manifest of a RESUME run, which takes every default
+MANIFEST = {"format": 1, "config": asdict(RunConfig())}
 RUN_CONFIG = RUN + ["--config", "{tmp}/config.json"]
 # a run that checkpoints into a directory no case file makes (a repeated
 # flag's last value wins)
@@ -798,6 +832,7 @@ ERROR_CASES = {
     "run-report-directory-missing": (
         {}, RUN_CHECKPOINTED + ["--report", "{tmp}/nodir/r.json"], 2, ["nodir/r.json"]
     ),
+    "run-out-is-directory": ({}, RUN_CHECKPOINTED + ["--out", "{tmp}"], 2, ["directory"]),
     "run-max-iterations-0": ({}, RUN + ["--max-iterations", "0"], 1, ["max_iterations"]),
     "run-candidates-per-doc-0": ({}, RUN + ["--candidates-per-doc", "0"], 1, ["candidates_per_doc"]),
     "run-max-retries-negative": ({}, RUN + ["--max-retries", "-1"], 1, ["max_retries"]),
@@ -891,7 +926,7 @@ ERROR_CASES = {
         {"ckpt/trace.json": STOP_REASON_NUMBER}, RESUME, 2, ["stop_reason"]
     ),
     "resume-snapshot-without-trace": (
-        {"ckpt/iteration_000.jsonl": jsonl(SINGLE_ROWS),
+        {"ckpt/manifest.json": MANIFEST, "ckpt/iteration_000.jsonl": jsonl(SINGLE_ROWS),
          "ckpt/iteration_001.jsonl": jsonl(SINGLE_ROWS[:1])},
         RESUME, 2, ["trace.json", "iteration 1"],
     ),
@@ -907,6 +942,9 @@ ERROR_CASES = {
     "attributions-subset-predicted-string": (
         {"attr.jsonl": attribution(subsets=[{"positions": [0], "predicted": "1"}])},
         CHECK, 2, ["line 2", "predicted"],
+    ),
+    "attributions-subset-without-predicted": (
+        {"attr.jsonl": attribution(subsets=[{"positions": [0]}])}, CHECK, 2, ["line 2", "predicted"]
     ),
     "attributions-doc-id-bool": (
         {"attr.jsonl": attribution(doc_id=True)}, CHECK, 2, ["line 2", "doc_id"]
@@ -965,13 +1003,36 @@ ERROR_CASES = {
     "data-too-deep": ({"bad.jsonl": too_deep(data_lines())}, ANALYZE, 2, ["line 2", "nested"]),
     "data-not-utf8": ({"bad.jsonl": not_utf8(data_lines())}, ANALYZE, 2, ["line 2", "UTF-8"]),
     "resume-snapshot-not-utf8": (
-        {"ckpt/iteration_000.jsonl": jsonl(SINGLE_ROWS),
+        {"ckpt/manifest.json": MANIFEST, "ckpt/iteration_000.jsonl": jsonl(SINGLE_ROWS),
          "ckpt/iteration_001.jsonl": not_utf8(data_lines())},
         RESUME, 2, ["iteration_001", "line 2", "UTF-8"],
     ),
     "resume-snapshot-0-differs": (
-        {"ckpt/iteration_000.jsonl": jsonl(SINGLE_ROWS[:5] + SINGLE_ROWS[6:])},
+        {"ckpt/manifest.json": MANIFEST,
+         "ckpt/iteration_000.jsonl": jsonl(SINGLE_ROWS[:5] + SINGLE_ROWS[6:])},
         RESUME, 2, ["iteration_000", "line 6", "input"],
+    ),
+    "resume-manifest-missing": (
+        {"ckpt/iteration_000.jsonl": jsonl(SINGLE_ROWS)}, RESUME, 2, ["ckpt", "manifest", "older"]
+    ),
+    "resume-manifest-other-format": (
+        {"ckpt/manifest.json": {**MANIFEST, "format": 0},
+         "ckpt/iteration_000.jsonl": jsonl(SINGLE_ROWS)},
+        RESUME, 2, ["manifest", "format"],
+    ),
+    "resume-manifest-config-list": (
+        {"ckpt/manifest.json": {"format": 1, "config": []},
+         "ckpt/iteration_000.jsonl": jsonl(SINGLE_ROWS)},
+        RESUME, 2, ["manifest", "format"],
+    ),
+    "resume-changed-k": (
+        {"ckpt/manifest.json": MANIFEST, "ckpt/iteration_000.jsonl": jsonl(SINGLE_ROWS)},
+        RESUME + ["--k", "3"], 1, ["k", "0.1", "3.0"],
+    ),
+    "resume-changed-verifier-temperature": (
+        {"ckpt/manifest.json": MANIFEST, "ckpt/iteration_000.jsonl": jsonl(SINGLE_ROWS),
+         "config.json": {"generator": {"verifier_temperature": 0.5}}},
+        RESUME + ["--config", "{tmp}/config.json"], 1, ["0.0", "0.5"],
     ),
     "resume-journal-not-utf8": (
         {"ckpt/journal_001.jsonl": not_utf8(journal_lines())}, RESUME, 2, ["line 2", "UTF-8"]

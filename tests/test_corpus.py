@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 from sys import intern
 
 import pytest
@@ -110,6 +111,42 @@ class TestDatasetInvariants:
     def test_single_label_rejected(self):
         with pytest.raises(NoContrastError):
             dataset_from([("a", "some text", 0), ("b", "other text", 0)])
+
+    def test_unknown_schema_rejected(self, tmp_path):
+        docs = (make_document("a", "some text", 0), make_document("b", "more text", 1))
+        with pytest.raises(DataError, match="unknown schema 'nosuch'"):
+            Dataset(docs, {0: "zero", 1: "one"}, "nosuch")
+        path = tmp_path / "data.jsonl"
+        path.write_text('{"id": "a", "text": "some text", "label": 0}\n')
+        with pytest.raises(DataError, match="unknown schema 'nosuch'"):
+            read_documents(path, "nosuch")
+
+
+class TestReplacing:
+    def dataset(self):
+        return dataset_from([("a", "alpha one", 0, "ctx a"), ("b", "beta two", 1, "ctx b"),
+                             ("c", "gamma three", 0, "ctx c")], schema="claim_evidence")
+
+    def test_patches_only_the_given_rows(self, monkeypatch):
+        ds = self.dataset()
+        new = replace_text(ds.documents[2], "gamma rewritten")
+        # the whole dataset is not checked again
+        monkeypatch.setattr(Dataset, "__post_init__", lambda self: pytest.fail("re-checked"))
+        patched = ds.replacing({2: new})
+        assert patched.documents == ds.documents[:2] + (new,)
+        assert (patched.label_names, patched.schema) == (ds.label_names, ds.schema)
+        assert ds.documents[2].mutable_text == "gamma three"
+        assert ds.replacing({}) == ds
+
+    @pytest.mark.parametrize("field, value, problem", [
+        ("id", "b", r"document 'b' is not the input's 'a' at row 0"),
+        ("label", 1, r"document 'a' does not match the input's label or context"),
+        ("context_text", "other", r"document 'a' does not match the input's label or context"),
+    ])
+    def test_a_row_keeps_its_id_label_and_context(self, field, value, problem):
+        ds = self.dataset()
+        with pytest.raises(DataError, match=f"^{problem}$"):
+            ds.replacing({0: replace(ds.documents[0], **{field: value})})
 
 
 class TestLoadSave:
@@ -321,10 +358,7 @@ def tricky_dataset(schema, n=12):
 
 
 def rewritten(dataset, rows, text):
-    return dataset.with_documents(
-        replace_text(doc, f"{text} {i}") if i in rows else doc
-        for i, doc in enumerate(dataset)
-    )
+    return dataset.replacing({i: replace_text(dataset.documents[i], f"{text} {i}") for i in rows})
 
 
 @pytest.fixture

@@ -307,6 +307,55 @@ class TestCheckpointResume:
         # the snapshots, applied to the input, give the returned dataset
         assert Checkpoint(tmp_path / "ckpt").load_state(dataset)[0] == result.dataset
 
+    def test_commits_and_resumes_never_recheck_the_corpus(self, tmp_path, monkeypatch):
+        """Each commit and each resumed snapshot patches the rows it
+        replaces: neither a straight checkpointed run nor its resume builds a
+        Dataset, whose checks read every document."""
+        dataset, rules = synth(corpus_size=120)
+        config = RunConfig(k=6, epsilon=1e-12, max_iterations=3)
+        checks, post_init = [], corpus.Dataset.__post_init__
+        monkeypatch.setattr(corpus.Dataset, "__post_init__",
+                            lambda self: checks.append(len(self)) or post_init(self))
+        straight = run_razor(dataset, config, mock_backend(rules), Checkpoint(tmp_path / "a"))
+        run_razor(dataset, replace(config, max_iterations=2), mock_backend(rules),
+                  Checkpoint(tmp_path / "b"))
+        resumed = run_razor(dataset, config, mock_backend(rules), Checkpoint(tmp_path / "b"))
+        assert len(straight.traces) == len(resumed.traces) == 3
+        assert resumed.dataset == straight.dataset
+        assert checks == []
+
+    @pytest.mark.parametrize("name, value", [
+        ("k", 7),
+        ("lam", 32),
+        ("generator.candidates_per_doc", 2),
+        ("generator.temperature", 0.5),
+        ("generator.top_p", 0.8),
+        ("generator.verifier_temperature", 0.1),
+        ("generator.backend", "http"),
+        ("generator.model", "other"),
+    ])
+    def test_resume_refuses_a_changed_setting(self, tmp_path, name, value):
+        """A resume whose run would make other requests or score otherwise
+        than the checkpoint's is a ConfigError naming the field and both
+        values, raised before any request and with no file changed."""
+        dataset, rules = synth(corpus_size=100)
+        config = RunConfig(k=6, epsilon=1e-12, max_iterations=1)
+        checkpoint = Checkpoint(tmp_path / "ckpt")
+        run_razor(dataset, config, mock_backend(rules), checkpoint)
+        files = {path: path.read_bytes() for path in checkpoint.directory.iterdir()}
+        section, _, field_name = name.rpartition(".")
+        if section:
+            old = getattr(config.generator, field_name)
+            changed = replace(config, generator=replace(config.generator, **{field_name: value}))
+        else:
+            old, changed = getattr(config, name), replace(config, **{name: value})
+        backend = Recording(mock_backend(rules))
+        problem = rf"manifest\.json: the checkpoint's run has {name} {old!r}, this run {value!r}"
+        with pytest.raises(ConfigError, match=problem):
+            run_razor(dataset, replace(changed, max_iterations=3), backend, checkpoint)
+        assert backend.entries == []
+        assert {path: path.read_bytes() for path in checkpoint.directory.iterdir()} == files
+
     def test_finished_checkpoint_short_circuits(self, tmp_path):
         dataset, rules = synth(corpus_size=60)
         checkpoint = Checkpoint(tmp_path / "ckpt")
@@ -418,7 +467,9 @@ class TestCheckpointResume:
         assert writes[-1].name.endswith(".tmp") and not writes[-1].exists()
         files = sorted(p.name for p in ckpt.directory.iterdir())
         snapshots = ["iteration_000.jsonl", "iteration_001.jsonl"]
-        assert files == sorted(snapshots + ["journal_001.jsonl", "journal_002.jsonl", "trace.json"])
+        assert files == sorted(
+            snapshots + ["journal_001.jsonl", "journal_002.jsonl", "manifest.json", "trace.json"]
+        )
         traces, _ = read_trace_file(ckpt.trace_path)
         assert [t.iteration for t in traces] == ([1, 2] if target == "snapshot" else [1])
         # a temporary file left by a killed write is not a snapshot, nor is a
@@ -634,10 +685,10 @@ class TestCheckpointResume:
         rejected(later, b"".join(lines[:-1]),
                  rf"iteration_001\.jsonl: lacks document '{last_id}', which iteration 1 replaced")
         rejected(later, b"".join(lines)[:-5], r"iteration_001\.jsonl: line \d+: malformed JSON")
-        flipped = dataset.with_documents(
+        flipped = replace(dataset, documents=tuple(
             replace(doc, label=1 - doc.label) if i == 0 else doc
             for i, doc in enumerate(dataset)
-        )
+        ))
         rejected(first, whole[first], r"line 1 does not match the input", flipped)
 
     @pytest.mark.parametrize("edit", ["not-in-input", "out-of-order", "other-label"])
@@ -673,10 +724,8 @@ class TestCheckpointResume:
                            checkpoint)
         replaced = {doc_id for t in result.traces for doc_id in t.replaced_ids}
         row = next(i for i, doc in enumerate(dataset) if doc.id not in replaced)
-        edited = dataset.with_documents(
-            replace_text(doc, doc.mutable_text + " again") if i == row else doc
-            for i, doc in enumerate(dataset)
-        )
+        doc = dataset.documents[row]
+        edited = dataset.replacing({row: replace_text(doc, doc.mutable_text + " again")})
         backend = Recording(mock_backend(rules))
         with pytest.raises(DataError, match=rf"iteration_000\.jsonl: line {row + 1} does not match"):
             run_razor(edited, config, backend, checkpoint)
@@ -720,10 +769,10 @@ class TestCheckpointResume:
         dataset = dataset_from(rows, schema="claim_evidence")
         checkpoint = Checkpoint(tmp_path / "ckpt")
         run_razor(dataset, RunConfig(k=2, max_iterations=1), noop_backend(), checkpoint)
-        changed = dataset.with_documents(
+        changed = replace(dataset, documents=tuple(
             replace(doc, context_text="other evidence") if i == 3 else doc
             for i, doc in enumerate(dataset)
-        )
+        ))
         backend = Recording(noop_backend())
         with pytest.raises(DataError, match="does not match the input"):
             run_razor(changed, RunConfig(k=2, max_iterations=2), backend, checkpoint)
@@ -1238,7 +1287,7 @@ class TestTokenTable:
 
         def checked_units(docs, stats, lam):
             units = surface_embedding(docs, stats, lam)
-            fresh = surface.corpus_stats(dataset.with_documents(stats.documents))
+            fresh = surface.corpus_stats(replace(dataset, documents=stats.documents))
             np.testing.assert_array_equal(units, surface_embedding(docs, fresh, lam))
             if any("zonk" in d.tokens for d in docs):
                 zonk_candidates.add(backends[-1].iteration)
@@ -1289,7 +1338,7 @@ class TestTokenTable:
         for stamp, (size, edit) in enumerate(steps):
             for row, text in edit.items():
                 docs[row] = make_document(docs[row].id, text, docs[row].label)
-            snapshot = dataset.with_documents(docs[:size])
+            snapshot = replace(dataset, documents=tuple(docs[:size]))
             stats = surface.corpus_stats(snapshot, table)
             fresh = assert_stats_equal_fresh(stats, snapshot)
             np.testing.assert_array_equal(

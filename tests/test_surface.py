@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -202,7 +203,9 @@ class TestSurfaceEmbedding:
         units = surface_embedding(ds.documents, stats, 4)
         assert units.shape == (2, 4)
         assert not units[0].any() and units[1].any()
-        np.testing.assert_array_equal(units, compute_embeddings(ds, stats, 4).units)
+        space = compute_embeddings(ds, stats, 4)
+        np.testing.assert_array_equal(units, space.units)
+        assert len(space) == len(ds) == 2
 
     def test_all_ubiquitous_tokens_zero_marker(self):
         ds = dataset_from([("d1", "a b", 0), ("d2", "a b", 1), ("d3", "b a", 0)])
@@ -347,9 +350,9 @@ class TestBlockEmbedding:
         fresh = compute_embeddings(ds, corpus_stats(ds), 8)
         fresh_vectors = embedding_matrix(ds, corpus_stats(ds), 8)
         # tables of a smaller snapshot and of a same-size one with other text
-        smaller = corpus_stats(ds.with_documents(ds.documents[:-1]))
-        edited = ds.with_documents(
-            ds.documents[:3] + (make_document("d3", "other words entirely", 1),) + ds.documents[4:]
+        smaller = corpus_stats(replace(ds, documents=ds.documents[:-1]))
+        edited = replace(
+            ds, documents=ds.documents[:3] + (make_document("d3", "other words entirely", 1),) + ds.documents[4:]
         )
         for table in (smaller, corpus_stats(edited)):
             space = compute_embeddings(ds, table, 8)
@@ -529,7 +532,7 @@ class TestShortcutScore:
         top = sorted(scores, key=lambda i: (-scores[i], i))[:5]
 
         order = rng.permutation(len(ds.documents))
-        shuffled = ds.with_documents(ds.documents[i] for i in order)
+        shuffled = replace(ds, documents=tuple(ds.documents[i] for i in order))
         scores2 = scores_by_id(compute_embeddings(shuffled, lam=8))
         top2 = sorted(scores2, key=lambda i: (-scores2[i], i))[:5]
         assert top == top2
